@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 
-#include "spawn_chunks.hpp"
 #include "kernels/activations.hpp"
 #include "kernels/epilogue.hpp"
 #include "kernels/simd/backend.hpp"
@@ -356,9 +355,9 @@ void BM_SpmmAvx2SpeedupGate(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmAvx2SpeedupGate);
 
-// Fan-out mechanism overhead: the persistent runtime pool vs the retired
-// per-call thread spawn, on a body small enough that dispatch dominates —
-// the regime every batch<=8 serving SpMM lives in.
+// Fan-out mechanism overhead of the persistent runtime pool, on a body
+// small enough that dispatch dominates — the regime every batch<=8
+// serving SpMM lives in.
 void BM_FanoutPool(benchmark::State& state) {
   const auto chunks = static_cast<std::size_t>(state.range(0));
   std::vector<float> data(4096, 1.0f);
@@ -374,22 +373,6 @@ void BM_FanoutPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FanoutPool)->Arg(2)->Arg(4);
-
-void BM_FanoutSpawn(benchmark::State& state) {
-  const auto chunks = static_cast<std::size_t>(state.range(0));
-  std::vector<float> data(4096, 1.0f);
-  std::vector<float> sums(chunks + 1, 0.0f);
-  for (auto _ : state) {
-    bench::spawn_chunks(
-        data.size(), chunks, [&](std::size_t b0, std::size_t b1) {
-          float acc = 0.0f;
-          for (std::size_t i = b0; i < b1; ++i) acc += data[i];
-          sums[b0 / ((data.size() + chunks - 1) / chunks)] = acc;
-        });
-    benchmark::DoNotOptimize(sums.data());
-  }
-}
-BENCHMARK(BM_FanoutSpawn)->Arg(2)->Arg(4);
 
 void BM_EngineUpdateRound(benchmark::State& state) {
   util::Rng rng(15);

@@ -9,16 +9,14 @@
 // speedup. Rows land in bench_results/serve_throughput.csv with a
 // `workload` column.
 //
-// Runtime sweeps follow: (1) intra-op SpMM on the persistent pool vs
-// the retired per-call thread spawn at small batches, where spawn
-// latency dominates the kernel — the reason the pool exists; (2)
-// row-range partitioning; (3) epilogue fusion (fused vs unfused
-// pipelines, equals-gated); (4) SIMD kernel-backend dispatch and int8
-// quantized serving (equals-/top-1-gated against scalar fp32); (5)
-// InferenceServer aggregate throughput across shard counts (replicated
-// CompiledNets, round-robin routing); (6) observability overhead —
-// tracing disabled vs armed-idle, gated at <= 2% throughput cost. All
-// land in bench_results/serve_scaling.csv.
+// Runtime sweeps follow: (1) row-range partitioning; (2) epilogue
+// fusion (fused vs unfused pipelines, equals-gated); (3) SIMD
+// kernel-backend dispatch and int8 quantized serving (equals-/top-1-
+// gated against scalar fp32); (4) InferenceServer aggregate throughput
+// across shard counts (replicated CompiledNets, round-robin routing);
+// (5) tail latency under a mid-run delta hot swap; (6) observability
+// overhead — tracing disabled vs armed-idle, gated at <= 2% throughput
+// cost. All land in bench_results/serve_scaling.csv.
 //
 // DSTEE_SCALE scales the model width; DSTEE_SERVE_MIN_TIME (seconds, default
 // 0.15) controls per-cell measurement time.
@@ -27,7 +25,6 @@
 #include <future>
 
 #include "bench_common.hpp"
-#include "spawn_chunks.hpp"
 #include "kernels/simd/backend.hpp"
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
@@ -105,79 +102,6 @@ void sweep_batches(nn::Sequential& model, const serve::CompiledNet& net,
                    std::to_string(net.total_nnz()),
                    util::format_fixed(net.density(), 4)});
   }
-}
-
-/// SpMM through the persistent pool vs. the retired per-call spawn, at
-/// the small batches where a server actually lives. The spawn baseline
-/// reproduces CsrMatrix::spmm's exact loop over the public CSR arrays so
-/// only the fan-out mechanism differs.
-void sweep_intra_op_pool(double min_time, util::CsvWriter& csv) {
-  const std::size_t n = 512;
-  const std::size_t intra = 4;
-  util::Rng rng(29);
-  tensor::Tensor w({n, n});
-  tensor::fill_normal(w, rng, 0.0f, 1.0f);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    if (!rng.bernoulli(0.1)) w[i] = 0.0f;
-  }
-  const sparse::CsrMatrix csr = sparse::CsrMatrix::from_dense(w);
-
-  auto spawn_spmm = [&](const tensor::Tensor& x) {
-    const std::size_t batch = x.dim(0);
-    tensor::Tensor y({batch, csr.rows()});
-    bench::spawn_chunks(csr.rows(), intra, [&](std::size_t r0,
-                                                 std::size_t r1) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float* xn = x.raw() + b * csr.cols();
-        float* yn = y.raw() + b * csr.rows();
-        for (std::size_t r = r0; r < r1; ++r) {
-          float acc = 0.0f;
-          for (std::size_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1];
-               ++k) {
-            acc += csr.values()[k] * xn[csr.col_idx()[k]];
-          }
-          yn[r] = acc;
-        }
-      }
-    });
-    return y;
-  };
-
-  std::cout << "intra-op fan-out: persistent pool vs per-call spawn "
-            << "(512x512 @ 90% sparse, " << intra << " chunks)\n";
-  util::Table table({"batch", "spawn rows/s", "pool rows/s", "speedup"});
-  double speedup_product = 1.0;
-  std::size_t cells = 0;
-  for (const std::size_t batch : {1u, 2u, 4u, 8u}) {
-    tensor::Tensor x({batch, n});
-    util::Rng xrng(100 + batch);
-    tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-    // Correctness first: both fan-outs must agree bit-for-bit.
-    util::check(
-        csr.spmm(x, runtime::IntraOp{intra, nullptr}).equals(spawn_spmm(x)),
-        "pool and spawn SpMM diverged");
-    const double spawn_rate =
-        measure_rows_per_s([&] { spawn_spmm(x); }, batch, min_time);
-    const double pool_rate = measure_rows_per_s(
-        [&] { csr.spmm(x, runtime::IntraOp{intra, nullptr}); }, batch,
-        min_time);
-    const double speedup = pool_rate / spawn_rate;
-    speedup_product *= speedup;
-    ++cells;
-    table.add_row({std::to_string(batch), util::format_fixed(spawn_rate, 0),
-                   util::format_fixed(pool_rate, 0),
-                   util::format_fixed(speedup, 2) + "x"});
-    csv.write_row({"intra_op", "1", std::to_string(intra),
-                   std::to_string(batch), util::format_fixed(spawn_rate, 1),
-                   util::format_fixed(pool_rate, 1),
-                   util::format_fixed(speedup, 3)});
-  }
-  std::cout << table.render() << "\n";
-  const double mean_speedup =
-      std::pow(speedup_product, 1.0 / static_cast<double>(cells));
-  bench::shape_check(
-      "persistent pool beats per-call spawn at batch <= 8 (geomean)",
-      mean_speedup > 1.0);
 }
 
 /// Row-range partitioning (serve::PartitionRows): the ROADMAP's second
@@ -623,21 +547,25 @@ void sweep_shards(const bench::BenchEnv& env, double min_time,
   }
 }
 
-/// One faked DST step on every layer of `state` — the delta payload the
-/// hot-swap sweep publishes mid-run.
+/// One faked DST step — the delta payload the hot-swap sweep publishes
+/// mid-run. Only layers with room to move are perturbed: at least 2
+/// active slots (one to prune, one to jitter) and 1 inactive slot to
+/// grow. ERK can keep a small layer (the 512x10 head) fully dense.
 void hotswap_step(sparse::SparseModel& state) {
+  std::size_t changed = 0;
   for (std::size_t l = 0; l < state.num_layers(); ++l) {
     sparse::MaskedParameter& layer = state.layer(l);
     const std::vector<std::size_t> active = layer.mask().active_indices();
     const std::vector<std::size_t> inactive = layer.mask().inactive_indices();
-    util::check(active.size() >= 2 && !inactive.empty(),
-                "hotswap sweep model has no sparse headroom");
+    if (active.size() < 2 || inactive.empty()) continue;
     layer.mask().deactivate(active[0]);
     layer.mask().activate(inactive[0]);
     layer.param().value[inactive[0]] = 0.125f;
     layer.param().value[active[1]] += 0.25f;
     layer.apply_mask_to_value();
+    ++changed;
   }
+  util::check(changed > 0, "hotswap sweep model has no sparse headroom");
 }
 
 /// Tail latency under a mid-run hot swap: the same open-loop arrival
@@ -934,14 +862,13 @@ int run() {
 
   std::cout << table.render() << "\n";
 
-  // Runtime scaling sweeps (pool vs spawn, row-range partitions, epilogue
-  // fusion, shard replicas). For the partition rows, `shards` holds the
-  // partition count; for the fusion rows, baseline is the unfused rate.
+  // Runtime scaling sweeps (row-range partitions, epilogue fusion, shard
+  // replicas). For the partition rows, `shards` holds the partition
+  // count; for the fusion rows, baseline is the unfused rate.
   util::CsvWriter scaling_csv(
       "bench_results/serve_scaling.csv",
       {"sweep", "shards", "intra_op", "batch", "baseline_rows_per_s",
        "rows_per_s", "speedup"});
-  sweep_intra_op_pool(min_time, scaling_csv);
   sweep_partition(env, min_time, scaling_csv);
   sweep_fusion(env, min_time, scaling_csv);
   sweep_kernel_backend(env, min_time, scaling_csv);

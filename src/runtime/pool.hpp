@@ -1,11 +1,10 @@
 // Persistent intra-op thread pool shared by every parallel kernel.
 //
-// The retired execution model spawned std::threads inside each SpMM/conv
-// call (see bench/spawn_chunks.hpp), paying thread-start latency per call —
-// fine for huge batches, ruinous for the serving hot path where a batch-8
-// SpMM finishes in tens of microseconds. This pool starts its workers
-// once; a parallel region only pays a queue push and a condition-variable
-// wake.
+// Spawning std::threads inside each SpMM/conv call pays thread-start
+// latency per call — fine for huge batches, ruinous for the serving hot
+// path where a batch-8 SpMM finishes in tens of microseconds. This pool
+// starts its workers once; a parallel region only pays a queue push and
+// a condition-variable wake.
 //
 // Structure: fixed workers, one task deque per worker (submissions
 // round-robin across them; an idle worker steals from its peers), and a

@@ -6,7 +6,6 @@
 #include "serve/passes.hpp"
 #include "train/checkpoint.hpp"
 #include "util/check.hpp"
-#include "util/string_util.hpp"
 
 namespace dstee::serve {
 
@@ -25,17 +24,6 @@ CompiledNet CompiledNet::from_checkpoint(const std::string& path,
 }
 
 CompiledNet CompiledNet::bind(Plan&& plan, const CompileOptions& options) {
-  CompiledNet net;
-  // Counters first: Executor::bind consumes the plan's weights.
-  net.sparse_ops_ = plan.sparse_ops;
-  net.elided_ = plan.elided;
-  net.residual_joins_ = plan.residual_joins;
-  net.partitioned_ops_ = plan.partitioned_ops;
-  net.fused_ops_ = plan.fused_ops;
-  net.quantized_ops_ = plan.quantized_ops;
-  net.total_nnz_ = plan.total_nnz;
-  net.total_weights_ = plan.total_weights;
-  net.total_weight_bytes_ = plan.total_weight_bytes();
   // An empty backend name defers every kernel call to the process-wide
   // active backend; a named one is resolved here, once, and pinned into
   // the bound ops (unknown/unsupported names fail loudly).
@@ -46,13 +34,14 @@ CompiledNet CompiledNet::bind(Plan&& plan, const CompileOptions& options) {
                 "unknown or unsupported kernel backend '" +
                     options.kernel_backend + "'");
   }
-  // Profile size must be fixed before bind() consumes the plan.
   std::shared_ptr<obs::OpProfile> profile;
   if (options.profile_ops) {
     profile = std::make_shared<obs::OpProfile>(plan.ops.size());
   }
+  CompiledNet net;
+  net.plan_ = std::make_shared<const Plan>(std::move(plan));
   net.exec_ = Executor::bind(
-      std::move(plan),
+      *net.plan_,
       runtime::IntraOp{options.intra_op_threads, options.intra_op_pool},
       backend, std::move(profile));
   return net;
@@ -60,75 +49,42 @@ CompiledNet CompiledNet::bind(Plan&& plan, const CompileOptions& options) {
 
 CompiledNet CompiledNet::clone() const {
   CompiledNet copy;
+  copy.plan_ = plan_;
   copy.exec_ = exec_.clone();
-  copy.sparse_ops_ = sparse_ops_;
-  copy.elided_ = elided_;
-  copy.residual_joins_ = residual_joins_;
-  copy.partitioned_ops_ = partitioned_ops_;
-  copy.fused_ops_ = fused_ops_;
-  copy.quantized_ops_ = quantized_ops_;
-  copy.total_nnz_ = total_nnz_;
-  copy.total_weights_ = total_weights_;
-  copy.total_weight_bytes_ = total_weight_bytes_;
   return copy;
 }
 
 CompiledNet CompiledNet::clone_shared(
     const std::unordered_set<const void*>& shared) const {
   CompiledNet copy;
+  copy.plan_ = plan_;
   copy.exec_ = exec_.clone_shared(shared);
-  copy.sparse_ops_ = sparse_ops_;
-  copy.elided_ = elided_;
-  copy.residual_joins_ = residual_joins_;
-  copy.partitioned_ops_ = partitioned_ops_;
-  copy.fused_ops_ = fused_ops_;
-  copy.quantized_ops_ = quantized_ops_;
-  copy.total_nnz_ = total_nnz_;
-  copy.total_weights_ = total_weights_;
-  copy.total_weight_bytes_ = total_weight_bytes_;
   return copy;
 }
 
 double CompiledNet::density() const {
-  return total_weights_ > 0
-             ? static_cast<double>(total_nnz_) /
-                   static_cast<double>(total_weights_)
+  return plan_->total_weights > 0
+             ? static_cast<double>(plan_->total_nnz) /
+                   static_cast<double>(plan_->total_weights)
              : 0.0;
 }
 
 double CompiledNet::flops_per_sample(
     const tensor::Shape& sample_shape) const {
-  return exec_.accumulate_flops(sample_shape, /*dense=*/false);
+  double total = 0.0;
+  for (const Plan::NodeCost& c : plan_->annotate(sample_shape)) {
+    total += c.flops;
+  }
+  return total;
 }
 
 double CompiledNet::dense_flops_per_sample(
     const tensor::Shape& sample_shape) const {
-  return exec_.accumulate_flops(sample_shape, /*dense=*/true);
-}
-
-std::string CompiledNet::summary() const {
-  std::string out = "CompiledNet: " + std::to_string(exec_.num_ops()) +
-                    " ops, " + std::to_string(total_nnz_) + "/" +
-                    std::to_string(total_weights_) + " weights (density " +
-                    util::format_fixed(density() * 100.0, 1) + "%), " +
-                    std::to_string(elided_) + " elided";
-  if (residual_joins_ > 0) {
-    out += ", " + std::to_string(residual_joins_) + " residual joins";
+  double total = 0.0;
+  for (const Plan::NodeCost& c : plan_->annotate(sample_shape)) {
+    total += c.dense_flops;
   }
-  if (partitioned_ops_ > 0) {
-    out += ", " + std::to_string(partitioned_ops_) + " partitioned (" +
-           std::to_string(num_parallel_groups()) + " parallel groups)";
-  }
-  if (fused_ops_ > 0) {
-    out += ", " + std::to_string(fused_ops_) + " fused";
-  }
-  if (quantized_ops_ > 0) {
-    out += ", " + std::to_string(quantized_ops_) + " int8 (" +
-           std::to_string(total_weight_bytes_) + " weight bytes)";
-  }
-  out += "\n";
-  out += exec_.describe_ops();
-  return out;
+  return total;
 }
 
 }  // namespace dstee::serve

@@ -10,16 +10,19 @@
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
 //   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
 //              FreeAfterLastUse by default; PartitionRows on request
-//   bind()     Executor fixes weights + the runtime::IntraOp policy
+//   bind()     Executor shares the plan's weights and fixes the
+//              runtime::IntraOp policy
 //
-// CompiledNet wraps the bound Executor with model-level bookkeeping
-// (nnz/FLOPs/density, input validation data) so InferenceServer,
-// dstee_serve and the checkpoint path keep their one-call workflow:
-// CompiledNet::compile() runs the default Compiler pipeline and is
-// bit-identical to the pre-redesign monolithic compiler.
+// CompiledNet keeps the finished Plan next to the bound Executor. The
+// plan is the one source of model-level facts — counters, nnz/FLOPs,
+// the node listing — so InferenceServer, dstee_serve and the checkpoint
+// path keep their one-call workflow: CompiledNet::compile() runs the
+// default Compiler pipeline and is bit-identical to the pre-redesign
+// monolithic compiler.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <unordered_set>
 
@@ -92,8 +95,9 @@ class CompiledNet {
                                      sparse::SparseModel* state = nullptr,
                                      const CompileOptions& options = {});
 
-  /// Binds an already-finished plan (weights move out of it) under the
-  /// given options. serve::Compiler::bind() is the usual entry point.
+  /// Binds an already-finished plan under the given options; the net
+  /// keeps the plan and its ops share the plan's weights.
+  /// serve::Compiler::bind() is the usual entry point.
   static CompiledNet bind(Plan&& plan, const CompileOptions& options);
 
   /// Executes the graph in topological (emission) order. `x` is
@@ -105,8 +109,9 @@ class CompiledNet {
 
   /// Deep copy: every op (CSR arrays, biases, folded constants) is
   /// duplicated — a matrix shared by a partition group is copied once —
-  /// so the replica shares no memory with the source. InferenceServer
-  /// builds one replica per shard from this.
+  /// so the replica's ops share no memory with the source. InferenceServer
+  /// builds one replica per shard from this. The read-only plan() is
+  /// shared, not copied.
   CompiledNet clone() const;
 
   /// clone() that keeps the matrices in `shared` by reference instead of
@@ -119,24 +124,29 @@ class CompiledNet {
 
   const Executor& executor() const { return exec_; }
 
+  /// The finished plan this net was bound from (shared with clones).
+  const Plan& plan() const { return *plan_; }
+
   /// Per-op wall-time profile (null unless compiled with
   /// CompileOptions::profile_ops). Shared with every clone of this net.
   const obs::OpProfile* op_profile() const { return exec_.op_profile(); }
 
   std::size_t num_ops() const { return exec_.num_ops(); }
-  std::size_t num_sparse_ops() const { return sparse_ops_; }
-  std::size_t num_elided() const { return elided_; }
+  std::size_t num_sparse_ops() const { return plan_->sparse_ops; }
+  std::size_t num_elided() const { return plan_->elided; }
   /// Residual add+ReLU joins in the graph (0 for chain models).
-  std::size_t num_residual_joins() const { return residual_joins_; }
+  std::size_t num_residual_joins() const { return plan_->residual_joins; }
   /// CSR nodes PartitionRows split into row-range slice groups.
-  std::size_t num_partitioned_ops() const { return partitioned_ops_; }
+  std::size_t num_partitioned_ops() const { return plan_->partitioned_ops; }
   /// CSR nodes FuseEpilogue annotated with a fused activation/residual.
-  std::size_t num_fused_ops() const { return fused_ops_; }
+  std::size_t num_fused_ops() const { return plan_->fused_ops; }
   /// CSR nodes QuantizeWeights rewrote to int8 weights.
-  std::size_t num_quantized_ops() const { return quantized_ops_; }
+  std::size_t num_quantized_ops() const { return plan_->quantized_ops; }
   /// Weight bytes a replica streams (distinct matrices; see
   /// Plan::total_weight_bytes) — the memory lever int8 quantization moves.
-  std::size_t total_weight_bytes() const { return total_weight_bytes_; }
+  std::size_t total_weight_bytes() const {
+    return plan_->total_weight_bytes();
+  }
   /// Slice groups the executor fans out in parallel.
   std::size_t num_parallel_groups() const {
     return exec_.num_parallel_groups();
@@ -144,12 +154,13 @@ class CompiledNet {
 
   /// Stored nonzeros / total weight slots across all CSR ops (Linear AND
   /// Conv2d — compression reporting covers the whole model).
-  std::size_t total_nnz() const { return total_nnz_; }
-  std::size_t total_weights() const { return total_weights_; }
+  std::size_t total_nnz() const { return plan_->total_nnz; }
+  std::size_t total_weights() const { return plan_->total_weights; }
   double density() const;
 
   /// FLOPs per single sample of the given shape (no batch axis), counting
-  /// exactly what the CSR kernels execute / what dense eval would execute.
+  /// exactly what the CSR kernels execute / what dense eval would execute
+  /// — the sums of Plan::annotate's per-node columns.
   double flops_per_sample(const tensor::Shape& sample_shape) const;
   double dense_flops_per_sample(const tensor::Shape& sample_shape) const;
 
@@ -158,22 +169,14 @@ class CompiledNet {
   /// first op validates at run time).
   std::size_t input_features() const { return exec_.input_features(); }
 
-  /// One line per node, for logs and the serve CLI.
-  std::string summary() const;
+  /// The plan listing (Plan::dump), for logs and the serve CLI.
+  std::string summary() const { return plan_->dump(); }
 
  private:
   CompiledNet() = default;
 
+  std::shared_ptr<const Plan> plan_;
   Executor exec_;
-  std::size_t sparse_ops_ = 0;
-  std::size_t elided_ = 0;
-  std::size_t residual_joins_ = 0;
-  std::size_t partitioned_ops_ = 0;
-  std::size_t fused_ops_ = 0;
-  std::size_t quantized_ops_ = 0;
-  std::size_t total_nnz_ = 0;
-  std::size_t total_weights_ = 0;
-  std::size_t total_weight_bytes_ = 0;
 };
 
 }  // namespace dstee::serve

@@ -15,15 +15,16 @@
 // magic); train::load_checkpoint rejects delta files with a pointer
 // here, and load_delta() rejects full checkpoints symmetrically.
 //
-// The serving half re-uses the PR 5 compiler seam: a Plan retained from
-// compilation shares its CsrMatrix instances with the bound executor,
-// so apply_delta_to_plan() can copy that plan, rebuild ONLY the nodes
-// whose provenance ordinals (PlanOp::sparse_ordinal / bn_ordinal) the
-// delta touched — re-folding BN and re-splitting PartitionRows groups
-// exactly as a full recompile would — and leave every untouched node
-// pointing at the very matrices the outgoing version serves. Binding
-// the patched plan then yields a new version that is bit-identical to a
-// full recompile (pinned by serve_test) at a fraction of the work.
+// The serving half re-uses the compiler seam: the Plan a CompiledNet
+// keeps (CompiledNet::plan()) shares its CsrMatrix instances with the
+// bound ops, so apply_delta_to_plan() can copy that plan, rebuild ONLY
+// the nodes whose provenance ordinals (PlanOp::sparse_ordinal /
+// bn_ordinal) the delta touched — re-folding BN and re-splitting
+// PartitionRows groups exactly as a full recompile would — and leave
+// every untouched node pointing at the very matrices the outgoing
+// version serves. Binding the patched plan then yields a new version
+// that is bit-identical to a full recompile (pinned by serve_test) at a
+// fraction of the work.
 #pragma once
 
 #include <cstdint>

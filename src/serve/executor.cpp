@@ -1,16 +1,15 @@
 #include "serve/executor.hpp"
 
-#include <type_traits>
+#include <array>
+#include <string>
 #include <utility>
 
 #include "kernels/epilogue.hpp"
 #include "kernels/pool.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
-#include "sparse/flops.hpp"
 #include "tensor/im2col.hpp"
 #include "util/check.hpp"
-#include "util/string_util.hpp"
 
 namespace dstee::serve {
 
@@ -38,288 +37,190 @@ std::shared_ptr<const sparse::QCsrMatrix> CloneContext::dup(
   return it->second;
 }
 
-tensor::Tensor EvalOp::run(const tensor::Tensor& x) const {
-  (void)x;
-  util::fail("EvalOp: unary run() on an op of arity " +
-             std::to_string(arity()));
-}
-
-tensor::Tensor EvalOp::run2(const tensor::Tensor& a,
-                            const tensor::Tensor& b) const {
-  (void)a;
-  (void)b;
-  util::fail("EvalOp: binary run2() on an op of arity " +
-             std::to_string(arity()));
-}
-
-tensor::Tensor EvalOp::run_many(
-    const std::vector<const tensor::Tensor*>& xs) const {
-  (void)xs;
-  util::fail("EvalOp: run_many() on an op of arity " +
-             std::to_string(arity()));
-}
-
 namespace {
 
-const char* act_name(ActKind act) {
-  switch (act) {
-    case ActKind::kRelu:
-      return "relu";
-    case ActKind::kLeakyRelu:
-      return "leaky_relu";
-    case ActKind::kSigmoid:
-      return "sigmoid";
-    case ActKind::kTanh:
-      return "tanh";
-  }
-  return "?";
-}
-
-/// Common state of the CSR-backed ops: shared weights, bias, the
-/// folded-BN marker, and the FuseEpilogue annotation the op lowers into
-/// a kernels::Epilogue (folding and fusion both happen at the plan
-/// level, before binding — see serve::FoldBatchNorm / serve::FuseEpilogue).
+/// Common state of the two CSR kernel families: the shared weight matrix,
+/// the row range this op computes, the bias (already sliced to that range
+/// at the plan level), the FuseEpilogue annotation lowered to a
+/// kernels::Epilogue, the intra-op policy and the kernel backend pinned at
+/// bind time (nullptr = defer each call to the process-wide active
+/// backend). Folding and fusion happen at the plan level, before binding
+/// (see serve::FoldBatchNorm / serve::FuseEpilogue).
+///
+/// A whole kSpmm/kConv node is the full-range slice [0, rows) under the
+/// node's IntraOp; a PartitionRows kRowSlice is its own range run inline
+/// (the group fan-out IS the parallelism). The whole-matrix kernels are
+/// themselves the full-range slice, so both are one code path.
 ///
 /// Templated over the weight type: M is sparse::CsrMatrix (fp32) or
 /// sparse::QCsrMatrix (int8 + per-row scales, from QuantizeWeights). The
-/// two expose the same kernel surface, so one op body serves both; FLOPs
-/// stay nnz-based either way (an int8 multiply-accumulate counts like an
-/// fp32 one — quantization moves bytes, not operation counts). The op
-/// also pins the kernel backend chosen at bind time (nullptr = defer
-/// each call to the process-wide active backend).
+/// two expose the same kernel surface, so one op body serves both.
 template <typename M>
 class CsrOp : public EvalOp {
  public:
-  static constexpr bool kQuantized =
-      std::is_same_v<M, sparse::QCsrMatrix>;
-
-  CsrOp(std::shared_ptr<const M> csr, tensor::Tensor bias, bool has_bias,
-        bool folded_bn, PlanEpilogue pe,
-        const kernels::simd::KernelBackend* backend)
-      : csr_(std::move(csr)),
-        bias_(std::move(bias)),
-        has_bias_(has_bias),
-        folded_bn_(folded_bn),
-        pe_(pe),
-        backend_(backend) {}
-
-  const M& csr() const { return *csr_; }
-
-  /// A residual-fused CSR op consumes the residual as its second input.
-  std::size_t arity() const override { return pe_.add_residual ? 2 : 1; }
+  CsrOp(const PlanOp& op, std::shared_ptr<const M> weights,
+        runtime::IntraOp intra, const kernels::simd::KernelBackend* backend)
+      : w_(std::move(weights)),
+        row_begin_(op.kind == PlanOpKind::kRowSlice ? op.row_begin : 0),
+        row_end_(op.kind == PlanOpKind::kRowSlice ? op.row_end : w_->rows()),
+        bias_(op.bias),
+        has_bias_(op.has_bias),
+        intra_(intra),
+        backend_(backend) {
+    ep_.has_act = op.epilogue.has_act;
+    ep_.act = op.epilogue.act;
+    ep_.slope = op.epilogue.slope;
+  }
 
  protected:
-  /// The kernels::Epilogue for this op: bias plus the fused annotation,
-  /// with the residual pointer/stride supplied per call (layout is
-  /// kernel-specific — see the kernel doc comments).
+  /// The kernels::Epilogue for one kernel call: bias plus the fused
+  /// annotation, with the residual pointer/stride supplied per call
+  /// (layout is kernel-specific — see the kernel doc comments).
   kernels::Epilogue make_ep(const float* residual,
                             std::size_t residual_stride) const {
-    kernels::Epilogue ep;
+    kernels::Epilogue ep = ep_;
     if (has_bias_) ep.bias = bias_.raw();
     ep.residual = residual;
     ep.residual_stride = residual_stride;
-    ep.has_act = pe_.has_act;
-    ep.act = pe_.act;
-    ep.slope = pe_.slope;
     return ep;
   }
 
-  /// FLOPs the fused epilogue adds on top of the sparse product — one op
-  /// per output element per fused stage, mirroring Plan::annotate.
-  double ep_flops(double out_elems) const {
-    double per_elem = 0.0;
-    if (pe_.add_residual) per_elem += 1.0;
-    if (pe_.has_act) per_elem += 1.0;
-    return per_elem * out_elems;
-  }
-
-  std::string fused_suffix() const {
-    if (pe_.empty()) return "";
-    std::string out = ", fused(";
-    if (pe_.add_residual) out += "add";
-    if (pe_.has_act) {
-      if (pe_.add_residual) out += "+";
-      out += act_name(pe_.act);
-    }
-    return out + ")";
-  }
-
-  std::string csr_suffix() const {
-    return "nnz=" + std::to_string(csr_->nnz()) + ", density=" +
-           util::format_fixed(csr_->density() * 100.0, 1) + "%" +
-           (kQuantized ? ", int8" : "") + (folded_bn_ ? ", +bn" : "") +
-           fused_suffix() + ")";
-  }
-
-  std::shared_ptr<const M> csr_;
+  std::shared_ptr<const M> w_;
+  std::size_t row_begin_;
+  std::size_t row_end_;
   tensor::Tensor bias_;
   bool has_bias_;
-  bool folded_bn_;
-  PlanEpilogue pe_;
+  kernels::Epilogue ep_;  ///< activation part only; see make_ep()
+  runtime::IntraOp intra_;
   const kernels::simd::KernelBackend* backend_;
 };
 
-/// CSR Linear: y = act(spmm(x) + bias + residual) — bias and the fused
-/// epilogue are applied inside the SpMM output loop.
+/// CSR Linear over rows [row_begin, row_end): y = act(x·Wᵀ + bias +
+/// residual), the epilogue applied inside the SpMM output loop. A fused
+/// residual (second input) is the FULL output width: the pointer is
+/// pre-offset by row_begin and the per-sample stride stays the parent's
+/// row count.
 template <typename M>
-class SpmmOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-
+class CsrLinearOp final : public CsrOp<M> {
  public:
-  SpmmOp(std::shared_ptr<const M> csr, tensor::Tensor bias, bool has_bias,
-         bool folded_bn, PlanEpilogue pe, runtime::IntraOp intra,
-         const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        intra_(intra) {}
+  using CsrOp<M>::CsrOp;
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<SpmmOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
+    auto copy = std::make_unique<CsrLinearOp>(*this);
+    copy->w_ = ctx.dup(this->w_);
     return copy;
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return csr_->spmm(x, intra_, this->make_ep(nullptr, 0), backend_);
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& x = *inputs[0];
+    const std::size_t rows = this->w_->rows();
+    const float* res = nullptr;
+    if (inputs.size() == 2) {
+      const tensor::Tensor& r = *inputs[1];
+      util::check(r.rank() == 2 && r.dim(0) == x.dim(0) && r.dim(1) == rows,
+                  "fused spmm residual shape mismatch");
+      res = r.raw() + this->row_begin_;
+    }
+    return this->w_->row_slice(this->row_begin_, this->row_end_)
+        .spmm(x, this->intra_, this->make_ep(res, rows), this->backend_);
   }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    util::check(residual.rank() == 2 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows(),
-                "fused spmm residual shape mismatch");
-    return csr_->spmm(x, intra_,
-                      this->make_ep(residual.raw(), csr_->rows()), backend_);
-  }
-
-  std::string describe() const override {
-    return "spmm(" + std::to_string(csr_->rows()) + "x" +
-           std::to_string(csr_->cols()) + ", " + this->csr_suffix();
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape({in.dim(0), csr_->rows()});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(csr_->nnz(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows()));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(csr_->rows() * csr_->cols(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows()));
-  }
-
- private:
-  runtime::IntraOp intra_;
 };
 
-/// Conv geometry shared by the conv-shaped ops.
-tensor::ConvGeometry conv_geometry_for(std::size_t in_channels,
-                                       std::size_t kernel, std::size_t stride,
-                                       std::size_t padding, std::size_t in_h,
-                                       std::size_t in_w) {
-  // Checked here (not just in run()) so shape/FLOPs propagation through
-  // out_shape()/flops() fails cleanly instead of underflowing out_h().
-  util::check(in_h + 2 * padding >= kernel && in_w + 2 * padding >= kernel,
-              "spconv input smaller than kernel");
+/// The kernel configuration of a conv-shaped node; the input extent is
+/// filled in per call by image_geometry().
+tensor::ConvGeometry conv_config(const PlanOp& op) {
   tensor::ConvGeometry g;
-  g.in_channels = in_channels;
-  g.in_h = in_h;
-  g.in_w = in_w;
-  g.kernel_h = kernel;
-  g.kernel_w = kernel;
-  g.stride = stride;
-  g.padding = padding;
+  g.in_channels = op.in_channels;
+  g.kernel_h = op.kernel;
+  g.kernel_w = op.kernel;
+  g.stride = op.stride;
+  g.padding = op.padding;
   return g;
 }
 
-/// CSR conv: per-image im2col, then Y = W_csr · cols over the patch
-/// matrix, with optional folded BN and bias. The CSR matrix holds the
-/// masked weight viewed as [Cout, Cin·K·K] — the exact lowering
-/// nn::Conv2d uses densely, so a masked checkpoint deploys its trained
-/// topology bit-for-bit.
-template <typename M>
-class ConvOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
+/// `conv` completed with the extent of image batch `x` [N, Cin, H, W],
+/// validated first so a bad shape fails cleanly instead of underflowing
+/// out_h(). `what` names the op in the error; messages are only built on
+/// failure, keeping the per-call path free of string allocation.
+tensor::ConvGeometry image_geometry(tensor::ConvGeometry conv,
+                                    const tensor::Tensor& x,
+                                    const char* what) {
+  if (x.rank() != 4 || x.dim(1) != conv.in_channels) {
+    util::fail(std::string(what) + " expects [N, " +
+               std::to_string(conv.in_channels) + ", H, W], got " +
+               x.shape().to_string());
+  }
+  if (x.dim(2) + 2 * conv.padding < conv.kernel_h ||
+      x.dim(3) + 2 * conv.padding < conv.kernel_w) {
+    util::fail(std::string(what) + " input smaller than kernel");
+  }
+  conv.in_h = x.dim(2);
+  conv.in_w = x.dim(3);
+  return conv;
+}
 
+/// CSR conv over output channels [row_begin, row_end): Y = W_csr · cols
+/// per image, with optional folded BN, bias and fused epilogue. The CSR
+/// matrix holds the masked weight viewed as [Cout, Cin·K·K] — the exact
+/// lowering nn::Conv2d uses densely, so a masked checkpoint deploys its
+/// trained topology bit-for-bit.
+///
+/// The patches come from one of two places. A whole kConv node reads the
+/// image [N, Cin, H, W] and im2cols each image into per-chunk scratch; a
+/// PartitionRows conv slice (PlanOp::conv_slice) reads the shared kIm2col
+/// patch buffer [N, Cin·K·K, OH, OW], computed once for the whole group.
+/// Either way a fused residual is the full [N, Cout, OH, OW] map and this
+/// op adds its channel block of each sample.
+template <typename M>
+class CsrConvOp final : public CsrOp<M> {
  public:
-  ConvOp(std::shared_ptr<const M> csr, std::size_t in_channels,
-         std::size_t kernel, std::size_t stride, std::size_t padding,
-         tensor::Tensor bias, bool has_bias, bool folded_bn, PlanEpilogue pe,
-         runtime::IntraOp intra, const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        in_channels_(in_channels),
-        kernel_(kernel),
-        stride_(stride),
-        padding_(padding),
-        intra_(intra) {}
+  CsrConvOp(const PlanOp& op, std::shared_ptr<const M> weights,
+            runtime::IntraOp intra,
+            const kernels::simd::KernelBackend* backend)
+      : CsrOp<M>(op, std::move(weights), intra, backend),
+        conv_(conv_config(op)),
+        patches_(op.conv_slice) {}
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<ConvOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
+    auto copy = std::make_unique<CsrConvOp>(*this);
+    copy->w_ = ctx.dup(this->w_);
     return copy;
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return run_impl(x, nullptr);
-  }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    util::check(residual.rank() == 4 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows(),
-                "fused spconv residual shape mismatch");
-    return run_impl(x, residual.raw());
-  }
-
-  std::string describe() const override {
-    return "spconv(" + std::to_string(in_channels_) + "->" +
-           std::to_string(csr_->rows()) + ", k" + std::to_string(kernel_) +
-           ", s" + std::to_string(stride_) + ", p" +
-           std::to_string(padding_) + ", " + this->csr_suffix();
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return tensor::Shape({in.dim(0), csr_->rows(), g.out_h(), g.out_w()});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return sparse::conv_nnz_flops(csr_->nnz(), g.out_h(), g.out_w(),
-                                  in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows() *
-                                              g.out_h() * g.out_w()));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return sparse::conv_nnz_flops(csr_->rows() * csr_->cols(), g.out_h(),
-                                  g.out_w(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) * csr_->rows() *
-                                              g.out_h() * g.out_w()));
-  }
-
- private:
-  tensor::Tensor run_impl(const tensor::Tensor& x,
-                          const float* res_base) const {
-    const tensor::ConvGeometry g = geometry(x);
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& x = *inputs[0];
+    const std::size_t patch = this->w_->cols();
+    tensor::ConvGeometry g;
+    std::size_t oh = 0, ow = 0;
+    if (patches_) {
+      util::check(x.rank() == 4 && x.dim(1) == patch,
+                  "conv row_slice expects the [N, Cin*K*K, OH, OW] patch "
+                  "buffer, got " +
+                      x.shape().to_string());
+      oh = x.dim(2);
+      ow = x.dim(3);
+    } else {
+      g = image_geometry(conv_, x, "spconv");
+      oh = g.out_h();
+      ow = g.out_w();
+    }
     const std::size_t batch = x.dim(0);
-    const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::size_t out_ch = csr_->rows();
-    tensor::Tensor y({batch, out_ch, oh, ow});
-    const std::size_t image_elems = in_channels_ * g.in_h * g.in_w;
-    const std::size_t out_image_elems = out_ch * oh * ow;
+    const std::size_t positions = oh * ow;
+    const std::size_t channels = this->w_->rows();
+    const float* res = nullptr;
+    if (inputs.size() == 2) {
+      const tensor::Tensor& r = *inputs[1];
+      util::check(r.rank() == 4 && r.dim(0) == batch &&
+                      r.dim(1) == channels && r.dim(2) == oh &&
+                      r.dim(3) == ow,
+                  "fused spconv residual shape mismatch");
+      res = r.raw();
+    }
+    const auto w = this->w_->row_slice(this->row_begin_, this->row_end_);
+    tensor::Tensor y({batch, w.rows(), oh, ow});
+    const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
 
     // Intra-op parallelism splits the batch on the persistent runtime
     // pool: images are independent, so every output element has exactly
@@ -327,35 +228,30 @@ class ConvOp final : public CsrOp<M> {
     // Per-chunk im2col scratch keeps run() const and thread-safe. A
     // single image always runs inline (PartitionRows is the row-level
     // alternative for batch-1 latency). Bias and the fused epilogue are
-    // applied by the kernel's per-row finish pass; the residual (laid
-    // out like y) advances per image.
-    runtime::intra_chunks(intra_, batch, [&](std::size_t n0,
-                                             std::size_t n1) {
-      tensor::Tensor cols({g.patch_size(), oh * ow});
+    // applied by the kernel's per-row finish pass.
+    runtime::intra_chunks(this->intra_, batch, [&](std::size_t n0,
+                                                   std::size_t n1) {
+      std::vector<float> cols(patches_ ? 0 : patch * positions);
       for (std::size_t n = n0; n < n1; ++n) {
-        tensor::im2col(x.raw() + n * image_elems, g, cols);
-        const float* res =
-            res_base != nullptr ? res_base + n * out_image_elems : nullptr;
-        csr_->spmm_cols_into(cols, y.raw() + n * out_image_elems,
-                             this->make_ep(res, 0), backend_);
+        const float* b = x.raw() + n * in_elems;
+        if (!patches_) {
+          tensor::im2col(b, g, cols.data());
+          b = cols.data();
+        }
+        const float* r =
+            res != nullptr
+                ? res + (n * channels + this->row_begin_) * positions
+                : nullptr;
+        w.spmm_cols_into(b, positions, y.raw() + n * w.rows() * positions,
+                         this->make_ep(r, 0), this->backend_);
       }
     });
     return y;
   }
 
-  tensor::ConvGeometry geometry(const tensor::Tensor& x) const {
-    util::check(x.rank() == 4 && x.dim(1) == in_channels_,
-                "spconv expects [N, " + std::to_string(in_channels_) +
-                    ", H, W], got " + x.shape().to_string());
-    return conv_geometry_for(in_channels_, kernel_, stride_, padding_,
-                             x.dim(2), x.dim(3));
-  }
-
-  std::size_t in_channels_;
-  std::size_t kernel_;
-  std::size_t stride_;
-  std::size_t padding_;
-  runtime::IntraOp intra_;
+ private:
+  tensor::ConvGeometry conv_;  ///< kernel config; extent set per call
+  bool patches_;  ///< input is a kIm2col patch buffer (a partition slice)
 };
 
 /// Materialized im2col: [N, C, H, W] → the patch buffer [N, Cin·K·K,
@@ -364,30 +260,23 @@ class ConvOp final : public CsrOp<M> {
 /// once per slice.
 class Im2colOp final : public EvalOp {
  public:
-  Im2colOp(std::size_t in_channels, std::size_t kernel, std::size_t stride,
-           std::size_t padding, runtime::IntraOp intra)
-      : in_channels_(in_channels),
-        kernel_(kernel),
-        stride_(stride),
-        padding_(padding),
-        intra_(intra) {}
+  Im2colOp(const PlanOp& op, runtime::IntraOp intra)
+      : conv_(conv_config(op)), intra_(intra) {}
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
     (void)ctx;
     return std::make_unique<Im2colOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    util::check(x.rank() == 4 && x.dim(1) == in_channels_,
-                "im2col expects [N, " + std::to_string(in_channels_) +
-                    ", H, W], got " + x.shape().to_string());
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, x.dim(2), x.dim(3));
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& x = *inputs[0];
+    const tensor::ConvGeometry g = image_geometry(conv_, x, "im2col");
     const std::size_t batch = x.dim(0);
     const std::size_t oh = g.out_h(), ow = g.out_w();
     const std::size_t patch = g.patch_size();
     tensor::Tensor cols({batch, patch, oh, ow});
-    const std::size_t image_elems = in_channels_ * g.in_h * g.in_w;
+    const std::size_t image_elems = g.in_channels * g.in_h * g.in_w;
     const std::size_t cols_elems = patch * oh * ow;
     runtime::intra_chunks(intra_, batch, [&](std::size_t n0,
                                              std::size_t n1) {
@@ -400,208 +289,9 @@ class Im2colOp final : public EvalOp {
     return cols;
   }
 
-  std::string describe() const override {
-    return "im2col(" + std::to_string(in_channels_) + "ch, k" +
-           std::to_string(kernel_) + ", s" + std::to_string(stride_) +
-           ", p" + std::to_string(padding_) + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    const tensor::ConvGeometry g = conv_geometry_for(
-        in_channels_, kernel_, stride_, padding_, in.dim(2), in.dim(3));
-    return tensor::Shape(
-        {in.dim(0), g.patch_size(), g.out_h(), g.out_w()});
-  }
-
  private:
-  std::size_t in_channels_;
-  std::size_t kernel_;
-  std::size_t stride_;
-  std::size_t padding_;
+  tensor::ConvGeometry conv_;
   runtime::IntraOp intra_;
-};
-
-/// Rows [row_begin, row_end) of a partitioned CSR linear: the slice view
-/// is zero-copy over the shared parent matrix; the bias was sliced at the
-/// plan level. Slice kernels run inline — the partition group fan-out IS
-/// the parallelism.
-template <typename M>
-class RowSliceSpmmOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-  using Base::folded_bn_;
-
- public:
-  RowSliceSpmmOp(std::shared_ptr<const M> csr, std::size_t row_begin,
-                 std::size_t row_end, tensor::Tensor bias, bool has_bias,
-                 bool folded_bn, PlanEpilogue pe,
-                 const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        row_begin_(row_begin),
-        row_end_(row_end) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<RowSliceSpmmOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
-    return copy;
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return csr_->row_slice(row_begin_, row_end_)
-        .spmm(x, {}, this->make_ep(nullptr, 0), backend_);
-  }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    // The residual edge produces the FULL output width; this slice adds
-    // its own row range — pre-offset the pointer by row_begin and keep
-    // the per-sample stride at the parent's row count.
-    util::check(residual.rank() == 2 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows(),
-                "fused row_slice residual shape mismatch");
-    return csr_->row_slice(row_begin_, row_end_)
-        .spmm(x, {},
-              this->make_ep(residual.raw() + row_begin_, csr_->rows()),
-              backend_);
-  }
-
-  std::string describe() const override {
-    return "row_slice(" + std::to_string(row_begin_) + ":" +
-           std::to_string(row_end_) + " of " + std::to_string(csr_->rows()) +
-           ", " +
-           "nnz=" +
-           std::to_string(csr_->row_slice(row_begin_, row_end_).nnz()) +
-           (Base::kQuantized ? ", int8" : "") + (folded_bn_ ? ", +bn" : "") +
-           this->fused_suffix() + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape({in.dim(0), row_end_ - row_begin_});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(
-               csr_->row_slice(row_begin_, row_end_).nnz(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_)));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    return sparse::linear_nnz_flops(
-               (row_end_ - row_begin_) * csr_->cols(), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_)));
-  }
-
- private:
-  std::size_t row_begin_;
-  std::size_t row_end_;
-};
-
-/// Output channels [row_begin, row_end) of a partitioned conv, reading
-/// the shared Im2colOp patch buffer [N, P, OH, OW] — the patches are
-/// computed once and every slice streams them.
-template <typename M>
-class RowSliceConvOp final : public CsrOp<M> {
-  using Base = CsrOp<M>;
-  using Base::backend_;
-  using Base::csr_;
-  using Base::folded_bn_;
-
- public:
-  RowSliceConvOp(std::shared_ptr<const M> csr, std::size_t row_begin,
-                 std::size_t row_end, tensor::Tensor bias, bool has_bias,
-                 bool folded_bn, PlanEpilogue pe,
-                 const kernels::simd::KernelBackend* backend)
-      : Base(std::move(csr), std::move(bias), has_bias, folded_bn, pe,
-             backend),
-        row_begin_(row_begin),
-        row_end_(row_end) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<RowSliceConvOp>(*this);
-    copy->csr_ = ctx.dup(csr_);
-    return copy;
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return run_impl(x, nullptr, 0);
-  }
-
-  tensor::Tensor run2(const tensor::Tensor& x,
-                      const tensor::Tensor& residual) const override {
-    // The residual edge produces the full [N, Cout, OH, OW] map; this
-    // slice adds channels [row_begin, row_end) of it.
-    util::check(residual.rank() == 4 && residual.dim(0) == x.dim(0) &&
-                    residual.dim(1) == csr_->rows() &&
-                    residual.dim(2) == x.dim(2) &&
-                    residual.dim(3) == x.dim(3),
-                "fused conv row_slice residual shape mismatch");
-    return run_impl(x, residual.raw(), csr_->rows());
-  }
-
-  std::string describe() const override {
-    return "row_slice(" + std::to_string(row_begin_) + ":" +
-           std::to_string(row_end_) + " of " + std::to_string(csr_->rows()) +
-           ", conv, nnz=" +
-           std::to_string(csr_->row_slice(row_begin_, row_end_).nnz()) +
-           (Base::kQuantized ? ", int8" : "") + (folded_bn_ ? ", +bn" : "") +
-           this->fused_suffix() + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape(
-        {in.dim(0), row_end_ - row_begin_, in.dim(2), in.dim(3)});
-  }
-
-  double flops(const tensor::Shape& in) const override {
-    return sparse::conv_nnz_flops(
-               csr_->row_slice(row_begin_, row_end_).nnz(), in.dim(2),
-               in.dim(3), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_) *
-                                              in.dim(2) * in.dim(3)));
-  }
-
-  double dense_flops(const tensor::Shape& in) const override {
-    return sparse::conv_nnz_flops((row_end_ - row_begin_) * csr_->cols(),
-                                  in.dim(2), in.dim(3), in.dim(0)) +
-           this->ep_flops(static_cast<double>(in.dim(0) *
-                                              (row_end_ - row_begin_) *
-                                              in.dim(2) * in.dim(3)));
-  }
-
- private:
-  tensor::Tensor run_impl(const tensor::Tensor& x, const float* res_base,
-                          std::size_t ch_total) const {
-    util::check(x.rank() == 4 && x.dim(1) == csr_->cols(),
-                "conv row_slice expects the [N, Cin*K*K, OH, OW] patch "
-                "buffer, got " +
-                    x.shape().to_string());
-    const auto slice = csr_->row_slice(row_begin_, row_end_);
-    const std::size_t batch = x.dim(0);
-    const std::size_t oh = x.dim(2), ow = x.dim(3);
-    const std::size_t positions = oh * ow;
-    const std::size_t patch = csr_->cols();
-    tensor::Tensor y({batch, slice.rows(), oh, ow});
-    for (std::size_t n = 0; n < batch; ++n) {
-      // The per-sample residual pointer addresses this slice's channel
-      // block of the full residual map.
-      const float* res =
-          res_base != nullptr
-              ? res_base + (n * ch_total + row_begin_) * positions
-              : nullptr;
-      slice.spmm_cols_into(x.raw() + n * patch * positions, positions,
-                           y.raw() + n * slice.rows() * positions,
-                           this->make_ep(res, 0), backend_);
-    }
-    return y;
-  }
-
-  std::size_t row_begin_;
-  std::size_t row_end_;
 };
 
 /// Joins partition slices along axis 1 (features / channels): the slices
@@ -617,22 +307,14 @@ class ConcatChannelsOp final : public EvalOp {
     return std::make_unique<ConcatChannelsOp>(*this);
   }
 
-  std::size_t arity() const override { return 0; }  // variadic
-
-  tensor::Tensor run2(const tensor::Tensor& a,
-                      const tensor::Tensor& b) const override {
-    return run_many({&a, &b});
-  }
-
-  tensor::Tensor run_many(
-      const std::vector<const tensor::Tensor*>& xs) const override {
-    util::check(xs.size() >= 2, "concat needs >= 2 inputs");
-    const tensor::Tensor& first = *xs.front();
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& first = *inputs.front();
     const std::size_t batch = first.dim(0);
     const std::size_t spatial =
         first.rank() == 4 ? first.dim(2) * first.dim(3) : 1;
     std::size_t channels = 0;
-    for (const tensor::Tensor* x : xs) {
+    for (const tensor::Tensor* x : inputs) {
       util::check(x->rank() == first.rank() && x->dim(0) == batch,
                   "concat inputs disagree on batch/rank");
       channels += x->dim(1);
@@ -647,7 +329,7 @@ class ConcatChannelsOp final : public EvalOp {
                          : tensor::Shape({batch, channels}));
     for (std::size_t n = 0; n < batch; ++n) {
       float* dst = y.raw() + n * channels * spatial;
-      for (const tensor::Tensor* x : xs) {
+      for (const tensor::Tensor* x : inputs) {
         const std::size_t block = x->dim(1) * spatial;
         const float* src = x->raw() + n * block;
         for (std::size_t i = 0; i < block; ++i) dst[i] = src[i];
@@ -657,52 +339,41 @@ class ConcatChannelsOp final : public EvalOp {
     return y;
   }
 
-  std::string describe() const override {
-    return "concat(" + std::to_string(total_channels_) + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    std::vector<std::size_t> dims = in.dims();
-    dims[1] = total_channels_;
-    return tensor::Shape(dims);
-  }
-
  private:
   std::size_t total_channels_;
 };
 
-/// Residual join: y = a + b, optionally through ReLU — the lowering of
-/// models::ResidualBlock's add-then-activate tail.
-class AddOp final : public EvalOp {
+/// A standalone elementwise epilogue through kernels::apply_epilogue: an
+/// activation node (kActivation) or a residual join y = act?(a + b)
+/// (kAdd, the lowering of models::ResidualBlock's add-then-activate
+/// tail). The residual, when there is one, is the second input.
+class EpilogueOp final : public EvalOp {
  public:
-  AddOp(bool relu, runtime::IntraOp intra,
-        const kernels::simd::KernelBackend* backend)
-      : relu_(relu), intra_(intra), backend_(backend) {}
+  EpilogueOp(kernels::Epilogue ep, runtime::IntraOp intra,
+             const kernels::simd::KernelBackend* backend)
+      : ep_(ep), intra_(intra), backend_(backend) {}
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
     (void)ctx;
-    return std::make_unique<AddOp>(*this);
+    return std::make_unique<EpilogueOp>(*this);
   }
 
-  std::size_t arity() const override { return 2; }
-
-  tensor::Tensor run2(const tensor::Tensor& a,
-                      const tensor::Tensor& b) const override {
-    util::check(a.shape() == b.shape(),
-                "residual add branches disagree: " + a.shape().to_string() +
-                    " vs " + b.shape().to_string());
-    kernels::Epilogue ep;
-    ep.residual = b.raw();
-    ep.has_act = relu_;
-    return kernels::apply_epilogue(a, ep, intra_, backend_);
-  }
-
-  std::string describe() const override {
-    return relu_ ? "add_relu" : "add";
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& x = *inputs[0];
+    kernels::Epilogue ep = ep_;
+    if (inputs.size() == 2) {
+      const tensor::Tensor& r = *inputs[1];
+      util::check(x.shape() == r.shape(),
+                  "residual add branches disagree: " + x.shape().to_string() +
+                      " vs " + r.shape().to_string());
+      ep.residual = r.raw();
+    }
+    return kernels::apply_epilogue(x, ep, intra_, backend_);
   }
 
  private:
-  bool relu_;
+  kernels::Epilogue ep_;  ///< activation part; the residual is per call
   runtime::IntraOp intra_;
   const kernels::simd::KernelBackend* backend_;
 };
@@ -719,7 +390,9 @@ class ScaleShiftOp final : public EvalOp {
     return std::make_unique<ScaleShiftOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& x = *inputs[0];
     const std::size_t c = scale_.size();
     if (rank4_) {
       util::check(x.rank() == 4 && x.dim(1) == c,
@@ -742,46 +415,14 @@ class ScaleShiftOp final : public EvalOp {
     return y;
   }
 
-  std::string describe() const override {
-    return "scale_shift(" + std::to_string(scale_.size()) + ")";
-  }
-
  private:
   std::vector<float> scale_;
   std::vector<float> shift_;
   bool rank4_;
 };
 
-class ActivationOp final : public EvalOp {
- public:
-  ActivationOp(ActKind kind, runtime::IntraOp intra, float slope,
-               const kernels::simd::KernelBackend* backend)
-      : kind_(kind), slope_(slope), intra_(intra), backend_(backend) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<ActivationOp>(*this);
-  }
-
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    kernels::Epilogue ep;
-    ep.has_act = true;
-    ep.act = kind_;
-    ep.slope = slope_;
-    return kernels::apply_epilogue(x, ep, intra_, backend_);
-  }
-
-  std::string describe() const override { return act_name(kind_); }
-
- private:
-  ActKind kind_;
-  float slope_;
-  runtime::IntraOp intra_;
-  const kernels::simd::KernelBackend* backend_;
-};
-
 /// Eval-time dropout when ElideDropout was disabled: inverted dropout is
-/// the identity at inference, but the node stays visible in summaries.
+/// the identity at inference, but the node stays visible in the plan.
 class IdentityDropoutOp final : public EvalOp {
  public:
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
@@ -789,8 +430,10 @@ class IdentityDropoutOp final : public EvalOp {
     return std::make_unique<IdentityDropoutOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override { return x; }
-  std::string describe() const override { return "dropout(identity)"; }
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    return *inputs[0];
+  }
 };
 
 class FlattenOp final : public EvalOp {
@@ -800,14 +443,12 @@ class FlattenOp final : public EvalOp {
     return std::make_unique<FlattenOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    const tensor::Tensor& x = *inputs[0];
     util::check(x.rank() >= 1, "flatten expects a batched tensor");
     const std::size_t batch = x.dim(0);
     return x.reshaped(tensor::Shape({batch, x.numel() / batch}));
-  }
-  std::string describe() const override { return "flatten"; }
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape({in.dim(0), in.numel() / in.dim(0)});
   }
 };
 
@@ -821,22 +462,9 @@ class MaxPoolOp final : public EvalOp {
     return std::make_unique<MaxPoolOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return kernels::maxpool2d(x, kernel_, stride_, nullptr, intra_);
-  }
-
-  std::string describe() const override {
-    return "maxpool(k" + std::to_string(kernel_) + ",s" +
-           std::to_string(stride_) + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    util::check(in.rank() == 4 && in.dim(2) >= kernel_ &&
-                    in.dim(3) >= kernel_,
-                "maxpool input smaller than window");
-    return tensor::Shape({in.dim(0), in.dim(1),
-                          (in.dim(2) - kernel_) / stride_ + 1,
-                          (in.dim(3) - kernel_) / stride_ + 1});
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    return kernels::maxpool2d(*inputs[0], kernel_, stride_, nullptr, intra_);
   }
 
  private:
@@ -855,20 +483,9 @@ class AvgPoolOp final : public EvalOp {
     return std::make_unique<AvgPoolOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return kernels::avgpool2d(x, kernel_, intra_);
-  }
-
-  std::string describe() const override {
-    return "avgpool(k" + std::to_string(kernel_) + ")";
-  }
-
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    util::check(in.rank() == 4 && in.dim(2) >= kernel_ &&
-                    in.dim(3) >= kernel_,
-                "avgpool input smaller than window");
-    return tensor::Shape({in.dim(0), in.dim(1), in.dim(2) / kernel_,
-                          in.dim(3) / kernel_});
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    return kernels::avgpool2d(*inputs[0], kernel_, intra_);
   }
 
  private:
@@ -885,74 +502,67 @@ class GlobalAvgPoolOp final : public EvalOp {
     return std::make_unique<GlobalAvgPoolOp>(*this);
   }
 
-  tensor::Tensor run(const tensor::Tensor& x) const override {
-    return kernels::global_avg_pool(x, intra_);
-  }
-  std::string describe() const override { return "global_avg_pool"; }
-  tensor::Shape out_shape(const tensor::Shape& in) const override {
-    return tensor::Shape({in.dim(0), in.dim(1)});
+  tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const override {
+    return kernels::global_avg_pool(*inputs[0], intra_);
   }
 
  private:
   runtime::IntraOp intra_;
 };
 
-std::unique_ptr<EvalOp> bind_op(PlanOp& op, const runtime::IntraOp& intra,
+/// One CSR node as kernel family Op over its weight type. A whole
+/// kSpmm/kConv node keeps the node's intra-op policy; a partition slice
+/// runs inline.
+template <template <typename> class Op>
+std::unique_ptr<EvalOp> bind_csr(const PlanOp& op,
+                                 const runtime::IntraOp& intra,
+                                 const kernels::simd::KernelBackend* backend) {
+  const runtime::IntraOp policy =
+      op.kind == PlanOpKind::kRowSlice ? runtime::IntraOp{} : intra;
+  if (op.qcsr != nullptr) {
+    return std::make_unique<Op<sparse::QCsrMatrix>>(op, op.qcsr, policy,
+                                                    backend);
+  }
+  return std::make_unique<Op<sparse::CsrMatrix>>(op, op.csr, policy,
+                                                 backend);
+}
+
+std::unique_ptr<EvalOp> bind_op(const Plan& plan, const PlanOp& op,
+                                const runtime::IntraOp& intra,
                                 const kernels::simd::KernelBackend* backend) {
   switch (op.kind) {
     case PlanOpKind::kSpmm:
-      if (op.qcsr != nullptr) {
-        return std::make_unique<SpmmOp<sparse::QCsrMatrix>>(
-            std::move(op.qcsr), std::move(op.bias), op.has_bias,
-            op.folded_bn, op.epilogue, intra, backend);
-      }
-      return std::make_unique<SpmmOp<sparse::CsrMatrix>>(
-          std::move(op.csr), std::move(op.bias), op.has_bias, op.folded_bn,
-          op.epilogue, intra, backend);
+      return bind_csr<CsrLinearOp>(op, intra, backend);
     case PlanOpKind::kConv:
-      if (op.qcsr != nullptr) {
-        return std::make_unique<ConvOp<sparse::QCsrMatrix>>(
-            std::move(op.qcsr), op.in_channels, op.kernel, op.stride,
-            op.padding, std::move(op.bias), op.has_bias, op.folded_bn,
-            op.epilogue, intra, backend);
-      }
-      return std::make_unique<ConvOp<sparse::CsrMatrix>>(
-          std::move(op.csr), op.in_channels, op.kernel, op.stride,
-          op.padding, std::move(op.bias), op.has_bias, op.folded_bn,
-          op.epilogue, intra, backend);
-    case PlanOpKind::kIm2col:
-      return std::make_unique<Im2colOp>(op.in_channels, op.kernel, op.stride,
-                                        op.padding, intra);
+      return bind_csr<CsrConvOp>(op, intra, backend);
     case PlanOpKind::kRowSlice:
-      if (op.conv_slice) {
-        if (op.qcsr != nullptr) {
-          return std::make_unique<RowSliceConvOp<sparse::QCsrMatrix>>(
-              std::move(op.qcsr), op.row_begin, op.row_end,
-              std::move(op.bias), op.has_bias, op.folded_bn, op.epilogue,
-              backend);
-        }
-        return std::make_unique<RowSliceConvOp<sparse::CsrMatrix>>(
-            std::move(op.csr), op.row_begin, op.row_end, std::move(op.bias),
-            op.has_bias, op.folded_bn, op.epilogue, backend);
-      }
-      if (op.qcsr != nullptr) {
-        return std::make_unique<RowSliceSpmmOp<sparse::QCsrMatrix>>(
-            std::move(op.qcsr), op.row_begin, op.row_end, std::move(op.bias),
-            op.has_bias, op.folded_bn, op.epilogue, backend);
-      }
-      return std::make_unique<RowSliceSpmmOp<sparse::CsrMatrix>>(
-          std::move(op.csr), op.row_begin, op.row_end, std::move(op.bias),
-          op.has_bias, op.folded_bn, op.epilogue, backend);
+      return op.conv_slice ? bind_csr<CsrConvOp>(op, intra, backend)
+                           : bind_csr<CsrLinearOp>(op, intra, backend);
+    case PlanOpKind::kIm2col:
+      return std::make_unique<Im2colOp>(op, intra);
     case PlanOpKind::kConcatChannels: {
-      // Total channels = sum of slice row counts, known statically.
-      return std::make_unique<ConcatChannelsOp>(op.row_end - op.row_begin);
+      // Total channels = sum of the slices' row counts, known statically.
+      std::size_t total = 0;
+      for (const std::size_t in : op.inputs) {
+        total += plan.ops[in].row_end - plan.ops[in].row_begin;
+      }
+      return std::make_unique<ConcatChannelsOp>(total);
     }
     case PlanOpKind::kScaleShift:
-      return std::make_unique<ScaleShiftOp>(std::move(op.scale),
-                                            std::move(op.shift), op.rank4);
-    case PlanOpKind::kActivation:
-      return std::make_unique<ActivationOp>(op.act, intra, op.slope,
-                                            backend);
+      return std::make_unique<ScaleShiftOp>(op.scale, op.shift, op.rank4);
+    case PlanOpKind::kActivation: {
+      kernels::Epilogue ep;
+      ep.has_act = true;
+      ep.act = op.act;
+      ep.slope = op.slope;
+      return std::make_unique<EpilogueOp>(ep, intra, backend);
+    }
+    case PlanOpKind::kAdd: {
+      kernels::Epilogue ep;
+      ep.has_act = op.relu_after_add;
+      return std::make_unique<EpilogueOp>(ep, intra, backend);
+    }
     case PlanOpKind::kDropout:
       return std::make_unique<IdentityDropoutOp>();
     case PlanOpKind::kFlatten:
@@ -964,15 +574,13 @@ std::unique_ptr<EvalOp> bind_op(PlanOp& op, const runtime::IntraOp& intra,
       return std::make_unique<AvgPoolOp>(op.pool_kernel, intra);
     case PlanOpKind::kGlobalAvgPool:
       return std::make_unique<GlobalAvgPoolOp>(intra);
-    case PlanOpKind::kAdd:
-      return std::make_unique<AddOp>(op.relu_after_add, intra, backend);
   }
   util::fail("unreachable plan op kind");
 }
 
 }  // namespace
 
-Executor Executor::bind(Plan&& plan, const runtime::IntraOp& intra,
+Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
                         const kernels::simd::KernelBackend* backend,
                         std::shared_ptr<obs::OpProfile> profile) {
   plan.validate();
@@ -983,9 +591,9 @@ Executor Executor::bind(Plan&& plan, const runtime::IntraOp& intra,
   exec.op_names_.reserve(plan.ops.size());
   exec.group_start_.assign(plan.ops.size(), 0);
 
-  // Input validation data, read off the plan before binding moves the
-  // weights: a CSR linear head fixes the feature count whether it is
-  // whole (kSpmm) or the first slice of a partitioned linear.
+  // Input validation data: a CSR linear head fixes the feature count
+  // whether it is whole (kSpmm) or the first slice of a partitioned
+  // linear.
   {
     const PlanOp& head = plan.ops.front();
     const bool linear_head =
@@ -998,18 +606,11 @@ Executor Executor::bind(Plan&& plan, const runtime::IntraOp& intra,
   }
 
   for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-    PlanOp& op = plan.ops[i];
-    // A concat node carries its total channel count through row_begin/
-    // row_end of its sources; compute it before the csr pointers move.
-    if (op.kind == PlanOpKind::kConcatChannels) {
-      std::size_t total = 0;
-      for (const std::size_t in : op.inputs) {
-        total += plan.ops[in].row_end - plan.ops[in].row_begin;
-      }
-      op.row_begin = 0;
-      op.row_end = total;
-    }
-    // Record parallel slice groups before binding (bind moves fields).
+    const PlanOp& op = plan.ops[i];
+    util::check(op.inputs.size() <= kMaxInputs,
+                "plan op has more inputs than Executor::kMaxInputs");
+    // A run of consecutive sibling slices of one split is one parallel
+    // group.
     if (op.kind == PlanOpKind::kRowSlice &&
         op.partition_group != PlanOp::kNoGroup &&
         (i == 0 || plan.ops[i - 1].kind != PlanOpKind::kRowSlice ||
@@ -1029,40 +630,25 @@ Executor Executor::bind(Plan&& plan, const runtime::IntraOp& intra,
         exec.group_start_[i] = exec.groups_.size();
       }
     }
-  }
-  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-    PlanOp& op = plan.ops[i];
     exec.op_names_.push_back(to_string(op.kind));
-    std::vector<std::size_t> inputs = op.inputs;
     exec.nodes_.push_back(
-        OpNode{bind_op(op, intra, backend), std::move(inputs)});
+        OpNode{bind_op(plan, op, intra, backend), op.inputs});
   }
-  exec.release_after_ = std::move(plan.release_after);
+  exec.release_after_ = plan.release_after;
   return exec;
-}
-
-const Executor::OpNode& Executor::node(std::size_t i) const {
-  util::check(i < nodes_.size(), "executor node index out of range");
-  return nodes_[i];
 }
 
 void Executor::run_node(std::size_t i, std::vector<tensor::Tensor>& values,
                         const tensor::Tensor& x) const {
   const OpNode& node = nodes_[i];
-  auto value_of = [&](std::size_t id) -> const tensor::Tensor& {
-    return id == kInputId ? x : values[id];
-  };
-  if (node.inputs.size() == 1) {
-    values[i] = node.op->run(value_of(node.inputs[0]));
-  } else if (node.inputs.size() == 2) {
-    values[i] = node.op->run2(value_of(node.inputs[0]),
-                              value_of(node.inputs[1]));
-  } else {
-    std::vector<const tensor::Tensor*> xs;
-    xs.reserve(node.inputs.size());
-    for (const std::size_t in : node.inputs) xs.push_back(&value_of(in));
-    values[i] = node.op->run_many(xs);
+  // Stack-local: slices of one partition group run concurrently on pool
+  // workers, so the gather must not touch shared scratch.
+  std::array<const tensor::Tensor*, kMaxInputs> inputs{};
+  for (std::size_t j = 0; j < node.inputs.size(); ++j) {
+    const std::size_t id = node.inputs[j];
+    inputs[j] = id == kInputId ? &x : &values[id];
   }
+  values[i] = node.op->run({inputs.data(), node.inputs.size()});
 }
 
 tensor::Tensor Executor::forward(const tensor::Tensor& x) const {
@@ -1150,38 +736,6 @@ Executor Executor::clone_with(CloneContext& ctx) const {
   copy.profile_ = profile_;
   copy.op_names_ = op_names_;
   return copy;
-}
-
-double Executor::accumulate_flops(const tensor::Shape& sample_shape,
-                                  bool dense) const {
-  // Propagate a batch-1 shape through the graph, summing each node's cost.
-  std::vector<std::size_t> dims;
-  dims.reserve(sample_shape.rank() + 1);
-  dims.push_back(1);
-  for (std::size_t i = 0; i < sample_shape.rank(); ++i) {
-    dims.push_back(sample_shape.dim(i));
-  }
-  const tensor::Shape input(dims);
-  std::vector<tensor::Shape> shapes(nodes_.size());
-  double total = 0.0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const OpNode& node = nodes_[i];
-    const std::size_t src = node.inputs.front();
-    const tensor::Shape& in = src == kInputId ? input : shapes[src];
-    total += dense ? node.op->dense_flops(in) : node.op->flops(in);
-    shapes[i] = node.op->out_shape(in);
-  }
-  return total;
-}
-
-std::string Executor::describe_ops() const {
-  std::string out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    out += "  [" + std::to_string(i) + "] " + nodes_[i].op->describe();
-    append_producers(out, i, nodes_[i].inputs);
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace dstee::serve

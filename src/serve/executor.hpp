@@ -1,17 +1,19 @@
 // Executor: binds a finished Plan to runnable EvalOps.
 //
 // The third stage of the serve compiler (see plan.hpp for the overview):
-// Executor::bind() consumes a Plan — weights move out of the plan nodes
-// into ops — and fixes the execution policy (runtime::IntraOp). The
-// result is the immutable, thread-safe program CompiledNet serves:
-// forward() walks the ops in topological order, releases intermediates
-// according to the plan's FreeAfterLastUse annotation, and runs every
-// PartitionRows slice group as one fan-out on the runtime pool so a
-// single sample's heaviest layers execute on several workers at once.
+// Executor::bind() reads a Plan — the ops share the plan's weight
+// matrices, nothing is copied — and fixes the execution policy
+// (runtime::IntraOp). The result is the immutable, thread-safe program
+// CompiledNet serves: forward() walks the ops in topological order,
+// releases intermediates according to the plan's FreeAfterLastUse
+// annotation, and runs every PartitionRows slice group as one fan-out on
+// the runtime pool so a single sample's heaviest layers execute on
+// several workers at once. Shapes, FLOPs and the node listing stay with
+// the Plan (Plan::annotate / Plan::dump); the executor only runs.
 #pragma once
 
 #include <memory>
-#include <string>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -65,9 +67,8 @@ struct CloneContext {
   const std::unordered_set<const void*>* share_ = nullptr;
 };
 
-/// One compiled inference operation. run()/run2()/run_many() are const
-/// and touch no shared mutable state, so a single op instance may execute
-/// on many threads. Ops are unary unless arity() says otherwise.
+/// One compiled inference operation. run() is const and touches no shared
+/// mutable state, so a single op instance may execute on many threads.
 class EvalOp {
  public:
   virtual ~EvalOp() = default;
@@ -76,42 +77,10 @@ class EvalOp {
   /// replica shards use to own their weights.
   virtual std::unique_ptr<EvalOp> clone(CloneContext& ctx) const = 0;
 
-  /// Number of producer tensors this op consumes (1, 2, or more for the
-  /// concat join of a partition group).
-  virtual std::size_t arity() const { return 1; }
-
-  /// Unary execution; default fails (non-unary ops don't implement it).
-  virtual tensor::Tensor run(const tensor::Tensor& x) const;
-
-  /// Binary execution; default fails (non-binary ops don't implement it).
-  virtual tensor::Tensor run2(const tensor::Tensor& a,
-                              const tensor::Tensor& b) const;
-
-  /// N-ary execution; default fails (only concat joins implement it).
-  virtual tensor::Tensor run_many(
-      const std::vector<const tensor::Tensor*>& xs) const;
-
-  /// Short description for summaries, e.g. "spmm(128x32, ...)".
-  virtual std::string describe() const = 0;
-
-  /// Output batch shape for input batch shape `in` (non-unary ops receive
-  /// their first producer's shape).
-  virtual tensor::Shape out_shape(const tensor::Shape& in) const {
-    return in;
-  }
-
-  /// FLOPs actually executed for a batch of shape `in` (CSR kernels count
-  /// stored nonzeros; stateless ops count 0, matching the analytic
-  /// FlopsModel convention).
-  virtual double flops(const tensor::Shape& in) const {
-    (void)in;
-    return 0.0;
-  }
-
-  /// FLOPs a dense execution of the same layer would need.
-  virtual double dense_flops(const tensor::Shape& in) const {
-    return flops(in);
-  }
+  /// Executes the op over its producers' values, in PlanOp::inputs order
+  /// (Plan::validate fixed the count for the node's kind).
+  virtual tensor::Tensor run(
+      std::span<const tensor::Tensor* const> inputs) const = 0;
 };
 
 /// An immutable, thread-safe bound program: the op graph plus the
@@ -135,14 +104,14 @@ class Executor {
   /// (CompiledNet's member lives through this state during construction).
   Executor() = default;
 
-  /// One graph node: an op plus the ids of the nodes feeding it.
-  struct OpNode {
-    std::unique_ptr<EvalOp> op;
-    std::vector<std::size_t> inputs;
-  };
+  /// Most producers one node may consume (a concat joining a
+  /// PartitionRows group has one per slice); bind() rejects wider nodes.
+  /// forward() gathers a node's inputs in a stack array of this size.
+  static constexpr std::size_t kMaxInputs = 64;
 
-  /// Binds `plan` (consumed: weights move into the ops) under the given
-  /// intra-op policy. Partition slice groups always fan out on the
+  /// Binds `plan` under the given intra-op policy. The ops share the
+  /// plan's weight matrices (no copy), so the plan's matrices must not be
+  /// mutated afterwards. Partition slice groups always fan out on the
   /// policy's pool; the slices themselves run their kernels inline.
   /// `backend` pins every op's kernel backend; nullptr defers each kernel
   /// call to kernels::simd::active_backend() (the process-wide dispatch).
@@ -150,7 +119,7 @@ class Executor {
   /// every forward times each node and adds into the shared profile
   /// (replica clones keep sharing it, so a sharded server aggregates into
   /// one place). Null keeps forward() on the untimed fast path.
-  static Executor bind(Plan&& plan, const runtime::IntraOp& intra,
+  static Executor bind(const Plan& plan, const runtime::IntraOp& intra,
                        const kernels::simd::KernelBackend* backend = nullptr,
                        std::shared_ptr<obs::OpProfile> profile = nullptr);
 
@@ -169,7 +138,6 @@ class Executor {
   Executor clone_shared(const std::unordered_set<const void*>& shared) const;
 
   std::size_t num_ops() const { return nodes_.size(); }
-  const OpNode& node(std::size_t i) const;
 
   /// PartitionRows slice groups the executor fans out in parallel.
   std::size_t num_parallel_groups() const { return groups_.size(); }
@@ -186,15 +154,13 @@ class Executor {
   /// (0 when the first op accepts any shape it can validate at run time).
   std::size_t input_features() const { return input_features_; }
 
-  /// Sums per-node (dense_)flops for a batch-1 sample of `sample_shape`.
-  double accumulate_flops(const tensor::Shape& sample_shape,
-                          bool dense) const;
-
-  /// One "  [i] describe()" line per node, annotated with non-straight
-  /// producers — the body of CompiledNet::summary().
-  std::string describe_ops() const;
-
  private:
+  /// One graph node: an op plus the ids of the nodes feeding it.
+  struct OpNode {
+    std::unique_ptr<EvalOp> op;
+    std::vector<std::size_t> inputs;
+  };
+
   /// A run of consecutive sibling row-slice nodes executed as one pool
   /// fan-out.
   struct Group {

@@ -106,20 +106,18 @@ PartitionRows::PartitionRows(PartitionRowsOptions options)
 
 namespace {
 
-/// The partition-rows:auto probe: bind a COPY of the plan (the plan's
-/// weights are shared_ptrs, so the copy is cheap and bind moving them out
-/// of the copy leaves the original intact), run a few profiled forwards
-/// on a deterministic input, and return each node's measured nanoseconds.
+/// The partition-rows:auto probe: bind the plan (the probe's ops share
+/// its weights, so this copies nothing), run a few profiled forwards on a
+/// deterministic input, and return each node's measured nanoseconds.
 /// All-zero result (clock too coarse for a tiny model) tells the caller
 /// to keep the analytic cost.
 std::vector<double> probe_measured_cost(const Plan& plan,
                                         const PartitionRowsOptions& o) {
-  Plan copy = plan;
-  auto profile = std::make_shared<obs::OpProfile>(copy.ops.size());
+  auto profile = std::make_shared<obs::OpProfile>(plan.ops.size());
   // Inline intra-op policy: the probe measures per-node cost RATIOS, and
   // sharing the runtime pool with concurrent work would skew them.
-  const Executor exec = Executor::bind(std::move(copy), runtime::IntraOp{},
-                                       nullptr, std::move(profile));
+  const Executor exec = Executor::bind(plan, runtime::IntraOp{}, nullptr,
+                                       std::move(profile));
   std::vector<std::size_t> dims;
   dims.reserve(o.sample_shape.rank() + 1);
   dims.push_back(o.probe_batch);

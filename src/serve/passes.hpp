@@ -98,8 +98,8 @@ struct PartitionRowsOptions {
   /// whose per-position cost still scales with nnz).
   tensor::Shape sample_shape{};
   /// Measure instead of model ("partition-rows:auto" in specs): bind a
-  /// probe executor off a COPY of the plan, run a few deterministic
-  /// forwards with per-op profiling, and pick the nodes to split from the
+  /// probe executor over the plan, run a few deterministic forwards with
+  /// per-op profiling, and pick the nodes to split from the
   /// OBSERVED wall-time shares — cache effects, fused epilogues and
   /// kernel dispatch included, which the analytic nnz/FLOPs model cannot
   /// see. Requires sample_shape (the probe needs an input); a probe that

@@ -125,8 +125,8 @@ std::size_t node_weight_bytes(const PlanOp& op) {
 
 // FLOPs the fused epilogue adds per node: one add for the residual and
 // one op for the activation, per output element. Counted in annotate()
-// (and mirrored by the executor's accounting) so a fused plan reports
-// the epilogue work the separate kActivation/kAdd nodes used to carry.
+// so a fused plan reports the epilogue work the separate
+// kActivation/kAdd nodes used to carry.
 double epilogue_flops(const PlanOp& op, double out_elems) {
   double per_elem = 0.0;
   if (op.epilogue.add_residual) per_elem += 1.0;
@@ -342,6 +342,33 @@ std::vector<Plan::NodeCost> Plan::annotate(
 #pragma GCC diagnostic ignored "-Wrestrict"
 #endif
 
+namespace {
+
+/// Appends "  <- in, [3]" to `out` when node `index`'s producers deviate
+/// from "the previous node" — where the graph leaves a straight line.
+void append_producers(std::string& out, std::size_t index,
+                      const std::vector<std::size_t>& inputs) {
+  const bool straight =
+      inputs.size() == 1 && ((index == 0 && inputs[0] == Plan::kInputId) ||
+                             inputs[0] + 1 == index);
+  if (straight) return;
+  out += "  <- ";
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    if (j > 0) out += ", ";
+    // Separate appends: GCC 12's -Wrestrict misfires on the nested
+    // operator+ chain here.
+    if (inputs[j] == Plan::kInputId) {
+      out += "in";
+    } else {
+      out += "[";
+      out += std::to_string(inputs[j]);
+      out += "]";
+    }
+  }
+}
+
+}  // namespace
+
 std::string Plan::dump(const tensor::Shape* sample_shape) const {
   std::vector<NodeCost> costs;
   if (sample_shape != nullptr) costs = annotate(*sample_shape);
@@ -443,29 +470,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
     out += "\n";
   }
   return out;
-}
-
-void append_producers(std::string& out, std::size_t index,
-                      const std::vector<std::size_t>& inputs) {
-  // Annotate producers whenever they are not just "the previous node" —
-  // that is where the graph deviates from a straight line.
-  const bool straight =
-      inputs.size() == 1 && ((index == 0 && inputs[0] == Plan::kInputId) ||
-                             inputs[0] + 1 == index);
-  if (straight) return;
-  out += "  <- ";
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    if (j > 0) out += ", ";
-    // Separate appends: GCC 12's -Wrestrict misfires on the nested
-    // operator+ chain here.
-    if (inputs[j] == Plan::kInputId) {
-      out += "in";
-    } else {
-      out += "[";
-      out += std::to_string(inputs[j]);
-      out += "]";
-    }
-  }
 }
 
 #if defined(__GNUC__) && !defined(__clang__)

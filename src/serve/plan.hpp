@@ -229,12 +229,6 @@ struct Plan {
   void validate() const;
 };
 
-/// Appends "  <- in, [3]" to `out` when node `index`'s producers deviate
-/// from "the previous node" — the edge-annotation format shared by
-/// Plan::dump and Executor::describe_ops.
-void append_producers(std::string& out, std::size_t index,
-                      const std::vector<std::size_t>& inputs);
-
 /// Lowering: walks the module tree (recursing through nested Sequentials
 /// and residual blocks) and emits one PlanOp per module — including
 /// dropout and standalone batch-norm nodes; folding and elision are

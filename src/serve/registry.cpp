@@ -121,9 +121,12 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
   // nothing) when the delta's base hash does not match.
   serve::apply_delta(delta, *slot.module, slot.state.get());
 
+  // Patch from the plan of the version shard 0 serves: untouched nodes
+  // keep pointing at the very matrices that version's ops run on.
+  const Plan& base = slot.current->plan();
   PlanPatch patch =
-      apply_delta_to_plan(slot.base_plan, delta, *slot.module,
-                          slot.state.get(), slot.options.compile.dense_eps);
+      apply_delta_to_plan(base, delta, *slot.module, slot.state.get(),
+                          slot.options.compile.dense_eps);
 
   SwapReport report;
   report.total_weight_nodes = patch.total_weight_nodes;
@@ -140,7 +143,7 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
     // version (see CompiledNet::clone_shared). Quantized matrices are
     // tracked by the same type-erased pointers.
     std::unordered_set<const void*> old_matrices;
-    for (const PlanOp& op : slot.base_plan.ops) {
+    for (const PlanOp& op : base.ops) {
       if (op.csr != nullptr) old_matrices.insert(op.csr.get());
       if (op.qcsr != nullptr) old_matrices.insert(op.qcsr.get());
     }
@@ -152,10 +155,9 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
         untouched.insert(op.qcsr.get());
       }
     }
-    slot.base_plan = std::move(patch.plan);
-    Plan bound = slot.base_plan;  // the copy keeps the seam alive
     net = std::make_shared<const CompiledNet>(
-        slot.compiler.bind(std::move(bound)));
+        slot.compiler.bind(std::move(patch.plan)));
+    slot.current = net;
     slot.hash = delta.result_hash;
   }
 
@@ -195,7 +197,7 @@ void ModelRegistry::remove_model(const std::string& name) {
   // config) stays for the lifetime of the registry.
   slot.module.reset();
   slot.state.reset();
-  slot.base_plan = Plan{};
+  slot.current.reset();
   slot.hash = 0;
   evictions_->add(1);
 }
@@ -283,11 +285,10 @@ ModelRegistry::Slot& ModelRegistry::find(const std::string& name) const {
 }
 
 std::shared_ptr<const CompiledNet> ModelRegistry::recompile(Slot& slot) {
-  slot.base_plan = slot.compiler.plan(*slot.module, slot.state.get());
+  slot.current = std::make_shared<const CompiledNet>(
+      slot.compiler.compile(*slot.module, slot.state.get()));
   slot.hash = model_state_hash(*slot.module, slot.state.get());
-  Plan bound = slot.base_plan;  // the copy keeps the seam alive
-  return std::make_shared<const CompiledNet>(
-      slot.compiler.bind(std::move(bound)));
+  return slot.current;
 }
 
 void ModelRegistry::start_autoscaler() {

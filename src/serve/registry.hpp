@@ -7,8 +7,9 @@
 //
 // The registry owns, per model: the training-side module + SparseModel
 // (the mutable source of truth deltas apply to), the Compiler pipeline
-// it was compiled with, the retained base Plan (the PR 5 seam: it shares
-// CsrMatrix instances with the currently-bound version), and the server.
+// it was compiled with, the version it published to shard 0 (whose
+// plan() shares its CsrMatrix instances with the bound ops — the seam
+// delta patches start from), and the server.
 //
 // ZERO-DOWNTIME UPDATES
 //   apply_delta(name, delta)  checks the delta's base hash against the
@@ -119,8 +120,8 @@ class ModelRegistry {
 
   /// Registers `name`, taking ownership of the module and its sparse
   /// state (`state` may be null for dense models; when non-null it must
-  /// be built over `*module`). Compiles, retains the plan, starts the
-  /// model's server. Throws on duplicate or empty name.
+  /// be built over `*module`). Compiles, keeps the compiled version,
+  /// starts the model's server. Throws on duplicate or empty name.
   void add_model(const std::string& name,
                  std::unique_ptr<nn::Sequential> module,
                  std::unique_ptr<sparse::SparseModel> state,
@@ -182,11 +183,11 @@ class ModelRegistry {
     std::unique_ptr<sparse::SparseModel> state;
     Compiler compiler;  ///< pipeline the model was (re)compiled with
 
-    /// Guards the mutable model state + retained plan + hash during
+    /// Guards the mutable model state + published version + hash during
     /// swaps; submits never take it.
     mutable util::Mutex mu;
-    /// The PR 5 seam: shares CsrMatrix instances with the bound version.
-    Plan base_plan DSTEE_GUARDED_BY(mu);
+    /// The version published to shard 0; deltas patch its plan().
+    std::shared_ptr<const CompiledNet> current DSTEE_GUARDED_BY(mu);
     std::uint64_t hash DSTEE_GUARDED_BY(mu) = 0;
 
     std::unique_ptr<InferenceServer> server;  ///< set once in add_model
@@ -203,8 +204,8 @@ class ModelRegistry {
   /// shutdown()).
   Slot& find(const std::string& name) const;
 
-  /// Compiles the slot's current model state, retains the plan under
-  /// slot.mu and returns the bound net.
+  /// Compiles the slot's current model state, records it as the
+  /// slot's published version under slot.mu and returns it.
   std::shared_ptr<const CompiledNet> recompile(Slot& slot)
       DSTEE_REQUIRES(slot.mu);
 

@@ -22,8 +22,10 @@ double percentile(const std::vector<double>& sorted_ascending, double q) {
 
 void ServerStats::record_batch(
     const std::vector<double>& request_latencies_ms) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  // Requests before the batch (release), read in the opposite order
+  // (acquire): a snapshot never counts a batch without its requests.
   requests_.fetch_add(request_latencies_ms.size(), std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_release);
   util::MutexLock lock(mu_);
   for (const double latency : request_latencies_ms) {
     if (latencies_ms_.size() < kMaxLatencySamples) {
@@ -103,9 +105,9 @@ StatsSnapshot ServerStats::snapshot() const {
     samples = latencies_ms_;
     elapsed = std::chrono::duration<double>(obs::now() - start_).count();
   }
-  return finalize(requests_.load(std::memory_order_relaxed),
-                  batches_.load(std::memory_order_relaxed), elapsed,
-                  std::move(samples),
+  const std::size_t batches = batches_.load(std::memory_order_acquire);
+  const std::size_t requests = requests_.load(std::memory_order_relaxed);
+  return finalize(requests, batches, elapsed, std::move(samples),
                   queue_peak_.load(std::memory_order_relaxed),
                   static_cast<double>(
                       blocked_us_.load(std::memory_order_relaxed)) /
@@ -121,8 +123,8 @@ StatsSnapshot ServerStats::aggregate(
   std::size_t shed = 0, swaps = 0;
   double blocked_ms = 0.0, elapsed = 0.0;
   for (const ServerStats* group : groups) {
+    batches += group->batches_.load(std::memory_order_acquire);
     requests += group->requests_.load(std::memory_order_relaxed);
-    batches += group->batches_.load(std::memory_order_relaxed);
     queue_peak = std::max(
         queue_peak, group->queue_peak_.load(std::memory_order_relaxed));
     shed += group->shed_.load(std::memory_order_relaxed);

@@ -33,15 +33,25 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     check(starts_with(token, "--"), "expected --flag, got: " + token);
     token = token.substr(2);
     std::string value;
-    if (const auto eq = token.find('='); eq != std::string::npos) {
+    const auto eq = token.find('=');
+    if (eq != std::string::npos) {
       value = token.substr(eq + 1);
       token = token.substr(0, eq);
-    } else {
-      check(i + 1 < argc, "flag --" + token + " is missing a value");
-      value = argv[++i];
     }
     auto it = flags_.find(token);
     check(it != flags_.end(), "unknown flag: --" + token);
+    if (eq == std::string::npos) {
+      // A boolean flag (declared default true/false) may stand alone: at
+      // the end of argv or followed by another --flag it reads as true.
+      const std::string& def = it->second.default_value;
+      const bool boolean = def == "true" || def == "false";
+      if (boolean && (i + 1 == argc || starts_with(argv[i + 1], "--"))) {
+        value = "true";
+      } else {
+        check(i + 1 < argc, "flag --" + token + " is missing a value");
+        value = argv[++i];
+      }
+    }
     it->second.value = value;
   }
   for (const auto& [name, flag] : flags_) {

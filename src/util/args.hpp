@@ -1,7 +1,9 @@
 // Minimal command-line flag parser for the CLI tools.
 //
 // Supports --name value and --name=value forms, typed accessors with
-// defaults, required flags, and an auto-generated --help text. Unknown
+// defaults, required flags, and an auto-generated --help text. A flag
+// declared with default "true"/"false" also accepts the bare form
+// (--name alone, at the end or before the next --flag) as true. Unknown
 // flags are an error (catches typos in experiment scripts).
 #pragma once
 

@@ -53,6 +53,31 @@ TEST(Args, BooleanSpellings) {
   }
 }
 
+TEST(Args, BareBooleanFlagReadsTrue) {
+  auto at_end = make_parser();
+  EXPECT_EQ(parse(at_end, {"--needed", "x", "--verbose"}), 1);
+  EXPECT_TRUE(at_end.get_bool("verbose"));
+  EXPECT_TRUE(at_end.was_set("verbose"));
+
+  auto before_flag = make_parser();
+  EXPECT_EQ(parse(before_flag, {"--verbose", "--needed", "x"}), 1);
+  EXPECT_TRUE(before_flag.get_bool("verbose"));
+  EXPECT_EQ(before_flag.get_string("needed"), "x");
+
+  // Explicit values keep working in both forms.
+  auto spaced = make_parser();
+  EXPECT_EQ(parse(spaced, {"--verbose", "false", "--needed", "x"}), 1);
+  EXPECT_FALSE(spaced.get_bool("verbose"));
+  auto equals = make_parser();
+  EXPECT_EQ(parse(equals, {"--verbose=false", "--needed", "x"}), 1);
+  EXPECT_FALSE(equals.get_bool("verbose"));
+
+  // Only flags declared with a boolean default have a bare form.
+  auto non_bool = make_parser();
+  EXPECT_THROW(parse(non_bool, {"--needed", "x", "--count"}),
+               util::CheckError);
+}
+
 TEST(Args, HelpShortCircuits) {
   auto p = make_parser();
   EXPECT_EQ(parse(p, {"--help"}), 0);  // returns false, no required check

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "methods/dst_engine.hpp"
 #include "tensor/ops.hpp"
@@ -69,8 +71,11 @@ struct EngineHarness {
   std::unique_ptr<methods::DstEngine> engine;
 };
 
+// The policy is a std::string, not a const char*: gtest prints a char
+// pointer inside a tuple with its address, which would put the per-run
+// load address into every case name that CTest discovers.
 class EngineAllPolicies : public ::testing::TestWithParam<
-                              std::tuple<double, const char*>> {};
+                              std::tuple<double, std::string>> {};
 
 TEST_P(EngineAllPolicies, SparsityPreservedAcrossManyRounds) {
   const double sparsity = std::get<0>(GetParam());

@@ -4,6 +4,7 @@
 // autoscaler policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "serve/registry.hpp"
 #include "sparse/sparse_model.hpp"
 #include "test_helpers.hpp"
+#include "train/checkpoint.hpp"
 #include "util/check.hpp"
 
 namespace dstee {
@@ -59,10 +61,12 @@ struct SeededModel {
   sparse::SparseModel state;
 };
 
-/// One faked DST step on every layer: flip a mask position each way and
-/// jitter a couple of surviving values.
-void perturb(sparse::SparseModel& state) {
-  for (std::size_t l = 0; l < state.num_layers(); ++l) {
+/// One faked DST step on the first `layers` layers (default: every
+/// layer): flip a mask position each way and jitter a couple of
+/// surviving values.
+void perturb(sparse::SparseModel& state,
+             std::size_t layers = static_cast<std::size_t>(-1)) {
+  for (std::size_t l = 0; l < std::min(layers, state.num_layers()); ++l) {
     sparse::MaskedParameter& layer = state.layer(l);
     const std::vector<std::size_t> active = layer.mask().active_indices();
     const std::vector<std::size_t> inactive = layer.mask().inactive_indices();
@@ -219,6 +223,45 @@ TEST(Registry, DeltaSwapUpdatesStateHashAndAnswers) {
 
   // The same delta cannot apply twice: the base moved.
   EXPECT_THROW(registry.apply_delta("m", delta), util::CheckError);
+  registry.shutdown();
+}
+
+TEST(Registry, DeltaAfterSwapModelPatchesTheSwappedVersion) {
+  // A delta's base is whatever version is being served — here the one a
+  // full-checkpoint swap_model published, not the one add_model compiled.
+  // The delta touches one layer only, so the patched version keeps the
+  // other layers' matrices from its base: a stale base would show.
+  constexpr std::uint64_t kSeedA = 41;
+  constexpr std::uint64_t kSeedB = 42;
+  const std::string path = "serve_ckpt/registry_swap_b.bin";
+  SeededModel b(kSeedB);
+  train::save_checkpoint(path, b.model, &b.state);
+  SeededModel next(kSeedB);
+  perturb(next.state, 1);
+  const serve::CheckpointDelta delta =
+      serve::make_delta(b.model, &b.state, next.model, &next.state);
+
+  serve::ModelRegistry registry;
+  serve::ModelOptions options;
+  options.server.num_shards = 2;  // replicas take the clone_shared path
+  SeededModel::add_to(registry, "m", kSeedA, options);
+  registry.swap_model("m", path);
+  EXPECT_EQ(registry.state_hash("m"), delta.base_hash);
+  const serve::SwapReport report = registry.apply_delta("m", delta);
+  EXPECT_FALSE(report.full_recompile);
+  EXPECT_LT(report.patched_weight_nodes, report.total_weight_nodes);
+  EXPECT_EQ(registry.state_hash("m"), delta.result_hash);
+
+  // Replies match a fresh compile of the result; round-robin routing
+  // sends the four requests to both shards.
+  const auto x = random_tensor(tensor::Shape({12}), 4);
+  const tensor::Tensor want =
+      serve::CompiledNet::compile(next.model, &next.state)
+          .forward(x.reshaped(tensor::Shape({1, 12})))
+          .reshaped(tensor::Shape({5}));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(registry.submit("m", x).get().equals(want)) << i;
+  }
   registry.shutdown();
 }
 
