@@ -9,14 +9,15 @@
 // speedup. Rows land in bench_results/serve_throughput.csv with a
 // `workload` column.
 //
-// Runtime sweeps follow: (1) row-range partitioning; (2) epilogue
-// fusion (fused vs unfused pipelines, equals-gated); (3) SIMD
-// kernel-backend dispatch and int8 quantized serving (equals-/top-1-
-// gated against scalar fp32); (4) InferenceServer aggregate throughput
-// across shard counts (replicated CompiledNets, round-robin routing);
-// (5) tail latency under a mid-run delta hot swap; (6) observability
-// overhead — tracing disabled vs armed-idle, gated at <= 2% throughput
-// cost. All land in bench_results/serve_scaling.csv.
+// Runtime sweeps follow: (1) epilogue fusion (fused vs unfused
+// pipelines, equals-gated); (2) SIMD kernel-backend dispatch and int8
+// quantized serving (equals-/top-1-gated against scalar fp32); (3)
+// InferenceServer aggregate throughput across shard counts (replicated
+// CompiledNets, round-robin routing); (4) tail latency under a mid-run
+// delta hot swap; (5) observability overhead — tracing disabled vs
+// armed-idle, noted against a 2% throughput budget. All land in
+// bench_results/serve_scaling.csv. The util::check equality gates fail
+// the run; the [ok]/[note] shape checks are printed only.
 //
 // DSTEE_SCALE scales the model width; DSTEE_SERVE_MIN_TIME (seconds, default
 // 0.15) controls per-cell measurement time.
@@ -29,7 +30,6 @@
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
 #include "models/vgg.hpp"
-#include "nn/conv2d.hpp"
 #include "obs/trace.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/delta.hpp"
@@ -101,151 +101,6 @@ void sweep_batches(nn::Sequential& model, const serve::CompiledNet& net,
                    util::format_fixed(speedup, 3),
                    std::to_string(net.total_nnz()),
                    util::format_fixed(net.density(), 4)});
-  }
-}
-
-/// Row-range partitioning (serve::PartitionRows): the ROADMAP's second
-/// sharding step. The heaviest CSR ops split into k cost-balanced row
-/// slices executed as one fan-out on the runtime pool, so a single
-/// sample's biggest layers run on several workers at once — the batch-1
-/// latency lever replication alone cannot pull. Two workloads:
-///
-///   partition_layer  the largest conv of a 90%-sparse VGG-19-at-width
-///                    profile on its own, batch 1 — the acceptance metric
-///   partition        a full 90%-sparse VGG-19, batch 1..8
-///
-/// k=1 rows are the unpartitioned baseline; every partitioned program is
-/// gated bit-identical to it before timing.
-void sweep_partition(const bench::BenchEnv& env, double min_time,
-                     util::CsvWriter& csv) {
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::vector<std::size_t> ways = {1, 2, 4};
-
-  auto partitioned = [&](nn::Sequential& model,
-                         const sparse::SparseModel& smodel,
-                         const tensor::Shape& sample, std::size_t k,
-                         double threshold) {
-    serve::Compiler compiler;
-    if (k >= 2) {
-      serve::PartitionRowsOptions popts;
-      popts.ways = k;
-      popts.min_cost_share = threshold;
-      popts.sample_shape = sample;
-      compiler.add_pass(std::make_unique<serve::PartitionRows>(popts));
-    }
-    return compiler.compile(model, &smodel);
-  };
-
-  // --- largest layer alone, batch 1 ------------------------------------
-  // VGG-19's heaviest op at this width profile: a 3x3 conv over the
-  // widest stage, 90% sparse.
-  const std::size_t ch = env.scaled(128, 32);
-  util::Rng rng(53);
-  nn::Sequential layer;
-  layer.emplace<nn::Conv2d>(ch, ch, 3, 1, 1, rng);
-  sparse::SparseModel layer_state(layer, 0.9,
-                                  sparse::DistributionKind::kUniform, rng);
-  layer.set_training(false);
-  const tensor::Shape layer_sample({ch, 8, 8});
-  tensor::Tensor lx{layer_sample.prepended(1)};
-  util::Rng lrng(54);
-  tensor::fill_normal(lx, lrng, 0.0f, 1.0f);
-
-  std::cout << "row-range partitioning: largest layer (spconv " << ch
-            << "->" << ch << " k3 @ 8x8, 90% sparse), batch 1, " << hw
-            << " hw threads\n";
-  util::Table layer_table({"partitions", "rows/s", "speedup"});
-  double layer_base = 0.0, layer_best = 0.0;
-  tensor::Tensor layer_ref;
-  for (const std::size_t k : ways) {
-    const serve::CompiledNet net =
-        partitioned(layer, layer_state, layer_sample, k, 0.0);
-    if (k == 1) {
-      layer_ref = net.forward(lx);
-    } else {
-      util::check(net.forward(lx).equals(layer_ref),
-                  "partitioned layer diverged from unpartitioned");
-    }
-    const double rate =
-        measure_rows_per_s([&] { net.forward(lx); }, 1, min_time);
-    if (k == 1) layer_base = rate;
-    layer_best = std::max(layer_best, rate);
-    layer_table.add_row({std::to_string(k), util::format_fixed(rate, 0),
-                         util::format_fixed(rate / layer_base, 2) + "x"});
-    csv.write_row({"partition_layer", std::to_string(k), "-", "1",
-                   util::format_fixed(layer_base, 1),
-                   util::format_fixed(rate, 1),
-                   util::format_fixed(rate / layer_base, 3)});
-  }
-  std::cout << layer_table.render() << "\n";
-
-  // --- whole VGG-19 ------------------------------------------------------
-  models::VggConfig vcfg;
-  vcfg.depth = 19;
-  vcfg.image_size = 16;
-  vcfg.num_classes = 10;
-  vcfg.width_multiplier = 0.25 * env.scale;
-  util::Rng vrng(57);
-  models::Vgg vgg(vcfg, vrng);
-  sparse::SparseModel vgg_state(vgg, 0.9, sparse::DistributionKind::kErk,
-                                vrng);
-  tensor::Tensor warm({2, 3, vcfg.image_size, vcfg.image_size});
-  util::Rng wrng(58);
-  tensor::fill_normal(warm, wrng, 0.0f, 1.0f);
-  vgg.forward(warm);  // move BN stats off init so folding is non-trivial
-  vgg.set_training(false);
-  const tensor::Shape vgg_sample({3, vcfg.image_size, vcfg.image_size});
-
-  std::cout << "row-range partitioning: VGG-19 @ "
-            << vcfg.image_size << "x" << vcfg.image_size << " width x"
-            << util::format_fixed(vcfg.width_multiplier, 2)
-            << ", 90% sparse (split ops with >=10% FLOPs share)\n";
-  util::Table net_table({"partitions", "batch", "rows/s", "speedup"});
-  double net_base_b1 = 0.0, net_best_b1 = 0.0;
-  const serve::CompiledNet vgg_baseline =
-      partitioned(vgg, vgg_state, vgg_sample, 1, 0.10);
-  for (const std::size_t k : ways) {
-    const serve::CompiledNet net =
-        k == 1 ? vgg_baseline.clone()
-               : partitioned(vgg, vgg_state, vgg_sample, k, 0.10);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
-      tensor::Tensor x{vgg_sample.prepended(batch)};
-      util::Rng xrng(60 + batch);
-      tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-      util::check(net.forward(x).equals(vgg_baseline.forward(x)),
-                  "partitioned VGG diverged from unpartitioned");
-      const double rate =
-          measure_rows_per_s([&] { net.forward(x); }, batch, min_time);
-      double base = rate;
-      if (batch == 1) {
-        if (k == 1) net_base_b1 = rate;
-        base = net_base_b1;
-        net_best_b1 = std::max(net_best_b1, rate);
-      }
-      net_table.add_row({std::to_string(k), std::to_string(batch),
-                         util::format_fixed(rate, 0),
-                         batch == 1
-                             ? util::format_fixed(rate / base, 2) + "x"
-                             : "-"});
-      csv.write_row({"partition", std::to_string(k), "-",
-                     std::to_string(batch),
-                     batch == 1 ? util::format_fixed(net_base_b1, 1) : "-",
-                     util::format_fixed(rate, 1),
-                     batch == 1 ? util::format_fixed(rate / base, 3) : "-"});
-    }
-  }
-  std::cout << net_table.render() << "\n";
-
-  if (hw >= 2) {
-    bench::shape_check(
-        "partitioning (k in {2,4}) improves batch-1 largest-layer latency",
-        layer_best > layer_base);
-    bench::shape_check(
-        "partitioning (k in {2,4}) improves batch-1 VGG-19 latency",
-        net_best_b1 > net_base_b1);
-  } else {
-    std::cout << "[skip] partition speedup checks need >= 2 hw threads\n";
   }
 }
 
@@ -702,7 +557,7 @@ void sweep_hotswap(const bench::BenchEnv& env, double min_time,
                  std::to_string(swap_stats.swap_count)});
   std::cout << table.render() << "\n";
   // For the hotswap row the rate columns hold p99 ms (baseline, swap) and
-  // `speedup` their ratio — same column reuse as the partition rows.
+  // `speedup` their ratio.
   csv.write_row({"hotswap", std::to_string(kShards), "1", "-",
                  util::format_fixed(base_p99, 3),
                  util::format_fixed(swap_p99, 3),
@@ -862,14 +717,13 @@ int run() {
 
   std::cout << table.render() << "\n";
 
-  // Runtime scaling sweeps (row-range partitions, epilogue fusion, shard
-  // replicas). For the partition rows, `shards` holds the partition
-  // count; for the fusion rows, baseline is the unfused rate.
+  // Runtime scaling sweeps (epilogue fusion, kernel backends, shard
+  // replicas, hot swap, obs overhead). For the fusion rows, baseline is
+  // the unfused rate.
   util::CsvWriter scaling_csv(
       "bench_results/serve_scaling.csv",
       {"sweep", "shards", "intra_op", "batch", "baseline_rows_per_s",
        "rows_per_s", "speedup"});
-  sweep_partition(env, min_time, scaling_csv);
   sweep_fusion(env, min_time, scaling_csv);
   sweep_kernel_backend(env, min_time, scaling_csv);
   sweep_shards(env, min_time, scaling_csv);

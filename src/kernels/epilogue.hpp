@@ -54,7 +54,7 @@ struct Epilogue {
 
   /// Per-sample element stride of `residual` for batched kernels (the
   /// full output row width even when the kernel computes only a row
-  /// slice of it).
+  /// range of it, as each intra-op chunk does).
   std::size_t residual_stride = 0;
 
   bool has_act = false;

@@ -36,10 +36,9 @@
 
 namespace dstee::kernels::simd {
 
-/// Raw view of fp32 CSR arrays handed to backend kernels. `row_ptr` holds
-/// rows+1 ABSOLUTE offsets into col_idx/values — the same convention as
-/// sparse::CsrRowSlice, so a row-slice view passes its pointers through
-/// unchanged.
+/// Raw view of fp32 CSR arrays handed to backend kernels: `row_ptr`
+/// holds rows+1 offsets into col_idx/values, exactly sparse::CsrMatrix's
+/// arrays.
 struct CsrView {
   const std::size_t* row_ptr = nullptr;
   const std::uint32_t* col_idx = nullptr;
@@ -49,8 +48,7 @@ struct CsrView {
 };
 
 /// Raw view of int8-quantized CSR arrays: values are symmetric int8 with
-/// one fp32 scale per row of the view (scales[r] corresponds to local row
-/// r, i.e. a slice pre-offsets the pointer).
+/// one fp32 scale per row (scales[r] belongs to row r).
 struct QCsrView {
   const std::size_t* row_ptr = nullptr;
   const std::uint32_t* col_idx = nullptr;
@@ -62,7 +60,7 @@ struct QCsrView {
 
 /// One sparse-kernel implementation set. All kernels share the epilogue
 /// semantics of the scalar reference (kernels/epilogue.hpp): bias is
-/// indexed by the view's LOCAL row, the batched spmm residual by
+/// indexed by row, the batched spmm residual by
 /// n * ep.residual_stride + r, the spmm_cols residual like `out`.
 struct KernelBackend {
   const char* name = "?";
@@ -70,7 +68,7 @@ struct KernelBackend {
 
   /// Batched SpMM body over output rows [r0, r1) for every batch sample:
   /// out[n * a.rows + r] = ep(sum_k values[k] * x[n * a.cols + col[k]]).
-  /// This is the chunk body CsrRowSlice::spmm_into fans out row-wise.
+  /// This is the chunk body CsrMatrix::spmm_into fans out row-wise.
   void (*spmm_rows)(const CsrView& a, const float* x, std::size_t batch,
                     float* out, std::size_t r0, std::size_t r1,
                     const kernels::Epilogue& ep) = nullptr;

@@ -3,9 +3,8 @@
 // One cell per plan node: total nanoseconds and call count, both relaxed
 // atomics, so every replica clone of an Executor can share ONE profile
 // and their concurrent forwards aggregate into the same cells. The
-// measured totals feed Plan::annotate's measured cost shares and the
-// PartitionRows `auto` mode (re-split heavy ops from observed cost
-// instead of the static nnz model).
+// measured totals feed Plan::annotate's measured cost shares
+// (`dstee_serve --profile-ops`).
 #pragma once
 
 #include <atomic>

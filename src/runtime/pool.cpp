@@ -86,8 +86,8 @@ bool Pool::try_pop(std::size_t home, std::function<void()>& out) {
 
 void Pool::worker_loop(std::size_t index) {
   tl_worker_pool = this;
-  // Label this worker's trace ring so drained spans (partition-group
-  // slices, intra-op chunks) carry a readable lane name in the viewer.
+  // Label this worker's trace ring so drained spans (intra-op chunks)
+  // carry a readable lane name in the viewer.
   obs::set_thread_name("pool-" + std::to_string(index));
   for (;;) {
     {

@@ -9,7 +9,8 @@
 //              module; Linear → CSR SpMM, Conv2d → CSR over im2col,
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
 //   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
-//              FreeAfterLastUse by default; PartitionRows on request
+//              FreeAfterLastUse by default; FuseEpilogue and
+//              QuantizeWeights on request
 //   bind()     Executor shares the plan's weights and fixes the
 //              runtime::IntraOp policy
 //
@@ -48,17 +49,11 @@ struct CompileOptions {
   /// executes on the persistent runtime pool — no per-call thread spawns
   /// — so >1 pays off even at small batches. Keep at 1 when an
   /// InferenceServer with many worker threads already saturates the
-  /// machine with request-level parallelism. PartitionRows slice groups
-  /// fan out on the pool regardless of this count.
+  /// machine with request-level parallelism.
   std::size_t intra_op_threads = 1;
-  /// Pool executing the intra-op chunks and partition-group fan-outs;
-  /// nullptr = the process-wide runtime::default_pool(). Tests inject
-  /// their own Pool here.
+  /// Pool executing the intra-op chunks; nullptr = the process-wide
+  /// runtime::default_pool(). Tests inject their own Pool here.
   runtime::Pool* intra_op_pool = nullptr;
-  /// Sample shape (no batch axis) handed to shape-aware passes built
-  /// from a pipeline spec — partition_rows uses it for per-node FLOPs
-  /// shares; rank 0 falls back to nnz shares.
-  tensor::Shape sample_shape{};
   /// Kernel backend name for every bound op ("scalar", "avx2"); empty
   /// defers each kernel call to kernels::simd::active_backend() (CPUID
   /// pick, overridable via DSTEE_KERNEL_BACKEND). Unknown or unsupported
@@ -79,7 +74,7 @@ class CompiledNet {
   static constexpr std::size_t kInputId = Plan::kInputId;
 
   /// Lowers `model` and runs the DEFAULT pass pipeline (use
-  /// serve::Compiler directly to customize passes — e.g. PartitionRows).
+  /// serve::Compiler directly to customize passes — e.g. FuseEpilogue).
   /// When `state` is non-null, each Linear/Conv2d weight that has a mask
   /// in `state` is converted with from_masked (faithful topology
   /// deployment); other weights fall back to from_dense(options.dense_eps).
@@ -108,8 +103,8 @@ class CompiledNet {
   }
 
   /// Deep copy: every op (CSR arrays, biases, folded constants) is
-  /// duplicated — a matrix shared by a partition group is copied once —
-  /// so the replica's ops share no memory with the source. InferenceServer
+  /// duplicated, so the replica's ops share no memory with the source.
+  /// InferenceServer
   /// builds one replica per shard from this. The read-only plan() is
   /// shared, not copied.
   CompiledNet clone() const;
@@ -136,20 +131,14 @@ class CompiledNet {
   std::size_t num_elided() const { return plan_->elided; }
   /// Residual add+ReLU joins in the graph (0 for chain models).
   std::size_t num_residual_joins() const { return plan_->residual_joins; }
-  /// CSR nodes PartitionRows split into row-range slice groups.
-  std::size_t num_partitioned_ops() const { return plan_->partitioned_ops; }
   /// CSR nodes FuseEpilogue annotated with a fused activation/residual.
   std::size_t num_fused_ops() const { return plan_->fused_ops; }
   /// CSR nodes QuantizeWeights rewrote to int8 weights.
   std::size_t num_quantized_ops() const { return plan_->quantized_ops; }
-  /// Weight bytes a replica streams (distinct matrices; see
-  /// Plan::total_weight_bytes) — the memory lever int8 quantization moves.
+  /// Weight bytes a replica streams (see Plan::total_weight_bytes) — the
+  /// memory lever int8 quantization moves.
   std::size_t total_weight_bytes() const {
     return plan_->total_weight_bytes();
-  }
-  /// Slice groups the executor fans out in parallel.
-  std::size_t num_parallel_groups() const {
-    return exec_.num_parallel_groups();
   }
 
   /// Stored nonzeros / total weight slots across all CSR ops (Linear AND

@@ -502,9 +502,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   };
 
   Plan& plan = out.plan;
-  std::size_t i = 0;
-  while (i < plan.ops.size()) {
-    PlanOp& op = plan.ops[i];
+  for (PlanOp& op : plan.ops) {
     if (op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv) {
       ++out.total_weight_nodes;
       const std::size_t s = op.sparse_ordinal;
@@ -530,73 +528,13 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
         op.has_bias = r.has_bias;
         ++out.patched_weight_nodes;
       }
-      ++i;
-      continue;
-    }
-    if (op.kind == PlanOpKind::kRowSlice) {
-      // One PartitionRows group = one weight unit: consecutive slices
-      // sharing a partition_group (and their common source matrix).
-      std::size_t j = i;
-      while (j < plan.ops.size() &&
-             plan.ops[j].kind == PlanOpKind::kRowSlice &&
-             plan.ops[j].partition_group == op.partition_group) {
-        ++j;
-      }
-      const std::size_t count = j - i;
-      ++out.total_weight_nodes;
-      const std::size_t s = op.sparse_ordinal;
-      if (s == PlanOp::kNoOrdinal || s >= sites.size()) {
-        out.needs_full_recompile = true;
-        break;
-      }
-      const bool refold =
-          op.folded_bn &&
-          (op.bn_ordinal >= mods.bns.size() || bn_touched[op.bn_ordinal] != 0);
-      if (sites[s].touched || refold) {
-        RebuiltWeights r = rebuild(s, op.folded_bn, op.bn_ordinal);
-        // Re-split against the rebuilt matrix, exactly as PartitionRows
-        // would on a full recompile with the same `ways` (the quantized
-        // split is identical — quantization preserves the sparsity
-        // pattern, and the splits balance stored-nonzero counts).
-        const std::vector<std::size_t> bounds =
-            r.csr->balanced_row_splits(count);
-        // A quantized group re-quantizes the rebuilt parent ONCE and
-        // every slice shares it, mirroring QuantizeWeights' memoization.
-        std::shared_ptr<sparse::QCsrMatrix> q;
-        if (op.qcsr != nullptr) {
-          q = std::make_shared<sparse::QCsrMatrix>(
-              sparse::QCsrMatrix::quantize(*r.csr));
-        }
-        for (std::size_t k = 0; k < count; ++k) {
-          PlanOp& slice = plan.ops[i + k];
-          if (q != nullptr) {
-            slice.qcsr = q;  // all slices view the one rebuilt matrix
-          } else {
-            slice.csr = r.csr;
-          }
-          slice.row_begin = bounds[k];
-          slice.row_end = bounds[k + 1];
-          slice.has_bias = r.has_bias;
-          if (r.has_bias) {
-            tensor::Tensor b({bounds[k + 1] - bounds[k]});
-            for (std::size_t row = bounds[k]; row < bounds[k + 1]; ++row) {
-              b[row - bounds[k]] = r.bias[row];
-            }
-            slice.bias = std::move(b);
-          }
-        }
-        ++out.patched_weight_nodes;
-      }
-      i = j;
-      continue;
-    }
-    if (op.kind == PlanOpKind::kScaleShift &&
-        op.bn_ordinal != PlanOp::kNoOrdinal &&
-        op.bn_ordinal < mods.bns.size() && bn_touched[op.bn_ordinal] != 0) {
+    } else if (op.kind == PlanOpKind::kScaleShift &&
+               op.bn_ordinal != PlanOp::kNoOrdinal &&
+               op.bn_ordinal < mods.bns.size() &&
+               bn_touched[op.bn_ordinal] != 0) {
       bn_scale_shift(*mods.bns[op.bn_ordinal], op.scale, op.shift);
       ++out.patched_scale_shifts;
     }
-    ++i;
   }
 
   if (out.needs_full_recompile) {
@@ -607,17 +545,11 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   }
 
   if (out.patched_weight_nodes > 0) {
-    // Refresh the model-wide nnz counter: distinct matrices only (a
-    // partition group shares one), fp32 and quantized alike.
-    std::unordered_set<const void*> seen;
+    // Refresh the model-wide nnz counter, fp32 and quantized alike.
     std::size_t nnz = 0;
     for (const PlanOp& op : plan.ops) {
-      if (op.csr != nullptr && seen.insert(op.csr.get()).second) {
-        nnz += op.csr->nnz();
-      }
-      if (op.qcsr != nullptr && seen.insert(op.qcsr.get()).second) {
-        nnz += op.qcsr->nnz();
-      }
+      if (op.csr != nullptr) nnz += op.csr->nnz();
+      if (op.qcsr != nullptr) nnz += op.qcsr->nnz();
     }
     plan.total_nnz = nnz;
   }

@@ -19,8 +19,8 @@
 // keeps (CompiledNet::plan()) shares its CsrMatrix instances with the
 // bound ops, so apply_delta_to_plan() can copy that plan, rebuild ONLY
 // the nodes whose provenance ordinals (PlanOp::sparse_ordinal /
-// bn_ordinal) the delta touched — re-folding BN and re-splitting
-// PartitionRows groups exactly as a full recompile would — and leave
+// bn_ordinal) the delta touched — re-folding BN exactly as a full
+// recompile would — and leave
 // every untouched node pointing at the very matrices the outgoing
 // version serves. Binding the patched plan then yields a new version
 // that is bit-identical to a full recompile (pinned by serve_test) at a
@@ -114,9 +114,8 @@ struct PlanPatch {
 
 /// Rebuilds only the delta-touched nodes of `base_plan` from
 /// `model`/`state`, which must ALREADY have the delta applied. A CSR
-/// unit is one kSpmm/kConv node or one PartitionRows slice group (the
-/// group re-splits against the rebuilt matrix); folded BN re-folds
-/// through the node's bn_ordinal. Untouched nodes keep their CsrMatrix
+/// unit is one kSpmm/kConv node; folded BN re-folds through the node's
+/// bn_ordinal. Untouched nodes keep their CsrMatrix
 /// pointers — the zero-copy seam the hot-swap replica path shares with
 /// the outgoing version.
 PlanPatch apply_delta_to_plan(const Plan& base_plan,

@@ -16,41 +16,23 @@ namespace dstee::serve {
 std::shared_ptr<const sparse::CsrMatrix> CloneContext::dup(
     const std::shared_ptr<const sparse::CsrMatrix>& csr) {
   if (share_ != nullptr && share_->count(csr.get()) > 0) return csr;
-  auto it = copies_.find(csr.get());
-  if (it == copies_.end()) {
-    it = copies_.emplace(csr.get(),
-                         std::make_shared<const sparse::CsrMatrix>(*csr))
-             .first;
-  }
-  return it->second;
+  return std::make_shared<const sparse::CsrMatrix>(*csr);
 }
 
 std::shared_ptr<const sparse::QCsrMatrix> CloneContext::dup(
     const std::shared_ptr<const sparse::QCsrMatrix>& qcsr) {
   if (share_ != nullptr && share_->count(qcsr.get()) > 0) return qcsr;
-  auto it = qcopies_.find(qcsr.get());
-  if (it == qcopies_.end()) {
-    it = qcopies_.emplace(qcsr.get(),
-                          std::make_shared<const sparse::QCsrMatrix>(*qcsr))
-             .first;
-  }
-  return it->second;
+  return std::make_shared<const sparse::QCsrMatrix>(*qcsr);
 }
 
 namespace {
 
 /// Common state of the two CSR kernel families: the shared weight matrix,
-/// the row range this op computes, the bias (already sliced to that range
-/// at the plan level), the FuseEpilogue annotation lowered to a
-/// kernels::Epilogue, the intra-op policy and the kernel backend pinned at
-/// bind time (nullptr = defer each call to the process-wide active
-/// backend). Folding and fusion happen at the plan level, before binding
-/// (see serve::FoldBatchNorm / serve::FuseEpilogue).
-///
-/// A whole kSpmm/kConv node is the full-range slice [0, rows) under the
-/// node's IntraOp; a PartitionRows kRowSlice is its own range run inline
-/// (the group fan-out IS the parallelism). The whole-matrix kernels are
-/// themselves the full-range slice, so both are one code path.
+/// the bias, the FuseEpilogue annotation lowered to a kernels::Epilogue,
+/// the intra-op policy and the kernel backend pinned at bind time
+/// (nullptr = defer each call to the process-wide active backend).
+/// Folding and fusion happen at the plan level, before binding (see
+/// serve::FoldBatchNorm / serve::FuseEpilogue).
 ///
 /// Templated over the weight type: M is sparse::CsrMatrix (fp32) or
 /// sparse::QCsrMatrix (int8 + per-row scales, from QuantizeWeights). The
@@ -61,8 +43,6 @@ class CsrOp : public EvalOp {
   CsrOp(const PlanOp& op, std::shared_ptr<const M> weights,
         runtime::IntraOp intra, const kernels::simd::KernelBackend* backend)
       : w_(std::move(weights)),
-        row_begin_(op.kind == PlanOpKind::kRowSlice ? op.row_begin : 0),
-        row_end_(op.kind == PlanOpKind::kRowSlice ? op.row_end : w_->rows()),
         bias_(op.bias),
         has_bias_(op.has_bias),
         intra_(intra),
@@ -86,8 +66,6 @@ class CsrOp : public EvalOp {
   }
 
   std::shared_ptr<const M> w_;
-  std::size_t row_begin_;
-  std::size_t row_end_;
   tensor::Tensor bias_;
   bool has_bias_;
   kernels::Epilogue ep_;  ///< activation part only; see make_ep()
@@ -95,11 +73,9 @@ class CsrOp : public EvalOp {
   const kernels::simd::KernelBackend* backend_;
 };
 
-/// CSR Linear over rows [row_begin, row_end): y = act(x·Wᵀ + bias +
-/// residual), the epilogue applied inside the SpMM output loop. A fused
-/// residual (second input) is the FULL output width: the pointer is
-/// pre-offset by row_begin and the per-sample stride stays the parent's
-/// row count.
+/// CSR Linear: y = act(x·Wᵀ + bias + residual), the epilogue applied
+/// inside the SpMM output loop. A fused residual (second input) has the
+/// output's [N, rows] shape, so its per-sample stride is the row count.
 template <typename M>
 class CsrLinearOp final : public CsrOp<M> {
  public:
@@ -120,10 +96,10 @@ class CsrLinearOp final : public CsrOp<M> {
       const tensor::Tensor& r = *inputs[1];
       util::check(r.rank() == 2 && r.dim(0) == x.dim(0) && r.dim(1) == rows,
                   "fused spmm residual shape mismatch");
-      res = r.raw() + this->row_begin_;
+      res = r.raw();
     }
-    return this->w_->row_slice(this->row_begin_, this->row_end_)
-        .spmm(x, this->intra_, this->make_ep(res, rows), this->backend_);
+    return this->w_->spmm(x, this->intra_, this->make_ep(res, rows),
+                          this->backend_);
   }
 };
 
@@ -160,18 +136,12 @@ tensor::ConvGeometry image_geometry(tensor::ConvGeometry conv,
   return conv;
 }
 
-/// CSR conv over output channels [row_begin, row_end): Y = W_csr · cols
-/// per image, with optional folded BN, bias and fused epilogue. The CSR
-/// matrix holds the masked weight viewed as [Cout, Cin·K·K] — the exact
-/// lowering nn::Conv2d uses densely, so a masked checkpoint deploys its
-/// trained topology bit-for-bit.
-///
-/// The patches come from one of two places. A whole kConv node reads the
-/// image [N, Cin, H, W] and im2cols each image into per-chunk scratch; a
-/// PartitionRows conv slice (PlanOp::conv_slice) reads the shared kIm2col
-/// patch buffer [N, Cin·K·K, OH, OW], computed once for the whole group.
-/// Either way a fused residual is the full [N, Cout, OH, OW] map and this
-/// op adds its channel block of each sample.
+/// CSR conv: Y = W_csr · cols per image, with optional folded BN, bias
+/// and fused epilogue. The CSR matrix holds the masked weight viewed as
+/// [Cout, Cin·K·K] — the exact lowering nn::Conv2d uses densely, so a
+/// masked checkpoint deploys its trained topology bit-for-bit. The op
+/// reads the image [N, Cin, H, W] and im2cols each image into per-chunk
+/// scratch; a fused residual is the [N, Cout, OH, OW] output map.
 template <typename M>
 class CsrConvOp final : public CsrOp<M> {
  public:
@@ -179,8 +149,7 @@ class CsrConvOp final : public CsrOp<M> {
             runtime::IntraOp intra,
             const kernels::simd::KernelBackend* backend)
       : CsrOp<M>(op, std::move(weights), intra, backend),
-        conv_(conv_config(op)),
-        patches_(op.conv_slice) {}
+        conv_(conv_config(op)) {}
 
   std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
     auto copy = std::make_unique<CsrConvOp>(*this);
@@ -192,20 +161,9 @@ class CsrConvOp final : public CsrOp<M> {
       std::span<const tensor::Tensor* const> inputs) const override {
     const tensor::Tensor& x = *inputs[0];
     const std::size_t patch = this->w_->cols();
-    tensor::ConvGeometry g;
-    std::size_t oh = 0, ow = 0;
-    if (patches_) {
-      util::check(x.rank() == 4 && x.dim(1) == patch,
-                  "conv row_slice expects the [N, Cin*K*K, OH, OW] patch "
-                  "buffer, got " +
-                      x.shape().to_string());
-      oh = x.dim(2);
-      ow = x.dim(3);
-    } else {
-      g = image_geometry(conv_, x, "spconv");
-      oh = g.out_h();
-      ow = g.out_w();
-    }
+    const tensor::ConvGeometry g = image_geometry(conv_, x, "spconv");
+    const std::size_t oh = g.out_h();
+    const std::size_t ow = g.out_w();
     const std::size_t batch = x.dim(0);
     const std::size_t positions = oh * ow;
     const std::size_t channels = this->w_->rows();
@@ -218,32 +176,25 @@ class CsrConvOp final : public CsrOp<M> {
                   "fused spconv residual shape mismatch");
       res = r.raw();
     }
-    const auto w = this->w_->row_slice(this->row_begin_, this->row_end_);
-    tensor::Tensor y({batch, w.rows(), oh, ow});
+    tensor::Tensor y({batch, channels, oh, ow});
     const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
+    const std::size_t out_elems = channels * positions;
 
     // Intra-op parallelism splits the batch on the persistent runtime
     // pool: images are independent, so every output element has exactly
     // one writer and the result is bit-identical for any chunk count.
     // Per-chunk im2col scratch keeps run() const and thread-safe. A
-    // single image always runs inline (PartitionRows is the row-level
-    // alternative for batch-1 latency). Bias and the fused epilogue are
+    // single image always runs inline. Bias and the fused epilogue are
     // applied by the kernel's per-row finish pass.
     runtime::intra_chunks(this->intra_, batch, [&](std::size_t n0,
                                                    std::size_t n1) {
-      std::vector<float> cols(patches_ ? 0 : patch * positions);
+      std::vector<float> cols(patch * positions);
       for (std::size_t n = n0; n < n1; ++n) {
-        const float* b = x.raw() + n * in_elems;
-        if (!patches_) {
-          tensor::im2col(b, g, cols.data());
-          b = cols.data();
-        }
-        const float* r =
-            res != nullptr
-                ? res + (n * channels + this->row_begin_) * positions
-                : nullptr;
-        w.spmm_cols_into(b, positions, y.raw() + n * w.rows() * positions,
-                         this->make_ep(r, 0), this->backend_);
+        tensor::im2col(x.raw() + n * in_elems, g, cols.data());
+        const float* r = res != nullptr ? res + n * out_elems : nullptr;
+        this->w_->spmm_cols_into(cols.data(), positions,
+                                 y.raw() + n * out_elems,
+                                 this->make_ep(r, 0), this->backend_);
       }
     });
     return y;
@@ -251,96 +202,6 @@ class CsrConvOp final : public CsrOp<M> {
 
  private:
   tensor::ConvGeometry conv_;  ///< kernel config; extent set per call
-  bool patches_;  ///< input is a kIm2col patch buffer (a partition slice)
-};
-
-/// Materialized im2col: [N, C, H, W] → the patch buffer [N, Cin·K·K,
-/// OH, OW] every row slice of a partitioned conv reads. Emitted only by
-/// PartitionRows, so the patches are computed once per batch instead of
-/// once per slice.
-class Im2colOp final : public EvalOp {
- public:
-  Im2colOp(const PlanOp& op, runtime::IntraOp intra)
-      : conv_(conv_config(op)), intra_(intra) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<Im2colOp>(*this);
-  }
-
-  tensor::Tensor run(
-      std::span<const tensor::Tensor* const> inputs) const override {
-    const tensor::Tensor& x = *inputs[0];
-    const tensor::ConvGeometry g = image_geometry(conv_, x, "im2col");
-    const std::size_t batch = x.dim(0);
-    const std::size_t oh = g.out_h(), ow = g.out_w();
-    const std::size_t patch = g.patch_size();
-    tensor::Tensor cols({batch, patch, oh, ow});
-    const std::size_t image_elems = g.in_channels * g.in_h * g.in_w;
-    const std::size_t cols_elems = patch * oh * ow;
-    runtime::intra_chunks(intra_, batch, [&](std::size_t n0,
-                                             std::size_t n1) {
-      for (std::size_t n = n0; n < n1; ++n) {
-        // Straight into the shared batch buffer — no per-image scratch.
-        tensor::im2col(x.raw() + n * image_elems, g,
-                       cols.raw() + n * cols_elems);
-      }
-    });
-    return cols;
-  }
-
- private:
-  tensor::ConvGeometry conv_;
-  runtime::IntraOp intra_;
-};
-
-/// Joins partition slices along axis 1 (features / channels): the slices
-/// of one group produce contiguous row ranges, so the join is a straight
-/// block copy per sample.
-class ConcatChannelsOp final : public EvalOp {
- public:
-  explicit ConcatChannelsOp(std::size_t total_channels)
-      : total_channels_(total_channels) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<ConcatChannelsOp>(*this);
-  }
-
-  tensor::Tensor run(
-      std::span<const tensor::Tensor* const> inputs) const override {
-    const tensor::Tensor& first = *inputs.front();
-    const std::size_t batch = first.dim(0);
-    const std::size_t spatial =
-        first.rank() == 4 ? first.dim(2) * first.dim(3) : 1;
-    std::size_t channels = 0;
-    for (const tensor::Tensor* x : inputs) {
-      util::check(x->rank() == first.rank() && x->dim(0) == batch,
-                  "concat inputs disagree on batch/rank");
-      channels += x->dim(1);
-    }
-    util::check(channels == total_channels_,
-                "concat produced " + std::to_string(channels) +
-                    " channels, expected " +
-                    std::to_string(total_channels_));
-    tensor::Tensor y(first.rank() == 4
-                         ? tensor::Shape({batch, channels, first.dim(2),
-                                          first.dim(3)})
-                         : tensor::Shape({batch, channels}));
-    for (std::size_t n = 0; n < batch; ++n) {
-      float* dst = y.raw() + n * channels * spatial;
-      for (const tensor::Tensor* x : inputs) {
-        const std::size_t block = x->dim(1) * spatial;
-        const float* src = x->raw() + n * block;
-        for (std::size_t i = 0; i < block; ++i) dst[i] = src[i];
-        dst += block;
-      }
-    }
-    return y;
-  }
-
- private:
-  std::size_t total_channels_;
 };
 
 /// A standalone elementwise epilogue through kernels::apply_epilogue: an
@@ -511,24 +372,20 @@ class GlobalAvgPoolOp final : public EvalOp {
   runtime::IntraOp intra_;
 };
 
-/// One CSR node as kernel family Op over its weight type. A whole
-/// kSpmm/kConv node keeps the node's intra-op policy; a partition slice
-/// runs inline.
+/// One CSR node as kernel family Op over its weight type.
 template <template <typename> class Op>
 std::unique_ptr<EvalOp> bind_csr(const PlanOp& op,
                                  const runtime::IntraOp& intra,
                                  const kernels::simd::KernelBackend* backend) {
-  const runtime::IntraOp policy =
-      op.kind == PlanOpKind::kRowSlice ? runtime::IntraOp{} : intra;
   if (op.qcsr != nullptr) {
-    return std::make_unique<Op<sparse::QCsrMatrix>>(op, op.qcsr, policy,
+    return std::make_unique<Op<sparse::QCsrMatrix>>(op, op.qcsr, intra,
                                                     backend);
   }
-  return std::make_unique<Op<sparse::CsrMatrix>>(op, op.csr, policy,
+  return std::make_unique<Op<sparse::CsrMatrix>>(op, op.csr, intra,
                                                  backend);
 }
 
-std::unique_ptr<EvalOp> bind_op(const Plan& plan, const PlanOp& op,
+std::unique_ptr<EvalOp> bind_op(const PlanOp& op,
                                 const runtime::IntraOp& intra,
                                 const kernels::simd::KernelBackend* backend) {
   switch (op.kind) {
@@ -536,19 +393,6 @@ std::unique_ptr<EvalOp> bind_op(const Plan& plan, const PlanOp& op,
       return bind_csr<CsrLinearOp>(op, intra, backend);
     case PlanOpKind::kConv:
       return bind_csr<CsrConvOp>(op, intra, backend);
-    case PlanOpKind::kRowSlice:
-      return op.conv_slice ? bind_csr<CsrConvOp>(op, intra, backend)
-                           : bind_csr<CsrLinearOp>(op, intra, backend);
-    case PlanOpKind::kIm2col:
-      return std::make_unique<Im2colOp>(op, intra);
-    case PlanOpKind::kConcatChannels: {
-      // Total channels = sum of the slices' row counts, known statically.
-      std::size_t total = 0;
-      for (const std::size_t in : op.inputs) {
-        total += plan.ops[in].row_end - plan.ops[in].row_begin;
-      }
-      return std::make_unique<ConcatChannelsOp>(total);
-    }
     case PlanOpKind::kScaleShift:
       return std::make_unique<ScaleShiftOp>(op.scale, op.shift, op.rank4);
     case PlanOpKind::kActivation: {
@@ -585,54 +429,23 @@ Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
                         std::shared_ptr<obs::OpProfile> profile) {
   plan.validate();
   Executor exec;
-  exec.intra_ = intra;
   exec.profile_ = std::move(profile);
   exec.nodes_.reserve(plan.ops.size());
   exec.op_names_.reserve(plan.ops.size());
-  exec.group_start_.assign(plan.ops.size(), 0);
 
-  // Input validation data: a CSR linear head fixes the feature count
-  // whether it is whole (kSpmm) or the first slice of a partitioned
-  // linear.
-  {
-    const PlanOp& head = plan.ops.front();
-    const bool linear_head =
-        head.kind == PlanOpKind::kSpmm ||
-        (head.kind == PlanOpKind::kRowSlice && !head.conv_slice);
-    if (linear_head && head.inputs.front() == Plan::kInputId) {
-      exec.input_features_ =
-          head.csr != nullptr ? head.csr->cols() : head.qcsr->cols();
-    }
+  // Input validation data: a CSR linear head fixes the feature count.
+  const PlanOp& head = plan.ops.front();
+  if (head.kind == PlanOpKind::kSpmm &&
+      head.inputs.front() == Plan::kInputId) {
+    exec.input_features_ =
+        head.csr != nullptr ? head.csr->cols() : head.qcsr->cols();
   }
 
-  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-    const PlanOp& op = plan.ops[i];
+  for (const PlanOp& op : plan.ops) {
     util::check(op.inputs.size() <= kMaxInputs,
                 "plan op has more inputs than Executor::kMaxInputs");
-    // A run of consecutive sibling slices of one split is one parallel
-    // group.
-    if (op.kind == PlanOpKind::kRowSlice &&
-        op.partition_group != PlanOp::kNoGroup &&
-        (i == 0 || plan.ops[i - 1].kind != PlanOpKind::kRowSlice ||
-         plan.ops[i - 1].partition_group != op.partition_group)) {
-      Group g;
-      g.first = i;
-      g.count = 1;
-      for (std::size_t j = i + 1;
-           j < plan.ops.size() &&
-           plan.ops[j].kind == PlanOpKind::kRowSlice &&
-           plan.ops[j].partition_group == op.partition_group;
-           ++j) {
-        ++g.count;
-      }
-      if (g.count > 1) {
-        exec.groups_.push_back(g);
-        exec.group_start_[i] = exec.groups_.size();
-      }
-    }
     exec.op_names_.push_back(to_string(op.kind));
-    exec.nodes_.push_back(
-        OpNode{bind_op(plan, op, intra, backend), op.inputs});
+    exec.nodes_.push_back(OpNode{bind_op(op, intra, backend), op.inputs});
   }
   exec.release_after_ = plan.release_after;
   return exec;
@@ -641,8 +454,8 @@ Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
 void Executor::run_node(std::size_t i, std::vector<tensor::Tensor>& values,
                         const tensor::Tensor& x) const {
   const OpNode& node = nodes_[i];
-  // Stack-local: slices of one partition group run concurrently on pool
-  // workers, so the gather must not touch shared scratch.
+  // Stack-local: forward() runs concurrently on many threads, so the
+  // gather must not touch shared scratch.
   std::array<const tensor::Tensor*, kMaxInputs> inputs{};
   for (std::size_t j = 0; j < node.inputs.size(); ++j) {
     const std::size_t id = node.inputs[j];
@@ -669,42 +482,17 @@ tensor::Tensor Executor::forward(const tensor::Tensor& x) const {
   obs::OpProfile* const prof = profile_.get();
   const std::uint64_t tid = obs::current_trace_id();
   const bool instrument = prof != nullptr || tid != 0;
-  auto timed_run = [&](std::size_t i, std::vector<tensor::Tensor>& vals) {
-    const std::int64_t t0 = obs::now_ns();
-    run_node(i, vals, x);
-    const std::int64_t dt = obs::now_ns() - t0;
-    if (prof != nullptr) prof->add(i, dt);
-    obs::trace().record(tid, obs::SpanKind::kOp, op_names_[i], t0, dt, i);
-  };
-  for (std::size_t i = 0; i < nodes_.size();) {
-    if (group_start_[i] != 0) {
-      // A partition group: sibling row slices of one split, each writing
-      // its own values[] slot — one fan-out on the pool executes them
-      // concurrently, the point of PartitionRows. Releases wait until the
-      // whole group is done (a shared patch buffer must outlive every
-      // slice).
-      const Group& g = groups_[group_start_[i] - 1];
-      runtime::pool_of(intra_).run_chunks(
-          g.count, g.count, [&](std::size_t b0, std::size_t b1) {
-            for (std::size_t j = b0; j < b1; ++j) {
-              if (instrument) {
-                timed_run(g.first + j, values);
-              } else {
-                run_node(g.first + j, values, x);
-              }
-            }
-          });
-      for (std::size_t j = 0; j < g.count; ++j) release(g.first + j);
-      i += g.count;
-      continue;
-    }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (instrument) {
-      timed_run(i, values);
+      const std::int64_t t0 = obs::now_ns();
+      run_node(i, values, x);
+      const std::int64_t dt = obs::now_ns() - t0;
+      if (prof != nullptr) prof->add(i, dt);
+      obs::trace().record(tid, obs::SpanKind::kOp, op_names_[i], t0, dt, i);
     } else {
       run_node(i, values, x);
     }
     release(i);
-    ++i;
   }
   return std::move(values.back());
 }
@@ -727,9 +515,6 @@ Executor Executor::clone_with(CloneContext& ctx) const {
     copy.nodes_.push_back(OpNode{node.op->clone(ctx), node.inputs});
   }
   copy.release_after_ = release_after_;
-  copy.groups_ = groups_;
-  copy.group_start_ = group_start_;
-  copy.intra_ = intra_;
   copy.input_features_ = input_features_;
   // The profile is shared ON PURPOSE: every replica of a model adds into
   // the same accumulator, so per-op times aggregate across shards.

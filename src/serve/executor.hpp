@@ -4,17 +4,14 @@
 // Executor::bind() reads a Plan — the ops share the plan's weight
 // matrices, nothing is copied — and fixes the execution policy
 // (runtime::IntraOp). The result is the immutable, thread-safe program
-// CompiledNet serves: forward() walks the ops in topological order,
+// CompiledNet serves: forward() walks the ops in topological order and
 // releases intermediates according to the plan's FreeAfterLastUse
-// annotation, and runs every PartitionRows slice group as one fan-out on
-// the runtime pool so a single sample's heaviest layers execute on
-// several workers at once. Shapes, FLOPs and the node listing stay with
-// the Plan (Plan::annotate / Plan::dump); the executor only runs.
+// annotation. Shapes, FLOPs and the node listing stay with the Plan
+// (Plan::annotate / Plan::dump); the executor only runs.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -31,10 +28,9 @@ struct KernelBackend;
 
 namespace dstee::serve {
 
-/// Weight-duplication memo for Executor::clone(): a CSR matrix shared by
-/// several ops (a PartitionRows group viewing one parent) is deep-copied
-/// exactly once per replica, so clones share no memory with the source
-/// (the NUMA prerequisite) but keep intra-replica sharing intact.
+/// Weight duplication for Executor::clone(): each op's CSR matrix is
+/// deep-copied, so clones share no memory with the source (the NUMA
+/// prerequisite).
 ///
 /// A context may carry a SHARE SET: matrices in it are handed through
 /// untouched instead of copied. Keys are type-erased (const void*) so one
@@ -44,11 +40,9 @@ namespace dstee::serve {
 /// deliberate, bounded exception to full replica isolation (see
 /// CompiledNet::clone_shared).
 ///
-/// Concurrency: NOT thread-safe, and deliberately unannotated — a
-/// CloneContext lives on one thread's stack for the duration of a single
-/// clone() walk and is never shared. Cloning different replicas
-/// concurrently is safe because each walk owns its own context; the
-/// source ops are only read.
+/// Concurrency: dup() only reads the share set, which the caller keeps
+/// alive and unchanged for the clone() walk; the source ops are only
+/// read too, so cloning replicas concurrently is safe.
 struct CloneContext {
   CloneContext() = default;
   explicit CloneContext(const std::unordered_set<const void*>* share)
@@ -60,10 +54,6 @@ struct CloneContext {
       const std::shared_ptr<const sparse::QCsrMatrix>& qcsr);
 
  private:
-  std::unordered_map<const void*, std::shared_ptr<const sparse::CsrMatrix>>
-      copies_;
-  std::unordered_map<const void*, std::shared_ptr<const sparse::QCsrMatrix>>
-      qcopies_;
   const std::unordered_set<const void*>* share_ = nullptr;
 };
 
@@ -104,17 +94,16 @@ class Executor {
   /// (CompiledNet's member lives through this state during construction).
   Executor() = default;
 
-  /// Most producers one node may consume (a concat joining a
-  /// PartitionRows group has one per slice); bind() rejects wider nodes.
-  /// forward() gathers a node's inputs in a stack array of this size.
-  static constexpr std::size_t kMaxInputs = 64;
+  /// Most producers one node may consume (kAdd, or a CSR node with a
+  /// fused residual); bind() rejects wider nodes. forward() gathers a
+  /// node's inputs in a stack array of this size.
+  static constexpr std::size_t kMaxInputs = 2;
 
   /// Binds `plan` under the given intra-op policy. The ops share the
   /// plan's weight matrices (no copy), so the plan's matrices must not be
-  /// mutated afterwards. Partition slice groups always fan out on the
-  /// policy's pool; the slices themselves run their kernels inline.
-  /// `backend` pins every op's kernel backend; nullptr defers each kernel
-  /// call to kernels::simd::active_backend() (the process-wide dispatch).
+  /// mutated afterwards. `backend` pins every op's kernel backend;
+  /// nullptr defers each kernel call to kernels::simd::active_backend()
+  /// (the process-wide dispatch).
   /// `profile`, when non-null, turns on per-op wall-time accumulation:
   /// every forward times each node and adds into the shared profile
   /// (replica clones keep sharing it, so a sharded server aggregates into
@@ -128,8 +117,7 @@ class Executor {
   tensor::Tensor forward(const tensor::Tensor& x) const;
 
   /// Deep copy: every op (CSR arrays, biases, folded constants) is
-  /// duplicated (shared partition weights once per replica), so the
-  /// replica shares no memory with the source.
+  /// duplicated, so the replica shares no memory with the source.
   Executor clone() const;
 
   /// clone() that hands matrices in `shared` (fp32 or quantized, keyed by
@@ -138,9 +126,6 @@ class Executor {
   Executor clone_shared(const std::unordered_set<const void*>& shared) const;
 
   std::size_t num_ops() const { return nodes_.size(); }
-
-  /// PartitionRows slice groups the executor fans out in parallel.
-  std::size_t num_parallel_groups() const { return groups_.size(); }
 
   /// Per-op wall-time profile (null unless bind() received one). Shared
   /// across replica clones, so it aggregates every shard's forwards.
@@ -161,13 +146,6 @@ class Executor {
     std::vector<std::size_t> inputs;
   };
 
-  /// A run of consecutive sibling row-slice nodes executed as one pool
-  /// fan-out.
-  struct Group {
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
-
   void run_node(std::size_t i, std::vector<tensor::Tensor>& values,
                 const tensor::Tensor& x) const;
 
@@ -175,14 +153,9 @@ class Executor {
   Executor clone_with(CloneContext& ctx) const;
 
   std::vector<OpNode> nodes_;
-  /// release_after_[i]: values to free once node i (or its group) ran.
-  /// Empty when FreeAfterLastUse did not run — keep everything live.
+  /// release_after_[i]: values to free once node i ran. Empty when
+  /// FreeAfterLastUse did not run — keep everything live.
   std::vector<std::vector<std::size_t>> release_after_;
-  std::vector<Group> groups_;
-  /// group_start_[i] is 1 + index into groups_ when node i opens a group,
-  /// else 0.
-  std::vector<std::size_t> group_start_;
-  runtime::IntraOp intra_{};
   std::size_t input_features_ = 0;
   /// Shared per-op wall-time accumulator; null = untimed fast path.
   std::shared_ptr<obs::OpProfile> profile_;

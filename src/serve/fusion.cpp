@@ -10,9 +10,6 @@ namespace dstee::serve {
 namespace {
 
 bool is_csr_producer(const PlanOp& op) {
-  // Only whole CSR nodes fuse — kRowSlice never appears before
-  // PartitionRows, which runs after fusion and propagates epilogues onto
-  // the slices itself.
   return op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv;
 }
 

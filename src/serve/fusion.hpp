@@ -20,11 +20,9 @@
 // reproduces the standalone kernels op-for-op, and IEEE float addition is
 // commutative bitwise so either kAdd operand order yields the same bits.
 //
-// Composition: run FuseEpilogue BEFORE PartitionRows — a split fused node
-// propagates its epilogue (and residual edge) onto every row slice, each
-// adding its own row range of the shared residual. Delta patching
-// composes for free: apply_delta_to_plan rewrites csr/bias through the
-// provenance ordinals and never touches the epilogue annotation.
+// Delta patching composes for free: apply_delta_to_plan rewrites
+// csr/bias through the provenance ordinals and never touches the
+// epilogue annotation.
 #pragma once
 
 #include "serve/passes.hpp"

@@ -9,11 +9,6 @@
 //                     the single CSR producer feeding it
 //   FreeAfterLastUse  annotates each node with the intermediates that die
 //                     after it, so the executor releases tensors eagerly
-//   PartitionRows     splits the row range of any CSR node whose cost
-//                     share exceeds a threshold into cost-balanced
-//                     RowSlice sub-ops joined by a concat node — the
-//                     row-range sharding step: one sample's heaviest
-//                     layers execute in parallel across the runtime pool
 //
 //   FuseEpilogue      absorbs activation / residual-add consumers into
 //                     the producing CSR node as a fused kernel epilogue
@@ -26,12 +21,12 @@
 // build the whole pipeline from a named spec string:
 //
 //   serve::Compiler compiler(options);
-//   compiler.add_pass(std::make_unique<serve::PartitionRows>(popts));
+//   compiler.add_pass(std::make_unique<serve::FuseEpilogue>());
 //   serve::Plan plan = compiler.plan(model, &smodel);   // inspect / dump
 //   serve::CompiledNet net = compiler.bind(std::move(plan));
 //
 //   compiler.pipeline_from_spec(
-//       "elide-dropout,fold-bn,fuse-epilogue,partition-rows:4");
+//       "elide-dropout,fold-bn,fuse-epilogue,quantize:int8");
 //
 // Every built-in pass is in the registry under its name() (plus the
 // spec aliases "fold-bn"/"fold_bn"); Compiler::register_pass adds custom
@@ -86,58 +81,11 @@ class FreeAfterLastUse final : public Pass {
   void run(Plan& plan) const override;
 };
 
-/// Knobs for PartitionRows.
-struct PartitionRowsOptions {
-  /// Number of row-range slices per split node (k >= 2).
-  std::size_t ways = 2;
-  /// Split a CSR node when its share of the plan's executed FLOPs (or of
-  /// total nnz when no sample_shape is given) reaches this fraction.
-  double min_cost_share = 0.25;
-  /// Sample shape (no batch axis) used to compute per-node FLOPs shares;
-  /// rank 0 falls back to nnz shares (exact for Linear, a proxy for conv
-  /// whose per-position cost still scales with nnz).
-  tensor::Shape sample_shape{};
-  /// Measure instead of model ("partition-rows:auto" in specs): bind a
-  /// probe executor over the plan, run a few deterministic forwards with
-  /// per-op profiling, and pick the nodes to split from the
-  /// OBSERVED wall-time shares — cache effects, fused epilogues and
-  /// kernel dispatch included, which the analytic nnz/FLOPs model cannot
-  /// see. Requires sample_shape (the probe needs an input); a probe that
-  /// measures nothing falls back to the analytic cost. Slice BOUNDARIES
-  /// still come from balanced_row_splits, so the partitioned program
-  /// stays bit-identical to the unpartitioned one either way — auto only
-  /// changes WHICH nodes split.
-  bool auto_mode = false;
-  std::size_t probe_batch = 4;  ///< rows in the probe input
-  std::size_t probe_iters = 3;  ///< timed forwards to accumulate
-};
-
-/// Splits the heaviest CSR nodes into `ways` cost-balanced row-range
-/// slices (CsrMatrix::balanced_row_splits — equal stored-nonzero work per
-/// slice, per Parger et al.'s cost-proportional balancing) joined by a
-/// concat node. A split conv additionally hoists its im2col into a shared
-/// patch-buffer node so the patches are computed once, not once per
-/// slice. The executor runs each slice group as one fan-out on the
-/// runtime pool; results match the unpartitioned program bit-for-bit
-/// because row slicing preserves every per-row reduction order.
-class PartitionRows final : public Pass {
- public:
-  explicit PartitionRows(PartitionRowsOptions options = {});
-  std::string name() const override { return "partition_rows"; }
-  void run(Plan& plan) const override;
-
- private:
-  PartitionRowsOptions options_;
-};
-
-/// Rewrites every fp32 CSR weight node (kSpmm / kConv / kRowSlice) to
-/// int8 weights with per-row fp32 scales (sparse::QCsrMatrix — symmetric
+/// Rewrites every fp32 CSR weight node (kSpmm / kConv) to int8 weights
+/// with per-row fp32 scales (sparse::QCsrMatrix — symmetric
 /// round-to-nearest, fp32 accumulation). Registered as "quantize" with an
 /// optional mode argument ("quantize:int8", the only supported mode).
-/// Composes on either side of PartitionRows: quantization is memoized per
-/// source matrix, so the slices of a split node keep sharing ONE
-/// quantized parent, and PartitionRows can split quantized nodes. Weight
-/// bytes drop to ~5/8 of fp32 storage per nonzero (int8 value + uint32
+/// Weight bytes drop to ~5/8 of fp32 storage per nonzero (int8 value + uint32
 /// index vs fp32 + uint32) plus one fp32 scale per row — annotate() and
 /// Plan::total_weight_bytes() report the reduction.
 class QuantizeWeights final : public Pass {
@@ -168,7 +116,7 @@ class Compiler {
   /// Replaces the pipeline with the passes named in `spec`: a
   /// comma-separated list of registry names, each optionally followed by
   /// ":"-separated arguments — e.g.
-  /// "elide-dropout,fold-bn,fuse-epilogue,partition-rows:4:0.25".
+  /// "elide-dropout,fold-bn,fuse-epilogue,quantize:int8".
   /// Unknown names fail loudly. Returns *this for chaining.
   Compiler& pipeline_from_spec(const std::string& spec);
 

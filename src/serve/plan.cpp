@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "models/resnet.hpp"
@@ -27,8 +26,6 @@ const char* to_string(PlanOpKind kind) {
       return "spmm";
     case PlanOpKind::kConv:
       return "spconv";
-    case PlanOpKind::kIm2col:
-      return "im2col";
     case PlanOpKind::kScaleShift:
       return "scale_shift";
     case PlanOpKind::kActivation:
@@ -45,10 +42,6 @@ const char* to_string(PlanOpKind kind) {
       return "global_avg_pool";
     case PlanOpKind::kAdd:
       return "add";
-    case PlanOpKind::kRowSlice:
-      return "row_slice";
-    case PlanOpKind::kConcatChannels:
-      return "concat";
   }
   return "?";
 }
@@ -100,27 +93,15 @@ std::size_t weights_nnz(const PlanOp& op) {
   return op.csr != nullptr ? op.csr->nnz() : op.qcsr->nnz();
 }
 
-std::size_t slice_nnz(const PlanOp& op) {
-  return op.csr != nullptr
-             ? op.csr->row_slice(op.row_begin, op.row_end).nnz()
-             : op.qcsr->row_slice(op.row_begin, op.row_end).nnz();
-}
-
-// Weight bytes this node streams at run time. Row slices count their own
-// row range (the parent's bytes split across the group); fp32 CSR is
-// 4-byte values + 4-byte column indices, int8 QCsr is 1-byte values +
-// 4-byte indices + one fp32 scale per row; both stream size_t row_ptr.
+// Weight bytes this node streams at run time: fp32 CSR is 4-byte values
+// + 4-byte column indices, int8 QCsr is 1-byte values + 4-byte indices +
+// one fp32 scale per row; both stream size_t row_ptr. 0 for non-CSR
+// nodes.
 std::size_t node_weight_bytes(const PlanOp& op) {
-  const bool slice = op.kind == PlanOpKind::kRowSlice;
-  const std::size_t rows =
-      slice ? op.row_end - op.row_begin : weights_rows(op);
-  const std::size_t nnz = slice ? slice_nnz(op) : weights_nnz(op);
-  if (op.qcsr != nullptr) {
-    return nnz * (sizeof(std::int8_t) + sizeof(std::uint32_t)) +
-           rows * sizeof(float) + (rows + 1) * sizeof(std::size_t);
-  }
-  return nnz * (sizeof(float) + sizeof(std::uint32_t)) +
-         (rows + 1) * sizeof(std::size_t);
+  if (op.qcsr != nullptr) return op.qcsr->weight_bytes();
+  if (op.csr == nullptr) return 0;
+  return op.csr->nnz() * (sizeof(float) + sizeof(std::uint32_t)) +
+         op.csr->row_ptr().size() * sizeof(std::size_t);
 }
 
 // FLOPs the fused epilogue adds per node: one add for the residual and
@@ -169,20 +150,8 @@ void bn_scale_shift(const nn::BatchNorm& bn, std::vector<float>& scale,
 }
 
 std::size_t Plan::total_weight_bytes() const {
-  // Sum over distinct matrices, not nodes: every kRowSlice in a partition
-  // group shares its parent's storage, so counting per node would
-  // multiply the parent by the partition factor.
-  std::unordered_set<const void*> seen;
   std::size_t bytes = 0;
-  for (const PlanOp& op : ops) {
-    if (op.csr != nullptr && seen.insert(op.csr.get()).second) {
-      bytes += op.csr->nnz() * (sizeof(float) + sizeof(std::uint32_t)) +
-               op.csr->row_ptr().size() * sizeof(std::size_t);
-    }
-    if (op.qcsr != nullptr && seen.insert(op.qcsr.get()).second) {
-      bytes += op.qcsr->weight_bytes();
-    }
-  }
+  for (const PlanOp& op : ops) bytes += node_weight_bytes(op);
   return bytes;
 }
 
@@ -242,43 +211,6 @@ std::vector<Plan::NodeCost> Plan::annotate(
         c.flops += ep;
         c.dense_flops += ep;
         c.weight_bytes = node_weight_bytes(op);
-        break;
-      }
-      case PlanOpKind::kIm2col: {
-        const tensor::ConvGeometry g = conv_geometry(op, in.dim(2), in.dim(3));
-        c.out_shape =
-            tensor::Shape({batch, g.patch_size(), g.out_h(), g.out_w()});
-        break;
-      }
-      case PlanOpKind::kRowSlice: {
-        const std::size_t rows = op.row_end - op.row_begin;
-        const std::size_t nnz = slice_nnz(op);
-        if (op.conv_slice) {
-          // Input is the patch buffer [N, P, OH, OW].
-          c.out_shape = tensor::Shape({batch, rows, in.dim(2), in.dim(3)});
-          c.flops = sparse::conv_nnz_flops(nnz, in.dim(2), in.dim(3), batch);
-          c.dense_flops = sparse::conv_nnz_flops(rows * weights_cols(op),
-                                                 in.dim(2), in.dim(3), batch);
-        } else {
-          c.out_shape = tensor::Shape({batch, rows});
-          c.flops = sparse::linear_nnz_flops(nnz, batch);
-          c.dense_flops =
-              sparse::linear_nnz_flops(rows * weights_cols(op), batch);
-        }
-        const double ep = epilogue_flops(op, c.out_shape.numel());
-        c.flops += ep;
-        c.dense_flops += ep;
-        c.weight_bytes = node_weight_bytes(op);
-        break;
-      }
-      case PlanOpKind::kConcatChannels: {
-        std::size_t channels = 0;
-        for (const std::size_t in_id : op.inputs) {
-          channels += shape_of(in_id).dim(1);
-        }
-        std::vector<std::size_t> out = in.dims();
-        out[1] = channels;
-        c.out_shape = tensor::Shape(out);
         break;
       }
       case PlanOpKind::kFlatten:
@@ -380,9 +312,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
   if (residual_joins > 0) {
     out += ", " + std::to_string(residual_joins) + " residual joins";
   }
-  if (partitioned_ops > 0) {
-    out += ", " + std::to_string(partitioned_ops) + " partitioned";
-  }
   if (fused_ops > 0) {
     out += ", " + std::to_string(fused_ops) + " fused";
   }
@@ -419,22 +348,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
         append_fused(out, op);
         out += ")";
         break;
-      case PlanOpKind::kIm2col:
-        out += "(" + std::to_string(op.in_channels) + "ch, k" +
-               std::to_string(op.kernel) + " s" + std::to_string(op.stride) +
-               " p" + std::to_string(op.padding) + ")";
-        break;
-      case PlanOpKind::kRowSlice:
-        out += "(rows " + std::to_string(op.row_begin) + ":" +
-               std::to_string(op.row_end) + " of " +
-               std::to_string(weights_rows(op)) +
-               ", nnz=" + std::to_string(slice_nnz(op)) + ", group " +
-               std::to_string(op.partition_group);
-        if (op.conv_slice) out += ", conv";
-        if (op.qcsr != nullptr) out += ", int8";
-        append_fused(out, op);
-        out += ")";
-        break;
       case PlanOpKind::kScaleShift:
         out += "(" + std::to_string(op.scale.size()) + ")";
         break;
@@ -456,7 +369,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
         break;
       case PlanOpKind::kFlatten:
       case PlanOpKind::kGlobalAvgPool:
-      case PlanOpKind::kConcatChannels:
         break;
     }
     if (!costs.empty()) {
@@ -484,23 +396,18 @@ void Plan::validate() const {
                 "plan op " + std::to_string(i) + " has no inputs");
     // CSR nodes gain a second input (the residual edge) when FuseEpilogue
     // absorbed a residual add into them.
-    const bool csr_kind = op.kind == PlanOpKind::kSpmm ||
-                          op.kind == PlanOpKind::kConv ||
-                          op.kind == PlanOpKind::kRowSlice;
+    const bool csr_kind =
+        op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv;
     const std::size_t want =
-        op.kind == PlanOpKind::kAdd
+        op.kind == PlanOpKind::kAdd ||
+                (csr_kind && op.epilogue.add_residual)
             ? 2
-            : op.kind == PlanOpKind::kConcatChannels
-                  ? op.inputs.size()
-                  : csr_kind && op.epilogue.add_residual ? 2 : 1;
-    util::check(op.inputs.size() == want && want >= 1,
+            : 1;
+    util::check(op.inputs.size() == want,
                 "plan op " + std::to_string(i) + " has wrong arity");
     util::check(csr_kind || op.epilogue.empty(),
                 "plan op " + std::to_string(i) +
                     " carries an epilogue on a non-CSR kind");
-    if (op.kind == PlanOpKind::kConcatChannels) {
-      util::check(op.inputs.size() >= 2, "concat needs >= 2 inputs");
-    }
     for (const std::size_t in : op.inputs) {
       util::check(in == kInputId || in < i,
                   "plan op " + std::to_string(i) +
@@ -514,11 +421,6 @@ void Plan::validate() const {
       util::check(op.csr == nullptr && op.qcsr == nullptr,
                   "non-CSR plan op " + std::to_string(i) +
                       " carries weights");
-    }
-    if (op.kind == PlanOpKind::kRowSlice) {
-      util::check(op.row_begin < op.row_end &&
-                      op.row_end <= weights_rows(op),
-                  "row_slice range invalid at op " + std::to_string(i));
     }
   }
   if (!release_after.empty()) {

@@ -3,16 +3,16 @@
 // The serve stack used to lower, optimize and bind in one monolithic
 // CompiledNet::compile(): BN folding, dropout elision and the
 // free-after-last-use policy were hard-coded into the module walk, so
-// there was no seam where a new graph optimization (row-range
-// partitioning, NUMA placement) could be inserted or tested on its own.
+// there was no seam where a new graph optimization (epilogue fusion,
+// int8 weights) could be inserted or tested on its own.
 // The redesign splits compilation into three explicit stages:
 //
 //   Lowering (this file)  nn::Sequential + SparseModel → Plan, one PlanOp
 //                         per module, weights converted to CSR, no
 //                         optimization decisions at all
 //   Passes (passes.hpp)   named rewrites over the Plan — FoldBatchNorm,
-//                         ElideDropout, FreeAfterLastUse, PartitionRows —
-//                         composed by serve::Compiler
+//                         ElideDropout, FreeAfterLastUse, FuseEpilogue,
+//                         QuantizeWeights — composed by serve::Compiler
 //   Executor              binds a finished Plan to EvalOps + a
 //   (executor.hpp)        runtime::IntraOp policy; CompiledNet stays the
 //                         thin serving facade over the bound program
@@ -21,9 +21,8 @@
 // pattern-match on `kind` and rewrite vectors in place, the way graph IRs
 // do it (compare the MXNet executor's node-attribute graph). Each node
 // names its producers by id; Plan::annotate() propagates a sample shape
-// through the DAG to attach per-node shapes, executed FLOPs and cost
-// shares — the signal PartitionRows balances against, and what
-// `dstee_serve --dump-plan` prints.
+// through the DAG to attach per-node shapes, executed FLOPs, weight
+// bytes and cost shares — what `dstee_serve --dump-plan` prints.
 #pragma once
 
 #include <memory>
@@ -45,38 +44,32 @@ class BatchNorm;
 
 namespace dstee::serve {
 
-/// Node kinds a Plan can hold. Lowering emits the module-shaped subset;
-/// kIm2col / kRowSlice / kConcatChannels only appear once PartitionRows
-/// has rewritten a CSR node into cost-balanced row-range sub-ops.
+/// Node kinds a Plan can hold, one per lowered module kind.
 enum class PlanOpKind {
-  kSpmm,            ///< CSR Linear: Y = X·Wᵀ + b
-  kConv,            ///< CSR conv: per-image im2col + SpMM over patches
-  kIm2col,          ///< materialized patch matrix [N, Cin·K·K, OH, OW]
-  kScaleShift,      ///< eval-mode batch-norm as per-channel affine
-  kActivation,      ///< ReLU / LeakyReLU / Sigmoid / Tanh
-  kDropout,         ///< identity at eval; removed by ElideDropout
-  kFlatten,         ///< [N, ...] → [N, features]
-  kMaxPool,         ///< 2-d max pooling
-  kAvgPool,         ///< 2-d average pooling
-  kGlobalAvgPool,   ///< [N, C, H, W] → [N, C]
-  kAdd,             ///< residual join: a + b, optionally through ReLU
-  kRowSlice,        ///< rows [row_begin, row_end) of a partitioned CSR op
-  kConcatChannels,  ///< joins row slices along axis 1 (features/channels)
+  kSpmm,           ///< CSR Linear: Y = X·Wᵀ + b
+  kConv,           ///< CSR conv: per-image im2col + SpMM over patches
+  kScaleShift,     ///< eval-mode batch-norm as per-channel affine
+  kActivation,     ///< ReLU / LeakyReLU / Sigmoid / Tanh
+  kDropout,        ///< identity at eval; removed by ElideDropout
+  kFlatten,        ///< [N, ...] → [N, features]
+  kMaxPool,        ///< 2-d max pooling
+  kAvgPool,        ///< 2-d average pooling
+  kGlobalAvgPool,  ///< [N, C, H, W] → [N, C]
+  kAdd,            ///< residual join: a + b, optionally through ReLU
 };
 
-/// Short lowercase name for dumps ("spmm", "row_slice", ...).
+/// Short lowercase name for dumps ("spmm", "spconv", ...).
 const char* to_string(PlanOpKind kind);
 
 /// Activation kinds are the kernel layer's: the plan annotation and the
 /// fused kernels::Epilogue a bound op builds from it can never disagree.
 using ActKind = kernels::ActKind;
 
-/// Fused-epilogue annotation on a producing CSR node (kSpmm / kConv and
-/// the kRowSlice sub-ops PartitionRows derives from them). FuseEpilogue
-/// absorbs a downstream kActivation and/or residual kAdd into the node;
-/// the executor lowers this to a kernels::Epilogue applied in the
-/// kernel's output loop. Empty (the default) means the node computes the
-/// plain affine product, exactly as before fusion existed.
+/// Fused-epilogue annotation on a producing CSR node (kSpmm / kConv).
+/// FuseEpilogue absorbs a downstream kActivation and/or residual kAdd
+/// into the node; the executor lowers this to a kernels::Epilogue
+/// applied in the kernel's output loop. Empty (the default) means the
+/// node computes the plain affine product.
 struct PlanEpilogue {
   bool add_residual = false;  ///< inputs[1] is added before activation
   bool has_act = false;
@@ -88,21 +81,18 @@ struct PlanEpilogue {
 
 /// One plan node. Which fields are meaningful depends on `kind` (see the
 /// member comments); everything else stays at its default. Weights are
-/// held through shared_ptr so a kRowSlice node views its source matrix
-/// zero-copy instead of duplicating nonzeros per partition.
+/// held through shared_ptr so plan copies, the bound executor and delta
+/// patches share one matrix per node instead of duplicating nonzeros.
 struct PlanOp {
-  static constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
-
   PlanOpKind kind = PlanOpKind::kSpmm;
   /// Producer node ids (Plan::kInputId = the network input). Unary ops
-  /// have one entry, kAdd has two, kConcatChannels one per slice.
+  /// have one entry, kAdd has two.
   std::vector<std::size_t> inputs;
 
-  // kSpmm / kConv / kRowSlice ------------------------------------------
-  std::shared_ptr<sparse::CsrMatrix> csr;  ///< weights (shared with slices)
+  // kSpmm / kConv ------------------------------------------------------
+  std::shared_ptr<sparse::CsrMatrix> csr;  ///< fp32 weights
   /// Int8-quantized weights (QuantizeWeights pass). A CSR node carries
-  /// exactly one of csr / qcsr — validate() enforces it; slices of a
-  /// quantized node share the parent's QCsrMatrix like csr slices do.
+  /// exactly one of csr / qcsr — validate() enforces it.
   std::shared_ptr<sparse::QCsrMatrix> qcsr;
   tensor::Tensor bias;                     ///< per output row/channel
   bool has_bias = false;
@@ -112,7 +102,7 @@ struct PlanOp {
   /// the extra arity on CSR kinds.
   PlanEpilogue epilogue;
 
-  // kConv / kIm2col / conv-sliced kRowSlice ----------------------------
+  // kConv --------------------------------------------------------------
   std::size_t in_channels = 0;
   std::size_t kernel = 0;
   std::size_t stride = 1;
@@ -137,18 +127,9 @@ struct PlanOp {
   // kAdd ---------------------------------------------------------------
   bool relu_after_add = false;
 
-  // kRowSlice ----------------------------------------------------------
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
-  bool conv_slice = false;  ///< input is a kIm2col patch buffer
-  /// Slices created by one PartitionRows split share a group id; the
-  /// executor runs each group as one fan-out on the runtime pool.
-  std::size_t partition_group = kNoGroup;
-
   // Provenance (delta patching) ----------------------------------------
   static constexpr std::size_t kNoOrdinal = static_cast<std::size_t>(-1);
-  /// For kSpmm/kConv (and the kRowSlice sub-ops PartitionRows derives
-  /// from them): index of the originating Linear/Conv2d in lowering
+  /// For kSpmm/kConv: index of the originating Linear/Conv2d in lowering
   /// order — the key serve::ApplyDelta uses to rebuild only the nodes a
   /// checkpoint delta touched. Matches collect_lowered_modules().
   std::size_t sparse_ordinal = kNoOrdinal;
@@ -173,20 +154,19 @@ struct Plan {
   std::vector<std::vector<std::size_t>> release_after;
 
   // Model-wide counters (lowering fills them; passes update elided /
-  // partitioned).
+  // fused / quantized).
   std::size_t sparse_ops = 0;
   std::size_t elided = 0;
   std::size_t residual_joins = 0;
   std::size_t total_nnz = 0;
   std::size_t total_weights = 0;
-  std::size_t partitioned_ops = 0;
   std::size_t fused_ops = 0;  ///< CSR nodes carrying a FuseEpilogue annotation
   std::size_t quantized_ops = 0;  ///< CSR nodes rewritten to int8 weights
 
-  /// Weight bytes a replica streams, summed over DISTINCT weight matrices
-  /// (row slices share their parent): fp32 CSR counts values + uint32
-  /// col_idx + row_ptr; int8 QCsr counts values + col_idx + row scales +
-  /// row_ptr. The memory lever QuantizeWeights moves.
+  /// Weight bytes a replica streams, summed over the CSR nodes (each
+  /// owns its own matrix): fp32 CSR counts values + uint32 col_idx +
+  /// row_ptr; int8 QCsr counts values + col_idx + row scales + row_ptr.
+  /// The memory lever QuantizeWeights moves.
   std::size_t total_weight_bytes() const;
 
   std::size_t size() const { return ops.size(); }
@@ -202,8 +182,7 @@ struct Plan {
     double flops = 0.0;
     double dense_flops = 0.0;
     double share = 0.0;
-    /// Weight bytes THIS node streams (slices report their own row
-    /// range's share of the parent). 0 for non-weight ops.
+    /// Weight bytes THIS node streams. 0 for non-weight ops.
     std::size_t weight_bytes = 0;
     /// Measured wall milliseconds per node (summed over the profile's
     /// forwards), 0 when annotate ran without a measured profile.
@@ -220,7 +199,7 @@ struct Plan {
 
   /// Human-readable plan listing: one line per node with kind, config,
   /// nnz, and — when `sample_shape` is given — output shape, FLOPs and
-  /// cost share. Partitioned nodes show their row range and group.
+  /// cost share.
   std::string dump(const tensor::Shape* sample_shape = nullptr) const;
 
   /// Structural invariants: producer ids precede consumers, arities match

@@ -68,12 +68,6 @@ void ModelRegistry::add_model(const std::string& name,
   }
 
   auto slot = std::make_unique<Slot>(std::move(options));
-  if (slot->options.partition_ways >= 2) {
-    PartitionRowsOptions popts;
-    popts.ways = slot->options.partition_ways;
-    popts.min_cost_share = slot->options.partition_min_cost_share;
-    slot->compiler.add_pass(std::make_unique<PartitionRows>(popts));
-  }
   slot->module = std::move(module);
   slot->state = std::move(state);
 

@@ -92,9 +92,6 @@ struct SwapReport {
 struct ModelOptions {
   ServerConfig server;
   CompileOptions compile;
-  /// >= 2 appends a PartitionRows pass with this many ways.
-  std::size_t partition_ways = 0;
-  double partition_min_cost_share = 0.25;
   AutoscalerConfig autoscaler;
 };
 

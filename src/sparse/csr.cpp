@@ -1,6 +1,5 @@
 #include "sparse/csr.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -16,81 +15,17 @@ static_assert(sizeof(std::uint32_t) == 4);
 
 namespace {
 
-kernels::simd::CsrView view_of(const std::size_t* row_ptr,
-                               const std::uint32_t* col_idx,
-                               const float* values, std::size_t rows,
-                               std::size_t cols) {
-  return kernels::simd::CsrView{row_ptr, col_idx, values, rows, cols};
+kernels::simd::CsrView view_of(const CsrMatrix& m) {
+  return kernels::simd::CsrView{m.row_ptr().data(), m.col_idx().data(),
+                                m.values().data(), m.rows(), m.cols()};
+}
+
+const kernels::simd::KernelBackend& backend_or_active(
+    const kernels::simd::KernelBackend* backend) {
+  return backend != nullptr ? *backend : kernels::simd::active_backend();
 }
 
 }  // namespace
-
-double CsrRowSlice::density() const {
-  const double total = static_cast<double>(rows_) * static_cast<double>(cols_);
-  return total > 0.0 ? static_cast<double>(nnz()) / total : 0.0;
-}
-
-tensor::Tensor CsrRowSlice::spmm(const tensor::Tensor& x,
-                                 const runtime::IntraOp& intra,
-                                 const kernels::Epilogue& ep,
-                                 const kernels::simd::KernelBackend* backend)
-    const {
-  tensor::Tensor y({x.rank() == 2 ? x.dim(0) : 0, rows_});
-  spmm_into(x, y.raw(), intra, ep, backend);
-  return y;
-}
-
-void CsrRowSlice::spmm_into(const tensor::Tensor& x, float* out,
-                            const runtime::IntraOp& intra,
-                            const kernels::Epilogue& ep,
-                            const kernels::simd::KernelBackend* backend)
-    const {
-  util::check(x.rank() == 2 && x.dim(1) == cols_,
-              "spmm expects [batch, cols]");
-  util::check(ep.residual == nullptr || ep.residual_stride > 0,
-              "spmm fused residual requires residual_stride");
-  const std::size_t batch = x.dim(0);
-  const kernels::simd::KernelBackend& be =
-      backend != nullptr ? *backend : kernels::simd::active_backend();
-  const kernels::simd::CsrView a =
-      view_of(row_ptr_, col_idx_, values_, rows_, cols_);
-
-  // One worker computes output rows [r0, r1) for every batch sample: the
-  // chunk's values/col_idx stream stays hot across samples and each
-  // output element has exactly one writer. Backends finish each value
-  // before the store — bias, then residual, then activation, the exact
-  // op order of the unfused node sequence it replaces — and are
-  // bit-identical to each other, so results don't depend on dispatch.
-  runtime::intra_chunks(intra, rows_, [&](std::size_t r0, std::size_t r1) {
-    be.spmm_rows(a, x.raw(), batch, out, r0, r1, ep);
-  });
-}
-
-void CsrRowSlice::spmm_cols_into(const float* b, std::size_t n, float* out,
-                                 const kernels::Epilogue& ep,
-                                 const kernels::simd::KernelBackend* backend)
-    const {
-  const kernels::simd::KernelBackend& be =
-      backend != nullptr ? *backend : kernels::simd::active_backend();
-  be.spmm_cols(view_of(row_ptr_, col_idx_, values_, rows_, cols_), b, n, out,
-               ep);
-}
-
-CsrRowSlice CsrRowSlice::row_slice(std::size_t r0, std::size_t r1) const {
-  util::check(r0 <= r1 && r1 <= rows_,
-              "row_slice requires 0 <= r0 <= r1 <= rows");
-  return CsrRowSlice(row_ptr_ + r0, col_idx_, values_, r1 - r0, cols_);
-}
-
-tensor::Tensor CsrRowSlice::to_dense() const {
-  tensor::Tensor dense({rows_, cols_});
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      dense[r * cols_ + col_idx_[k]] = values_[k];
-    }
-  }
-  return dense;
-}
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {
@@ -172,9 +107,32 @@ tensor::Tensor CsrMatrix::spmm(const tensor::Tensor& x,
                                const kernels::Epilogue& ep,
                                const kernels::simd::KernelBackend* backend)
     const {
-  // The batched SpMM *is* the full-range slice: one loop nest serves the
-  // whole matrix and every PartitionRows sub-range bit-identically.
-  return row_slice(0, rows_).spmm(x, intra, ep, backend);
+  tensor::Tensor y({x.rank() == 2 ? x.dim(0) : 0, rows_});
+  spmm_into(x, y.raw(), intra, ep, backend);
+  return y;
+}
+
+void CsrMatrix::spmm_into(const tensor::Tensor& x, float* out,
+                          const runtime::IntraOp& intra,
+                          const kernels::Epilogue& ep,
+                          const kernels::simd::KernelBackend* backend) const {
+  util::check(x.rank() == 2 && x.dim(1) == cols_,
+              "spmm expects [batch, cols]");
+  util::check(ep.residual == nullptr || ep.residual_stride > 0,
+              "spmm fused residual requires residual_stride");
+  const std::size_t batch = x.dim(0);
+  const kernels::simd::KernelBackend& be = backend_or_active(backend);
+  const kernels::simd::CsrView a = view_of(*this);
+
+  // One worker computes output rows [r0, r1) for every batch sample: the
+  // chunk's values/col_idx stream stays hot across samples and each
+  // output element has exactly one writer. Backends finish each value
+  // before the store — bias, then residual, then activation, the exact
+  // op order of the unfused node sequence it replaces — and are
+  // bit-identical to each other, so results don't depend on dispatch.
+  runtime::intra_chunks(intra, rows_, [&](std::size_t r0, std::size_t r1) {
+    be.spmm_rows(a, x.raw(), batch, out, r0, r1, ep);
+  });
 }
 
 tensor::Tensor CsrMatrix::spmm(const tensor::Tensor& x,
@@ -194,42 +152,14 @@ void CsrMatrix::spmm_cols_into(const tensor::Tensor& cols, float* out,
     const {
   util::check(cols.rank() == 2 && cols.dim(0) == cols_,
               "spmm_cols expects [cols, n]");
-  row_slice(0, rows_).spmm_cols_into(cols.raw(), cols.dim(1), out, ep,
-                                     backend);
+  spmm_cols_into(cols.raw(), cols.dim(1), out, ep, backend);
 }
 
-CsrRowSlice CsrMatrix::row_slice(std::size_t r0, std::size_t r1) const {
-  util::check(r0 <= r1 && r1 <= rows_,
-              "row_slice requires 0 <= r0 <= r1 <= rows");
-  return CsrRowSlice(row_ptr_.data() + r0, col_idx_.data(), values_.data(),
-                     r1 - r0, cols_);
-}
-
-std::vector<std::size_t> CsrMatrix::balanced_row_splits(
-    std::size_t ways) const {
-  util::check(ways >= 1 && ways <= rows_,
-              "balanced_row_splits requires 1 <= ways <= rows");
-  std::vector<std::size_t> bounds(ways + 1, 0);
-  bounds[ways] = rows_;
-  const std::size_t total = nnz();
-  for (std::size_t j = 1; j < ways; ++j) {
-    // Boundary whose prefix nnz lands nearest the j-th equal share
-    // (lower_bound alone can overshoot badly past a heavy row).
-    const std::size_t target = (total * j + ways / 2) / ways;
-    std::size_t b = static_cast<std::size_t>(
-        std::lower_bound(row_ptr_.begin(), row_ptr_.end(), target) -
-        row_ptr_.begin());
-    if (b > 0 && (b > rows_ ||
-                  target - row_ptr_[b - 1] <= row_ptr_[b] - target)) {
-      --b;
-    }
-    // Every range keeps at least one row, even when all nonzeros pile
-    // into a few rows (a range may then own zero nonzeros, never zero
-    // rows — the slice kernels handle empty rows already).
-    b = std::clamp(b, j, rows_ - (ways - j));
-    bounds[j] = std::max(b, bounds[j - 1] + 1);
-  }
-  return bounds;
+void CsrMatrix::spmm_cols_into(const float* b, std::size_t n, float* out,
+                               const kernels::Epilogue& ep,
+                               const kernels::simd::KernelBackend* backend)
+    const {
+  backend_or_active(backend).spmm_cols(view_of(*this), b, n, out, ep);
 }
 
 void CsrMatrix::scale_rows(std::span<const float> scale) {
@@ -250,55 +180,6 @@ tensor::Tensor CsrMatrix::to_dense() const {
     }
   }
   return dense;
-}
-
-SparseLinearStack::SparseLinearStack(std::vector<CsrMatrix> layers,
-                                     std::vector<tensor::Tensor> biases)
-    : layers_(std::move(layers)), biases_(std::move(biases)) {
-  util::check(!layers_.empty(), "sparse stack requires at least one layer");
-  util::check(biases_.size() == layers_.size(),
-              "one bias entry (possibly empty) per layer required");
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    util::check(layers_[i].cols() == layers_[i - 1].rows(),
-                "layer dimensions do not chain");
-  }
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    util::check(biases_[i].numel() == 0 ||
-                    biases_[i].numel() == layers_[i].rows(),
-                "bias size must match layer output");
-  }
-}
-
-const CsrMatrix& SparseLinearStack::layer(std::size_t i) const {
-  util::check(i < layers_.size(), "layer index out of range");
-  return layers_[i];
-}
-
-std::size_t SparseLinearStack::total_nnz() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_) n += l.nnz();
-  return n;
-}
-
-tensor::Tensor SparseLinearStack::forward(const tensor::Tensor& x) const {
-  util::check(x.rank() == 2, "forward expects [batch, features]");
-  tensor::Tensor h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].matmul_nt(h);
-    const std::size_t out = layers_[i].rows();
-    if (biases_[i].numel() == out) {
-      for (std::size_t n = 0; n < h.dim(0); ++n) {
-        float* row = h.raw() + n * out;
-        for (std::size_t j = 0; j < out; ++j) row[j] += biases_[i][j];
-      }
-    }
-    if (i + 1 < layers_.size()) {  // ReLU between layers, none at the head
-      for (std::size_t j = 0; j < h.numel(); ++j) {
-        if (h[j] < 0.0f) h[j] = 0.0f;
-      }
-    }
-  }
-  return h;
 }
 
 }  // namespace dstee::sparse

@@ -24,81 +24,6 @@ struct KernelBackend;
 
 namespace dstee::sparse {
 
-class CsrMatrix;
-
-/// Zero-copy view over a contiguous row range [r0, r1) of a CsrMatrix.
-///
-/// The view borrows the parent's arrays (row_ptr entries stay absolute
-/// offsets into the parent's col_idx/values), so constructing one costs
-/// three pointers and slicing never touches the nonzeros. The parent must
-/// outlive every view; serve::PartitionRows keeps the parent alive through
-/// shared ownership. Row-parallel kernels on a slice follow the same
-/// one-writer-per-output contract as the parent's, so results are
-/// bit-identical to running the parent over the same rows.
-class CsrRowSlice {
- public:
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t nnz() const { return row_ptr_[rows_] - row_ptr_[0]; }
-
-  /// Density of the slice in [0, 1].
-  double density() const;
-
-  /// Batched SpMM over the slice: Y = X·A[r0:r1)ᵀ for X[batch, cols] →
-  /// Y[batch, rows()]. Same row-parallel chunking contract as
-  /// CsrMatrix::spmm (which is implemented as the full-range slice).
-  /// `ep` is applied to each output value while it is still in register:
-  /// Y[n, r] = act(acc + ep.bias[r] + ep.residual[n·stride + r]) — the
-  /// fused-epilogue path. ep.bias/ep.residual are indexed by the SLICE's
-  /// local row r; a slice of a wider output pre-offsets both pointers by
-  /// its row_begin and sets ep.residual_stride to the FULL output width.
-  /// `backend` picks the kernel implementation (nullptr = the process
-  /// active backend, see kernels::simd::active_backend()); all backends
-  /// are bit-identical, so this only affects speed.
-  tensor::Tensor spmm(const tensor::Tensor& x,
-                      const runtime::IntraOp& intra = {},
-                      const kernels::Epilogue& ep = {},
-                      const kernels::simd::KernelBackend* backend =
-                          nullptr) const;
-
-  /// spmm writing into caller storage of batch·rows() floats.
-  void spmm_into(const tensor::Tensor& x, float* out,
-                 const runtime::IntraOp& intra = {},
-                 const kernels::Epilogue& ep = {},
-                 const kernels::simd::KernelBackend* backend = nullptr) const;
-
-  /// Y = A[r0:r1)·B for a dense patch matrix B[cols, n] given as a raw
-  /// row-major pointer, writing rows()·n floats to `out` — the partitioned
-  /// conv path over a shared im2col buffer. `ep` finishes each output row
-  /// while it is hot: Y[r, j] = act(acc + ep.bias[r] + ep.residual[r·n +
-  /// j]) — ep.residual (when set) is laid out exactly like `out`, i.e.
-  /// already offset to this slice's block of the sample.
-  void spmm_cols_into(const float* b, std::size_t n, float* out,
-                      const kernels::Epilogue& ep = {},
-                      const kernels::simd::KernelBackend* backend =
-                          nullptr) const;
-
-  /// Slice of a slice: rows [r0, r1) of THIS view (still zero-copy into
-  /// the original parent).
-  CsrRowSlice row_slice(std::size_t r0, std::size_t r1) const;
-
-  /// Materializes the slice densely (tests / debugging).
-  tensor::Tensor to_dense() const;
-
- private:
-  friend class CsrMatrix;
-  CsrRowSlice(const std::size_t* row_ptr, const std::uint32_t* col_idx,
-              const float* values, std::size_t rows, std::size_t cols)
-      : row_ptr_(row_ptr), col_idx_(col_idx), values_(values), rows_(rows),
-        cols_(cols) {}
-
-  const std::size_t* row_ptr_;    ///< rows_+1 absolute offsets (parent-based)
-  const std::uint32_t* col_idx_;  ///< parent base pointer
-  const float* values_;           ///< parent base pointer
-  std::size_t rows_;
-  std::size_t cols_;
-};
-
 /// Compressed sparse row matrix (float values, row-major logical shape).
 class CsrMatrix {
  public:
@@ -137,12 +62,21 @@ class CsrMatrix {
   /// runtime::Pool; the default ({1, nullptr}) runs inline and never
   /// touches a pool. `ep` is the fused epilogue applied in the output
   /// loop (Y[n, r] = act(acc + bias[r] + residual[n·stride + r]); the
-  /// default is the identity).
+  /// default is the identity). `backend` picks the kernel implementation
+  /// (nullptr = the process active backend, see
+  /// kernels::simd::active_backend()); all backends are bit-identical, so
+  /// this only affects speed.
   tensor::Tensor spmm(const tensor::Tensor& x,
                       const runtime::IntraOp& intra = {},
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
+
+  /// spmm writing into caller storage of batch·rows() floats.
+  void spmm_into(const tensor::Tensor& x, float* out,
+                 const runtime::IntraOp& intra = {},
+                 const kernels::Epilogue& ep = {},
+                 const kernels::simd::KernelBackend* backend = nullptr) const;
 
   /// Chunk-count-only overload (threads 0 = pool-wide on the process
   /// default pool) for call sites without a pool to inject.
@@ -155,25 +89,21 @@ class CsrMatrix {
   tensor::Tensor spmm_cols(const tensor::Tensor& cols) const;
 
   /// spmm_cols writing into caller-owned storage of rows()·cols.dim(1)
-  /// floats — the per-image conv path, which writes straight into the
-  /// [N, Cout, Ho, Wo] output tensor without an intermediate. `ep`
-  /// follows the CsrRowSlice::spmm_cols_into layout (bias per row,
-  /// residual laid out like `out`).
+  /// floats. `ep` finishes each output row while it is hot: Y[r, j] =
+  /// act(acc + ep.bias[r] + ep.residual[r·n + j]) — ep.residual (when
+  /// set) is laid out exactly like `out`.
   void spmm_cols_into(const tensor::Tensor& cols, float* out,
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
 
-  /// Zero-copy view over rows [r0, r1) (r0 <= r1 <= rows()); this matrix
-  /// must outlive the view. The row-range unit of serve::PartitionRows.
-  CsrRowSlice row_slice(std::size_t r0, std::size_t r1) const;
-
-  /// Cost-balanced row partition: `ways`+1 non-decreasing boundaries
-  /// (first 0, last rows()) splitting the rows into `ways` contiguous
-  /// ranges of roughly equal stored-nonzero count — equal *work*, not
-  /// equal row count, since every CSR kernel's per-row cost is its nnz.
-  /// Each range keeps at least one row (requires ways <= rows()).
-  std::vector<std::size_t> balanced_row_splits(std::size_t ways) const;
+  /// spmm_cols_into over a raw row-major patch matrix B[cols(), n] — the
+  /// per-image conv path, which writes straight into the [N, Cout, Ho,
+  /// Wo] output tensor without an intermediate.
+  void spmm_cols_into(const float* b, std::size_t n, float* out,
+                      const kernels::Epilogue& ep = {},
+                      const kernels::simd::KernelBackend* backend =
+                          nullptr) const;
 
   /// Multiplies every stored value in row r by scale[r] (and bias folding
   /// callers adjust their bias separately). Used to fold an eval-mode
@@ -199,33 +129,6 @@ class CsrMatrix {
   std::vector<std::size_t> row_ptr_;
   std::vector<std::uint32_t> col_idx_;
   std::vector<float> values_;
-};
-
-/// Sparse-deployed MLP inference: converts every sparsifiable rank-2 layer
-/// of a SparseModel into CSR once, then serves forward passes without
-/// touching dense weights. Only Linear-chain models are supported (conv
-/// deployment would lower to CSR over im2col patches; out of scope here).
-class SparseLinearStack {
- public:
-  /// Captures CSR weights + dense biases from an MLP-shaped module whose
-  /// sparsifiable parameters are rank-2 [out, in] matrices, in order.
-  /// `biases[i]` may be empty when the layer has none.
-  SparseLinearStack(std::vector<CsrMatrix> layers,
-                    std::vector<tensor::Tensor> biases);
-
-  /// Forward with ReLU between layers (matching models::Mlp without
-  /// batch-norm/dropout, in eval mode).
-  tensor::Tensor forward(const tensor::Tensor& x) const;
-
-  std::size_t num_layers() const { return layers_.size(); }
-  const CsrMatrix& layer(std::size_t i) const;
-
-  /// Total stored nonzeros across layers.
-  std::size_t total_nnz() const;
-
- private:
-  std::vector<CsrMatrix> layers_;
-  std::vector<tensor::Tensor> biases_;
 };
 
 }  // namespace dstee::sparse

@@ -11,13 +11,15 @@ namespace dstee::sparse {
 
 namespace {
 
-kernels::simd::QCsrView view_of(const std::size_t* row_ptr,
-                                const std::uint32_t* col_idx,
-                                const std::int8_t* values,
-                                const float* scales, std::size_t rows,
-                                std::size_t cols) {
-  return kernels::simd::QCsrView{row_ptr, col_idx, values, scales, rows,
-                                 cols};
+kernels::simd::QCsrView view_of(const QCsrMatrix& m) {
+  return kernels::simd::QCsrView{m.row_ptr().data(), m.col_idx().data(),
+                                 m.values().data(), m.scales().data(),
+                                 m.rows(), m.cols()};
+}
+
+const kernels::simd::KernelBackend& backend_or_active(
+    const kernels::simd::KernelBackend* backend) {
+  return backend != nullptr ? *backend : kernels::simd::active_backend();
 }
 
 }  // namespace
@@ -57,68 +59,12 @@ tensor::Tensor QCsrMatrix::spmm(
     const tensor::Tensor& x, const runtime::IntraOp& intra,
     const kernels::Epilogue& ep,
     const kernels::simd::KernelBackend* backend) const {
-  return row_slice(0, rows_).spmm(x, intra, ep, backend);
-}
-
-void QCsrMatrix::spmm_cols_into(
-    const tensor::Tensor& cols, float* out, const kernels::Epilogue& ep,
-    const kernels::simd::KernelBackend* backend) const {
-  util::check(cols.rank() == 2 && cols.dim(0) == cols_,
-              "spmm_cols expects [cols, n]");
-  row_slice(0, rows_).spmm_cols_into(cols.raw(), cols.dim(1), out, ep,
-                                     backend);
-}
-
-QCsrRowSlice QCsrMatrix::row_slice(std::size_t r0, std::size_t r1) const {
-  util::check(r0 <= r1 && r1 <= rows_,
-              "row_slice requires 0 <= r0 <= r1 <= rows");
-  return QCsrRowSlice(row_ptr_.data() + r0, col_idx_.data(), values_.data(),
-                      scales_.data() + r0, r1 - r0, cols_);
-}
-
-std::vector<std::size_t> QCsrMatrix::balanced_row_splits(
-    std::size_t ways) const {
-  util::check(ways >= 1 && ways <= rows_,
-              "balanced_row_splits requires 1 <= ways <= rows");
-  std::vector<std::size_t> bounds(ways + 1, 0);
-  bounds[ways] = rows_;
-  const std::size_t total = nnz();
-  for (std::size_t j = 1; j < ways; ++j) {
-    const std::size_t target = (total * j + ways / 2) / ways;
-    std::size_t b = static_cast<std::size_t>(
-        std::lower_bound(row_ptr_.begin(), row_ptr_.end(), target) -
-        row_ptr_.begin());
-    if (b > 0 && (b > rows_ ||
-                  target - row_ptr_[b - 1] <= row_ptr_[b] - target)) {
-      --b;
-    }
-    b = std::clamp(b, j, rows_ - (ways - j));
-    bounds[j] = std::max(b, bounds[j - 1] + 1);
-  }
-  return bounds;
-}
-
-tensor::Tensor QCsrMatrix::to_dense() const {
-  return row_slice(0, rows_).to_dense();
-}
-
-std::size_t QCsrMatrix::weight_bytes() const {
-  return values_.size() * sizeof(std::int8_t) +
-         col_idx_.size() * sizeof(std::uint32_t) +
-         scales_.size() * sizeof(float) +
-         row_ptr_.size() * sizeof(std::size_t);
-}
-
-tensor::Tensor QCsrRowSlice::spmm(
-    const tensor::Tensor& x, const runtime::IntraOp& intra,
-    const kernels::Epilogue& ep,
-    const kernels::simd::KernelBackend* backend) const {
   tensor::Tensor y({x.rank() == 2 ? x.dim(0) : 0, rows_});
   spmm_into(x, y.raw(), intra, ep, backend);
   return y;
 }
 
-void QCsrRowSlice::spmm_into(
+void QCsrMatrix::spmm_into(
     const tensor::Tensor& x, float* out, const runtime::IntraOp& intra,
     const kernels::Epilogue& ep,
     const kernels::simd::KernelBackend* backend) const {
@@ -127,32 +73,28 @@ void QCsrRowSlice::spmm_into(
   util::check(ep.residual == nullptr || ep.residual_stride > 0,
               "spmm fused residual requires residual_stride");
   const std::size_t batch = x.dim(0);
-  const kernels::simd::KernelBackend& be =
-      backend != nullptr ? *backend : kernels::simd::active_backend();
-  const kernels::simd::QCsrView a =
-      view_of(row_ptr_, col_idx_, values_, scales_, rows_, cols_);
+  const kernels::simd::KernelBackend& be = backend_or_active(backend);
+  const kernels::simd::QCsrView a = view_of(*this);
   runtime::intra_chunks(intra, rows_, [&](std::size_t r0, std::size_t r1) {
     be.qspmm_rows(a, x.raw(), batch, out, r0, r1, ep);
   });
 }
 
-void QCsrRowSlice::spmm_cols_into(
+void QCsrMatrix::spmm_cols_into(
+    const tensor::Tensor& cols, float* out, const kernels::Epilogue& ep,
+    const kernels::simd::KernelBackend* backend) const {
+  util::check(cols.rank() == 2 && cols.dim(0) == cols_,
+              "spmm_cols expects [cols, n]");
+  spmm_cols_into(cols.raw(), cols.dim(1), out, ep, backend);
+}
+
+void QCsrMatrix::spmm_cols_into(
     const float* b, std::size_t n, float* out, const kernels::Epilogue& ep,
     const kernels::simd::KernelBackend* backend) const {
-  const kernels::simd::KernelBackend& be =
-      backend != nullptr ? *backend : kernels::simd::active_backend();
-  be.qspmm_cols(view_of(row_ptr_, col_idx_, values_, scales_, rows_, cols_),
-                b, n, out, ep);
+  backend_or_active(backend).qspmm_cols(view_of(*this), b, n, out, ep);
 }
 
-QCsrRowSlice QCsrRowSlice::row_slice(std::size_t r0, std::size_t r1) const {
-  util::check(r0 <= r1 && r1 <= rows_,
-              "row_slice requires 0 <= r0 <= r1 <= rows");
-  return QCsrRowSlice(row_ptr_ + r0, col_idx_, values_, scales_ + r0,
-                      r1 - r0, cols_);
-}
-
-tensor::Tensor QCsrRowSlice::to_dense() const {
+tensor::Tensor QCsrMatrix::to_dense() const {
   tensor::Tensor dense({rows_, cols_});
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
@@ -161,6 +103,13 @@ tensor::Tensor QCsrRowSlice::to_dense() const {
     }
   }
   return dense;
+}
+
+std::size_t QCsrMatrix::weight_bytes() const {
+  return values_.size() * sizeof(std::int8_t) +
+         col_idx_.size() * sizeof(std::uint32_t) +
+         scales_.size() * sizeof(float) +
+         row_ptr_.size() * sizeof(std::size_t);
 }
 
 }  // namespace dstee::sparse

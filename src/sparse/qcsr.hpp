@@ -13,11 +13,11 @@
 // versus 12 before the index narrowing — which is the memory lever for
 // packing more replicas per box (ROADMAP "SIMD + quantized CSR kernels").
 //
-// The class mirrors the CsrMatrix / CsrRowSlice API surface that the
-// serve executor touches (spmm/spmm_into, spmm_cols_into, row_slice,
-// balanced_row_splits, to_dense), so executor ops template over either
-// matrix type. Quantization happens at plan-compile time via the
-// serve::QuantizeWeights pass; training never sees this type.
+// The class mirrors the CsrMatrix API surface that the serve executor
+// touches (spmm/spmm_into, spmm_cols_into, to_dense), so executor ops
+// template over either matrix type. Quantization happens at plan-compile
+// time via the serve::QuantizeWeights pass; training never sees this
+// type.
 #pragma once
 
 #include <cstddef>
@@ -35,57 +35,6 @@ struct KernelBackend;
 namespace dstee::sparse {
 
 class CsrMatrix;
-class QCsrMatrix;
-
-/// Zero-copy view over a contiguous row range of a QCsrMatrix — the
-/// quantized counterpart of CsrRowSlice (row_ptr entries stay absolute,
-/// scales is pre-offset so scales[r] is the view's local row r).
-class QCsrRowSlice {
- public:
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t nnz() const { return row_ptr_[rows_] - row_ptr_[0]; }
-
-  /// Batched SpMM with the CsrRowSlice::spmm contract (epilogue layout,
-  /// row-parallel chunking, backend dispatch); accumulation is fp32.
-  tensor::Tensor spmm(const tensor::Tensor& x,
-                      const runtime::IntraOp& intra = {},
-                      const kernels::Epilogue& ep = {},
-                      const kernels::simd::KernelBackend* backend =
-                          nullptr) const;
-
-  void spmm_into(const tensor::Tensor& x, float* out,
-                 const runtime::IntraOp& intra = {},
-                 const kernels::Epilogue& ep = {},
-                 const kernels::simd::KernelBackend* backend = nullptr) const;
-
-  /// Quantized CsrRowSlice::spmm_cols_into (the conv/im2col path).
-  void spmm_cols_into(const float* b, std::size_t n, float* out,
-                      const kernels::Epilogue& ep = {},
-                      const kernels::simd::KernelBackend* backend =
-                          nullptr) const;
-
-  /// Slice of a slice (still zero-copy into the original parent).
-  QCsrRowSlice row_slice(std::size_t r0, std::size_t r1) const;
-
-  /// Dequantized dense materialization (tests / debugging).
-  tensor::Tensor to_dense() const;
-
- private:
-  friend class QCsrMatrix;
-  QCsrRowSlice(const std::size_t* row_ptr, const std::uint32_t* col_idx,
-               const std::int8_t* values, const float* scales,
-               std::size_t rows, std::size_t cols)
-      : row_ptr_(row_ptr), col_idx_(col_idx), values_(values),
-        scales_(scales), rows_(rows), cols_(cols) {}
-
-  const std::size_t* row_ptr_;    ///< rows_+1 absolute offsets
-  const std::uint32_t* col_idx_;  ///< parent base pointer
-  const std::int8_t* values_;     ///< parent base pointer
-  const float* scales_;           ///< pre-offset: scales_[local row]
-  std::size_t rows_;
-  std::size_t cols_;
-};
 
 /// Compressed sparse row matrix with int8 values + per-row fp32 scales.
 class QCsrMatrix {
@@ -101,24 +50,29 @@ class QCsrMatrix {
   std::size_t nnz() const { return values_.size(); }
   double density() const;
 
-  /// See QCsrRowSlice::spmm (this is the full-range slice).
+  /// Batched SpMM with the CsrMatrix::spmm contract (epilogue layout,
+  /// row-parallel chunking, backend dispatch); accumulation is fp32.
   tensor::Tensor spmm(const tensor::Tensor& x,
                       const runtime::IntraOp& intra = {},
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
 
+  void spmm_into(const tensor::Tensor& x, float* out,
+                 const runtime::IntraOp& intra = {},
+                 const kernels::Epilogue& ep = {},
+                 const kernels::simd::KernelBackend* backend = nullptr) const;
+
+  /// Quantized CsrMatrix::spmm_cols_into (the conv/im2col path).
   void spmm_cols_into(const tensor::Tensor& cols, float* out,
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
 
-  /// Zero-copy view over rows [r0, r1); this matrix must outlive it.
-  QCsrRowSlice row_slice(std::size_t r0, std::size_t r1) const;
-
-  /// Cost-balanced row partition with the CsrMatrix contract (equal
-  /// stored-nonzero shares, every range non-empty).
-  std::vector<std::size_t> balanced_row_splits(std::size_t ways) const;
+  void spmm_cols_into(const float* b, std::size_t n, float* out,
+                      const kernels::Epilogue& ep = {},
+                      const kernels::simd::KernelBackend* backend =
+                          nullptr) const;
 
   /// Dequantized dense reconstruction (tests / round-trips).
   tensor::Tensor to_dense() const;

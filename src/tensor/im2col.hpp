@@ -38,9 +38,8 @@ struct ConvGeometry {
 void im2col(const float* image, const ConvGeometry& g, Tensor& cols);
 
 /// im2col writing into caller-owned storage of patch_size·out_h·out_w
-/// floats — the batched patch-buffer path (serve Im2colOp writes each
-/// image's patches straight into the shared [N, P, OH, OW] tensor, no
-/// per-image scratch or relocation copy).
+/// floats — the serve conv path, which lowers each image into reusable
+/// per-chunk scratch without allocating a Tensor per call.
 void im2col(const float* image, const ConvGeometry& g, float* cols);
 
 /// Adjoint of im2col: scatters `cols[patch_size, out_h*out_w]` back into the

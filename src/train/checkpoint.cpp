@@ -39,10 +39,17 @@ void write_tensor(std::ofstream& out, const std::string& name,
 }
 
 // Reads one record and validates it against the expected name/shape,
-// writing the payload into `dest`.
+// writing the payload into `dest`. The name length and rank are untrusted
+// file fields, so each is checked against what the model expects before
+// it sizes an allocation: a corrupt length fails with a CheckError, never
+// a multi-GB allocation.
 void read_tensor_into(std::ifstream& in, const std::string& expected_name,
                       tensor::Tensor& dest) {
   const std::uint64_t name_len = read_u64(in);
+  util::check(name_len == expected_name.size(),
+              "checkpoint tensor order mismatch: expected '" + expected_name +
+                  "', found a name of " + std::to_string(name_len) +
+                  " bytes");
   std::string name(name_len, '\0');
   in.read(name.data(), static_cast<std::streamsize>(name_len));
   util::check(in.good(), "checkpoint truncated in tensor name");
@@ -50,6 +57,10 @@ void read_tensor_into(std::ifstream& in, const std::string& expected_name,
               "checkpoint tensor order mismatch: expected '" + expected_name +
                   "', found '" + name + "'");
   const std::uint64_t rank = read_u64(in);
+  util::check(rank == dest.rank(),
+              "checkpoint shape mismatch for '" + name + "': file has rank " +
+                  std::to_string(rank) + ", model has " +
+                  dest.shape().to_string());
   std::vector<std::size_t> dims(rank);
   for (auto& d : dims) d = read_u64(in);
   const tensor::Shape shape{std::vector<std::size_t>(dims)};

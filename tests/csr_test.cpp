@@ -1,12 +1,14 @@
 // CSR sparse-inference tests: conversion round-trips, products vs dense
-// reference, and the end-to-end sparse deployment of a trained MLP.
+// reference, and the end-to-end sparse deployment of a masked MLP through
+// the serve compiler.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "models/mlp.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "serve/compiled_net.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/im2col.hpp"
@@ -152,8 +154,8 @@ TEST(Csr, ShapeChecks) {
 class CsrDensitySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(CsrDensitySweep, SparseForwardMatchesMaskedDenseMlp) {
-  // End-to-end: sparse-train state → CSR stack → forward equals the dense
-  // masked model's eval-mode forward at every density.
+  // End-to-end: sparse-train state → CSR-compiled serve program → forward
+  // equals the dense masked model's eval-mode forward at every density.
   const double sparsity = GetParam();
   util::Rng rng(11);
   models::MlpConfig cfg;
@@ -164,24 +166,13 @@ TEST_P(CsrDensitySweep, SparseForwardMatchesMaskedDenseMlp) {
   sparse::SparseModel sm(model, sparsity,
                          sparse::DistributionKind::kUniform, rng);
 
-  std::vector<sparse::CsrMatrix> layers;
-  std::vector<tensor::Tensor> biases;
-  for (std::size_t i = 0; i < sm.num_layers(); ++i) {
-    layers.push_back(sparse::CsrMatrix::from_masked(sm.layer(i)));
-  }
-  // Collect biases in the same order (linear layers only).
-  for (nn::Parameter* p : model.parameters()) {
-    if (!p->sparsifiable) biases.push_back(p->value);
-  }
-  ASSERT_EQ(biases.size(), layers.size());
-  const sparse::SparseLinearStack stack(std::move(layers), std::move(biases));
-
   model.set_training(false);
+  const serve::CompiledNet net = serve::CompiledNet::compile(model, &sm);
   const auto x = random_tensor(tensor::Shape({6, 12}), 13);
   const auto dense_out = model.forward(x);
-  const auto sparse_out = stack.forward(x);
+  const auto sparse_out = net.forward(x);
   EXPECT_TRUE(sparse_out.allclose(dense_out, 1e-3f));
-  EXPECT_EQ(stack.total_nnz(), sm.total_active());
+  EXPECT_EQ(net.total_nnz(), sm.total_active());
 }
 
 INSTANTIATE_TEST_SUITE_P(Densities, CsrDensitySweep,
@@ -263,158 +254,6 @@ TEST(Csr, Im2colSpmmMatchesDenseConvReference) {
     EXPECT_TRUE(y.allclose(expected, 1e-4f))
         << "k" << v.kernel << " s" << v.stride << " p" << v.padding;
   }
-}
-
-// --- row_slice: the zero-copy view PartitionRows builds on -------------
-
-TEST(Csr, RowSliceFullRangeMatchesParent) {
-  const auto w = random_tensor(tensor::Shape({9, 7}), 71);
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-  const auto full = csr.row_slice(0, csr.rows());
-  EXPECT_EQ(full.rows(), csr.rows());
-  EXPECT_EQ(full.cols(), csr.cols());
-  EXPECT_EQ(full.nnz(), csr.nnz());
-  EXPECT_TRUE(full.to_dense().equals(csr.to_dense()));
-  const auto x = random_tensor(tensor::Shape({4, 7}), 72);
-  // CsrMatrix::spmm IS the full-range slice, so bits must match exactly.
-  EXPECT_TRUE(full.spmm(x).equals(csr.spmm(x)));
-}
-
-TEST(Csr, RowSliceEmptyRangeIsValid) {
-  const auto w = random_tensor(tensor::Shape({5, 4}), 73);
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-  for (const std::size_t at : {std::size_t{0}, std::size_t{3},
-                               std::size_t{5}}) {
-    const auto empty = csr.row_slice(at, at);
-    EXPECT_EQ(empty.rows(), 0u);
-    EXPECT_EQ(empty.nnz(), 0u);
-    EXPECT_EQ(empty.cols(), 4u);
-    EXPECT_DOUBLE_EQ(empty.density(), 0.0);
-  }
-}
-
-TEST(Csr, RowSliceOfSliceEqualsDirectSlice) {
-  const auto w = random_tensor(tensor::Shape({12, 6}), 74);
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-  const auto outer = csr.row_slice(2, 10);  // rows 2..10
-  const auto inner = outer.row_slice(3, 7);  // rows 5..9 of the parent
-  const auto direct = csr.row_slice(5, 9);
-  EXPECT_EQ(inner.rows(), 4u);
-  EXPECT_EQ(inner.nnz(), direct.nnz());
-  EXPECT_TRUE(inner.to_dense().equals(direct.to_dense()));
-}
-
-TEST(Csr, RowSliceSpmmMatchesMaskedDenseReference) {
-  // Random ~70%-masked matrix; a slice's SpMM must equal the dense kernel
-  // over exactly those masked rows.
-  auto w = random_tensor(tensor::Shape({13, 9}), 75);
-  util::Rng mask_rng(75);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    if (mask_rng.uniform() > 0.3) w[i] = 0.0f;
-  }
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-  const auto x = random_tensor(tensor::Shape({5, 9}), 76);
-
-  const std::size_t r0 = 3, r1 = 10;
-  tensor::Tensor sub({r1 - r0, 9});
-  for (std::size_t r = r0; r < r1; ++r) {
-    for (std::size_t c = 0; c < 9; ++c) {
-      sub[(r - r0) * 9 + c] = w[r * 9 + c];
-    }
-  }
-  const auto slice = csr.row_slice(r0, r1);
-  EXPECT_TRUE(slice.spmm(x).allclose(tensor::matmul_nt(x, sub), 1e-5f));
-  // Row-parallel chunks write disjoint outputs: any chunk count must be
-  // bit-identical (0 = pool-wide).
-  const auto serial = slice.spmm(x);
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{5}}) {
-    EXPECT_TRUE(
-        slice.spmm(x, runtime::IntraOp{threads, nullptr}).equals(serial))
-        << "threads=" << threads;
-  }
-}
-
-TEST(Csr, RowSliceSpmmColsMatchesDenseSubmatrix) {
-  auto a = random_tensor(tensor::Shape({6, 9}), 77);
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    if ((i * 2654435761u) % 10 < 7) a[i] = 0.0f;  // ~70% sparse
-  }
-  const auto csr = sparse::CsrMatrix::from_dense(a);
-  const auto b = random_tensor(tensor::Shape({9, 13}), 78);
-  const auto expected = tensor::matmul(a, b);
-
-  const std::size_t r0 = 1, r1 = 5;
-  tensor::Tensor out({r1 - r0, 13});
-  csr.row_slice(r0, r1).spmm_cols_into(b.raw(), 13, out.raw());
-  for (std::size_t r = r0; r < r1; ++r) {
-    for (std::size_t j = 0; j < 13; ++j) {
-      EXPECT_NEAR(out[(r - r0) * 13 + j], expected[r * 13 + j], 1e-5f);
-    }
-  }
-}
-
-TEST(Csr, RowSliceShapeChecks) {
-  const auto csr =
-      sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({4, 3}), 79));
-  EXPECT_THROW(csr.row_slice(3, 2), util::CheckError);
-  EXPECT_THROW(csr.row_slice(0, 5), util::CheckError);
-  const auto slice = csr.row_slice(1, 3);
-  EXPECT_THROW(slice.row_slice(1, 3), util::CheckError);  // past its end
-  EXPECT_THROW(slice.spmm(random_tensor(tensor::Shape({2, 4}), 80)),
-               util::CheckError);
-}
-
-TEST(Csr, BalancedRowSplitsEqualizeStoredWork) {
-  // Rows with wildly different nnz: 0, 12, 1, 1, 12, 0, 12, 2.
-  tensor::Tensor w({8, 12});
-  auto fill_row = [&](std::size_t r, std::size_t count) {
-    for (std::size_t c = 0; c < count; ++c) w[r * 12 + c] = 1.0f;
-  };
-  fill_row(1, 12);
-  fill_row(2, 1);
-  fill_row(3, 1);
-  fill_row(4, 12);
-  fill_row(6, 12);
-  fill_row(7, 2);
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-
-  const auto bounds = csr.balanced_row_splits(3);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_EQ(bounds.front(), 0u);
-  EXPECT_EQ(bounds.back(), 8u);
-  std::size_t max_nnz = 0;
-  for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
-    ASSERT_LT(bounds[j], bounds[j + 1]);  // every range keeps >= 1 row
-    max_nnz = std::max(max_nnz,
-                       csr.row_slice(bounds[j], bounds[j + 1]).nnz());
-  }
-  // 40 nonzeros over 3 ranges: a cost-balanced split caps the heaviest
-  // range near ceil(40/3)+row granularity, far under the 25 a naive
-  // equal-rows split would give ranges [0,3)/[3,6)/[6,8).
-  EXPECT_LE(max_nnz, 14u);
-
-  // Degenerate: everything in one row still yields one row per range.
-  tensor::Tensor heavy({4, 8});
-  for (std::size_t c = 0; c < 8; ++c) heavy[c] = 1.0f;
-  const auto heavy_csr = sparse::CsrMatrix::from_dense(heavy);
-  const auto hb = heavy_csr.balanced_row_splits(4);
-  for (std::size_t j = 0; j + 1 < hb.size(); ++j) {
-    EXPECT_EQ(hb[j + 1] - hb[j], 1u);
-  }
-  EXPECT_THROW(heavy_csr.balanced_row_splits(5), util::CheckError);
-}
-
-TEST(Csr, StackValidatesChaining) {
-  std::vector<sparse::CsrMatrix> layers;
-  layers.push_back(
-      sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({4, 8}), 14)));
-  layers.push_back(
-      sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({3, 5}), 15)));
-  std::vector<tensor::Tensor> biases(2);
-  EXPECT_THROW(
-      sparse::SparseLinearStack(std::move(layers), std::move(biases)),
-      util::CheckError);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Tests for the GaP baseline scheduler and checkpoint serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "methods/gap.hpp"
 #include "models/mlp.hpp"
@@ -197,6 +201,47 @@ TEST(Checkpoint, CorruptedMagicRejected) {
   CheckpointHarness a(14);
   EXPECT_THROW(train::load_checkpoint(path, a.model), util::CheckError);
   std::filesystem::remove_all("test_ckpt");
+}
+
+TEST(Checkpoint, HugeNameLengthOrRankFailsWithCheckError) {
+  // The first record's name length follows the header (4-byte magic,
+  // u32 version, u64 tensor count) and its rank follows the name. A
+  // corrupt file that sets either field to 2^40 must fail with a
+  // CheckError before the field sizes an allocation. Own directory: the
+  // other Checkpoint cases remove test_ckpt/ and ctest runs them in
+  // parallel.
+  const std::string dir = "test_ckpt_huge_fields";
+  const std::string path = dir + "/model.bin";
+  CheckpointHarness a(15);
+  train::save_checkpoint(path, a.model, &a.smodel);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kNameLenAt = 4 + 4 + 8;
+  std::uint64_t name_len = 0;
+  ASSERT_GT(bytes.size(), kNameLenAt + sizeof(name_len));
+  std::memcpy(&name_len, bytes.data() + kNameLenAt, sizeof(name_len));
+  ASSERT_EQ(name_len, std::string("param0#value").size());
+  const std::size_t rank_at = kNameLenAt + sizeof(name_len) + name_len;
+
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (const std::size_t at : {kNameLenAt, rank_at}) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + at, &huge, sizeof(huge));
+    const std::string bad = dir + "/patched.bin";
+    {
+      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    CheckpointHarness b(16);
+    EXPECT_THROW(train::load_checkpoint(bad, b.model, &b.smodel),
+                 util::CheckError)
+        << "field at byte " << at;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

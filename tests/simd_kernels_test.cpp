@@ -2,9 +2,10 @@
 // failure on unknown backends) and the bit-identity guarantee — every
 // AVX2 kernel must reproduce the scalar reference EXACTLY (tensor::equals,
 // not allclose) across batch sizes that exercise full 8-wide vector
-// bodies, sub-register tails, and row-slice boundaries that do not align
-// with the vector width. The int8 quantizer's error bound (≤ scale/2 per
-// stored value) is pinned here too, next to the kernels that consume it.
+// bodies, sub-register tails, and row ranges whose boundaries do not
+// align with the vector width. The int8 quantizer's error bound
+// (≤ scale/2 per stored value) is pinned here too, next to the kernels
+// that consume it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +36,21 @@ sparse::CsrMatrix sparse_csr(std::size_t rows, std::size_t cols,
   return sparse::CsrMatrix::from_dense(
       random_tensor(tensor::Shape({rows, cols}), seed), 0.8f);
 }
+
+/// Whole-matrix kernel views, for driving a backend's row-range bodies
+/// directly.
+kernels::simd::CsrView view_of(const sparse::CsrMatrix& m) {
+  return {m.row_ptr().data(), m.col_idx().data(), m.values().data(),
+          m.rows(), m.cols()};
+}
+
+kernels::simd::QCsrView view_of(const sparse::QCsrMatrix& m) {
+  return {m.row_ptr().data(), m.col_idx().data(), m.values().data(),
+          m.scales().data(), m.rows(), m.cols()};
+}
+
+/// Fill for output slots a row-range kernel must leave untouched.
+constexpr float kUnwritten = -1234.5f;
 
 /// Skips the enclosing test when the host/build cannot run AVX2 kernels.
 #define REQUIRE_AVX2(var)                                     \
@@ -132,50 +148,56 @@ TEST(KernelBackend, SpmmEpilogueVariantsBitIdentical) {
   }
 }
 
-TEST(KernelBackend, RowSliceBoundariesBitIdentical) {
+TEST(KernelBackend, RowRangeBoundariesBitIdentical) {
   REQUIRE_AVX2(avx2);
   const KernelBackend& scalar = kernels::simd::scalar_backend();
-  const std::size_t rows = 37, cols = 19;
+  // Unaligned [r0, r1) of the full view — the range the intra-op chunker
+  // hands each worker. Only that range may be written, and it must tile
+  // the whole-matrix result exactly.
+  const std::size_t rows = 37, cols = 19, batch = 17;
   const auto csr = sparse_csr(rows, cols, 621);
-  const auto x = random_tensor(tensor::Shape({17, cols}), 622);
+  const kernels::simd::CsrView a = view_of(csr);
+  const auto x = random_tensor(tensor::Shape({batch, cols}), 622);
   const auto full = csr.spmm(x, {}, {}, &scalar);
   const std::size_t bounds[][2] = {{0, 1}, {3, 11}, {5, 37}, {8, 16},
                                    {0, 37}, {36, 37}};
   for (const auto& b : bounds) {
-    const auto slice = csr.row_slice(b[0], b[1]);
-    const auto ref = slice.spmm(x, {}, {}, &scalar);
-    const auto got = slice.spmm(x, {}, {}, avx2);
-    EXPECT_TRUE(got.equals(ref)) << "rows [" << b[0] << ", " << b[1] << ")";
-    // And the slice tiles the parent's result exactly.
-    for (std::size_t n = 0; n < 17; ++n) {
-      for (std::size_t r = b[0]; r < b[1]; ++r) {
-        ASSERT_EQ(got[n * slice.rows() + (r - b[0])], full[n * rows + r]);
+    std::vector<float> ref(batch * rows, kUnwritten);
+    std::vector<float> got(batch * rows, kUnwritten);
+    scalar.spmm_rows(a, x.raw(), batch, ref.data(), b[0], b[1], {});
+    avx2->spmm_rows(a, x.raw(), batch, got.data(), b[0], b[1], {});
+    EXPECT_EQ(got, ref) << "rows [" << b[0] << ", " << b[1] << ")";
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        const bool in_range = r >= b[0] && r < b[1];
+        ASSERT_EQ(got[n * rows + r], in_range ? full[n * rows + r]
+                                              : kUnwritten);
       }
     }
   }
 }
 
-TEST(KernelBackend, SlicedStridedResidualBitIdentical) {
+TEST(KernelBackend, RowRangeStridedResidualBitIdentical) {
   REQUIRE_AVX2(avx2);
   const KernelBackend& scalar = kernels::simd::scalar_backend();
-  // The PartitionRows layout: a slice of a 37-wide output writes its own
-  // row range while the residual pointer is pre-offset and strides over
-  // the FULL width.
+  // A chunk [r0, r1) of a 37-wide output: bias and residual are indexed
+  // by the full-view row, and the residual strides over the full width.
   const std::size_t rows = 37, cols = 19, batch = 9, r0 = 5, r1 = 20;
   const auto csr = sparse_csr(rows, cols, 631);
-  const auto slice = csr.row_slice(r0, r1);
   const auto x = random_tensor(tensor::Shape({batch, cols}), 632);
   const auto bias = random_tensor(tensor::Shape({rows}), 633);
   const auto residual = random_tensor(tensor::Shape({batch, rows}), 634);
   Epilogue ep;
-  ep.bias = bias.raw() + r0;
-  ep.residual = residual.raw() + r0;
+  ep.bias = bias.raw();
+  ep.residual = residual.raw();
   ep.residual_stride = rows;
   ep.has_act = true;
   ep.act = ActKind::kRelu;
-  const auto ref = slice.spmm(x, {}, ep, &scalar);
-  const auto got = slice.spmm(x, {}, ep, avx2);
-  EXPECT_TRUE(got.equals(ref));
+  std::vector<float> ref(batch * rows, kUnwritten);
+  std::vector<float> got(batch * rows, kUnwritten);
+  scalar.spmm_rows(view_of(csr), x.raw(), batch, ref.data(), r0, r1, ep);
+  avx2->spmm_rows(view_of(csr), x.raw(), batch, got.data(), r0, r1, ep);
+  EXPECT_EQ(got, ref);
 }
 
 TEST(KernelBackend, SpmmColsBitIdentical) {
@@ -216,12 +238,14 @@ TEST(KernelBackend, QuantizedSpmmBitIdentical) {
     EXPECT_TRUE(q.spmm(x, {}, ep, avx2).equals(q.spmm(x, {}, ep, &scalar)))
         << "fused, batch " << batch;
   }
-  // Quantized slices at unaligned boundaries, like the fp32 path.
+  // Quantized row ranges at unaligned boundaries, like the fp32 path.
   const auto x = random_tensor(tensor::Shape({17, cols}), 658);
   for (const std::size_t r0 : {std::size_t{3}, std::size_t{8}}) {
-    const auto slice = q.row_slice(r0, 31);
-    EXPECT_TRUE(
-        slice.spmm(x, {}, {}, avx2).equals(slice.spmm(x, {}, {}, &scalar)));
+    std::vector<float> ref(17 * rows, kUnwritten);
+    std::vector<float> got(17 * rows, kUnwritten);
+    scalar.qspmm_rows(view_of(q), x.raw(), 17, ref.data(), r0, 31, {});
+    avx2->qspmm_rows(view_of(q), x.raw(), 17, got.data(), r0, 31, {});
+    EXPECT_EQ(got, ref) << "rows [" << r0 << ", 31)";
   }
 }
 

@@ -10,13 +10,10 @@
 // latency percentiles (p50/p99/p99.9 in open-loop mode), queue peaks,
 // backpressure-blocked time, and throughput.
 //
-// --partition-rows K appends the PartitionRows pass: the heaviest CSR
-// nodes split into K cost-balanced row-range slices executed in parallel
-// on the runtime pool (batch-1 latency lever). --passes SPEC rebuilds the
-// whole pipeline from the named pass registry (e.g.
-// "elide-dropout,fold-bn,fuse-epilogue,partition-rows:4"). --dump-plan
+// --passes SPEC rebuilds the whole pipeline from the named pass registry
+// (e.g. "elide-dropout,fold-bn,fuse-epilogue,quantize:int8"). --dump-plan
 // prints the active pipeline and the post-pass plan (op, shape, nnz,
-// FLOPs share, partition/fusion annotations) and exits without serving.
+// FLOPs share, fusion/int8 annotations) and exits without serving.
 //
 // --registry N serves a fleet of N independently-seeded sparse MLPs from
 // one ModelRegistry under mixed open-loop traffic with admission control
@@ -482,20 +479,11 @@ int run(int argc, const char* const* argv) {
                 "intra-op chunks per kernel on the runtime pool (0 = "
                 "pool-wide)",
                 "1")
-      .add_flag("partition-rows",
-                "split the heaviest CSR ops into cost-balanced row-range "
-                "slices run in parallel: K ways (0/1 = off), or "
-                "\"auto\"/\"auto:K\" to pick the ops to split from a "
-                "measured profiling probe instead of the static cost model",
-                "0")
-      .add_flag("partition-threshold",
-                "FLOPs share above which a CSR op is partitioned",
-                "0.25")
       .add_flag("passes",
                 "replace the pass pipeline with this comma-separated spec "
                 "(registry names, \":\"-separated args), e.g. "
                 "\"elide-dropout,fold-bn,fuse-epilogue,quantize:int8\" "
-                "(empty = default pipeline; --partition-rows still appends)",
+                "(empty = default pipeline)",
                 "")
       .add_flag("kernel-backend",
                 "pin the sparse-kernel backend (\"scalar\", \"avx2\"); "
@@ -504,7 +492,7 @@ int run(int argc, const char* const* argv) {
                 "")
       .add_flag("dump-plan",
                 "print the active pass pipeline and the post-pass compile "
-                "plan (shapes, nnz, FLOPs shares, partition/fusion "
+                "plan (shapes, nnz, FLOPs shares, fusion/int8 "
                 "annotations) and exit without serving",
                 "false")
       .add_flag("clients", "closed-loop client threads", "4")
@@ -589,9 +577,6 @@ int run(int argc, const char* const* argv) {
   serve::CompileOptions copts;
   copts.intra_op_threads =
       static_cast<std::size_t>(args.get_int("intra-op"));
-  // Shape-aware passes built from a --passes spec (partition-rows) need
-  // the per-sample input shape for FLOPs-share costing.
-  copts.sample_shape = m.sample_shape;
   // Pin the backend into the bound ops too (not just the process-wide
   // active choice), so a later set_active_backend cannot move this net.
   copts.kernel_backend = backend_name;
@@ -609,32 +594,10 @@ int run(int argc, const char* const* argv) {
     }
   }
   // The staged compiler: default pipeline (elide dropout, fold BN, free
-  // after last use), or a named-registry spec via --passes; the classic
-  // --partition-rows flags still append PartitionRows on top of either.
+  // after last use), or a named-registry spec via --passes.
   serve::Compiler compiler(copts);
   const std::string pass_spec = args.get_string("passes");
   if (!pass_spec.empty()) compiler.pipeline_from_spec(pass_spec);
-  const std::string pr_spec = args.get_string("partition-rows");
-  {
-    serve::PartitionRowsOptions popts;
-    bool add_partition = false;
-    if (pr_spec == "auto" || pr_spec.rfind("auto:", 0) == 0) {
-      // "auto" / "auto:K": pick the ops to split from a measured probe.
-      popts.auto_mode = true;
-      add_partition = true;
-      if (pr_spec.size() > 5) {
-        popts.ways = static_cast<std::size_t>(std::stoul(pr_spec.substr(5)));
-      }
-    } else {
-      popts.ways = static_cast<std::size_t>(std::stoul(pr_spec));
-      add_partition = popts.ways >= 2;
-    }
-    if (add_partition) {
-      popts.min_cost_share = args.get_double("partition-threshold");
-      popts.sample_shape = m.sample_shape;
-      compiler.add_pass(std::make_unique<serve::PartitionRows>(popts));
-    }
-  }
 
   if (!ckpt.empty()) {
     // dstee_run saves parameter values only; masked weights are stored
