@@ -90,6 +90,13 @@ inline bool shape_check(const std::string& description, bool holds) {
   return holds;
 }
 
+/// Prints a PASS/FAIL line for a hard gate; the caller folds the result
+/// into the bench's exit code.
+inline bool gate(const std::string& description, bool holds) {
+  std::cout << (holds ? "  [ok]   " : "  [FAIL] ") << description << "\n";
+  return holds;
+}
+
 /// The CIFAR-like / ImageNet-like dataset presets used by the CNN benches.
 // Preset calibration (see EXPERIMENTS.md): chosen so that (a) a dense model
 // reaches high-but-unsaturated accuracy within the default epoch budget,

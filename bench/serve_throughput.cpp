@@ -12,12 +12,14 @@
 // Runtime sweeps follow: (1) epilogue fusion (fused vs unfused
 // pipelines, equals-gated); (2) SIMD kernel-backend dispatch and int8
 // quantized serving (equals-/top-1-gated against scalar fp32); (3)
-// InferenceServer aggregate throughput across shard counts (replicated
-// CompiledNets, round-robin routing); (4) tail latency under a mid-run
-// delta hot swap; (5) observability overhead — tracing disabled vs
-// armed-idle, noted against a 2% throughput budget. All land in
-// bench_results/serve_scaling.csv. The util::check equality gates fail
-// the run; the [ok]/[note] shape checks are printed only.
+// InferenceServer closed-loop throughput at 1 and 2 shards, the default
+// batch hold against the fixed fill-or-timeout window, hard-gated; (4)
+// tail latency under a mid-run delta hot swap; (5) observability
+// overhead — tracing disabled vs armed-idle, noted against a 2%
+// throughput budget. All land in bench_results/serve_scaling.csv. The
+// util::check equality gates and the [FAIL] lines of the shard gates
+// fail the run (nonzero exit); the [ok]/[note] shape checks are printed
+// only.
 //
 // DSTEE_SCALE scales the model width; DSTEE_SERVE_MIN_TIME (seconds, default
 // 0.15) controls per-cell measurement time.
@@ -322,12 +324,14 @@ void sweep_kernel_backend(const bench::BenchEnv& env, double min_time,
 double measure_server_rps(const serve::CompiledNet& net,
                           const tensor::Shape& sample_shape,
                           std::size_t shards, std::size_t clients,
-                          double seconds, serve::StatsSnapshot& out_stats) {
+                          double seconds, serve::StatsSnapshot& out_stats,
+                          bool fill_or_timeout = false) {
   serve::ServerConfig cfg;
   cfg.num_threads = 1;
   cfg.num_shards = shards;
   cfg.max_batch = 8;
   cfg.max_delay_ms = 0.2;
+  cfg.fill_or_timeout = fill_or_timeout;
   serve::InferenceServer server(net, cfg);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> completed{0};
@@ -354,7 +358,20 @@ double measure_server_rps(const serve::CompiledNet& net,
   return static_cast<double>(completed.load()) / elapsed;
 }
 
-void sweep_shards(const bench::BenchEnv& env, double min_time,
+/// Sharded serving under closed-loop overload (8 clients, 1 worker per
+/// shard, max_batch 8, max_delay_ms 0.2): the default batch hold (about
+/// one forward time) against the fixed fill-or-timeout window, at 1 and 2
+/// shards. The four cells alternate, so host drift hits every cell alike,
+/// and each keeps its best of 7: on a shared 4-vCPU host one 0.45 s
+/// default-hold cell swings by +-15% (a preempted forward stretches the
+/// next hold to the cap), and best of 3 or 5 still let a ratio fall below
+/// its gate now and then. Two hard gates, armed at >= 4 hardware
+/// threads (the bench host's count): at 1 shard the default keeps >=
+/// 0.85x the fixed window's req/s, because the short hold still fills
+/// batches while the one worker runs; at 2 shards it reaches >= 1.15x,
+/// because the fixed window makes each shard's partial batch wait out
+/// max_delay_ms. Returns false when an armed gate fails.
+bool sweep_shards(const bench::BenchEnv& env, double min_time,
                   util::CsvWriter& csv) {
   models::MlpConfig cfg;
   cfg.in_features = env.scaled(256, 32);
@@ -371,35 +388,65 @@ void sweep_shards(const bench::BenchEnv& env, double min_time,
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const double seconds = std::max(0.3, min_time * 3.0);
   const std::size_t clients = 8;
+  constexpr int kReps = 7;
 
-  std::cout << "sharded serving: aggregate closed-loop throughput ("
-            << clients << " clients, 1 worker/shard, " << hw
-            << " hw threads)\n";
-  util::Table table({"shards", "req/s", "p50 ms", "p99 ms", "queue peak"});
-  double rps_1 = 0.0, rps_n = 0.0;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+  struct Cell {
+    double rps = 0.0;
     serve::StatsSnapshot stats;
-    const double rps = measure_server_rps(
-        net, tensor::Shape({cfg.in_features}), shards, clients, seconds,
-        stats);
-    if (shards == 1) rps_1 = rps;
-    rps_n = rps;
-    table.add_row({std::to_string(shards), util::format_fixed(rps, 0),
-                   util::format_fixed(stats.latency_p50_ms, 3),
-                   util::format_fixed(stats.latency_p99_ms, 3),
-                   std::to_string(stats.queue_peak)});
-    csv.write_row({"shards", std::to_string(shards), "1", "-",
-                   util::format_fixed(rps_1, 1), util::format_fixed(rps, 1),
-                   util::format_fixed(shards == 1 ? 1.0 : rps / rps_1, 3)});
+  };
+  Cell cells[2][2];  // [shards - 1][fill_or_timeout]
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      for (const bool fixed : {false, true}) {
+        serve::StatsSnapshot stats;
+        const double rps =
+            measure_server_rps(net, tensor::Shape({cfg.in_features}), shards,
+                               clients, seconds, stats, fixed);
+        Cell& cell = cells[shards - 1][fixed];
+        if (rps > cell.rps) cell = {rps, stats};
+      }
+    }
+  }
+
+  std::cout << "sharded serving: closed-loop throughput, one-forward hold "
+               "vs fill-or-timeout ("
+            << clients << " clients, 1 worker/shard, best of " << kReps
+            << ", " << hw << " hw threads)\n";
+  util::Table table({"shards", "hold", "req/s", "vs fixed", "mean batch",
+                     "p50 ms", "p99 ms"});
+  double ratio[2] = {0.0, 0.0};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    const double fixed_rps = cells[shards - 1][1].rps;
+    ratio[shards - 1] = cells[shards - 1][0].rps / fixed_rps;
+    for (const bool fixed : {false, true}) {
+      const Cell& cell = cells[shards - 1][fixed];
+      const double vs_fixed = cell.rps / fixed_rps;
+      table.add_row({std::to_string(shards),
+                     fixed ? "fill-or-timeout" : "one forward",
+                     util::format_fixed(cell.rps, 0),
+                     util::format_fixed(vs_fixed, 2) + "x",
+                     util::format_fixed(cell.stats.mean_batch_size, 2),
+                     util::format_fixed(cell.stats.latency_p50_ms, 3),
+                     util::format_fixed(cell.stats.latency_p99_ms, 3)});
+      csv.write_row({fixed ? "shards_fill_or_timeout" : "shards",
+                     std::to_string(shards), "1", "-",
+                     util::format_fixed(fixed_rps, 1),
+                     util::format_fixed(cell.rps, 1),
+                     util::format_fixed(vs_fixed, 3)});
+    }
   }
   std::cout << table.render() << "\n";
-  if (hw >= 2) {
-    bench::shape_check(
-        "2 shards beat 1 shard in aggregate throughput (multi-core)",
-        rps_n > rps_1);
-  } else {
-    std::cout << "[skip] shard-scaling check needs >= 2 hardware threads\n";
+  if (hw < 4) {
+    std::cout << "  [skip] shard hold gates need >= 4 hardware threads\n";
+    return true;
   }
+  bool ok = bench::gate(
+      "1 shard: one-forward hold keeps >= 0.85x fill-or-timeout req/s",
+      ratio[0] >= 0.85);
+  ok &= bench::gate(
+      "2 shards: one-forward hold reaches >= 1.15x fill-or-timeout req/s",
+      ratio[1] >= 1.15);
+  return ok;
 }
 
 /// One faked DST step — the delta payload the hot-swap sweep publishes
@@ -726,7 +773,7 @@ int run() {
        "rows_per_s", "speedup"});
   sweep_fusion(env, min_time, scaling_csv);
   sweep_kernel_backend(env, min_time, scaling_csv);
-  sweep_shards(env, min_time, scaling_csv);
+  const bool shards_ok = sweep_shards(env, min_time, scaling_csv);
   sweep_hotswap(env, min_time, scaling_csv);
   sweep_obs_overhead(env, min_time, scaling_csv);
   scaling_csv.flush();
@@ -744,6 +791,10 @@ int run() {
       "CSR conv throughput does not degrade as sparsity rises (batch 8)",
       conv_flags.csr_monotone);
   std::cout << "\ncsv: bench_results/serve_throughput.csv\n";
+  if (!shards_ok) {
+    std::cerr << "error: a shard hold gate failed (see [FAIL] above)\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -64,19 +65,47 @@ void write_f32(std::ofstream& out, float v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-std::uint64_t read_u64(std::ifstream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  util::check(in.good(), "delta file truncated");
-  return v;
-}
+/// Reads a delta file front to back, counting the bytes it has left, so
+/// a count read from the file is checked against them before it sizes
+/// anything: a corrupt count fails with a CheckError, not a huge
+/// allocation.
+class DeltaReader {
+ public:
+  DeltaReader(std::ifstream& in, std::uint64_t size) : in_(in), left_(size) {}
 
-float read_f32(std::ifstream& in) {
-  float v = 0.0f;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  util::check(in.good(), "delta file truncated");
-  return v;
-}
+  template <typename T>
+  T read() {
+    T v{};
+    util::check(left_ >= sizeof(v), "delta file truncated");
+    in_.read(reinterpret_cast<char*>(&v), sizeof(v));
+    util::check(in_.good(), "delta file truncated");
+    left_ -= sizeof(v);
+    return v;
+  }
+
+  /// A count of items that each take at least `min_bytes` in the file.
+  std::size_t count(std::uint64_t min_bytes) {
+    const std::uint64_t n = read<std::uint64_t>();
+    util::check(n <= left_ / min_bytes,
+                "delta file truncated: a count of " + std::to_string(n) +
+                    " items does not fit in the " + std::to_string(left_) +
+                    " bytes left");
+    return static_cast<std::size_t>(n);
+  }
+
+ private:
+  std::ifstream& in_;
+  std::uint64_t left_;
+};
+
+// Fewest bytes one item of each counted list takes in the file.
+constexpr std::uint64_t kIndexBytes = sizeof(std::uint64_t);
+constexpr std::uint64_t kPairBytes = sizeof(std::uint64_t) + sizeof(float);
+constexpr std::uint64_t kValueBytes = sizeof(float);
+// index + value count
+constexpr std::uint64_t kDenseTensorBytes = 2 * sizeof(std::uint64_t);
+// layer + removed, added and changed counts
+constexpr std::uint64_t kSectionBytes = 4 * sizeof(std::uint64_t);
 
 void write_pairs(std::ofstream& out,
                  const std::vector<std::pair<std::size_t, float>>& pairs) {
@@ -87,11 +116,11 @@ void write_pairs(std::ofstream& out,
   }
 }
 
-std::vector<std::pair<std::size_t, float>> read_pairs(std::ifstream& in) {
-  std::vector<std::pair<std::size_t, float>> pairs(read_u64(in));
+std::vector<std::pair<std::size_t, float>> read_pairs(DeltaReader& in) {
+  std::vector<std::pair<std::size_t, float>> pairs(in.count(kPairBytes));
   for (auto& [idx, value] : pairs) {
-    idx = read_u64(in);
-    value = read_f32(in);
+    idx = in.read<std::uint64_t>();
+    value = in.read<float>();
   }
   return pairs;
 }
@@ -106,12 +135,12 @@ void write_dense(std::ofstream& out,
   }
 }
 
-std::vector<DenseTensorDelta> read_dense(std::ifstream& in) {
-  std::vector<DenseTensorDelta> tensors(read_u64(in));
+std::vector<DenseTensorDelta> read_dense(DeltaReader& in) {
+  std::vector<DenseTensorDelta> tensors(in.count(kDenseTensorBytes));
   for (DenseTensorDelta& d : tensors) {
-    d.index = read_u64(in);
-    d.values.resize(read_u64(in));
-    for (float& v : d.values) v = read_f32(in);
+    d.index = in.read<std::uint64_t>();
+    d.values.resize(in.count(kValueBytes));
+    for (float& v : d.values) v = in.read<float>();
   }
   return tensors;
 }
@@ -260,15 +289,17 @@ void save_delta(const std::string& path, const CheckpointDelta& delta) {
 }
 
 CheckpointDelta load_delta(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  util::check(in.is_open(), "cannot open delta for reading: " + path);
+  // Opened at the end: the file size is taken once, up front.
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  util::check(file.is_open(), "cannot open delta for reading: " + path);
+  const std::streamoff size = file.tellg();
+  file.seekg(0);
   char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  util::check(in.good() && std::equal(magic, magic + 4, kMagic),
+  file.read(magic, sizeof(magic));
+  util::check(file.good() && std::equal(magic, magic + 4, kMagic),
               "not a dstee checkpoint/delta file: " + path);
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  util::check(in.good(), "delta file truncated");
+  DeltaReader in(file, static_cast<std::uint64_t>(size) - sizeof(magic));
+  const auto version = in.read<std::uint32_t>();
   util::check(version != 1 && version != 2,
               "checkpoint " + path + " is a FULL checkpoint (v" +
                   std::to_string(version) +
@@ -278,13 +309,13 @@ CheckpointDelta load_delta(const std::string& path) {
               "unsupported delta version " + std::to_string(version));
 
   CheckpointDelta delta;
-  delta.base_hash = read_u64(in);
-  delta.result_hash = read_u64(in);
-  delta.sparse_layers.resize(read_u64(in));
+  delta.base_hash = in.read<std::uint64_t>();
+  delta.result_hash = in.read<std::uint64_t>();
+  delta.sparse_layers.resize(in.count(kSectionBytes));
   for (SparseLayerDelta& section : delta.sparse_layers) {
-    section.layer = read_u64(in);
-    section.removed.resize(read_u64(in));
-    for (std::size_t& idx : section.removed) idx = read_u64(in);
+    section.layer = in.read<std::uint64_t>();
+    section.removed.resize(in.count(kIndexBytes));
+    for (std::size_t& idx : section.removed) idx = in.read<std::uint64_t>();
     section.added = read_pairs(in);
     section.changed = read_pairs(in);
   }

@@ -27,6 +27,14 @@ double millis_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+// Indexed by InferenceServer::FlushReason. Span names need static
+// storage (TraceRecorder::record copies only the pointer).
+constexpr const char* kFlushReasonNames[] = {"full", "window", "deadline",
+                                             "shutdown"};
+constexpr const char* kFlushSpanNames[] = {"flush:full", "flush:window",
+                                           "flush:deadline",
+                                           "flush:shutdown"};
+
 }  // namespace
 
 InferenceServer::InferenceServer(const CompiledNet& net, ServerConfig config)
@@ -69,6 +77,21 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
     batches_ctr_ = &config_.metrics->counter(
         "dstee_batches_total", config_.metrics_label,
         "Micro-batches executed");
+    queue_wait_hist_ = &config_.metrics->histogram(
+        "dstee_queue_wait_ms", config_.metrics_label,
+        "Time from enqueue to being popped into a micro-batch, "
+        "milliseconds");
+    batch_size_hist_ = &config_.metrics->histogram(
+        "dstee_batch_size", config_.metrics_label,
+        "Requests per executed micro-batch");
+    static_assert(std::size(kFlushReasonNames) == kFlushReasons &&
+                  std::size(kFlushSpanNames) == kFlushReasons);
+    for (std::size_t r = 0; r < kFlushReasons; ++r) {
+      const std::string reason = kFlushReasonNames[r];
+      flush_ctrs_[r] = &config_.metrics->counter(
+          "dstee_batch_flush_" + reason + "_total", config_.metrics_label,
+          "Executed micro-batches whose hold ended by: " + reason);
+    }
   }
   // Workers start only after every shard exists: a worker never observes a
   // half-built shards_ vector.
@@ -214,34 +237,47 @@ std::size_t InferenceServer::swap_epoch() const {
   return swap_epoch_;
 }
 
-std::vector<InferenceServer::Request> InferenceServer::next_batch(
-    Shard& shard) {
+InferenceServer::Batch InferenceServer::next_batch(
+    Shard& shard, std::optional<Clock::duration> forward) {
+  const Clock::duration max_delay = millis_duration(config_.max_delay_ms);
   util::UniqueLock lock(shard.mu);
+  if (forward) shard.last_forward = *forward;
   for (;;) {
     while (!shard.stopping && shard.queue.empty()) shard.queue_cv.wait(lock);
     if (shard.queue.empty()) return {};  // stopping and fully drained
 
-    // Micro-batch window: fill up to max_batch, but never keep the head
-    // request waiting past its delay budget. The deadline is recomputed
-    // from the CURRENT head each pass — another worker may have drained
-    // the queue and a newer request become head, with a fresh window.
-    // During shutdown flush at once.
-    while (!shard.stopping && !shard.queue.empty() &&
-           shard.queue.size() < config_.max_batch) {
+    // Hold a partial batch for more requests, but never keep the head
+    // waiting past its hold: one forward time (the window), capped at
+    // max_delay_ms (the deadline). Both are recomputed each pass — another
+    // worker may have drained the queue and a newer request become head,
+    // or finished a forward and moved last_forward. During shutdown flush
+    // at once.
+    FlushReason reason = FlushReason::kFull;
+    while (!shard.queue.empty() && shard.queue.size() < config_.max_batch) {
+      if (shard.stopping) {
+        reason = FlushReason::kShutdown;
+        break;
+      }
+      const bool windowed =
+          !config_.fill_or_timeout && shard.last_forward < max_delay;
       const Clock::time_point deadline =
-          shard.queue.front().enqueued + millis_duration(config_.max_delay_ms);
-      if (obs::now() >= deadline) break;  // head's window expired: flush
+          shard.queue.front().enqueued +
+          (windowed ? shard.last_forward : max_delay);
+      if (obs::now() >= deadline) {
+        reason = windowed ? FlushReason::kWindow : FlushReason::kDeadline;
+        break;
+      }
       shard.queue_cv.wait_until(lock, deadline);
     }
     if (shard.queue.empty()) continue;
 
     // Requests in one tensor must agree on sample shape; heterogeneous
     // traffic simply splits into per-shape batches.
-    std::vector<Request> batch;
+    Batch batch{{}, reason};
     const tensor::Shape sample_shape = shard.queue.front().input.shape();
-    while (!shard.queue.empty() && batch.size() < config_.max_batch &&
+    while (!shard.queue.empty() && batch.requests.size() < config_.max_batch &&
            shard.queue.front().input.shape() == sample_shape) {
-      batch.push_back(std::move(shard.queue.front()));
+      batch.requests.push_back(std::move(shard.queue.front()));
       shard.queue.pop_front();
     }
     shard.space_cv.notify_all();
@@ -250,8 +286,12 @@ std::vector<InferenceServer::Request> InferenceServer::next_batch(
 }
 
 void InferenceServer::worker_loop(Shard& shard) {
+  // Wall time of this worker's last forward, handed to next_batch as the
+  // shard's new hold. A failed batch hands nullopt: the hold stays as is.
+  std::optional<Clock::duration> forward;
   for (;;) {
-    std::vector<Request> batch = next_batch(shard);
+    Batch next = next_batch(shard, std::exchange(forward, std::nullopt));
+    std::vector<Request>& batch = next.requests;
     if (batch.empty()) return;
 
     // Trace bookkeeping: the batch's worker-side spans (flush/assemble/
@@ -296,10 +336,12 @@ void InferenceServer::worker_loop(Shard& shard) {
         obs::ThreadTraceScope scope(batch_tid);
         y = net->forward(x);
       }
+      const std::int64_t fwd_dur_ns = obs::now_ns() - fwd_ns;
       obs::trace().record(batch_tid, obs::SpanKind::kForward, "forward",
-                          fwd_ns, obs::now_ns() - fwd_ns, b);
+                          fwd_ns, fwd_dur_ns, b);
       util::check(y.rank() >= 1 && y.dim(0) == b && y.numel() % b == 0,
                   "compiled forward returned a non-batched result");
+      forward = std::chrono::nanoseconds(fwd_dur_ns);
       const std::size_t out = y.numel() / b;
       const Clock::time_point done = obs::now();
       const std::int64_t popped_ns = obs::to_ns(popped);
@@ -326,13 +368,19 @@ void InferenceServer::worker_loop(Shard& shard) {
         }
         if (latency_hist_ != nullptr) {
           latency_hist_->observe(latencies_ms.back());
+          queue_wait_hist_->observe(
+              millis_between(batch[i].enqueued, popped));
         }
       }
-      obs::trace().record(batch_tid, obs::SpanKind::kFlush, "flush",
-                          popped_ns, done_ns - popped_ns, b);
+      const auto reason = static_cast<std::size_t>(next.reason);
+      obs::trace().record(batch_tid, obs::SpanKind::kFlush,
+                          kFlushSpanNames[reason], popped_ns,
+                          done_ns - popped_ns, b);
       if (requests_ctr_ != nullptr) {
         requests_ctr_->add(b);
         batches_ctr_->add(1);
+        flush_ctrs_[reason]->add(1);
+        batch_size_hist_->observe(static_cast<double>(b));
       }
     } catch (...) {
       // Settle only the promises that have not been fulfilled yet —

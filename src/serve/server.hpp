@@ -33,11 +33,15 @@
 // wait-free and parked shards simply drain and idle until re-activated.
 //
 // Within a group, workers coalesce queued requests of equal sample shape
-// into [batch, ...] tensors — a batch flushes when it reaches `max_batch`
-// OR when the oldest queued request has waited `max_delay_ms` — and run
-// them through the group's CompiledNet (whose forward is const and
-// thread-safe). Batching amortizes the CSR traversal across requests; the
-// delay bound keeps tail latency under control at low load.
+// into [batch, ...] tensors and run them through the group's CompiledNet
+// (whose forward is const and thread-safe). A partial batch is held for
+// more requests until `max_batch` are queued or the oldest queued request
+// has waited its hold: the shard's last measured forward time, capped at
+// `max_delay_ms`. Holding for about one forward lets requests that arrive
+// while a batch would run join it, so batches still form under load, but
+// a lone request at low load waits microseconds, not the whole delay.
+// The shard's first batch is not held. `fill_or_timeout` restores the
+// fixed window: hold for the full `max_delay_ms`.
 #pragma once
 
 #include <array>
@@ -70,14 +74,20 @@ struct ServerConfig {
   std::size_t num_threads = 2;   ///< batch-executing threads PER shard
   std::size_t num_shards = 1;    ///< initially ACTIVE replica worker groups
   std::size_t max_batch = 16;    ///< flush when this many requests queue
-  double max_delay_ms = 2.0;     ///< flush when the head waits this long
+  /// Cap on how long a partial batch's head request is held; the hold
+  /// itself is the shard's last forward time when that is shorter.
+  double max_delay_ms = 2.0;
+  /// Hold every partial batch for the full `max_delay_ms` (the fixed
+  /// fill-or-timeout window) instead of about one forward time.
+  bool fill_or_timeout = false;
   std::size_t queue_capacity = 4096;  ///< per-shard; submit() blocks beyond
   std::size_t max_shards = 0;    ///< scaling headroom; 0 = num_shards
   std::size_t queue_quota = 0;   ///< try_submit() sheds beyond this; 0 =
                                  ///< shed only at queue_capacity
-  /// When set, workers record per-request latency and request/batch
-  /// counts into this registry (labeled `metrics_label`), in addition to
-  /// the internal ServerStats. Must outlive the server.
+  /// When set, workers record per-request latency and queue wait, batch
+  /// sizes, and request, batch and per-flush-reason batch counts into
+  /// this registry (labeled `metrics_label`), in addition to the internal
+  /// ServerStats. Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_label;  ///< `model` label on exported metrics
 };
@@ -180,11 +190,11 @@ class InferenceServer {
   };
 
   /// One worker group: a versioned replica, a queue, workers and stats.
-  /// Lock discipline: `mu` guards the queue and the stopping flag; `net`
-  /// is an RcuCell (workers capture a version per batch, swap publishes
-  /// new ones); `stats` is internally synchronized; `workers` is touched
-  /// only by the constructing/joining thread (never by the workers
-  /// themselves).
+  /// Lock discipline: `mu` guards the queue, the stopping flag and the
+  /// hold (`last_forward`); `net` is an RcuCell (workers capture a version
+  /// per batch, swap publishes new ones); `stats` is internally
+  /// synchronized; `workers` is touched only by the constructing/joining
+  /// thread (never by the workers themselves).
   struct Shard {
     util::RcuCell<CompiledNet> net;  ///< current version for this shard
 
@@ -193,6 +203,10 @@ class InferenceServer {
     util::CondVar space_cv;  ///< signals queue room
     std::deque<Request> queue DSTEE_GUARDED_BY(mu);
     bool stopping DSTEE_GUARDED_BY(mu) = false;
+    /// Wall time of the shard's most recent successful forward: how long
+    /// a partial batch is held (capped at max_delay_ms). Zero until the
+    /// first forward, so the first batch is not held.
+    obs::Clock::duration last_forward DSTEE_GUARDED_BY(mu){};
 
     ServerStats stats;
     // Shard workers ARE the serving inter-op layer (long-lived batchers,
@@ -213,11 +227,25 @@ class InferenceServer {
 
   void validate_sample(const tensor::Tensor& input) const;
 
+  /// Why next_batch stopped holding a partial batch: max_batch requests
+  /// were queued, the head waited one forward time (the window) or
+  /// max_delay_ms (the deadline), or the shard is shutting down.
+  enum class FlushReason : std::uint8_t { kFull, kWindow, kDeadline,
+                                          kShutdown };
+  static constexpr std::size_t kFlushReasons = 4;
+
+  struct Batch {
+    std::vector<Request> requests;  ///< empty means shutdown
+    FlushReason reason = FlushReason::kFull;
+  };
+
   void worker_loop(Shard& shard);
   /// Pops the next micro-batch from `shard` (requests of equal sample
-  /// shape, up to max_batch, honoring the delay window). Empty result
-  /// means shutdown.
-  std::vector<Request> next_batch(Shard& shard);
+  /// shape, up to max_batch, held as the file comment describes).
+  /// `forward` is the wall time of the caller's previous forward, or
+  /// nullopt if it failed or none ran; it becomes the shard's
+  /// last_forward under the lock the pop takes anyway.
+  Batch next_batch(Shard& shard, std::optional<obs::Clock::duration> forward);
 
   ServerConfig config_;
   std::size_t input_features_ = 0;  ///< from the source net, for validation
@@ -227,8 +255,12 @@ class InferenceServer {
   // objects are pointer-stable for the registry's lifetime); null when
   // config_.metrics is null. The update path is lock-free either way.
   obs::Histogram* latency_hist_ = nullptr;
+  obs::Histogram* queue_wait_hist_ = nullptr;
+  obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* requests_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
+  /// Indexed by FlushReason; they sum to batches_ctr_.
+  std::array<obs::Counter*, kFlushReasons> flush_ctrs_{};
 
   /// Routing bound: shards_[0 .. active) receive new traffic. Release
   /// store in scale_to(), acquire load in route().

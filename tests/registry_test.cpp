@@ -270,6 +270,7 @@ TEST(Registry, AdmissionControlShedsBeyondQuota) {
   mopts.server.num_threads = 1;
   mopts.server.max_batch = 64;
   mopts.server.max_delay_ms = 1000.0;  // the queue builds, nothing flushes
+  mopts.server.fill_or_timeout = true;
   mopts.server.queue_quota = 4;
   serve::ModelRegistry registry;
   SeededModel::add_to(registry, "m", 5, mopts);
@@ -356,6 +357,7 @@ TEST(Registry, AutoscalerGrowsUnderQueueBuildup) {
   mopts.server.max_shards = 3;
   mopts.server.max_batch = 64;
   mopts.server.max_delay_ms = 50.0;  // slow flush: the queue builds
+  mopts.server.fill_or_timeout = true;
   mopts.autoscaler.enabled = true;
   mopts.autoscaler.interval_ms = 5.0;
   mopts.autoscaler.queue_high = 2.0;
@@ -420,6 +422,7 @@ TEST(Registry, RemoveModelDrainsInFlightRequests) {
   // answer — eviction sheds capacity, not accepted work.
   serve::ModelOptions mopts;
   mopts.server.max_delay_ms = 20.0;  // slow flush so a queue builds
+  mopts.server.fill_or_timeout = true;
   mopts.server.max_batch = 4;
   serve::ModelRegistry registry;
   SeededModel::add_to(registry, "a", 5, mopts);

@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -578,6 +583,7 @@ TEST(Server, FlushOnFullBatch) {
   cfg.num_threads = 1;
   cfg.max_batch = 4;
   cfg.max_delay_ms = 60000.0;  // never flush on time — only on fill
+  cfg.fill_or_timeout = true;
   serve::InferenceServer server(net, cfg);
 
   std::vector<std::future<tensor::Tensor>> futures;
@@ -600,6 +606,7 @@ TEST(Server, FlushOnTimeout) {
   cfg.num_threads = 1;
   cfg.max_batch = 64;       // far more than we submit
   cfg.max_delay_ms = 5.0;   // so only the deadline can flush
+  cfg.fill_or_timeout = true;
   serve::InferenceServer server(net, cfg);
 
   std::vector<std::future<tensor::Tensor>> futures;
@@ -612,6 +619,33 @@ TEST(Server, FlushOnTimeout) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_GE(stats.batches, 1u);
+}
+
+TEST(Server, IdleShardDoesNotWaitOutMaxDelay) {
+  // A partial batch is held for about one forward time, capped at
+  // max_delay_ms — not for max_delay_ms itself. The shard's first batch
+  // is not held at all, the second at most the first's forward time, so
+  // with a 60 s cap both lone requests resolve long before 5 s. Under the
+  // fixed window each would wait the full 60 s (shutdown still flushes
+  // them at once, so a failure does not hang).
+  CompiledHarness h(0.5);
+  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  serve::ServerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.max_batch = 16;
+  cfg.max_delay_ms = 60000.0;
+  serve::InferenceServer server(net, cfg);
+  for (int i = 0; i < 2; ++i) {
+    const auto x = random_tensor(tensor::Shape({12}), 70 + i);
+    std::future<tensor::Tensor> reply = server.submit(x);
+    ASSERT_EQ(reply.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "request " << i;
+    const auto expected = net.forward(x.reshaped(tensor::Shape({1, 12})));
+    EXPECT_TRUE(reply.get().equals(expected.reshaped(tensor::Shape({5}))))
+        << "request " << i;
+  }
+  server.shutdown();
 }
 
 TEST(Server, ConcurrentClientsGetTheirOwnAnswers) {
@@ -659,6 +693,7 @@ TEST(Server, ShutdownDrainsPendingRequests) {
   cfg.num_threads = 2;
   cfg.max_batch = 4;
   cfg.max_delay_ms = 10000.0;  // only shutdown can flush the tail
+  cfg.fill_or_timeout = true;
   serve::InferenceServer server(net, cfg);
 
   std::vector<std::future<tensor::Tensor>> futures;
@@ -671,6 +706,78 @@ TEST(Server, ShutdownDrainsPendingRequests) {
   EXPECT_EQ(server.stats().requests, 11u);
   EXPECT_THROW(server.submit(random_tensor(tensor::Shape({12}), 99)),
                util::CheckError);
+}
+
+TEST(Server, ShutdownUnderLoadResolvesEveryAcceptedFuture) {
+  // Four clients submit in a loop to a 2-shard server while the main
+  // thread shuts it down. Every submit() that returned a future was
+  // accepted: shutdown drains it, and it resolves to the right reply.
+  // Every submit() after shutdown() returned throws.
+  CompiledHarness h(0.8);
+  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  constexpr std::size_t kInputs = 8;
+  std::vector<tensor::Tensor> inputs;
+  std::vector<tensor::Tensor> expected;
+  for (std::size_t k = 0; k < kInputs; ++k) {
+    inputs.push_back(random_tensor(tensor::Shape({12}), 640 + k));
+    expected.push_back(
+        net.forward(inputs.back().reshaped(tensor::Shape({1, 12})))
+            .reshaped(tensor::Shape({5})));
+  }
+  serve::ServerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.num_shards = 2;
+  cfg.max_batch = 8;
+  cfg.max_delay_ms = 1.0;
+  serve::InferenceServer server(net, cfg);
+
+  struct Client {
+    std::vector<std::pair<std::size_t, std::future<tensor::Tensor>>> accepted;
+    bool rejected_after_shutdown = false;
+  };
+  constexpr std::size_t kClients = 4;
+  std::vector<Client> clients(kClients);
+  std::atomic<std::size_t> submitted{0};
+  std::atomic<bool> shut_down{false};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client& me = clients[c];
+      for (std::size_t i = 0;; ++i) {
+        const std::size_t k = (c + i) % kInputs;
+        try {
+          me.accepted.emplace_back(k, server.submit(inputs[k]));
+        } catch (const util::CheckError&) {
+          break;  // shutdown has reached the shard this submit routed to
+        }
+        submitted.fetch_add(1);
+      }
+      while (!shut_down.load()) std::this_thread::yield();
+      try {
+        server.submit(inputs[c]);
+      } catch (const util::CheckError&) {
+        me.rejected_after_shutdown = true;
+      }
+    });
+  }
+  while (submitted.load() < 2000) std::this_thread::yield();
+  server.shutdown();
+  shut_down.store(true);
+  EXPECT_THROW(server.submit(inputs[0]), util::CheckError);
+  for (auto& t : threads) t.join();
+
+  std::size_t futures = 0;
+  for (Client& client : clients) {
+    EXPECT_TRUE(client.rejected_after_shutdown);
+    for (auto& [k, reply] : client.accepted) {
+      ++futures;
+      ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);  // shutdown drained it
+      EXPECT_TRUE(reply.get().equals(expected[k]));
+    }
+  }
+  EXPECT_GE(futures, 2000u);
+  EXPECT_EQ(server.stats().requests, futures);
 }
 
 TEST(Server, RejectsWrongFeatureCount) {
@@ -1148,6 +1255,46 @@ TEST(Delta, LoadersRejectEachOthersFormats) {
                util::CheckError);
 }
 
+TEST(Delta, HugeCountFailsWithCheckError) {
+  // The sparse-section count follows the header (4-byte magic, u32
+  // version, base and result hashes); the first section's removed count
+  // follows its layer index. A corrupt delta that sets either field to
+  // 2^40 must fail with a CheckError before the count sizes anything.
+  CompiledHarness a(0.9, false, 0.0, 11);
+  CompiledHarness b(0.9, false, 0.0, 11);
+  perturb_layer(b.smodel, 0);
+  const std::string path = "serve_ckpt/huge_count.delta";
+  serve::save_delta(
+      path, serve::make_delta(a.model, &a.smodel, b.model, &b.smodel));
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kSectionsAt = 4 + 4 + 8 + 8;
+  constexpr std::size_t kRemovedAt = kSectionsAt + 8 + 8;
+  std::uint64_t field = 0;
+  ASSERT_GT(bytes.size(), kRemovedAt + sizeof(field));
+  std::memcpy(&field, bytes.data() + kSectionsAt, sizeof(field));
+  ASSERT_EQ(field, 1u);  // one sparse section: layer 0
+  std::memcpy(&field, bytes.data() + kRemovedAt, sizeof(field));
+  ASSERT_EQ(field, 1u);  // one removed position
+
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (const std::size_t at : {kSectionsAt, kRemovedAt}) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + at, &huge, sizeof(huge));
+    const std::string bad = "serve_ckpt/huge_count_patched.delta";
+    {
+      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    EXPECT_THROW(serve::load_delta(bad), util::CheckError)
+        << "field at byte " << at;
+  }
+}
+
 // --- FuseEpilogue + the named pass registry -----------------------------
 
 /// The default pipeline with FuseEpilogue slotted before the release-list
@@ -1582,6 +1729,22 @@ TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {
   obs::Histogram& lat = registry.histogram("dstee_request_latency_ms", "m0");
   EXPECT_EQ(lat.count(), 6u);
   EXPECT_GE(registry.counter("dstee_batches_total", "m0").value(), 1u);
+
+  // The batcher's decisions: each executed batch counts one flush reason
+  // and one size, and each request one queue wait.
+  const std::uint64_t batches =
+      registry.counter("dstee_batches_total", "m0").value();
+  std::uint64_t flushes = 0;
+  for (const std::string reason : {"full", "window", "deadline", "shutdown"}) {
+    flushes +=
+        registry.counter("dstee_batch_flush_" + reason + "_total", "m0")
+            .value();
+  }
+  EXPECT_EQ(flushes, batches);
+  obs::Histogram& sizes = registry.histogram("dstee_batch_size", "m0");
+  EXPECT_EQ(sizes.count(), batches);
+  EXPECT_DOUBLE_EQ(sizes.sum(), 6.0);
+  EXPECT_EQ(registry.histogram("dstee_queue_wait_ms", "m0").count(), 6u);
 
   // The StatsSnapshot bridge lands the same numbers as labeled gauges.
   serve::export_stats_metrics(registry, "m0", snapshot);

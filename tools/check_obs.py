@@ -17,6 +17,9 @@ text exposition written by --metrics-out:
           - histogram cumulative buckets are monotone non-decreasing in
             ascending le order, and the +Inf bucket equals _count
           - every sample value parses as a number
+          - for every model label with a dstee_batches_total counter: the
+            four dstee_batch_flush_{full,window,deadline,shutdown}_total
+            counters sum to it, and dstee_batch_size_count equals it
 
 Exit status 0 and "CHECK OBS OK" on success; 1 with a diagnostic on the
 first failure. Used by the tools.check_obs CTest case.
@@ -135,10 +138,37 @@ def base_family(name):
     return name
 
 
+FLUSH_REASONS = ("full", "window", "deadline", "shutdown")
+
+
+def check_batch_accounting(path, values):
+    """Every executed micro-batch has one flush reason and one size."""
+    for (name, labels), batches in sorted(values.items()):
+        if name != "dstee_batches_total":
+            continue
+        flushes = 0.0
+        for reason in FLUSH_REASONS:
+            counter = f"dstee_batch_flush_{reason}_total"
+            if (counter, labels) not in values:
+                fail(f"{path}: {counter}{labels} missing")
+            flushes += values[(counter, labels)]
+        if flushes != batches:
+            fail(
+                f"{path}: flush-reason counters{labels} sum to {flushes}, "
+                f"dstee_batches_total is {batches}"
+            )
+        sizes = values.get(("dstee_batch_size_count", labels))
+        if sizes != batches:
+            fail(
+                f"{path}: dstee_batch_size_count{labels} is {sizes}, "
+                f"dstee_batches_total is {batches}"
+            )
+
+
 def check_metrics(path):
     types = {}
     histograms = {}  # family -> {labels-minus-le: [(le, count)]}
-    counts = {}  # family -> {labels: value} from _count lines
+    values = {}  # (sample name, labels) -> value, for non-bucket samples
     samples = 0
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -173,23 +203,17 @@ def check_metrics(path):
             except ValueError:
                 fail(f"{path}:{lineno}: bad sample value: {line}")
             samples += 1
-            if types[family] != "histogram":
+            if types[family] != "histogram" or not name.endswith("_bucket"):
+                values[(name, labels)] = value
                 continue
-            if name.endswith("_bucket"):
-                le_m = re.search(r'le="([^"]+)"', labels)
-                if not le_m:
-                    fail(f"{path}:{lineno}: bucket without le label: {line}")
-                le = (
-                    math.inf
-                    if le_m.group(1) == "+Inf"
-                    else float(le_m.group(1))
-                )
-                key = re.sub(r',?le="[^"]+"', "", labels)
-                histograms.setdefault(family, {}).setdefault(key, []).append(
-                    (le, value)
-                )
-            elif name.endswith("_count"):
-                counts.setdefault(family, {})[labels] = value
+            le_m = re.search(r'le="([^"]+)"', labels)
+            if not le_m:
+                fail(f"{path}:{lineno}: bucket without le label: {line}")
+            le = math.inf if le_m.group(1) == "+Inf" else float(le_m.group(1))
+            key = re.sub(r',?le="[^"]+"', "", labels)
+            histograms.setdefault(family, {}).setdefault(key, []).append(
+                (le, value)
+            )
     if samples == 0:
         fail(f"{path}: no metric samples")
 
@@ -206,7 +230,7 @@ def check_metrics(path):
                 prev = count
             if buckets[-1][0] != math.inf:
                 fail(f"{path}: histogram {family}{key}: no +Inf bucket")
-            total = counts.get(family, {}).get(key)
+            total = values.get((family + "_count", key))
             if total is None:
                 fail(f"{path}: histogram {family}{key}: no _count sample")
             if buckets[-1][1] != total:
@@ -214,6 +238,7 @@ def check_metrics(path):
                     f"{path}: histogram {family}{key}: +Inf bucket "
                     f"{buckets[-1][1]} != _count {total}"
                 )
+    check_batch_accounting(path, values)
     print(
         f"check_obs: metrics ok ({len(types)} families, {samples} samples, "
         f"{len(histograms)} histograms)"

@@ -474,7 +474,10 @@ int run(int argc, const char* const* argv) {
       .add_flag("shards", "replica worker groups (round-robin routing)",
                 "1")
       .add_flag("max-batch", "micro-batch flush size", "16")
-      .add_flag("max-delay-ms", "micro-batch flush deadline", "2.0")
+      .add_flag("max-delay-ms",
+                "cap on how long a partial micro-batch is held (the hold "
+                "is one forward time when shorter)",
+                "2.0")
       .add_flag("intra-op",
                 "intra-op chunks per kernel on the runtime pool (0 = "
                 "pool-wide)",
