@@ -47,18 +47,25 @@ CompiledNet CompiledNet::bind(Plan&& plan, const CompileOptions& options) {
   return net;
 }
 
-CompiledNet CompiledNet::clone() const {
-  CompiledNet copy;
-  copy.plan_ = plan_;
-  copy.exec_ = exec_.clone();
-  return copy;
-}
+CompiledNet CompiledNet::clone() const { return clone_shared({}); }
 
 CompiledNet CompiledNet::clone_shared(
     const std::unordered_set<const void*>& shared) const {
+  // A copy of the plan with every matrix outside `shared` deep-copied,
+  // bound the way this net was: the replica's ops run exactly the
+  // matrices its own plan() names.
+  auto plan = std::make_shared<Plan>(*plan_);
+  for (PlanOp& op : plan->ops) {
+    if (op.csr != nullptr && shared.count(op.csr.get()) == 0) {
+      op.csr = std::make_shared<sparse::CsrMatrix>(*op.csr);
+    }
+    if (op.qcsr != nullptr && shared.count(op.qcsr.get()) == 0) {
+      op.qcsr = std::make_shared<sparse::QCsrMatrix>(*op.qcsr);
+    }
+  }
   CompiledNet copy;
-  copy.plan_ = plan_;
-  copy.exec_ = exec_.clone_shared(shared);
+  copy.exec_ = exec_.rebind(*plan);
+  copy.plan_ = std::move(plan);
   return copy;
 }
 

@@ -102,28 +102,29 @@ class CompiledNet {
     return exec_.forward(x);
   }
 
-  /// Deep copy: every op (CSR arrays, biases, folded constants) is
-  /// duplicated, so the replica's ops share no memory with the source.
-  /// InferenceServer
-  /// builds one replica per shard from this. The read-only plan() is
-  /// shared, not copied.
+  /// A replica: a copy of plan() with every weight matrix deep-copied,
+  /// bound under this net's intra-op policy, kernel backend and profile.
+  /// It shares no matrix with the source. InferenceServer builds one
+  /// replica per shard from this. Same as clone_shared({}).
   CompiledNet clone() const;
 
-  /// clone() that keeps the matrices in `shared` by reference instead of
-  /// copying. The delta hot-swap path builds each shard's new replica
-  /// with the delta-touched matrices fresh and everything else shared
-  /// with the version it replaces — a deliberate, bounded relaxation of
-  /// full replica isolation that makes patch swaps O(touched weights).
+  /// clone() that keeps the matrices in `shared` (fp32 or int8, keyed by
+  /// type-erased pointer) by reference instead of copying. The delta
+  /// hot-swap path builds each shard's new replica with the delta-touched
+  /// matrices fresh and everything else shared with the version it
+  /// replaces — a deliberate, bounded relaxation of full replica
+  /// isolation that makes patch swaps O(touched weights).
   CompiledNet clone_shared(
       const std::unordered_set<const void*>& shared) const;
 
   const Executor& executor() const { return exec_; }
 
-  /// The finished plan this net was bound from (shared with clones).
+  /// The finished plan this net was bound from. Its weight matrices are
+  /// the ones this net's ops run; a replica's plan() names its own.
   const Plan& plan() const { return *plan_; }
 
   /// Per-op wall-time profile (null unless compiled with
-  /// CompileOptions::profile_ops). Shared with every clone of this net.
+  /// CompileOptions::profile_ops). Shared with every replica of this net.
   const obs::OpProfile* op_profile() const { return exec_.op_profile(); }
 
   std::size_t num_ops() const { return exec_.num_ops(); }

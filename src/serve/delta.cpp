@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -324,6 +323,142 @@ CheckpointDelta load_delta(const std::string& path) {
   return delta;
 }
 
+namespace {
+
+/// Positions a sparse section writes.
+std::size_t section_size(const SparseLayerDelta& s) {
+  return s.removed.size() + s.added.size() + s.changed.size();
+}
+
+/// Floats of old values patch_model() logs when every entry runs: one
+/// per sparse position, the value count per dense tensor.
+std::size_t undo_size(const CheckpointDelta& delta) {
+  std::size_t n = 0;
+  for (const SparseLayerDelta& s : delta.sparse_layers) n += section_size(s);
+  for (const auto* list : {&delta.dense_params, &delta.state_buffers}) {
+    for (const DenseTensorDelta& d : *list) n += d.values.size();
+  }
+  return n;
+}
+
+/// Applies `delta` to a model whose base hash already matched, pushing
+/// the old value of every position and dense tensor element it
+/// overwrites onto `undo`, in delta order. Each entry is checked before
+/// it writes anything. `params` holds the parameter values in
+/// Module::parameters() order.
+void patch_model(const CheckpointDelta& delta,
+                 const std::vector<tensor::Tensor*>& params,
+                 const std::vector<tensor::Tensor*>& buffers,
+                 sparse::SparseModel* state, std::vector<float>& undo) {
+  for (const SparseLayerDelta& section : delta.sparse_layers) {
+    util::check(state != nullptr,
+                "delta carries sparse layer updates but the model has no "
+                "SparseModel state");
+    util::check(section.layer < state->num_layers(),
+                "delta sparse layer index out of range");
+    sparse::MaskedParameter& layer = state->layer(section.layer);
+    tensor::Tensor& value = layer.param().value;
+    const std::size_t n = layer.numel();
+    // A pruned position is zeroed the way apply_mask_to_value() zeroes
+    // it; every other inactive position already holds zero.
+    for (const std::size_t idx : section.removed) {
+      util::check(idx < n && layer.mask().is_active(idx),
+                  "delta removes an inactive position (corrupt delta?)");
+      undo.push_back(value[idx]);
+      layer.mask().deactivate(idx);
+      value[idx] = 0.0f;
+    }
+    for (const auto& [idx, v] : section.added) {
+      util::check(idx < n && !layer.mask().is_active(idx),
+                  "delta grows an already-active position (corrupt delta?)");
+      undo.push_back(value[idx]);
+      layer.mask().activate(idx);
+      value[idx] = v;
+    }
+    for (const auto& [idx, v] : section.changed) {
+      util::check(idx < n && layer.mask().is_active(idx),
+                  "delta changes an inactive position (corrupt delta?)");
+      undo.push_back(value[idx]);
+      value[idx] = v;
+    }
+  }
+  const auto overwrite = [&undo](const DenseTensorDelta& d,
+                                 tensor::Tensor& t) {
+    undo.insert(undo.end(), t.raw(), t.raw() + t.numel());
+    std::copy(d.values.begin(), d.values.end(), t.raw());
+  };
+  for (const DenseTensorDelta& d : delta.dense_params) {
+    util::check(d.index < params.size(), "delta parameter index out of range");
+    util::check(d.values.size() == params[d.index]->numel(),
+                "delta parameter size mismatch");
+    overwrite(d, *params[d.index]);
+  }
+  for (const DenseTensorDelta& d : delta.state_buffers) {
+    util::check(d.index < buffers.size(), "delta buffer index out of range");
+    util::check(d.values.size() == buffers[d.index]->numel(),
+                "delta buffer size mismatch");
+    overwrite(d, *buffers[d.index]);
+  }
+}
+
+/// Undoes a failed patch_model(). The entries that ran are a prefix of
+/// the delta, and each took its share of undo_size() in `undo`. The walk
+/// runs newest entry first, so a position the delta wrote twice ends at
+/// its first old value.
+void restore_model(const CheckpointDelta& delta,
+                   const std::vector<tensor::Tensor*>& params,
+                   const std::vector<tensor::Tensor*>& buffers,
+                   sparse::SparseModel* state,
+                   const std::vector<float>& undo) {
+  std::size_t end = undo_size(delta);  // one past the last entry's floats
+  // Steps `end` back over an entry of `size` floats. True when the entry
+  // ran; its old values are then undo[end, end + size).
+  const auto ran = [&end, &undo](std::size_t size) {
+    const bool done = size > 0 && end <= undo.size();
+    end -= size;
+    return done;
+  };
+  const auto put_back = [&](const std::vector<DenseTensorDelta>& list,
+                            const std::vector<tensor::Tensor*>& tensors) {
+    for (auto d = list.rbegin(); d != list.rend(); ++d) {
+      if (ran(d->values.size())) {
+        std::copy_n(undo.begin() + static_cast<std::ptrdiff_t>(end),
+                    d->values.size(), tensors[d->index]->raw());
+      }
+    }
+  };
+  put_back(delta.state_buffers, buffers);
+  put_back(delta.dense_params, params);
+  for (auto s = delta.sparse_layers.rbegin(); s != delta.sparse_layers.rend();
+       ++s) {
+    // A section none of whose entries ran is skipped whole: its layer
+    // check may be the one that failed.
+    if (end - section_size(*s) >= undo.size()) {
+      end -= section_size(*s);
+      continue;
+    }
+    sparse::MaskedParameter& layer = state->layer(s->layer);
+    tensor::Tensor& value = layer.param().value;
+    for (auto c = s->changed.rbegin(); c != s->changed.rend(); ++c) {
+      if (ran(1)) value[c->first] = undo[end];
+    }
+    for (auto a = s->added.rbegin(); a != s->added.rend(); ++a) {
+      if (ran(1)) {
+        layer.mask().deactivate(a->first);
+        value[a->first] = undo[end];
+      }
+    }
+    for (auto r = s->removed.rbegin(); r != s->removed.rend(); ++r) {
+      if (ran(1)) {
+        layer.mask().activate(*r);
+        value[*r] = undo[end];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void apply_delta(const CheckpointDelta& delta, nn::Module& model,
                  sparse::SparseModel* state) {
   const std::uint64_t have = model_state_hash(model, state);
@@ -334,66 +469,24 @@ void apply_delta(const CheckpointDelta& delta, nn::Module& model,
           std::to_string(have) +
           " — apply the delta to the exact checkpoint it was made from");
 
-  for (const SparseLayerDelta& section : delta.sparse_layers) {
-    util::check(state != nullptr,
-                "delta carries sparse layer updates but the model has no "
-                "SparseModel state");
-    util::check(section.layer < state->num_layers(),
-                "delta sparse layer index out of range");
-    sparse::MaskedParameter& layer = state->layer(section.layer);
-    const std::size_t n = layer.numel();
-    for (const std::size_t idx : section.removed) {
-      util::check(idx < n && layer.mask().is_active(idx),
-                  "delta removes an inactive position (corrupt delta?)");
-      layer.mask().deactivate(idx);
-    }
-    for (const auto& [idx, value] : section.added) {
-      util::check(idx < n && !layer.mask().is_active(idx),
-                  "delta grows an already-active position (corrupt delta?)");
-      layer.mask().activate(idx);
-      layer.param().value[idx] = value;
-    }
-    for (const auto& [idx, value] : section.changed) {
-      util::check(idx < n && layer.mask().is_active(idx),
-                  "delta changes an inactive position (corrupt delta?)");
-      layer.param().value[idx] = value;
-    }
-    layer.apply_mask_to_value();
-  }
-
-  const std::vector<nn::Parameter*> params = model.parameters();
-  for (const DenseTensorDelta& d : delta.dense_params) {
-    util::check(d.index < params.size(), "delta parameter index out of range");
-    tensor::Tensor& value = params[d.index]->value;
-    util::check(d.values.size() == value.numel(),
-                "delta parameter size mismatch");
-    std::copy(d.values.begin(), d.values.end(), value.raw());
-  }
+  // All or nothing: the old values the delta overwrites (never a copy of
+  // the model) put the model back when a later entry or the result hash
+  // rejects the delta. They are freed on return, before any plan patch.
+  std::vector<tensor::Tensor*> params;
+  for (nn::Parameter* p : model.parameters()) params.push_back(&p->value);
   const std::vector<tensor::Tensor*> buffers = model.state_buffers();
-  for (const DenseTensorDelta& d : delta.state_buffers) {
-    util::check(d.index < buffers.size(), "delta buffer index out of range");
-    util::check(d.values.size() == buffers[d.index]->numel(),
-                "delta buffer size mismatch");
-    std::copy(d.values.begin(), d.values.end(), buffers[d.index]->raw());
+  std::vector<float> undo;
+  undo.reserve(undo_size(delta));
+  try {
+    patch_model(delta, params, buffers, state, undo);
+    util::check(model_state_hash(model, state) == delta.result_hash,
+                "delta application did not reproduce the expected result "
+                "state (corrupt delta file?)");
+  } catch (...) {
+    restore_model(delta, params, buffers, state, undo);
+    throw;
   }
-
-  const std::uint64_t got = model_state_hash(model, state);
-  util::check(got == delta.result_hash,
-              "delta application did not reproduce the expected result "
-              "state (corrupt delta file?)");
 }
-
-namespace {
-
-/// Rebuilt weight node: the CSR matrix and bias exactly as a full
-/// recompile (lower + FoldBatchNorm) would produce them.
-struct RebuiltWeights {
-  std::shared_ptr<sparse::CsrMatrix> csr;
-  tensor::Tensor bias;
-  bool has_bias = false;
-};
-
-}  // namespace
 
 PlanPatch apply_delta_to_plan(const Plan& base_plan,
                               const CheckpointDelta& delta,
@@ -432,6 +525,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
 
   struct SparseSite {
     const nn::Parameter* weight = nullptr;
+    const nn::Parameter* bias = nullptr;
     bool touched = false;
   };
   std::vector<SparseSite> sites(mods.sparse.size());
@@ -447,6 +541,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
     }
     util::check(weight != nullptr, "collect_lowered_modules inconsistency");
     sites[s].weight = weight;
+    sites[s].bias = bias;
     bool touched = false;
     const std::size_t wi = param_index.at(weight);
     accounted_params.insert(wi);
@@ -494,44 +589,6 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   }
   if (out.needs_full_recompile) return out;
 
-  // Rebuilds ordinal `s`'s weights exactly as lower() (+ FoldBatchNorm
-  // when `folded`) would: fresh from_masked/from_dense, then the fold
-  // arithmetic on the fresh copy.
-  auto rebuild = [&](std::size_t s, bool folded,
-                     std::size_t bn_ordinal) -> RebuiltWeights {
-    RebuiltWeights r;
-    const nn::Parameter& weight = *sites[s].weight;
-    const auto mit = masked.find(&weight);
-    r.csr = std::make_shared<sparse::CsrMatrix>(
-        mit != masked.end()
-            ? sparse::CsrMatrix::from_masked(state->layer(mit->second))
-            : sparse::CsrMatrix::from_dense(weight.value, dense_eps));
-    if (auto* linear = dynamic_cast<nn::Linear*>(mods.sparse[s])) {
-      r.has_bias = linear->has_bias();
-      if (r.has_bias) r.bias = linear->bias().value;
-    } else if (auto* conv = dynamic_cast<nn::Conv2d*>(mods.sparse[s])) {
-      r.has_bias = conv->has_bias();
-      if (r.has_bias) r.bias = conv->bias().value;
-    }
-    if (folded) {
-      util::check(bn_ordinal < mods.bns.size(),
-                  "folded node lost its batch-norm provenance");
-      std::vector<float> scale, shift;
-      bn_scale_shift(*mods.bns[bn_ordinal], scale, shift);
-      util::check(r.csr->rows() == scale.size(),
-                  "delta re-fold: BN channel count mismatch");
-      r.csr->scale_rows(scale);
-      tensor::Tensor folded_bias({r.csr->rows()});
-      for (std::size_t row = 0; row < r.csr->rows(); ++row) {
-        folded_bias[row] =
-            (r.has_bias ? r.bias[row] * scale[row] : 0.0f) + shift[row];
-      }
-      r.bias = std::move(folded_bias);
-      r.has_bias = true;
-    }
-    return r;
-  };
-
   Plan& plan = out.plan;
   for (PlanOp& op : plan.ops) {
     if (op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv) {
@@ -545,18 +602,22 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
           op.folded_bn &&
           (op.bn_ordinal >= mods.bns.size() || bn_touched[op.bn_ordinal] != 0);
       if (sites[s].touched || refold) {
-        RebuiltWeights r = rebuild(s, op.folded_bn, op.bn_ordinal);
-        if (op.qcsr != nullptr) {
-          // A quantized node stays quantized across a patch: re-quantize
-          // the rebuilt fp32 weights, exactly what a full recompile with
-          // the same pipeline (… , quantize:int8) would produce.
-          op.qcsr = std::make_shared<sparse::QCsrMatrix>(
-              sparse::QCsrMatrix::quantize(*r.csr));
-        } else {
-          op.csr = std::move(r.csr);
+        // Rebuild the node the way a full recompile with the same
+        // pipeline would: lower, re-fold, re-quantize.
+        const bool quantized = op.qcsr != nullptr;
+        const auto mit = masked.find(sites[s].weight);
+        lower_weights(op, *sites[s].weight, sites[s].bias,
+                      mit != masked.end() ? &state->layer(mit->second)
+                                          : nullptr,
+                      dense_eps);
+        if (op.folded_bn) {
+          util::check(op.bn_ordinal < mods.bns.size(),
+                      "folded node lost its batch-norm provenance");
+          std::vector<float> scale, shift;
+          bn_scale_shift(*mods.bns[op.bn_ordinal], scale, shift);
+          fold_scale_shift(op, scale, shift);
         }
-        op.bias = std::move(r.bias);
-        op.has_bias = r.has_bias;
+        if (quantized) quantize_weights(op);
         ++out.patched_weight_nodes;
       }
     } else if (op.kind == PlanOpKind::kScaleShift &&

@@ -19,12 +19,12 @@
 // keeps (CompiledNet::plan()) shares its CsrMatrix instances with the
 // bound ops, so apply_delta_to_plan() can copy that plan, rebuild ONLY
 // the nodes whose provenance ordinals (PlanOp::sparse_ordinal /
-// bn_ordinal) the delta touched — re-folding BN exactly as a full
-// recompile would — and leave
-// every untouched node pointing at the very matrices the outgoing
-// version serves. Binding the patched plan then yields a new version
-// that is bit-identical to a full recompile (pinned by serve_test) at a
-// fraction of the work.
+// bn_ordinal) the delta touched — through the same lowering, folding and
+// quantizing helpers a full recompile runs — and leave every untouched
+// node pointing at the very matrices the outgoing version serves.
+// Binding the patched plan then yields a new version that is
+// bit-identical to a full recompile (pinned by serve_test) at a fraction
+// of the work.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +96,9 @@ CheckpointDelta load_delta(const std::string& path);
 
 /// Applies `delta` to `model`/`state` in place. Fails with a clear
 /// base-hash message when `model` is not the delta's base, and verifies
-/// the resulting state hashes to `result_hash`.
+/// the resulting state hashes to `result_hash`. All or nothing: when an
+/// entry is invalid or the result hash differs, every value already
+/// written is restored before the CheckError propagates.
 void apply_delta(const CheckpointDelta& delta, nn::Module& model,
                  sparse::SparseModel* state);
 

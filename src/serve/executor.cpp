@@ -13,18 +13,6 @@
 
 namespace dstee::serve {
 
-std::shared_ptr<const sparse::CsrMatrix> CloneContext::dup(
-    const std::shared_ptr<const sparse::CsrMatrix>& csr) {
-  if (share_ != nullptr && share_->count(csr.get()) > 0) return csr;
-  return std::make_shared<const sparse::CsrMatrix>(*csr);
-}
-
-std::shared_ptr<const sparse::QCsrMatrix> CloneContext::dup(
-    const std::shared_ptr<const sparse::QCsrMatrix>& qcsr) {
-  if (share_ != nullptr && share_->count(qcsr.get()) > 0) return qcsr;
-  return std::make_shared<const sparse::QCsrMatrix>(*qcsr);
-}
-
 namespace {
 
 /// Common state of the two CSR kernel families: the shared weight matrix,
@@ -80,12 +68,6 @@ template <typename M>
 class CsrLinearOp final : public CsrOp<M> {
  public:
   using CsrOp<M>::CsrOp;
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<CsrLinearOp>(*this);
-    copy->w_ = ctx.dup(this->w_);
-    return copy;
-  }
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
@@ -151,12 +133,6 @@ class CsrConvOp final : public CsrOp<M> {
       : CsrOp<M>(op, std::move(weights), intra, backend),
         conv_(conv_config(op)) {}
 
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    auto copy = std::make_unique<CsrConvOp>(*this);
-    copy->w_ = ctx.dup(this->w_);
-    return copy;
-  }
-
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     const tensor::Tensor& x = *inputs[0];
@@ -214,11 +190,6 @@ class EpilogueOp final : public EvalOp {
              const kernels::simd::KernelBackend* backend)
       : ep_(ep), intra_(intra), backend_(backend) {}
 
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<EpilogueOp>(*this);
-  }
-
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     const tensor::Tensor& x = *inputs[0];
@@ -245,11 +216,6 @@ class ScaleShiftOp final : public EvalOp {
  public:
   ScaleShiftOp(std::vector<float> scale, std::vector<float> shift, bool rank4)
       : scale_(std::move(scale)), shift_(std::move(shift)), rank4_(rank4) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<ScaleShiftOp>(*this);
-  }
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
@@ -286,11 +252,6 @@ class ScaleShiftOp final : public EvalOp {
 /// the identity at inference, but the node stays visible in the plan.
 class IdentityDropoutOp final : public EvalOp {
  public:
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<IdentityDropoutOp>(*this);
-  }
-
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     return *inputs[0];
@@ -299,11 +260,6 @@ class IdentityDropoutOp final : public EvalOp {
 
 class FlattenOp final : public EvalOp {
  public:
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<FlattenOp>(*this);
-  }
-
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     const tensor::Tensor& x = *inputs[0];
@@ -317,11 +273,6 @@ class MaxPoolOp final : public EvalOp {
  public:
   MaxPoolOp(std::size_t kernel, std::size_t stride, runtime::IntraOp intra)
       : kernel_(kernel), stride_(stride), intra_(intra) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<MaxPoolOp>(*this);
-  }
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
@@ -339,11 +290,6 @@ class AvgPoolOp final : public EvalOp {
   AvgPoolOp(std::size_t kernel, runtime::IntraOp intra)
       : kernel_(kernel), intra_(intra) {}
 
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<AvgPoolOp>(*this);
-  }
-
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     return kernels::avgpool2d(*inputs[0], kernel_, intra_);
@@ -357,11 +303,6 @@ class AvgPoolOp final : public EvalOp {
 class GlobalAvgPoolOp final : public EvalOp {
  public:
   explicit GlobalAvgPoolOp(runtime::IntraOp intra) : intra_(intra) {}
-
-  std::unique_ptr<EvalOp> clone(CloneContext& ctx) const override {
-    (void)ctx;
-    return std::make_unique<GlobalAvgPoolOp>(*this);
-  }
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
@@ -429,6 +370,8 @@ Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
                         std::shared_ptr<obs::OpProfile> profile) {
   plan.validate();
   Executor exec;
+  exec.intra_ = intra;
+  exec.backend_ = backend;
   exec.profile_ = std::move(profile);
   exec.nodes_.reserve(plan.ops.size());
   exec.op_names_.reserve(plan.ops.size());
@@ -449,6 +392,12 @@ Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
   }
   exec.release_after_ = plan.release_after;
   return exec;
+}
+
+Executor Executor::rebind(const Plan& plan) const {
+  // The profile is shared ON PURPOSE: every replica of a model adds into
+  // the same accumulator, so per-op times aggregate across shards.
+  return bind(plan, intra_, backend_, profile_);
 }
 
 void Executor::run_node(std::size_t i, std::vector<tensor::Tensor>& values,
@@ -495,32 +444,6 @@ tensor::Tensor Executor::forward(const tensor::Tensor& x) const {
     release(i);
   }
   return std::move(values.back());
-}
-
-Executor Executor::clone() const {
-  CloneContext ctx;
-  return clone_with(ctx);
-}
-
-Executor Executor::clone_shared(
-    const std::unordered_set<const void*>& shared) const {
-  CloneContext ctx(&shared);
-  return clone_with(ctx);
-}
-
-Executor Executor::clone_with(CloneContext& ctx) const {
-  Executor copy;
-  copy.nodes_.reserve(nodes_.size());
-  for (const OpNode& node : nodes_) {
-    copy.nodes_.push_back(OpNode{node.op->clone(ctx), node.inputs});
-  }
-  copy.release_after_ = release_after_;
-  copy.input_features_ = input_features_;
-  // The profile is shared ON PURPOSE: every replica of a model adds into
-  // the same accumulator, so per-op times aggregate across shards.
-  copy.profile_ = profile_;
-  copy.op_names_ = op_names_;
-  return copy;
 }
 
 }  // namespace dstee::serve

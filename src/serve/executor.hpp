@@ -12,14 +12,11 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/profile.hpp"
 #include "runtime/pool.hpp"
 #include "serve/plan.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/qcsr.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dstee::kernels::simd {
@@ -28,44 +25,11 @@ struct KernelBackend;
 
 namespace dstee::serve {
 
-/// Weight duplication for Executor::clone(): each op's CSR matrix is
-/// deep-copied, so clones share no memory with the source (the NUMA
-/// prerequisite).
-///
-/// A context may carry a SHARE SET: matrices in it are handed through
-/// untouched instead of copied. Keys are type-erased (const void*) so one
-/// set can name fp32 and int8-quantized matrices alike. The delta
-/// hot-swap path uses this to build a new version's replica that shares
-/// every weight the delta did not touch with the outgoing version — a
-/// deliberate, bounded exception to full replica isolation (see
-/// CompiledNet::clone_shared).
-///
-/// Concurrency: dup() only reads the share set, which the caller keeps
-/// alive and unchanged for the clone() walk; the source ops are only
-/// read too, so cloning replicas concurrently is safe.
-struct CloneContext {
-  CloneContext() = default;
-  explicit CloneContext(const std::unordered_set<const void*>* share)
-      : share_(share) {}
-
-  std::shared_ptr<const sparse::CsrMatrix> dup(
-      const std::shared_ptr<const sparse::CsrMatrix>& csr);
-  std::shared_ptr<const sparse::QCsrMatrix> dup(
-      const std::shared_ptr<const sparse::QCsrMatrix>& qcsr);
-
- private:
-  const std::unordered_set<const void*>* share_ = nullptr;
-};
-
 /// One compiled inference operation. run() is const and touches no shared
 /// mutable state, so a single op instance may execute on many threads.
 class EvalOp {
  public:
   virtual ~EvalOp() = default;
-
-  /// Deep copy through `ctx` — the basis of Executor::clone(), which
-  /// replica shards use to own their weights.
-  virtual std::unique_ptr<EvalOp> clone(CloneContext& ctx) const = 0;
 
   /// Executes the op over its producers' values, in PlanOp::inputs order
   /// (Plan::validate fixed the count for the node's kind).
@@ -77,10 +41,11 @@ class EvalOp {
 /// execution policy. CompiledNet wraps one of these with model-level
 /// bookkeeping; tests may also drive an Executor directly.
 ///
-/// Concurrency: every member is written exactly once, inside bind() (or
-/// clone(), which builds a fresh instance) BEFORE the executor is
-/// published to serving threads; forward()/run_node() only read them.
-/// That lock-free-by-construction discipline is why no member carries a
+/// Concurrency: every member is written exactly once, inside bind(),
+/// BEFORE the executor is published to serving threads;
+/// forward()/run_node() only read them. A replica is bind() of a copied
+/// plan (rebind()); there is no second construction path. That
+/// lock-free-by-construction discipline is why no member carries a
 /// DSTEE_GUARDED_BY: there is no mutex because there is no mutation. Any
 /// future mutable state (op-level caches, hot-swapped weights) must add
 /// a util::Mutex + annotations, or an atomic with a comment, so the
@@ -106,8 +71,8 @@ class Executor {
   /// (the process-wide dispatch).
   /// `profile`, when non-null, turns on per-op wall-time accumulation:
   /// every forward times each node and adds into the shared profile
-  /// (replica clones keep sharing it, so a sharded server aggregates into
-  /// one place). Null keeps forward() on the untimed fast path.
+  /// (rebind() passes it on, so a sharded server aggregates into one
+  /// place). Null keeps forward() on the untimed fast path.
   static Executor bind(const Plan& plan, const runtime::IntraOp& intra,
                        const kernels::simd::KernelBackend* backend = nullptr,
                        std::shared_ptr<obs::OpProfile> profile = nullptr);
@@ -116,19 +81,16 @@ class Executor {
   /// [batch, ...]; thread-safe, may be called concurrently.
   tensor::Tensor forward(const tensor::Tensor& x) const;
 
-  /// Deep copy: every op (CSR arrays, biases, folded constants) is
-  /// duplicated, so the replica shares no memory with the source.
-  Executor clone() const;
-
-  /// clone() that hands matrices in `shared` (fp32 or quantized, keyed by
-  /// type-erased pointer) through by reference instead of copying — the
-  /// delta hot-swap replica path.
-  Executor clone_shared(const std::unordered_set<const void*>& shared) const;
+  /// bind() of `plan` under this executor's intra-op policy, kernel
+  /// backend and profile. CompiledNet builds a replica this way from a
+  /// copy of its plan.
+  Executor rebind(const Plan& plan) const;
 
   std::size_t num_ops() const { return nodes_.size(); }
 
   /// Per-op wall-time profile (null unless bind() received one). Shared
-  /// across replica clones, so it aggregates every shard's forwards.
+  /// with every executor rebind() builds, so it aggregates every shard's
+  /// forwards.
   const obs::OpProfile* op_profile() const { return profile_.get(); }
 
   /// Static name of node i's plan-op kind ("spmm", "relu", ...) — the
@@ -149,14 +111,15 @@ class Executor {
   void run_node(std::size_t i, std::vector<tensor::Tensor>& values,
                 const tensor::Tensor& x) const;
 
-  /// Shared body of clone()/clone_shared().
-  Executor clone_with(CloneContext& ctx) const;
-
   std::vector<OpNode> nodes_;
   /// release_after_[i]: values to free once node i ran. Empty when
   /// FreeAfterLastUse did not run — keep everything live.
   std::vector<std::vector<std::size_t>> release_after_;
   std::size_t input_features_ = 0;
+  /// The bind() inputs rebind() reuses: the ops already hold copies of
+  /// the policy and backend.
+  runtime::IntraOp intra_;
+  const kernels::simd::KernelBackend* backend_ = nullptr;
   /// Shared per-op wall-time accumulator; null = untimed fast path.
   std::shared_ptr<obs::OpProfile> profile_;
   /// op_names_[i]: static-storage kind name for node i (trace span label).

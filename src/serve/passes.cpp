@@ -6,7 +6,6 @@
 
 #include "serve/fusion.hpp"
 #include "serve/pass_util.hpp"
-#include "sparse/qcsr.hpp"
 #include "util/check.hpp"
 
 namespace dstee::serve {
@@ -67,15 +66,7 @@ void FoldBatchNorm::run(Plan& plan) const {
     // every copy while only this plan gets the matching bias.
     PlanOp& producer = plan.ops[src];
     producer.csr = std::make_shared<sparse::CsrMatrix>(*producer.csr);
-    producer.csr->scale_rows(bn.scale);
-    tensor::Tensor folded({producer.csr->rows()});
-    for (std::size_t r = 0; r < producer.csr->rows(); ++r) {
-      folded[r] =
-          (producer.has_bias ? producer.bias[r] * bn.scale[r] : 0.0f) +
-          bn.shift[r];
-    }
-    producer.bias = std::move(folded);
-    producer.has_bias = true;
+    fold_scale_shift(producer, bn.scale, bn.shift);
     producer.folded_bn = true;
     producer.bn_ordinal = bn.bn_ordinal;  // provenance for delta re-fold
     plan.ops.erase(plan.ops.begin() + static_cast<std::ptrdiff_t>(i));
@@ -95,9 +86,7 @@ void QuantizeWeights::run(Plan& plan) const {
     const bool csr_kind =
         op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv;
     if (!csr_kind || op.csr == nullptr) continue;
-    op.qcsr = std::make_shared<sparse::QCsrMatrix>(
-        sparse::QCsrMatrix::quantize(*op.csr));
-    op.csr.reset();
+    quantize_weights(op);
     ++plan.quantized_ops;
   }
   plan.validate();

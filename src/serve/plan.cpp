@@ -149,6 +149,36 @@ void bn_scale_shift(const nn::BatchNorm& bn, std::vector<float>& scale,
   }
 }
 
+void lower_weights(PlanOp& op, const nn::Parameter& weight,
+                   const nn::Parameter* bias,
+                   const sparse::MaskedParameter* masked, float dense_eps) {
+  op.csr = std::make_shared<sparse::CsrMatrix>(
+      masked != nullptr ? sparse::CsrMatrix::from_masked(*masked)
+                        : sparse::CsrMatrix::from_dense(weight.value,
+                                                        dense_eps));
+  op.bias = bias != nullptr ? bias->value : tensor::Tensor();
+  op.has_bias = bias != nullptr;
+}
+
+void fold_scale_shift(PlanOp& op, const std::vector<float>& scale,
+                      const std::vector<float>& shift) {
+  util::check(op.csr->rows() == scale.size() && shift.size() == scale.size(),
+              "batch-norm fold: channel count mismatch");
+  op.csr->scale_rows(scale);
+  tensor::Tensor folded({op.csr->rows()});
+  for (std::size_t r = 0; r < op.csr->rows(); ++r) {
+    folded[r] = (op.has_bias ? op.bias[r] * scale[r] : 0.0f) + shift[r];
+  }
+  op.bias = std::move(folded);
+  op.has_bias = true;
+}
+
+void quantize_weights(PlanOp& op) {
+  op.qcsr = std::make_shared<sparse::QCsrMatrix>(
+      sparse::QCsrMatrix::quantize(*op.csr));
+  op.csr.reset();
+}
+
 std::size_t Plan::total_weight_bytes() const {
   std::size_t bytes = 0;
   for (const PlanOp& op : ops) bytes += node_weight_bytes(op);
@@ -461,16 +491,15 @@ Plan lower(nn::Sequential& model, const sparse::SparseModel* state,
     return cursor;
   };
 
-  auto csr_for = [&](const nn::Parameter& weight) {
+  // A Linear/Conv2d weight node, numbered in lowering order.
+  auto weights_for = [&](PlanOp& op, const nn::Parameter& weight,
+                         const nn::Parameter* bias) {
     const auto it = masked.find(&weight);
-    auto csr = std::make_shared<sparse::CsrMatrix>(
-        it != masked.end()
-            ? sparse::CsrMatrix::from_masked(*it->second)
-            : sparse::CsrMatrix::from_dense(weight.value, dense_eps));
-    plan.total_nnz += csr->nnz();
-    plan.total_weights += csr->rows() * csr->cols();
-    ++plan.sparse_ops;
-    return csr;
+    lower_weights(op, weight, bias,
+                  it != masked.end() ? it->second : nullptr, dense_eps);
+    plan.total_nnz += op.csr->nnz();
+    plan.total_weights += op.csr->rows() * op.csr->cols();
+    op.sparse_ordinal = plan.sparse_ops++;
   };
 
   auto lower_module = [&](auto&& self, nn::Module& module) -> void {
@@ -500,10 +529,8 @@ Plan lower(nn::Sequential& model, const sparse::SparseModel* state,
       PlanOp op;
       op.kind = PlanOpKind::kSpmm;
       op.inputs = {cursor};
-      op.csr = csr_for(linear->weight());
-      op.sparse_ordinal = plan.sparse_ops - 1;
-      if (linear->has_bias()) op.bias = linear->bias().value;
-      op.has_bias = linear->has_bias();
+      weights_for(op, linear->weight(),
+                  linear->has_bias() ? &linear->bias() : nullptr);
       emit(std::move(op));
       return;
     }
@@ -511,8 +538,8 @@ Plan lower(nn::Sequential& model, const sparse::SparseModel* state,
       PlanOp op;
       op.kind = PlanOpKind::kConv;
       op.inputs = {cursor};
-      op.csr = csr_for(conv->weight());
-      op.sparse_ordinal = plan.sparse_ops - 1;
+      weights_for(op, conv->weight(),
+                  conv->has_bias() ? &conv->bias() : nullptr);
       util::check(op.csr->cols() ==
                       conv->in_channels() * conv->kernel() * conv->kernel(),
                   "conv CSR columns must equal Cin*K*K");
@@ -520,8 +547,6 @@ Plan lower(nn::Sequential& model, const sparse::SparseModel* state,
       op.kernel = conv->kernel();
       op.stride = conv->stride();
       op.padding = conv->padding();
-      if (conv->has_bias()) op.bias = conv->bias().value;
-      op.has_bias = conv->has_bias();
       emit(std::move(op));
       return;
     }

@@ -238,4 +238,25 @@ LoweredModules collect_lowered_modules(nn::Sequential& model);
 void bn_scale_shift(const nn::BatchNorm& bn, std::vector<float>& scale,
                     std::vector<float>& shift);
 
+// One implementation of a weight node (kSpmm / kConv), shared by the
+// passes and delta patching, so a patched node is bit-identical to a
+// full recompile by construction.
+
+/// Sets `op`'s fp32 CSR matrix (fresh) and bias from a Linear/Conv2d's
+/// parameters, as lowering does: from_masked(*masked) when the weight has
+/// a mask, else from_dense(weight, dense_eps); `bias` may be null.
+void lower_weights(PlanOp& op, const nn::Parameter& weight,
+                   const nn::Parameter* bias,
+                   const sparse::MaskedParameter* masked, float dense_eps);
+
+/// FoldBatchNorm's arithmetic: y·scale + shift folded into `op`, whose
+/// CSR rows are scaled IN PLACE (the caller must own *op.csr) and whose
+/// bias becomes bias·scale + shift.
+void fold_scale_shift(PlanOp& op, const std::vector<float>& scale,
+                      const std::vector<float>& shift);
+
+/// QuantizeWeights' rewrite: `op`'s fp32 CSR matrix becomes its int8
+/// quantization.
+void quantize_weights(PlanOp& op);
+
 }  // namespace dstee::serve

@@ -111,8 +111,8 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
   util::check(!slot.removed.load(std::memory_order_acquire),
               "ModelRegistry: model '" + name + "' was removed");
 
-  // Mutate the source-of-truth model first; this throws (mutating
-  // nothing) when the delta's base hash does not match.
+  // Mutate the source-of-truth model first; this throws, leaving the
+  // model as it was, when the delta is rejected.
   serve::apply_delta(delta, *slot.module, slot.state.get());
 
   // Patch from the plan of the version shard 0 serves: untouched nodes

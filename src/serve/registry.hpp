@@ -8,16 +8,18 @@
 // The registry owns, per model: the training-side module + SparseModel
 // (the mutable source of truth deltas apply to), the Compiler pipeline
 // it was compiled with, the version it published to shard 0 (whose
-// plan() shares its CsrMatrix instances with the bound ops — the seam
+// plan() names the very CsrMatrix instances its ops run — the seam
 // delta patches start from), and the server.
 //
 // ZERO-DOWNTIME UPDATES
 //   apply_delta(name, delta)  checks the delta's base hash against the
-//       model, applies it, patches ONLY the touched plan nodes
+//       model, applies it all-or-nothing (a rejected delta leaves the
+//       model as it was), patches ONLY the touched plan nodes
 //       (apply_delta_to_plan), binds the patched plan and RCU-publishes
 //       it into the model's server. Replicas for shards 1.. are built
-//       with clone_shared: delta-touched matrices fresh, everything else
-//       shared — a patch swap does O(touched weights) work, not O(model).
+//       with clone_shared, which binds a copy of the patched plan:
+//       delta-touched matrices fresh, everything else shared — a patch
+//       swap does O(touched weights) work, not O(model).
 //   swap_model(name, checkpoint)  the full-recompile path for when no
 //       delta is available (or a delta declared needs_full_recompile).
 // Both run under the slot's swap lock; serving never pauses (workers
@@ -136,7 +138,8 @@ class ModelRegistry {
   /// Applies a sparse delta to `name` in place and hot-swaps the served
   /// version, rebuilding only the delta-touched plan nodes. Fails (and
   /// changes nothing) when the delta's base hash does not match the
-  /// model's current state.
+  /// model's current state, when an entry is invalid, or when the result
+  /// does not hash to the delta's result_hash.
   SwapReport apply_delta(const std::string& name,
                          const CheckpointDelta& delta);
 

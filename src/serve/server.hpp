@@ -6,11 +6,12 @@
 // The server runs up to `max_shards` independent worker GROUPS. Each
 // group holds a versioned replica of the compiled network in a
 // util::RcuCell (shard 0 serves the published net itself, shards 1..
-// serve clones built at construction/swap time), its own request queue,
-// and `num_threads` worker threads. Requests route to the first
-// `active_shards` groups round-robin PER SAMPLE SHAPE, so heterogeneous
-// traffic spreads every shape across the active groups instead of
-// pinning one shape to one queue.
+// serve replicas built at construction/swap time by CompiledNet::clone(),
+// which binds a copy of the plan with its own weight matrices), its own
+// request queue, and `num_threads` worker threads. Requests route to the
+// first `active_shards` groups round-robin PER SAMPLE SHAPE, so
+// heterogeneous traffic spreads every shape across the active groups
+// instead of pinning one shape to one queue.
 //
 // HOT SWAP: swap() publishes a new CompiledNet version into every
 // shard's RcuCell. A worker captures the version pointer once per
@@ -18,8 +19,8 @@
 // the next batch picks up the new one, and the old version is destroyed
 // when its last reference drops — no drain, no pause, no dropped
 // requests. The optional replica factory lets a delta-patched swap build
-// each shard's replica off to the side (sharing untouched weights)
-// instead of full-cloning.
+// each shard's replica off to the side with CompiledNet::clone_shared
+// (sharing untouched weights) instead of copying every matrix.
 //
 // ADMISSION CONTROL: submit() applies backpressure — it blocks while
 // `queue_capacity` requests are already waiting on the routed shard, and
@@ -98,13 +99,14 @@ class InferenceServer {
   /// Builds each shard's replica for a new version being swapped in;
   /// called once per shard (including shard 0). Lets ApplyDelta-style
   /// swaps share untouched weights with the outgoing version instead of
-  /// full-cloning. Must return a non-null net of identical architecture.
+  /// copying every matrix. Must return a non-null net of identical
+  /// architecture.
   using ReplicaFactory =
       std::function<std::shared_ptr<const CompiledNet>(std::size_t shard)>;
 
   /// `net` must outlive the server (it is borrowed, not owned; shard 0
-  /// serves it directly and shards 1.. serve clones built here). Workers
-  /// start immediately.
+  /// serves it directly and shards 1.. serve replicas built here with
+  /// net.clone()). Workers start immediately.
   InferenceServer(const CompiledNet& net, ServerConfig config);
 
   /// Shared-ownership variant: the server keeps the net alive for as
@@ -135,8 +137,9 @@ class InferenceServer {
   /// and parked). In-flight batches finish on the version they captured;
   /// requests already queued and all later submits run on the new one.
   /// `factory`, when set, builds each shard's replica (otherwise shard 0
-  /// serves `net` itself and shards 1.. full clones of it). The new net
-  /// must report the same input_features() as the one served so far.
+  /// serves `net` itself and shards 1.. replicas from net->clone()). The
+  /// new net must report the same input_features() as the one served so
+  /// far.
   void swap(std::shared_ptr<const CompiledNet> net,
             const ReplicaFactory& factory = nullptr);
 

@@ -1,17 +1,16 @@
-// RcuCell: an atomically-published shared_ptr<const T> — the project's
-// RCU (read-copy-update) primitive for hot-swapped immutable state.
+// RcuCell: a published shared_ptr<const T> — the project's RCU
+// (read-copy-update) primitive for hot-swapped immutable state.
 //
 // Readers load() a snapshot and keep using it for as long as they hold
 // the shared_ptr; writers store() a replacement built off to the side.
 // Nobody blocks anybody for more than a pointer copy: in-flight work
 // finishes on the version it captured, new work picks up the new one,
 // and the old version is destroyed when its last reference drops. There
-// is no drain, no pause, and no reader-visible lock across the swap.
+// is no drain, no pause, and no lock held across the swap.
 //
-// Where the standard library provides std::atomic<std::shared_ptr<T>>
-// (libstdc++ >= 12) we use it directly; elsewhere we fall back to a
-// mutex-guarded pointer, which preserves the contract (load/store are
-// tiny critical sections) at the cost of readers sharing one lock.
+// The pointer is guarded by a util::Mutex, so the thread-safety analysis
+// and TSan both see the publication. Serving workers load once per
+// micro-batch, so the cost is one uncontended lock per batch.
 //
 // The project lint (tools/dstee_lint, rule `hot-swap-rcu`) requires
 // hot-swapped CompiledNet members to live in one of these rather than in
@@ -19,17 +18,13 @@
 // bypassed with a plain (racy) pointer read.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <utility>
-#include <version>
 
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dstee::util {
-
-#if defined(__cpp_lib_atomic_shared_ptr) && __cpp_lib_atomic_shared_ptr >= 201711L
 
 template <typename T>
 class RcuCell {
@@ -40,54 +35,24 @@ class RcuCell {
 
   /// Snapshot of the current version. Never null once published; callers
   /// keep the returned pointer for the duration of their work.
-  std::shared_ptr<const T> load() const { return ptr_.load(std::memory_order_acquire); }
-
-  /// Publishes a new version. The old version retires when the last
-  /// reader that captured it drops its reference.
-  void store(std::shared_ptr<const T> next) {
-    ptr_.store(std::move(next), std::memory_order_release);
-  }
-
-  /// store() that also hands back the displaced version.
-  std::shared_ptr<const T> exchange(std::shared_ptr<const T> next) {
-    return ptr_.exchange(std::move(next), std::memory_order_acq_rel);
-  }
-
- private:
-  std::atomic<std::shared_ptr<const T>> ptr_;
-};
-
-#else  // no std::atomic<std::shared_ptr>: mutex-guarded fallback
-
-template <typename T>
-class RcuCell {
- public:
-  RcuCell() = default;
-  explicit RcuCell(std::shared_ptr<const T> initial)
-      : ptr_(std::move(initial)) {}
-
   std::shared_ptr<const T> load() const {
     MutexLock lock(mu_);
     return ptr_;
   }
 
+  /// Publishes a new version. The old version retires when the last
+  /// reader that captured it drops its reference. The swap leaves the
+  /// displaced pointer in `next`, which is released after the lock, so a
+  /// retiring version is never destroyed while readers wait on `mu_`.
   void store(std::shared_ptr<const T> next) {
     MutexLock lock(mu_);
-    ptr_ = std::move(next);
-  }
-
-  std::shared_ptr<const T> exchange(std::shared_ptr<const T> next) {
-    MutexLock lock(mu_);
     ptr_.swap(next);
-    return next;  // the displaced version
   }
 
  private:
   mutable Mutex mu_;
   std::shared_ptr<const T> ptr_ DSTEE_GUARDED_BY(mu_);
 };
-
-#endif
 
 /// Wraps an object the caller guarantees outlives every observer into a
 /// non-owning shared_ptr (aliasing constructor with an empty control

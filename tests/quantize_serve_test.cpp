@@ -238,5 +238,38 @@ TEST(QuantizeWeights, PostQuantizeDeltaPatchMatchesFullRecompile) {
   EXPECT_TRUE(patched_net.forward(x).equals(full_net.forward(x)));
 }
 
+/// Nodes whose int8 matrix is the same object in plans `a` and `b`.
+std::size_t shared_qcsr_count(const serve::Plan& a, const serve::Plan& b) {
+  std::size_t shared = 0;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    if (a.ops[i].qcsr != nullptr && a.ops[i].qcsr == b.ops.at(i).qcsr) {
+      ++shared;
+    }
+  }
+  return shared;
+}
+
+TEST(QuantizeWeights, CloneAndCloneSharedMatchBitForBit) {
+  QuantHarness h(0.9, /*batch_norm=*/true);
+  const auto net = quant_compiler().compile(h.model, &h.smodel);
+  ASSERT_GT(net.num_quantized_ops(), 0u);
+  const auto x = random_tensor(tensor::Shape({4, 12}), 713);
+  const auto expected = net.forward(x);
+
+  // A replica's plan names its own int8 matrices.
+  const auto replica = net.clone();
+  EXPECT_EQ(replica.num_quantized_ops(), net.num_quantized_ops());
+  EXPECT_EQ(shared_qcsr_count(replica.plan(), net.plan()), 0u);
+  EXPECT_TRUE(replica.forward(x).equals(expected));
+
+  // clone_shared hands exactly the named int8 matrix through.
+  const sparse::QCsrMatrix* first = net.plan().ops.front().qcsr.get();
+  ASSERT_NE(first, nullptr);
+  const auto partial = net.clone_shared({first});
+  EXPECT_EQ(shared_qcsr_count(partial.plan(), net.plan()), 1u);
+  EXPECT_EQ(partial.plan().ops.front().qcsr.get(), first);
+  EXPECT_TRUE(partial.forward(x).equals(expected));
+}
+
 }  // namespace
 }  // namespace dstee

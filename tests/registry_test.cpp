@@ -215,6 +215,16 @@ TEST(Registry, DeltaSwapUpdatesStateHashAndAnswers) {
   EXPECT_TRUE(registry.submit("m", x).get().equals(
       expected_row(kSeed, x, false)));
 
+  // A corrupt copy (one result-hash bit flipped) has the right base but
+  // is rejected whole: the model, its hash and its replies stay put, so
+  // the real delta still applies afterwards.
+  serve::CheckpointDelta corrupt = delta;
+  corrupt.result_hash ^= 1;
+  EXPECT_THROW(registry.apply_delta("m", corrupt), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), delta.base_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(
+      expected_row(kSeed, x, false)));
+
   const serve::SwapReport report = registry.apply_delta("m", delta);
   EXPECT_FALSE(report.full_recompile);
   EXPECT_EQ(registry.state_hash("m"), delta.result_hash);

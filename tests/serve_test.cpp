@@ -401,6 +401,15 @@ TEST(Server, FailedBatchFailsOnlyItsRequestsAndServingContinues) {
   EXPECT_EQ(server.stats().requests, 9u);
 }
 
+/// Nodes whose fp32 matrix is the same object in plans `a` and `b`.
+std::size_t shared_csr_count(const serve::Plan& a, const serve::Plan& b) {
+  std::size_t shared = 0;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    if (a.ops[i].csr != nullptr && a.ops[i].csr == b.ops.at(i).csr) ++shared;
+  }
+  return shared;
+}
+
 TEST(CompiledNet, CloneSharesNoStateAndMatchesBitForBit) {
   CompiledHarness h(0.9, /*batch_norm=*/true);
   const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
@@ -410,6 +419,16 @@ TEST(CompiledNet, CloneSharesNoStateAndMatchesBitForBit) {
   EXPECT_EQ(replica.input_features(), net.input_features());
   const auto x = random_tensor(tensor::Shape({5, 12}), 61);
   EXPECT_TRUE(replica.forward(x).equals(net.forward(x)));
+
+  // Isolation by construction: a replica's plan names its own matrices.
+  EXPECT_EQ(shared_csr_count(replica.plan(), net.plan()), 0u);
+  // clone_shared hands exactly the named matrix through.
+  const sparse::CsrMatrix* first = net.plan().ops.front().csr.get();
+  ASSERT_NE(first, nullptr);
+  const auto partial = net.clone_shared({first});
+  EXPECT_EQ(shared_csr_count(partial.plan(), net.plan()), 1u);
+  EXPECT_EQ(partial.plan().ops.front().csr.get(), first);
+  EXPECT_TRUE(partial.forward(x).equals(net.forward(x)));
 }
 
 TEST(CompiledNet, ResNetCloneMatchesBitForBit) {
@@ -1213,7 +1232,7 @@ TEST(Delta, ResNetDeltaRefoldsBatchNormThroughCheckpoint) {
   EXPECT_TRUE(patched_net.forward(x).allclose(next.forward(x), 1e-4f));
 }
 
-TEST(Delta, BaseHashMismatchFailsLoudlyAndMutatesNothing) {
+TEST(Delta, RejectedDeltaFailsLoudlyAndMutatesNothing) {
   CompiledHarness a(0.9, false, 0.0, 11);
   CompiledHarness b(0.9, false, 0.0, 11);
   perturb_layer(b.smodel, 0);
@@ -1227,6 +1246,28 @@ TEST(Delta, BaseHashMismatchFailsLoudlyAndMutatesNothing) {
   EXPECT_THROW(serve::apply_delta(delta, other.model, &other.smodel),
                util::CheckError);
   EXPECT_EQ(serve::model_state_hash(other.model, &other.smodel), before);
+
+  // Right base, rejected later: every entry applied before the failing
+  // check is undone, so the model still hashes to the base.
+  serve::CheckpointDelta wrong_result = delta;
+  wrong_result.result_hash ^= 1;
+  serve::CheckpointDelta bad_entry = delta;  // the valid layer-0 entries run
+  serve::SparseLayerDelta inactive;
+  inactive.layer = 1;
+  inactive.removed = {a.smodel.layer(1).mask().inactive_indices().front()};
+  bad_entry.sparse_layers.push_back(inactive);
+  serve::CheckpointDelta bad_dense = delta;  // a dense tensor is written
+  const std::vector<nn::Parameter*> params = a.model.parameters();
+  bad_dense.dense_params.push_back(
+      {params.size() - 1,
+       std::vector<float>(params.back()->value.numel(), 0.5f)});
+  bad_dense.dense_params.push_back({params.size(), {}});  // out of range
+  for (const serve::CheckpointDelta* bad :
+       {&wrong_result, &bad_entry, &bad_dense}) {
+    EXPECT_THROW(serve::apply_delta(*bad, a.model, &a.smodel),
+                 util::CheckError);
+    EXPECT_EQ(serve::model_state_hash(a.model, &a.smodel), delta.base_hash);
+  }
 
   // Applying twice: the first moves the state to result_hash, so the
   // second no longer matches the base.

@@ -17,9 +17,6 @@ that sit a level above the type system:
                    declaration must have at least one DSTEE_GUARDED_BY /
                    DSTEE_REQUIRES / ... user in the same file; a mutex
                    protecting nothing nameable takes a waiver comment.
-  evalop-clone     Every leaf serve::EvalOp subclass overrides clone() —
-                   a clone-less op silently shares weights across replica
-                   shards, defeating replica isolation.
   kernel-intraop   src/kernels/ never reads runtime::default_pool() or
                    intra_op_default() directly; kernels accept a
                    runtime::IntraOp so the caller owns placement policy.
@@ -77,7 +74,6 @@ from pathlib import Path
 RULES = {
     "raw-thread": "raw std::thread outside src/runtime/",
     "unguarded-mutex": "naked std::mutex or util::Mutex with no annotation user",
-    "evalop-clone": "EvalOp subclass without a clone() override",
     "kernel-intraop": "kernel reads the process pool instead of IntraOp",
     "serve-epilogue": "serve code calls a raw activation kernel, not Epilogue",
     "hot-swap-rcu": "shared_ptr<const CompiledNet> member outside util::RcuCell",
@@ -244,68 +240,6 @@ def scan_unguarded_mutex(fs: FileScan, findings: list[Finding]) -> None:
             f"util::Mutex '{name}' has no DSTEE_GUARDED_BY/DSTEE_REQUIRES "
             "user in this file; annotate what it protects or add a "
             "dstee-lint waiver with the reason"))
-
-
-CLASS_RE = re.compile(
-    r"\b(?:class|struct)\s+(\w+)(\s+final)?\s*:\s*"
-    r"((?:public|private|protected)?\s*[\w:]+(?:<[\w:,\s]*>)?"
-    r"(?:\s*,\s*(?:public|private|protected)?\s*[\w:]+(?:<[\w:,\s]*>)?)*)\s*\{")
-
-
-def scan_evalop_clone(scans: list[FileScan], findings: list[Finding]) -> None:
-    classes = {}  # name -> (fs, line, final, bases, body)
-    for fs in scans:
-        if not fs.rel.startswith("src/serve/"):
-            continue
-        for m in CLASS_RE.finditer(fs.stripped):
-            name = m.group(1)
-            is_final = bool(m.group(2))
-            # Drop access specifiers, namespace qualifiers and template
-            # arguments: `public CsrOp<M>` -> `CsrOp`, so a class template
-            # base still anchors the EvalOp hierarchy walk.
-            bases = [b.strip().split("<")[0].split()[-1].split("::")[-1]
-                     for b in m.group(3).split(",")]
-            # Body: from the opening brace to its match.
-            depth, i = 0, m.end() - 1
-            start = i
-            while i < len(fs.stripped):
-                if fs.stripped[i] == "{":
-                    depth += 1
-                elif fs.stripped[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            body = fs.stripped[start:i + 1]
-            line = fs.stripped[:m.start()].count("\n") + 1
-            classes[name] = (fs, line, is_final, bases, body)
-
-    def in_hierarchy(name: str, seen=None) -> bool:
-        if name == "EvalOp":
-            return True
-        if name not in classes:
-            return False
-        seen = seen or set()
-        if name in seen:
-            return False
-        seen.add(name)
-        return any(in_hierarchy(b, seen) for b in classes[name][3])
-
-    derived_from = {b for (_, _, _, bases, _) in classes.values() for b in bases}
-    for name, (fs, line, is_final, bases, body) in classes.items():
-        if name == "EvalOp" or not in_hierarchy(name):
-            continue
-        is_leaf = is_final or name not in derived_from
-        if not is_leaf:
-            continue  # abstract intermediates (e.g. CsrOp) need no clone
-        if re.search(r"\bclone\s*\(", body):
-            continue
-        if fs.is_waived(line, "evalop-clone"):
-            continue
-        findings.append(Finding(
-            fs.path, line, "evalop-clone",
-            f"EvalOp subclass '{name}' does not override clone(); replica "
-            "shards would silently share its state"))
 
 
 def scan_kernel_intraop(fs: FileScan, findings: list[Finding]) -> None:
@@ -506,7 +440,6 @@ def main(argv: list[str]) -> int:
         scan_simd_confinement(fs, findings)
         scan_serve_timing(fs, findings)
         scan_include_hygiene(fs, findings)
-    scan_evalop_clone(scans, findings)
     if args.compile_commands is not None:
         scan_unbuilt_sources(root, args.compile_commands, findings)
 

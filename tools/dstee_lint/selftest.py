@@ -27,10 +27,7 @@ EXPECTED = sorted([
     ("src/kernels/bad_kernel.cpp", "kernel-intraop"),     # default_pool()
     ("src/kernels/bad_kernel.cpp", "kernel-intraop"),     # intra_op_default()
     ("src/methods/bad_thread.cpp", "raw-thread"),
-    ("src/serve/bad_evalop.hpp", "evalop-clone"),         # LeafNoClone
     ("src/serve/bad_hotswap.hpp", "hot-swap-rcu"),        # plain member
-    ("src/serve/bad_evalop.hpp", "evalop-clone"),         # DirectNoClone
-    ("src/serve/bad_evalop.hpp", "evalop-clone"),         # TmplLeafNoClone
     ("src/serve/bad_mutex.hpp", "unguarded-mutex"),       # naked std::mutex
     ("src/serve/bad_mutex.hpp", "unguarded-mutex"),       # orphan util::Mutex
     ("src/serve/bad_raw_act.cpp", "serve-epilogue"),      # raw kernels::relu
