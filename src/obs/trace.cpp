@@ -110,18 +110,18 @@ void TraceRecorder::record(std::uint64_t trace_id, SpanKind kind,
   if (trace_id == 0) return;
   Ring& ring = local_ring();
   Slot& slot = ring.slots[ring.next_write % capacity_];
-  // Seqlock writer: invalidate, publish the invalidation BEFORE any new
-  // field value becomes visible (release fence), write fields, then
-  // publish the new sequence with release so a reader that sees it also
-  // sees every field.
+  // Seqlock writer, fence-free (Boehm, MSPC 2012): invalidate, then
+  // store each field with release, so a reader that sees any new field
+  // value also sees the invalidation; then publish the new sequence with
+  // release so a reader that sees it also sees every field. On x86 every
+  // one of these is a plain move.
   slot.seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.ts_ns.store(ts_ns, std::memory_order_relaxed);
-  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  slot.arg.store(arg, std::memory_order_relaxed);
-  slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
+  slot.trace_id.store(trace_id, std::memory_order_release);
+  slot.name.store(name, std::memory_order_release);
+  slot.ts_ns.store(ts_ns, std::memory_order_release);
+  slot.dur_ns.store(dur_ns, std::memory_order_release);
+  slot.arg.store(arg, std::memory_order_release);
+  slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_release);
   slot.seq.store(ring.next_write + 1, std::memory_order_release);
   ++ring.next_write;
 }
@@ -134,19 +134,21 @@ std::vector<TraceEvent> TraceRecorder::drain() const {
       const Slot& slot = ring->slots[i];
       // Seqlock reader: a slot is valid iff the sequence word is nonzero
       // and unchanged across the field reads (sequence values never
-      // repeat, so an intervening overwrite cannot go unnoticed).
+      // repeat, so an intervening overwrite cannot go unnoticed). The
+      // field loads are acquire, so the second sequence load cannot move
+      // above them: a field from a newer write brings that write's
+      // invalidation with it.
       const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
       if (seq1 == 0) continue;
       TraceEvent ev;
-      ev.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      ev.name = slot.name.load(std::memory_order_relaxed);
-      ev.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-      ev.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-      ev.arg = slot.arg.load(std::memory_order_relaxed);
+      ev.trace_id = slot.trace_id.load(std::memory_order_acquire);
+      ev.name = slot.name.load(std::memory_order_acquire);
+      ev.ts_ns = slot.ts_ns.load(std::memory_order_acquire);
+      ev.dur_ns = slot.dur_ns.load(std::memory_order_acquire);
+      ev.arg = slot.arg.load(std::memory_order_acquire);
       ev.kind =
-          static_cast<SpanKind>(slot.kind.load(std::memory_order_relaxed));
+          static_cast<SpanKind>(slot.kind.load(std::memory_order_acquire));
       ev.ring = ring->id;
-      std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t seq2 = slot.seq.load(std::memory_order_relaxed);
       if (seq1 != seq2 || ev.name == nullptr) continue;
       events.push_back(ev);

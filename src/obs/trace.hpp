@@ -9,9 +9,10 @@
 //      entirely unless the current request was sampled.
 //   2. No locks, no allocation on the record path. Each recording thread
 //      owns a fixed-capacity ring of slots; record() is a handful of
-//      relaxed atomic stores bracketed by a per-slot sequence word
-//      (seqlock protocol, single writer per ring). A full ring overwrites
-//      its oldest events — tracing is a diagnostic window, not a log.
+//      release atomic stores (plain moves on x86) bracketed by a per-slot
+//      sequence word (a fence-free seqlock, single writer per ring). A
+//      full ring overwrites its oldest events — tracing is a diagnostic
+//      window, not a log.
 //   3. Race-free draining from any thread, concurrent with writers.
 //      Every slot field is a std::atomic, so a torn read is impossible at
 //      the memory-model level (TSan-clean by construction); a LOGICALLY

@@ -1,6 +1,7 @@
 #include "serve/delta.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,31 +19,73 @@ namespace dstee::serve {
 
 namespace {
 
-// Same magic as train/checkpoint.cpp: a delta is version 3 of the one
+// Same magic as train/checkpoint.cpp: a delta is version 4 of the one
 // dstee checkpoint family, so both loaders can recognize — and cleanly
 // reject — each other's files.
 constexpr char kMagic[4] = {'D', 'S', 'T', 'E'};
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// The xxh64 primes.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
 
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (std::size_t byte = 0; byte < sizeof(v); ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= kFnvPrime;
+/// The xxh64 round: one multiply-rotate step of one lane.
+constexpr std::uint64_t hash_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+/// The state hash: four independent lanes, so four rounds are in flight
+/// at once, over each tensor's raw bytes 8 at a time.
+class StateHash {
+ public:
+  /// Mixes the element count, then the bytes in 32-byte stripes, one
+  /// word per lane. A trailing odd float is zero-padded to a word; the
+  /// count mixed first tells the padding from data.
+  void mix(const tensor::Tensor& t) {
+    lanes_[0] = hash_round(lanes_[0], t.numel());
+    const auto* bytes = reinterpret_cast<const unsigned char*>(t.raw());
+    const std::size_t size = t.numel() * sizeof(float);
+    std::size_t at = 0;
+    for (; at + kLanes * kWord <= size; at += kLanes * kWord) {
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        lanes_[k] = hash_round(lanes_[k], word(bytes + at + k * kWord, kWord));
+      }
+    }
+    for (std::size_t k = 0; at < size; at += kWord, ++k) {
+      lanes_[k] = hash_round(lanes_[k],
+                             word(bytes + at, std::min(kWord, size - at)));
+    }
   }
-}
 
-void fnv_mix_float(std::uint64_t& h, float v) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv_mix(h, bits);
-}
+  /// Folds the lanes the way xxh64 does, then avalanches.
+  std::uint64_t digest() const {
+    std::uint64_t h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+                      std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+    for (const std::uint64_t lane : lanes_) {
+      h = (h ^ hash_round(0, lane)) * kPrime1 + kPrime4;
+    }
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h;
+  }
 
-void fnv_mix_tensor(std::uint64_t& h, const tensor::Tensor& t) {
-  fnv_mix(h, t.numel());
-  for (std::size_t i = 0; i < t.numel(); ++i) fnv_mix_float(h, t[i]);
-}
+ private:
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+  /// The first `n` (at most 8) bytes at `p` as a little-endian word.
+  static std::uint64_t word(const unsigned char* p, std::size_t n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    return w;
+  }
+
+  std::uint64_t lanes_[kLanes] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+};
 
 bool tensors_differ(const tensor::Tensor& a, const tensor::Tensor& b) {
   if (a.numel() != b.numel()) return true;
@@ -64,20 +107,23 @@ void write_f32(std::ofstream& out, float v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-/// Reads a delta file front to back, counting the bytes it has left, so
-/// a count read from the file is checked against them before it sizes
-/// anything: a corrupt count fails with a CheckError, not a huge
-/// allocation.
+/// Parses a delta file front to back through a fixed window it refills
+/// from the stream, so memory stays flat whatever the file's size. It
+/// counts the bytes the file has left, so a count read from the file is
+/// checked against them before it sizes anything: a corrupt count fails
+/// with a CheckError, not a huge allocation.
 class DeltaReader {
  public:
-  DeltaReader(std::ifstream& in, std::uint64_t size) : in_(in), left_(size) {}
+  DeltaReader(std::ifstream& in, std::uint64_t size)
+      : in_(in), left_(size), window_(kWindowBytes) {}
 
   template <typename T>
   T read() {
     T v{};
     util::check(left_ >= sizeof(v), "delta file truncated");
-    in_.read(reinterpret_cast<char*>(&v), sizeof(v));
-    util::check(in_.good(), "delta file truncated");
+    if (end_ - at_ < sizeof(v)) refill();
+    std::memcpy(&v, window_.data() + at_, sizeof(v));
+    at_ += sizeof(v);
     left_ -= sizeof(v);
     return v;
   }
@@ -85,16 +131,36 @@ class DeltaReader {
   /// A count of items that each take at least `min_bytes` in the file.
   std::size_t count(std::uint64_t min_bytes) {
     const std::uint64_t n = read<std::uint64_t>();
-    util::check(n <= left_ / min_bytes,
-                "delta file truncated: a count of " + std::to_string(n) +
-                    " items does not fit in the " + std::to_string(left_) +
-                    " bytes left");
+    if (n > left_ / min_bytes) {
+      util::fail("delta file truncated: a count of " + std::to_string(n) +
+                 " items does not fit in the " + std::to_string(left_) +
+                 " bytes left");
+    }
     return static_cast<std::size_t>(n);
   }
 
  private:
+  static constexpr std::size_t kWindowBytes = std::size_t{64} << 10;
+
+  /// Moves the unparsed tail to the front of the window and fills the
+  /// rest from the stream, never past the size taken at open.
+  void refill() {
+    const std::size_t tail = end_ - at_;
+    std::memmove(window_.data(), window_.data() + at_, tail);
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(window_.size() - tail, left_ - tail));
+    in_.read(window_.data() + tail, static_cast<std::streamsize>(want));
+    util::check(static_cast<std::size_t>(in_.gcount()) == want,
+                "delta file truncated");
+    at_ = 0;
+    end_ = tail + want;
+  }
+
   std::ifstream& in_;
-  std::uint64_t left_;
+  std::uint64_t left_;  ///< bytes not yet parsed, in the window or not
+  std::vector<char> window_;
+  std::size_t at_ = 0;   ///< next unparsed byte in the window
+  std::size_t end_ = 0;  ///< one past the last byte in the window
 };
 
 // Fewest bytes one item of each counted list takes in the file.
@@ -161,22 +227,15 @@ std::unordered_map<const nn::Parameter*, std::size_t> masked_layers(
 
 std::uint64_t model_state_hash(nn::Module& model,
                                const sparse::SparseModel* state) {
-  std::uint64_t h = kFnvOffset;
-  for (const nn::Parameter* p : model.parameters()) {
-    fnv_mix_tensor(h, p->value);
-  }
-  for (const tensor::Tensor* b : model.state_buffers()) {
-    fnv_mix_tensor(h, *b);
-  }
+  StateHash h;
+  for (const nn::Parameter* p : model.parameters()) h.mix(p->value);
+  for (const tensor::Tensor* b : model.state_buffers()) h.mix(*b);
   if (state != nullptr) {
     for (std::size_t i = 0; i < state->num_layers(); ++i) {
-      const std::vector<std::size_t> active =
-          state->layer(i).mask().active_indices();
-      fnv_mix(h, active.size());
-      for (const std::size_t idx : active) fnv_mix(h, idx);
+      h.mix(state->layer(i).mask().tensor());
     }
   }
-  return h;
+  return h.digest();
 }
 
 CheckpointDelta make_delta(nn::Module& base,
@@ -304,6 +363,11 @@ CheckpointDelta load_delta(const std::string& path) {
                   std::to_string(version) +
                   "), not a sparse delta; load it with "
                   "train::load_checkpoint");
+  util::check(version != 3,
+              "delta " + path +
+                  " is format v3, keyed by the old state hash that this "
+                  "build no longer computes; re-make it with "
+                  "serve::make_delta from this build");
   util::check(version == CheckpointDelta::kVersion,
               "unsupported delta version " + std::to_string(version));
 

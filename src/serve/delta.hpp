@@ -1,4 +1,4 @@
-// Checkpoint delta format v3 + the Plan-level ApplyDelta patch path.
+// Checkpoint delta format v4 + the Plan-level ApplyDelta patch path.
 //
 // The source paper's DST loop only moves a small fraction of mask
 // positions and values between grow/prune steps, so a freshly-trained
@@ -11,9 +11,11 @@
 // hash of the base model state, so applying it to the wrong base fails
 // loudly instead of serving silently-corrupt weights.
 //
-// On disk a delta is version 3 of the dstee checkpoint family (same
+// On disk a delta is version 4 of the dstee checkpoint family (same
 // magic); train::load_checkpoint rejects delta files with a pointer
-// here, and load_delta() rejects full checkpoints symmetrically.
+// here, and load_delta() rejects full checkpoints symmetrically. Version
+// 3 was keyed by an older state hash, so load_delta() rejects it with a
+// pointer at make_delta().
 //
 // The serving half re-uses the compiler seam: the Plan a CompiledNet
 // keeps (CompiledNet::plan()) shares its CsrMatrix instances with the
@@ -61,7 +63,7 @@ struct DenseTensorDelta {
 /// An incremental checkpoint: everything that moved between a base
 /// model state and its successor.
 struct CheckpointDelta {
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   std::uint64_t base_hash = 0;    ///< model_state_hash of the base
   std::uint64_t result_hash = 0;  ///< ... of the state after application
@@ -75,9 +77,10 @@ struct CheckpointDelta {
   }
 };
 
-/// FNV-1a over parameter values, state buffers and mask topologies —
-/// the identity a delta is keyed by. DST step counters are deliberately
-/// excluded: they never influence serving.
+/// The identity a delta is keyed by: a word-at-a-time hash (four
+/// xxh64-style lanes) over the raw bytes of every parameter value, state
+/// buffer and mask 0/1 tensor, each tensor's element count first. DST
+/// step counters are deliberately excluded: they never influence serving.
 std::uint64_t model_state_hash(nn::Module& model,
                                const sparse::SparseModel* state);
 
@@ -91,7 +94,9 @@ CheckpointDelta make_delta(nn::Module& base,
 
 void save_delta(const std::string& path, const CheckpointDelta& delta);
 
-/// Rejects full checkpoints (v1/v2) with a pointer to load_checkpoint.
+/// Rejects full checkpoints (v1/v2) with a pointer to load_checkpoint,
+/// and v3 deltas with a pointer to make_delta. Parses through a fixed
+/// 64 KiB window, checking every count against the bytes left.
 CheckpointDelta load_delta(const std::string& path);
 
 /// Applies `delta` to `model`/`state` in place. Fails with a clear

@@ -136,14 +136,15 @@ void load_checkpoint(const std::string& path, nn::Module& model,
                 "checkpoint version 1 predates batch-norm running-stat "
                 "persistence and cannot restore this model faithfully; "
                 "re-save with this build");
-  } else if (version == 3) {
-    // Version 3 of the family is a sparse DELTA (serve/delta.*): it only
-    // carries the entries that moved since a base checkpoint, so it
-    // cannot restore a model on its own.
-    util::fail("checkpoint " + path +
-               " is a sparse delta (v3); apply it to its base model with "
-               "serve::load_delta + serve::apply_delta instead of loading "
-               "it as a full checkpoint");
+  } else if (version == 3 || version == 4) {
+    // Versions 3 and 4 of the family are sparse DELTAS (serve/delta.*):
+    // they only carry the entries that moved since a base checkpoint, so
+    // they cannot restore a model on their own.
+    util::fail("checkpoint " + path + " is a sparse delta (v" +
+               std::to_string(version) +
+               "); apply it to its base model with serve::load_delta + "
+               "serve::apply_delta instead of loading it as a full "
+               "checkpoint");
   } else {
     util::check(version == kVersion, "unsupported checkpoint version " +
                                          std::to_string(version));

@@ -275,6 +275,50 @@ TEST(Registry, DeltaAfterSwapModelPatchesTheSwappedVersion) {
   registry.shutdown();
 }
 
+TEST(Registry, DeltaChainSkippingAVersionIsRejectedAndChangesNothing) {
+  // Version k is the seed's model after k faked DST steps; deltas[k]
+  // takes version k to version k + 1.
+  constexpr std::uint64_t kSeed = 35;
+  std::vector<serve::CheckpointDelta> deltas;
+  for (int k = 0; k < 3; ++k) {
+    SeededModel from(kSeed);
+    SeededModel to(kSeed);
+    for (int s = 0; s < k; ++s) perturb(from.state);
+    for (int s = 0; s <= k; ++s) perturb(to.state);
+    deltas.push_back(
+        serve::make_delta(from.model, &from.state, to.model, &to.state));
+  }
+  const auto x = random_tensor(tensor::Shape({12}), 6);
+  const auto answer = [&x](int version) {
+    SeededModel m(kSeed);
+    for (int s = 0; s < version; ++s) perturb(m.state);
+    const auto net = serve::CompiledNet::compile(m.model, &m.state);
+    const tensor::Tensor out =
+        net.forward(x.reshaped(tensor::Shape({1, 12})));
+    return out.reshaped(tensor::Shape({out.numel()}));
+  };
+  ASSERT_FALSE(answer(1).equals(answer(3)));
+
+  serve::ModelRegistry registry;
+  SeededModel::add_to(registry, "m", kSeed);
+  registry.apply_delta("m", deltas[0]);
+  ASSERT_EQ(registry.state_hash("m"), deltas[0].result_hash);
+
+  // Delta 3 skips version 2: its base is not what is served, so it is
+  // rejected and version 1 keeps serving.
+  EXPECT_THROW(registry.apply_delta("m", deltas[2]), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), deltas[0].result_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(answer(1)));
+
+  // In order, the chain still applies.
+  registry.apply_delta("m", deltas[1]);
+  EXPECT_EQ(registry.state_hash("m"), deltas[1].result_hash);
+  registry.apply_delta("m", deltas[2]);
+  EXPECT_EQ(registry.state_hash("m"), deltas[2].result_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(answer(3)));
+  registry.shutdown();
+}
+
 TEST(Registry, AdmissionControlShedsBeyondQuota) {
   serve::ModelOptions mopts;
   mopts.server.num_threads = 1;

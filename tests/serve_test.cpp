@@ -6,14 +6,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "methods/dst_engine.hpp"
@@ -1070,7 +1074,7 @@ TEST(Plan, DumpAnnotatesCostShares) {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint delta format v3 + the plan-level ApplyDelta patch path.
+// Checkpoint delta format v4 + the plan-level ApplyDelta patch path.
 
 /// One faked DST step touching ONLY `layer_idx`: flip one mask position
 /// each way and jitter a few surviving values. Confining the edit to a
@@ -1089,6 +1093,37 @@ void perturb_layer(sparse::SparseModel& state, std::size_t layer_idx) {
     layer.param().value[active[k]] += 0.25f * static_cast<float>(k);
   }
   layer.apply_mask_to_value();
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The message of the CheckError `fn` throws; empty when it throws none.
+template <typename Fn>
+std::string check_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const util::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+::testing::AssertionResult mentions(const std::string& message,
+                                    const std::string& part) {
+  if (message.find(part) != std::string::npos) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "\"" << message << "\" does not mention \"" << part << "\"";
 }
 
 TEST(Delta, MlpPatchBitIdenticalToFullRecompileAndSharesUntouched) {
@@ -1294,6 +1329,32 @@ TEST(Delta, LoadersRejectEachOthersFormats) {
   EXPECT_THROW(serve::load_delta(full_path), util::CheckError);
   EXPECT_THROW(train::load_checkpoint(delta_path, a.model, &a.smodel),
                util::CheckError);
+  EXPECT_TRUE(mentions(check_message([&] { serve::load_delta(full_path); }),
+                       "load it with train::load_checkpoint"));
+  EXPECT_TRUE(mentions(check_message([&] {
+                         train::load_checkpoint(delta_path, a.model, &a.smodel);
+                       }),
+                       "is a sparse delta (v4); apply it to its base model "
+                       "with serve::load_delta"));
+
+  // The same delta patched to version 3, which was keyed by the old state
+  // hash: load_delta asks for a new one, load_checkpoint still points at
+  // load_delta.
+  std::string bytes = read_bytes(delta_path);
+  const std::uint32_t v3 = 3;
+  std::memcpy(bytes.data() + 4, &v3, sizeof(v3));
+  const std::string v3_path = "serve_ckpt/reject_step_v3.delta";
+  write_bytes(v3_path, bytes);
+  EXPECT_THROW(serve::load_delta(v3_path), util::CheckError);
+  const std::string v3_message =
+      check_message([&] { serve::load_delta(v3_path); });
+  EXPECT_TRUE(mentions(v3_message, "keyed by the old state hash"));
+  EXPECT_TRUE(mentions(v3_message, "re-make it with serve::make_delta"));
+  EXPECT_TRUE(mentions(check_message([&] {
+                         train::load_checkpoint(v3_path, a.model, &a.smodel);
+                       }),
+                       "is a sparse delta (v3); apply it to its base model "
+                       "with serve::load_delta"));
 }
 
 TEST(Delta, HugeCountFailsWithCheckError) {
@@ -1307,12 +1368,7 @@ TEST(Delta, HugeCountFailsWithCheckError) {
   const std::string path = "serve_ckpt/huge_count.delta";
   serve::save_delta(
       path, serve::make_delta(a.model, &a.smodel, b.model, &b.smodel));
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = read_bytes(path);
   constexpr std::size_t kSectionsAt = 4 + 4 + 8 + 8;
   constexpr std::size_t kRemovedAt = kSectionsAt + 8 + 8;
   std::uint64_t field = 0;
@@ -1327,13 +1383,230 @@ TEST(Delta, HugeCountFailsWithCheckError) {
     std::string patched = bytes;
     std::memcpy(patched.data() + at, &huge, sizeof(huge));
     const std::string bad = "serve_ckpt/huge_count_patched.delta";
-    {
-      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
-      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
-    }
+    write_bytes(bad, patched);
     EXPECT_THROW(serve::load_delta(bad), util::CheckError)
         << "field at byte " << at;
   }
+}
+
+TEST(Delta, StateHashSeesEveryTensorAndMaskBit) {
+  // Twins from one seed hash equal. Each edit below is the smallest one a
+  // DST-EE round or a batch-norm update makes, and each moves the hash.
+  CompiledHarness a(0.9, /*batch_norm=*/true, 0.0, 11);
+  CompiledHarness b(0.9, /*batch_norm=*/true, 0.0, 11);
+  const auto hash = [&a] {
+    return serve::model_state_hash(a.model, &a.smodel);
+  };
+  const std::uint64_t base = hash();
+  EXPECT_EQ(serve::model_state_hash(b.model, &b.smodel), base);
+
+  // The lowest bit of one parameter value.
+  sparse::MaskedParameter& layer = a.smodel.layer(1);
+  const std::vector<std::size_t> active = layer.mask().active_indices();
+  const std::vector<std::size_t> inactive = layer.mask().inactive_indices();
+  ASSERT_FALSE(active.empty());
+  ASSERT_FALSE(inactive.empty());
+  float& weight = layer.param().value[active.front()];
+  const float kept = weight;
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &weight, sizeof(bits));
+  bits ^= 1u;
+  std::memcpy(&weight, &bits, sizeof(bits));
+  EXPECT_NE(hash(), base);
+  weight = kept;
+  EXPECT_EQ(hash(), base);
+
+  // A grow that leaves the value at 0.0, as DstEngine's grow does: only
+  // the mask moves.
+  const std::size_t grown = inactive.front();
+  ASSERT_EQ(layer.param().value[grown], 0.0f);
+  layer.mask().activate(grown);
+  EXPECT_NE(hash(), base);
+  layer.mask().deactivate(grown);
+  EXPECT_EQ(hash(), base);
+
+  // One batch-norm running statistic, by one ulp.
+  const std::vector<tensor::Tensor*> buffers = a.model.state_buffers();
+  ASSERT_FALSE(buffers.empty());
+  float& stat = (*buffers.back())[0];
+  stat = std::nextafter(stat, std::numeric_limits<float>::infinity());
+  EXPECT_NE(hash(), base);
+}
+
+/// A 70%-sparse MLP whose delta, when every weight moves, spans more than
+/// two of load_delta's 64 KiB windows, so its fields straddle refills.
+struct WideHarness {
+  explicit WideHarness(std::uint64_t seed)
+      : rng(seed), model(cfg(), rng),
+        smodel(model, 0.7, sparse::DistributionKind::kUniform, rng) {
+    model.set_training(false);
+  }
+
+  static models::MlpConfig cfg() {
+    models::MlpConfig c;
+    c.in_features = 64;
+    c.hidden = {256, 128};
+    c.out_features = 10;
+    return c;
+  }
+
+  /// One faked training step: a position flips each way in every layer,
+  /// every active weight moves and every bias moves.
+  void step() {
+    std::unordered_set<const nn::Parameter*> masked;
+    for (std::size_t l = 0; l < smodel.num_layers(); ++l) {
+      perturb_layer(smodel, l);
+      masked.insert(&smodel.layer(l).param());
+    }
+    for (nn::Parameter* p : model.parameters()) {
+      if (masked.count(p) == 0) {
+        p->value[0] += 0.25f;
+      } else {
+        for (std::size_t i = 0; i < p->value.numel(); ++i) {
+          p->value[i] *= 1.5f;  // inactive positions stay zero
+        }
+      }
+    }
+  }
+
+  util::Rng rng;
+  models::Mlp model;
+  sparse::SparseModel smodel;
+};
+
+void expect_same_delta(const serve::CheckpointDelta& a,
+                       const serve::CheckpointDelta& b) {
+  EXPECT_EQ(a.base_hash, b.base_hash);
+  EXPECT_EQ(a.result_hash, b.result_hash);
+  ASSERT_EQ(a.sparse_layers.size(), b.sparse_layers.size());
+  for (std::size_t i = 0; i < a.sparse_layers.size(); ++i) {
+    EXPECT_EQ(a.sparse_layers[i].layer, b.sparse_layers[i].layer);
+    EXPECT_EQ(a.sparse_layers[i].removed, b.sparse_layers[i].removed);
+    EXPECT_EQ(a.sparse_layers[i].added, b.sparse_layers[i].added);
+    EXPECT_EQ(a.sparse_layers[i].changed, b.sparse_layers[i].changed);
+  }
+  for (const auto& [x, y] : {std::pair{&a.dense_params, &b.dense_params},
+                             std::pair{&a.state_buffers, &b.state_buffers}}) {
+    ASSERT_EQ(x->size(), y->size());
+    for (std::size_t i = 0; i < x->size(); ++i) {
+      EXPECT_EQ((*x)[i].index, (*y)[i].index);
+      EXPECT_EQ((*x)[i].values, (*y)[i].values);
+    }
+  }
+}
+
+/// (byte offset, value) of every count field in `delta`'s file, walking
+/// the v4 layout: the header, then per sparse section the layer and the
+/// removed/added/changed lists, then the two dense lists.
+std::vector<std::pair<std::size_t, std::uint64_t>> count_fields(
+    const serve::CheckpointDelta& delta) {
+  constexpr std::size_t kU64 = 8;
+  constexpr std::size_t kPair = 8 + 4;  // index, value
+  std::vector<std::pair<std::size_t, std::uint64_t>> fields;
+  std::size_t at = 4 + 4 + kU64 + kU64;  // magic, version, both hashes
+  const auto count = [&](std::uint64_t n, std::size_t item_bytes) {
+    fields.emplace_back(at, n);
+    at += kU64 + n * item_bytes;
+  };
+  count(delta.sparse_layers.size(), 0);
+  for (const serve::SparseLayerDelta& s : delta.sparse_layers) {
+    at += kU64;  // layer
+    count(s.removed.size(), kU64);
+    count(s.added.size(), kPair);
+    count(s.changed.size(), kPair);
+  }
+  for (const auto* list : {&delta.dense_params, &delta.state_buffers}) {
+    count(list->size(), 0);
+    for (const serve::DenseTensorDelta& d : *list) {
+      at += kU64;  // index
+      count(d.values.size(), sizeof(float));
+    }
+  }
+  return fields;
+}
+
+TEST(Delta, LoaderMutationFuzzReturnsOrThrowsCheckError) {
+  constexpr std::uint64_t kSeed = 17;
+  auto base = std::make_unique<WideHarness>(kSeed);
+  WideHarness next(kSeed);
+  next.step();
+  const serve::CheckpointDelta delta =
+      serve::make_delta(base->model, &base->smodel, next.model, &next.smodel);
+  const std::string path = "serve_ckpt/fuzz.delta";
+  serve::save_delta(path, delta);
+  const std::string bytes = read_bytes(path);
+  ASSERT_GT(bytes.size(), 2 * (std::size_t{64} << 10));
+  expect_same_delta(serve::load_delta(path), delta);
+
+  // Loads `mutant`; returns whether it loaded. Any exception but a
+  // CheckError escapes and fails the test. A mutant that loads must take
+  // the base to its result_hash, or be rejected leaving the base intact.
+  const std::string mutant_path = "serve_ckpt/fuzz_mutant.delta";
+  std::size_t loaded_count = 0;
+  const auto load_and_apply = [&](const std::string& mutant) {
+    write_bytes(mutant_path, mutant);
+    serve::CheckpointDelta loaded;
+    try {
+      loaded = serve::load_delta(mutant_path);
+    } catch (const util::CheckError&) {
+      return false;
+    }
+    ++loaded_count;
+    try {
+      serve::apply_delta(loaded, base->model, &base->smodel);
+    } catch (const util::CheckError&) {
+      EXPECT_EQ(serve::model_state_hash(base->model, &base->smodel),
+                delta.base_hash);
+      return true;
+    }
+    EXPECT_EQ(serve::model_state_hash(base->model, &base->smodel),
+              loaded.result_hash);
+    base = std::make_unique<WideHarness>(kSeed);  // back to the base
+    return true;
+  };
+
+  // Truncated anywhere, the file is short of a field it needs.
+  std::vector<std::size_t> cuts;
+  for (std::size_t n = 0; n < 64; ++n) cuts.push_back(n);
+  for (std::size_t n = 64; n < bytes.size(); n += 4099) cuts.push_back(n);
+  cuts.push_back(bytes.size() - 1);
+  for (const std::size_t n : cuts) {
+    EXPECT_FALSE(load_and_apply(bytes.substr(0, n))) << "cut at byte " << n;
+  }
+
+  // Every count field, inflated: 2^40 cannot fit in the bytes left.
+  const auto fields = count_fields(delta);
+  EXPECT_EQ(fields.size(), 1 + 3 * delta.sparse_layers.size() + 2 +
+                               delta.dense_params.size() +
+                               delta.state_buffers.size());
+  for (const auto& [at, count] : fields) {
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+    ASSERT_EQ(stored, count) << "count field at byte " << at;
+    for (const std::uint64_t inflated : {std::uint64_t{1} << 40, count + 1}) {
+      std::string mutant = bytes;
+      std::memcpy(mutant.data() + at, &inflated, sizeof(inflated));
+      const bool loaded = load_and_apply(mutant);
+      if (inflated == std::uint64_t{1} << 40) {
+        EXPECT_FALSE(loaded) << "count field at byte " << at;
+      }
+    }
+  }
+
+  // Every bit of the first 64 bytes, flipped: the magic, the version, both
+  // hashes, the section count and the first section's head.
+  for (std::size_t bit = 0; bit < 64 * 8; ++bit) {
+    std::string mutant = bytes;
+    mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+    load_and_apply(mutant);
+  }
+  // At least the 128 hash-bit flips load, so apply_delta ran on them.
+  EXPECT_GE(loaded_count, 128u);
+
+  // The base survived every rejected mutant: the real delta still applies.
+  serve::apply_delta(delta, base->model, &base->smodel);
+  EXPECT_EQ(serve::model_state_hash(base->model, &base->smodel),
+            delta.result_hash);
 }
 
 // --- FuseEpilogue + the named pass registry -----------------------------
