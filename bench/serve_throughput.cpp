@@ -4,7 +4,7 @@
 // The deployment claim of the sparse-training story: once the topology is
 // fixed, inference cost should track density. This bench sweeps sparsity
 // (50–95%) × batch size on an MLP workload (CSR SpMM) and a VGG-style conv
-// workload (CSR-over-im2col SpMM) and reports rows/second for the dense
+// workload (direct sparse conv) and reports rows/second for the dense
 // training-stack forward and the serve::CompiledNet CSR forward, plus the
 // speedup. Rows land in bench_results/serve_throughput.csv with a
 // `workload` column.

@@ -1,7 +1,8 @@
 // Dense conv2d forward kernel: per-image im2col followed by a lowered
-// matmul. nn::Conv2d::forward delegates here; the serve/ runtime uses the
-// same im2col with a CSR SpMM instead of the dense matmul, so the patch
-// layout is defined in exactly one place (tensor/im2col.hpp).
+// matmul. nn::Conv2d::forward delegates here. The serve/ runtime reads
+// the same [Cout, Cin·K·K] weight view without building the patch matrix
+// (kernels/direct_conv.hpp), bit-identical to im2col + CSR SpMM, so the
+// patch layout is still defined in exactly one place (tensor/im2col.hpp).
 #pragma once
 
 #include <cstddef>

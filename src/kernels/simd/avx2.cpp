@@ -4,13 +4,14 @@
 // performs eight independent, identical op sequences — the batch axis for
 // the row-major SpMM (eight samples share one values/col_idx stream; the
 // activations are gathered with a row-stride index vector) and the
-// unit-stride output axis for spmm_cols / the flat epilogue. Each SIMD
+// flattened output grid for spconv / the flat epilogue. Each SIMD
 // lane then executes exactly the scalar per-element op sequence: separate
 // _mm256_mul_ps + _mm256_add_ps per nonzero (never FMA — the scalar
 // reference contracts nothing, and this file is built with
 // -ffp-contract=off so the compiler cannot fuse them either), bias before
-// residual before activation. Lanes that don't exist (batch % 8, n % 8)
-// fall back to the scalar backend.
+// residual before activation. Batch lanes that don't exist (batch % 8)
+// fall back to the scalar backend; grid positions past the swept range
+// are masked off.
 //
 // ReLU uses _mm256_max_ps(v, +0.0f), which matches `v > 0 ? v : 0` bit
 // for bit including v = -0.0 (max returns the second operand on equal
@@ -156,73 +157,135 @@ void avx2_qspmm_rows(const QCsrView& a, const float* x, std::size_t batch,
 }
 
 // ---------------------------------------------------------------------------
-// SpMM against dense columns (the conv/im2col path): vectorize the
-// unit-stride j axis; each output element keeps the scalar k-order.
+// Direct sparse convolution (and spmm_cols_into, its pitch == width case):
+// vectorize the flattened output grid. A 32-position tile of one output
+// row lives in four ymm accumulators for the row's whole nonzero stream,
+// so the output is stored once instead of once per nonzero; each lane
+// keeps the scalar k-order. The last, partial tile masks its loads, so no
+// load reaches past the swept range.
 // ---------------------------------------------------------------------------
 
-template <typename View, bool kQuantized>
-void avx2_spmm_cols_impl(const View& a, const float* b, std::size_t n,
-                         float* out, const kernels::Epilogue& ep) {
-  const std::size_t nv = n & ~std::size_t{7};
-  for (std::size_t r = 0; r < a.rows; ++r) {
-    float* yr = out + r * n;
-    const __m256 zero = _mm256_setzero_ps();
-    for (std::size_t j = 0; j < nv; j += 8) _mm256_storeu_ps(yr + j, zero);
-    for (std::size_t j = nv; j < n; ++j) yr[j] = 0.0f;
-
-    for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-      const float v = static_cast<float>(a.values[k]);
-      const __m256 vv = _mm256_set1_ps(v);
-      const float* br = b + a.col_idx[k] * n;
-      for (std::size_t j = 0; j < nv; j += 8) {
-        const __m256 acc = _mm256_add_ps(
-            _mm256_loadu_ps(yr + j),
-            _mm256_mul_ps(vv, _mm256_loadu_ps(br + j)));
-        _mm256_storeu_ps(yr + j, acc);
-      }
-      for (std::size_t j = nv; j < n; ++j) yr[j] += v * br[j];
-    }
-
-    // Row finish: quantized rows always rescale; fp32 rows only run it
-    // for a non-empty epilogue — exactly the scalar control flow.
-    if (kQuantized || !ep.empty()) {
-      const float scale = [&] {
-        if constexpr (kQuantized) return a.scales[r];
-        return 1.0f;
-      }();
-      const float bias = ep.bias != nullptr ? ep.bias[r] : 0.0f;
-      const float* res =
-          ep.residual != nullptr ? ep.residual + r * n : nullptr;
-      const __m256 vscale = _mm256_set1_ps(scale);
-      const __m256 vbias = _mm256_set1_ps(bias);
-      for (std::size_t j = 0; j < nv; j += 8) {
-        __m256 v = _mm256_loadu_ps(yr + j);
+/// Writes the finished values of grid positions [p, p + n), held in
+/// acc[0, n), to their output slots; (y, x) is p's grid coordinate.
+/// Positions x >= width are dropped. Each stored
+/// run gets scale (int8 only), bias, residual and activation, 8 lanes
+/// at a time with a scalar tail.
+template <bool kQuantized>
+void store_runs(const float* acc, std::size_t n, std::size_t y,
+                std::size_t x, const ConvGrid& g, float* yr,
+                const float* res, float scale, float bias,
+                const kernels::Epilogue& ep) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 vbias = _mm256_set1_ps(bias);
+  std::size_t i = 0;
+  while (i < n) {
+    const std::size_t avail = n - i;
+    if (x < g.width) {
+      const std::size_t run = g.width - x < avail ? g.width - x : avail;
+      const std::size_t o = y * g.width + x;
+      const float* ai = acc + i;
+      float* out = yr + o;
+      const float* ro = res != nullptr ? res + o : nullptr;
+      std::size_t j = 0;
+      for (; j + 8 <= run; j += 8) {
+        __m256 v = _mm256_loadu_ps(ai + j);
         if constexpr (kQuantized) v = _mm256_mul_ps(v, vscale);
         if (ep.bias != nullptr) v = _mm256_add_ps(v, vbias);
-        if (res != nullptr) {
-          v = _mm256_add_ps(v, _mm256_loadu_ps(res + j));
-        }
-        _mm256_storeu_ps(yr + j, act8(v, ep));
+        if (ro != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(ro + j));
+        _mm256_storeu_ps(out + j, act8(v, ep));
       }
-      for (std::size_t j = nv; j < n; ++j) {
-        float v = yr[j];
+      for (; j < run; ++j) {
+        float v = ai[j];
         if constexpr (kQuantized) v *= scale;
         if (ep.bias != nullptr) v += bias;
-        if (res != nullptr) v += res[j];
-        yr[j] = ep.activate(v);
+        if (ro != nullptr) v += ro[j];
+        out[j] = ep.activate(v);
       }
+      i += run;
+      x += run;
+    } else {
+      const std::size_t skip = g.pitch - x < avail ? g.pitch - x : avail;
+      i += skip;
+      x += skip;
+    }
+    if (x == g.pitch) {
+      x = 0;
+      ++y;
     }
   }
 }
 
-void avx2_spmm_cols(const CsrView& a, const float* b, std::size_t n,
-                    float* out, const kernels::Epilogue& ep) {
-  avx2_spmm_cols_impl<CsrView, false>(a, b, n, out, ep);
+/// Sums row r's nonzeros over grid positions [p, p + 8·kVecs) into
+/// tile[0, 8·kVecs): kVecs ymm accumulators for the row's whole nonzero
+/// stream, each lane in the scalar k-order. With kMaskLast the last
+/// vector loads only the lanes set in `last` (a masked-off lane reads no
+/// memory), so a partial tile never reads past the swept grid.
+template <bool kQuantized, int kVecs, bool kMaskLast>
+void accumulate(const SpconvArgs& a, std::size_t r, std::size_t p,
+                __m256i last, float* tile) {
+  __m256 acc[kVecs];
+  for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_ps();
+  for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+    const __m256 vv = _mm256_set1_ps(
+        kQuantized ? static_cast<float>(a.qvalues[k]) : a.values[k]);
+    const float* s = a.src + a.offsets[k] + p;
+    for (int v = 0; v < kVecs; ++v) {
+      const __m256 x = kMaskLast && v == kVecs - 1
+                           ? _mm256_maskload_ps(s + 8 * v, last)
+                           : _mm256_loadu_ps(s + 8 * v);
+      acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(vv, x));
+    }
+  }
+  for (int v = 0; v < kVecs; ++v) _mm256_store_ps(tile + 8 * v, acc[v]);
 }
 
-void avx2_qspmm_cols(const QCsrView& a, const float* b, std::size_t n,
-                     float* out, const kernels::Epilogue& ep) {
-  avx2_spmm_cols_impl<QCsrView, true>(a, b, n, out, ep);
+template <bool kQuantized>
+void avx2_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
+  const ConvGrid& g = a.grid;
+  if (g.height == 0 || g.width == 0) return;
+  const std::size_t span = (g.height - 1) * g.pitch + g.width;
+  const std::size_t plane = g.height * g.width;
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  alignas(32) float tile[32];
+  // Tile-major: every row of one 32-position tile before the next tile,
+  // so the source window the tile reads stays in L1 across the rows.
+  std::size_t ty = 0, tx = 0;  // grid coordinate of the tile's start
+  for (std::size_t p = 0; p < span; p += 32) {
+    const std::size_t n = span - p < 32 ? span - p : 32;
+    // The partial last tile: ceil(n/8) vectors, the last one masked.
+    const std::size_t vecs = (n + 7) / 8;
+    const __m256i last = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - 8 * (vecs - 1))), lanes);
+    for (std::size_t r = 0; r < a.rows; ++r) {
+      if (n == 32) {
+        accumulate<kQuantized, 4, false>(a, r, p, last, tile);
+      } else if (vecs == 4) {
+        accumulate<kQuantized, 4, true>(a, r, p, last, tile);
+      } else if (vecs == 3) {
+        accumulate<kQuantized, 3, true>(a, r, p, last, tile);
+      } else if (vecs == 2) {
+        accumulate<kQuantized, 2, true>(a, r, p, last, tile);
+      } else {
+        accumulate<kQuantized, 1, true>(a, r, p, last, tile);
+      }
+      store_runs<kQuantized>(
+          tile, n, ty, tx, g, a.out + r * plane,
+          ep.residual != nullptr ? ep.residual + r * plane : nullptr,
+          kQuantized ? a.scales[r] : 1.0f,
+          ep.bias != nullptr ? ep.bias[r] : 0.0f, ep);
+    }
+    tx += n;
+    ty += tx / g.pitch;
+    tx %= g.pitch;
+  }
+}
+
+void avx2_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
+  if (a.scales != nullptr) {
+    avx2_spconv_impl<true>(a, ep);
+  } else {
+    avx2_spconv_impl<false>(a, ep);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,10 +309,8 @@ void avx2_epilogue_range(const float* in, float* out, std::size_t i0,
 }
 
 const KernelBackend kAvx2{
-    "avx2",         true,
-    avx2_spmm_rows,  avx2_spmm_cols,
-    avx2_qspmm_rows, avx2_qspmm_cols,
-    avx2_epilogue_range,
+    "avx2",          true,        avx2_spmm_rows,
+    avx2_qspmm_rows, avx2_spconv, avx2_epilogue_range,
 };
 
 }  // namespace

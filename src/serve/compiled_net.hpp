@@ -6,7 +6,7 @@
 // threads. Compilation is three explicit stages (see plan.hpp):
 //
 //   lower()    nn::Sequential + SparseModel → Plan IR (one node per
-//              module; Linear → CSR SpMM, Conv2d → CSR over im2col,
+//              module; Linear → CSR SpMM, Conv2d → direct sparse conv,
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
 //   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
 //              FreeAfterLastUse by default; FuseEpilogue and
@@ -54,10 +54,11 @@ struct CompileOptions {
   /// Pool executing the intra-op chunks; nullptr = the process-wide
   /// runtime::default_pool(). Tests inject their own Pool here.
   runtime::Pool* intra_op_pool = nullptr;
-  /// Kernel backend name for every bound op ("scalar", "avx2"); empty
-  /// defers each kernel call to kernels::simd::active_backend() (CPUID
-  /// pick, overridable via DSTEE_KERNEL_BACKEND). Unknown or unsupported
-  /// names fail loudly at bind time.
+  /// Kernel backend name for every bound op ("scalar", "avx2",
+  /// "avx512"); empty defers each kernel call to
+  /// kernels::simd::active_backend() (CPUID pick, overridable via
+  /// DSTEE_KERNEL_BACKEND). Unknown or unsupported names fail loudly at
+  /// bind time.
   std::string kernel_backend;
   /// Attach an obs::OpProfile to the bound executor: every forward times
   /// each node and accumulates wall time per op (shared across replica

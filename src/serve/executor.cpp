@@ -1,14 +1,15 @@
 #include "serve/executor.hpp"
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <utility>
 
+#include "kernels/direct_conv.hpp"
 #include "kernels/epilogue.hpp"
 #include "kernels/pool.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
-#include "tensor/im2col.hpp"
 #include "util/check.hpp"
 
 namespace dstee::serve {
@@ -118,12 +119,16 @@ tensor::ConvGeometry image_geometry(tensor::ConvGeometry conv,
   return conv;
 }
 
-/// CSR conv: Y = W_csr · cols per image, with optional folded BN, bias
-/// and fused epilogue. The CSR matrix holds the masked weight viewed as
-/// [Cout, Cin·K·K] — the exact lowering nn::Conv2d uses densely, so a
-/// masked checkpoint deploys its trained topology bit-for-bit. The op
-/// reads the image [N, Cin, H, W] and im2cols each image into per-chunk
-/// scratch; a fused residual is the [N, Cout, OH, OW] output map.
+/// CSR conv: a direct sparse convolution per image, with optional folded
+/// BN, bias and fused epilogue. The CSR matrix holds the masked weight
+/// viewed as [Cout, Cin·K·K] — the exact lowering nn::Conv2d uses
+/// densely, so a masked checkpoint deploys its trained topology
+/// bit-for-bit. The op reads the image [N, Cin, H, W], packs each image
+/// once into per-chunk scratch (stride-phase planes, see
+/// kernels/direct_conv.hpp) and runs every nonzero as one contiguous
+/// multiply-add over the flattened output grid — no im2col patch matrix,
+/// and bit-identical to im2col + spmm_cols_into by construction. A fused
+/// residual is the [N, Cout, OH, OW] output map.
 template <typename M>
 class CsrConvOp final : public CsrOp<M> {
  public:
@@ -136,41 +141,45 @@ class CsrConvOp final : public CsrOp<M> {
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     const tensor::Tensor& x = *inputs[0];
-    const std::size_t patch = this->w_->cols();
-    const tensor::ConvGeometry g = image_geometry(conv_, x, "spconv");
-    const std::size_t oh = g.out_h();
-    const std::size_t ow = g.out_w();
+    const kernels::DirectConv dc(image_geometry(conv_, x, "spconv"));
+    const kernels::simd::ConvGrid grid = dc.grid();
     const std::size_t batch = x.dim(0);
-    const std::size_t positions = oh * ow;
     const std::size_t channels = this->w_->rows();
     const float* res = nullptr;
     if (inputs.size() == 2) {
       const tensor::Tensor& r = *inputs[1];
       util::check(r.rank() == 4 && r.dim(0) == batch &&
-                      r.dim(1) == channels && r.dim(2) == oh &&
-                      r.dim(3) == ow,
+                      r.dim(1) == channels && r.dim(2) == grid.height &&
+                      r.dim(3) == grid.width,
                   "fused spconv residual shape mismatch");
       res = r.raw();
     }
-    tensor::Tensor y({batch, channels, oh, ow});
+    tensor::Tensor y({batch, channels, grid.height, grid.width});
     const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
-    const std::size_t out_elems = channels * positions;
+    const std::size_t out_elems = channels * grid.height * grid.width;
+
+    // Each nonzero's read offset, computed per call from col_idx: the op
+    // keeps no per-extent state, so it stays const and a delta swap
+    // rebuilds nothing but the weights.
+    std::vector<std::uint32_t> offsets(this->w_->nnz());
+    dc.offsets(this->w_->col_idx(), offsets.data());
 
     // Intra-op parallelism splits the batch on the persistent runtime
     // pool: images are independent, so every output element has exactly
     // one writer and the result is bit-identical for any chunk count.
-    // Per-chunk im2col scratch keeps run() const and thread-safe. A
-    // single image always runs inline. Bias and the fused epilogue are
-    // applied by the kernel's per-row finish pass.
+    // Per-chunk packing scratch keeps run() const and thread-safe; it is
+    // zeroed once, since every image leaves the same pads. A single image
+    // always runs inline. Bias and the fused epilogue are applied by the
+    // kernel as it stores each output.
     runtime::intra_chunks(this->intra_, batch, [&](std::size_t n0,
                                                    std::size_t n1) {
-      std::vector<float> cols(patch * positions);
+      std::vector<float> packed(dc.packed_size);
       for (std::size_t n = n0; n < n1; ++n) {
-        tensor::im2col(x.raw() + n * in_elems, g, cols.data());
+        dc.pack(x.raw() + n * in_elems, packed.data());
         const float* r = res != nullptr ? res + n * out_elems : nullptr;
-        this->w_->spmm_cols_into(cols.data(), positions,
-                                 y.raw() + n * out_elems,
-                                 this->make_ep(r, 0), this->backend_);
+        this->w_->spconv_into(packed.data(), offsets, grid,
+                              y.raw() + n * out_elems, this->make_ep(r, 0),
+                              this->backend_);
       }
     });
     return y;

@@ -47,7 +47,7 @@ namespace dstee::serve {
 /// Node kinds a Plan can hold, one per lowered module kind.
 enum class PlanOpKind {
   kSpmm,           ///< CSR Linear: Y = X·Wᵀ + b
-  kConv,           ///< CSR conv: per-image im2col + SpMM over patches
+  kConv,           ///< CSR conv: direct sparse conv per packed image
   kScaleShift,     ///< eval-mode batch-norm as per-channel affine
   kActivation,     ///< ReLU / LeakyReLU / Sigmoid / Tanh
   kDropout,        ///< identity at eval; removed by ElideDropout

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "kernels/direct_conv.hpp"
 #include "kernels/simd/backend.hpp"
 #include "util/check.hpp"
 
@@ -159,7 +160,29 @@ void CsrMatrix::spmm_cols_into(const float* b, std::size_t n, float* out,
                                const kernels::Epilogue& ep,
                                const kernels::simd::KernelBackend* backend)
     const {
-  backend_or_active(backend).spmm_cols(view_of(*this), b, n, out, ep);
+  spconv_into(b, kernels::column_offsets(col_idx_, cols_, n), {1, n, n}, out,
+              ep, backend);
+}
+
+void CsrMatrix::spconv_into(const float* src,
+                            std::span<const std::uint32_t> offsets,
+                            const kernels::simd::ConvGrid& grid, float* out,
+                            const kernels::Epilogue& ep,
+                            const kernels::simd::KernelBackend* backend)
+    const {
+  util::check(offsets.size() == nnz(),
+              "spconv expects one offset per nonzero");
+  util::check(grid.pitch >= grid.width,
+              "spconv grid pitch is narrower than its width");
+  kernels::simd::SpconvArgs a;
+  a.row_ptr = row_ptr_.data();
+  a.values = values_.data();
+  a.rows = rows_;
+  a.offsets = offsets.data();
+  a.src = src;
+  a.grid = grid;
+  a.out = out;
+  backend_or_active(backend).spconv(a, ep);
 }
 
 void CsrMatrix::scale_rows(std::span<const float> scale) {

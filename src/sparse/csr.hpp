@@ -19,6 +19,7 @@
 #include "tensor/tensor.hpp"
 
 namespace dstee::kernels::simd {
+struct ConvGrid;
 struct KernelBackend;
 }  // namespace dstee::kernels::simd
 
@@ -85,7 +86,8 @@ class CsrMatrix {
   /// Y = A·B for dense B[cols, n] (row-major) → Y[rows, n]: the CSR kernel
   /// over an im2col patch matrix, whose columns are output positions. Each
   /// stored entry streams one contiguous B row, so the inner loop stays
-  /// unit-stride for any sparsity pattern.
+  /// unit-stride for any sparsity pattern. It is spconv_into over the
+  /// one-row grid {1, n, n} with offsets col·n (kernels::column_offsets).
   tensor::Tensor spmm_cols(const tensor::Tensor& cols) const;
 
   /// spmm_cols writing into caller-owned storage of rows()·cols.dim(1)
@@ -104,6 +106,17 @@ class CsrMatrix {
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
+
+  /// Direct sparse convolution (kernels/direct_conv.hpp) writing
+  /// rows()·grid.height·grid.width floats: out[r, y·width + x] =
+  /// ep(sum_k values[k] · src[offsets[k] + y·pitch + x]), the epilogue
+  /// laid out like spmm_cols_into's. `offsets` holds one entry per
+  /// nonzero; every read must lie inside `src`.
+  void spconv_into(const float* src, std::span<const std::uint32_t> offsets,
+                   const kernels::simd::ConvGrid& grid, float* out,
+                   const kernels::Epilogue& ep = {},
+                   const kernels::simd::KernelBackend* backend =
+                       nullptr) const;
 
   /// Multiplies every stored value in row r by scale[r] (and bias folding
   /// callers adjust their bias separately). Used to fold an eval-mode

@@ -69,8 +69,8 @@ class FlopsModel {
 /// One sparse Linear forward: 2·nnz FLOPs per sample.
 double linear_nnz_flops(std::size_t nnz, std::size_t batch = 1);
 
-/// One CSR-over-im2col conv forward: every stored weight participates in
-/// one MAC per output position, so 2·nnz·Ho·Wo FLOPs per sample.
+/// One CSR conv forward: every stored weight participates in one MAC
+/// per output position, so 2·nnz·Ho·Wo FLOPs per sample.
 double conv_nnz_flops(std::size_t nnz, std::size_t out_h, std::size_t out_w,
                       std::size_t batch = 1);
 

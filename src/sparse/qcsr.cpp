@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/direct_conv.hpp"
 #include "kernels/simd/backend.hpp"
 #include "sparse/csr.hpp"
 #include "util/check.hpp"
@@ -91,7 +92,29 @@ void QCsrMatrix::spmm_cols_into(
 void QCsrMatrix::spmm_cols_into(
     const float* b, std::size_t n, float* out, const kernels::Epilogue& ep,
     const kernels::simd::KernelBackend* backend) const {
-  backend_or_active(backend).qspmm_cols(view_of(*this), b, n, out, ep);
+  spconv_into(b, kernels::column_offsets(col_idx_, cols_, n), {1, n, n}, out,
+              ep, backend);
+}
+
+void QCsrMatrix::spconv_into(
+    const float* src, std::span<const std::uint32_t> offsets,
+    const kernels::simd::ConvGrid& grid, float* out,
+    const kernels::Epilogue& ep,
+    const kernels::simd::KernelBackend* backend) const {
+  util::check(offsets.size() == nnz(),
+              "spconv expects one offset per nonzero");
+  util::check(grid.pitch >= grid.width,
+              "spconv grid pitch is narrower than its width");
+  kernels::simd::SpconvArgs a;
+  a.row_ptr = row_ptr_.data();
+  a.qvalues = values_.data();
+  a.scales = scales_.data();
+  a.rows = rows_;
+  a.offsets = offsets.data();
+  a.src = src;
+  a.grid = grid;
+  a.out = out;
+  backend_or_active(backend).spconv(a, ep);
 }
 
 tensor::Tensor QCsrMatrix::to_dense() const {

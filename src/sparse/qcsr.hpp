@@ -14,14 +14,15 @@
 // packing more replicas per box (ROADMAP "SIMD + quantized CSR kernels").
 //
 // The class mirrors the CsrMatrix API surface that the serve executor
-// touches (spmm/spmm_into, spmm_cols_into, to_dense), so executor ops
-// template over either matrix type. Quantization happens at plan-compile
-// time via the serve::QuantizeWeights pass; training never sees this
-// type.
+// touches (spmm/spmm_into, spmm_cols_into, spconv_into, to_dense, the
+// raw arrays), so executor ops template over either matrix type.
+// Quantization happens at plan-compile time via the serve::QuantizeWeights
+// pass; training never sees this type.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kernels/epilogue.hpp"
@@ -29,6 +30,7 @@
 #include "tensor/tensor.hpp"
 
 namespace dstee::kernels::simd {
+struct ConvGrid;
 struct KernelBackend;
 }  // namespace dstee::kernels::simd
 
@@ -63,7 +65,7 @@ class QCsrMatrix {
                  const kernels::Epilogue& ep = {},
                  const kernels::simd::KernelBackend* backend = nullptr) const;
 
-  /// Quantized CsrMatrix::spmm_cols_into (the conv/im2col path).
+  /// Quantized CsrMatrix::spmm_cols_into.
   void spmm_cols_into(const tensor::Tensor& cols, float* out,
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
@@ -73,6 +75,14 @@ class QCsrMatrix {
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
                           nullptr) const;
+
+  /// Quantized CsrMatrix::spconv_into (the conv path): the row scale
+  /// multiplies each accumulator before the epilogue.
+  void spconv_into(const float* src, std::span<const std::uint32_t> offsets,
+                   const kernels::simd::ConvGrid& grid, float* out,
+                   const kernels::Epilogue& ep = {},
+                   const kernels::simd::KernelBackend* backend =
+                       nullptr) const;
 
   /// Dequantized dense reconstruction (tests / round-trips).
   tensor::Tensor to_dense() const;

@@ -1,9 +1,10 @@
 // Kernel-backend tests: the registry contract (names, CPUID gating, loud
 // failure on unknown backends) and the bit-identity guarantee — every
-// AVX2 kernel must reproduce the scalar reference EXACTLY (tensor::equals,
+// SIMD kernel must reproduce the scalar reference EXACTLY (tensor::equals,
 // not allclose) across batch sizes that exercise full 8-wide vector
 // bodies, sub-register tails, and row ranges whose boundaries do not
-// align with the vector width. The int8 quantizer's error bound
+// align with the vector width. The direct-conv geometry sweep lives in
+// direct_conv_test.cpp. The int8 quantizer's error bound
 // (≤ scale/2 per stored value) is pinned here too, next to the kernels
 // that consume it.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@ namespace {
 using kernels::ActKind;
 using kernels::Epilogue;
 using kernels::simd::KernelBackend;
+using testing::activation_epilogues;
 using testing::random_tensor;
 
 /// ~40%-dense CSR test matrix (unit-normal entries, |v| > 0.8 kept).
@@ -59,19 +62,14 @@ constexpr float kUnwritten = -1234.5f;
     GTEST_SKIP() << "AVX2 backend unavailable on this host";  \
   }
 
-/// The epilogue shapes the fused serve path produces, minus the pointer
-/// operands (attached per test from locally-owned storage).
-std::vector<Epilogue> activation_epilogues() {
-  std::vector<Epilogue> eps;
-  eps.emplace_back();  // identity
-  for (const ActKind act : {ActKind::kRelu, ActKind::kLeakyRelu,
-                            ActKind::kSigmoid, ActKind::kTanh}) {
-    Epilogue ep;
-    ep.has_act = true;
-    ep.act = act;
-    eps.push_back(ep);
+/// Every SIMD backend this host and build can run (avx2, avx512).
+std::vector<const KernelBackend*> simd_backends() {
+  std::vector<const KernelBackend*> out;
+  for (const std::string& name : kernels::simd::available_backends()) {
+    const KernelBackend* be = kernels::simd::find_backend(name);
+    if (be->is_simd) out.push_back(be);
   }
-  return eps;
+  return out;
 }
 
 TEST(KernelBackend, RegistryNamesAndLookup) {
@@ -79,9 +77,8 @@ TEST(KernelBackend, RegistryNamesAndLookup) {
   EXPECT_STREQ(scalar.name, "scalar");
   EXPECT_FALSE(scalar.is_simd);
   EXPECT_NE(scalar.spmm_rows, nullptr);
-  EXPECT_NE(scalar.spmm_cols, nullptr);
   EXPECT_NE(scalar.qspmm_rows, nullptr);
-  EXPECT_NE(scalar.qspmm_cols, nullptr);
+  EXPECT_NE(scalar.spconv, nullptr);
   EXPECT_NE(scalar.epilogue_range, nullptr);
 
   EXPECT_EQ(kernels::simd::find_backend("scalar"), &scalar);
@@ -95,12 +92,44 @@ TEST(KernelBackend, RegistryNamesAndLookup) {
       std::find(names.begin(), names.end(), "avx2") != names.end();
   EXPECT_EQ(lists_avx2, kernels::simd::avx2_backend() != nullptr);
 
+  const bool lists_avx512 =
+      std::find(names.begin(), names.end(), "avx512") != names.end();
+  EXPECT_EQ(lists_avx512, kernels::simd::avx512_backend() != nullptr);
+  if (lists_avx512) {
+    // Widest last; the avx512 backend builds on the avx2 kernels.
+    EXPECT_TRUE(lists_avx2);
+    EXPECT_EQ(names.back(), "avx512");
+  }
+
   const KernelBackend* avx2 = kernels::simd::avx2_backend();
   if (avx2 != nullptr) {
     EXPECT_STREQ(avx2->name, "avx2");
     EXPECT_TRUE(avx2->is_simd);
     EXPECT_TRUE(kernels::simd::cpu_has_avx2());
     EXPECT_EQ(kernels::simd::find_backend("avx2"), avx2);
+    EXPECT_NE(avx2->spconv, nullptr);
+    EXPECT_NE(avx2->spconv, scalar.spconv);
+  }
+  const KernelBackend* avx512 = kernels::simd::avx512_backend();
+  if (avx512 != nullptr) {
+    // The avx2 kernels with an AVX-512 spconv body.
+    ASSERT_NE(avx2, nullptr);
+    EXPECT_STREQ(avx512->name, "avx512");
+    EXPECT_TRUE(avx512->is_simd);
+    EXPECT_TRUE(kernels::simd::cpu_has_avx512());
+    EXPECT_EQ(kernels::simd::find_backend("avx512"), avx512);
+    EXPECT_EQ(avx512->spmm_rows, avx2->spmm_rows);
+    EXPECT_EQ(avx512->qspmm_rows, avx2->qspmm_rows);
+    EXPECT_EQ(avx512->epilogue_range, avx2->epilogue_range);
+    EXPECT_NE(avx512->spconv, nullptr);
+    EXPECT_NE(avx512->spconv, avx2->spconv);
+  } else {
+    EXPECT_EQ(kernels::simd::find_backend("avx512"), nullptr);
+  }
+  // CPUID picks the widest backend unless DSTEE_KERNEL_BACKEND names one.
+  if (std::getenv("DSTEE_KERNEL_BACKEND") == nullptr) {
+    EXPECT_EQ(std::string(kernels::simd::active_backend().name),
+              names.back());
   }
 }
 
@@ -206,17 +235,22 @@ TEST(KernelBackend, SpmmColsBitIdentical) {
   const std::size_t rows = 14, cols = 23;
   const auto csr = sparse_csr(rows, cols, 641);
   const auto bias = random_tensor(tensor::Shape({rows}), 642);
-  for (const std::size_t n : {1u, 5u, 8u, 19u}) {
+  // n covers partial tiles (1, 5, 19), exactly one 8-lane vector, and a
+  // full 32/64-position tile with a remainder after it (70).
+  for (const std::size_t n : {1u, 5u, 8u, 19u, 70u}) {
     const auto b = random_tensor(tensor::Shape({cols, n}), 643 + n);
     const auto residual = random_tensor(tensor::Shape({rows, n}), 644 + n);
     for (Epilogue ep : activation_epilogues()) {
       ep.bias = bias.raw();
       ep.residual = residual.raw();
-      std::vector<float> ref(rows * n), got(rows * n);
+      std::vector<float> ref(rows * n);
       csr.spmm_cols_into(b, ref.data(), ep, &scalar);
-      csr.spmm_cols_into(b, got.data(), ep, avx2);
-      EXPECT_EQ(got, ref) << "n " << n << ", act "
-                          << (ep.has_act ? static_cast<int>(ep.act) : -1);
+      for (const KernelBackend* be : simd_backends()) {
+        std::vector<float> got(rows * n);
+        csr.spmm_cols_into(b, got.data(), ep, be);
+        EXPECT_EQ(got, ref) << be->name << ", n " << n << ", act "
+                            << (ep.has_act ? static_cast<int>(ep.act) : -1);
+      }
     }
   }
 }
@@ -252,13 +286,18 @@ TEST(KernelBackend, QuantizedSpmmBitIdentical) {
 TEST(KernelBackend, QuantizedSpmmColsBitIdentical) {
   REQUIRE_AVX2(avx2);
   const KernelBackend& scalar = kernels::simd::scalar_backend();
-  const std::size_t rows = 14, cols = 23, n = 19;
+  const std::size_t rows = 14, cols = 23;
   const auto q = sparse::QCsrMatrix::quantize(sparse_csr(rows, cols, 661));
-  const auto b = random_tensor(tensor::Shape({cols, n}), 662);
-  std::vector<float> ref(rows * n), got(rows * n);
-  q.spmm_cols_into(b, ref.data(), {}, &scalar);
-  q.spmm_cols_into(b, got.data(), {}, avx2);
-  EXPECT_EQ(got, ref);
+  for (const std::size_t n : {19u, 70u}) {
+    const auto b = random_tensor(tensor::Shape({cols, n}), 662 + n);
+    std::vector<float> ref(rows * n);
+    q.spmm_cols_into(b, ref.data(), {}, &scalar);
+    for (const KernelBackend* be : simd_backends()) {
+      std::vector<float> got(rows * n);
+      q.spmm_cols_into(b, got.data(), {}, be);
+      EXPECT_EQ(got, ref) << be->name << ", n " << n;
+    }
+  }
 }
 
 TEST(KernelBackend, EpilogueRangeBitIdentical) {

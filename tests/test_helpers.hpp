@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "kernels/epilogue.hpp"
 #include "nn/module.hpp"
 #include "tensor/init.hpp"
 #include "tensor/tensor.hpp"
@@ -23,6 +24,23 @@ inline tensor::Tensor random_tensor(tensor::Shape shape,
   util::Rng rng(seed);
   tensor::fill_normal(t, rng, 0.0f, stddev);
   return t;
+}
+
+/// The epilogue shapes the fused serve path produces — identity and each
+/// activation — minus the pointer operands (attached per test from
+/// locally-owned storage).
+inline std::vector<kernels::Epilogue> activation_epilogues() {
+  std::vector<kernels::Epilogue> eps;
+  eps.emplace_back();  // identity
+  for (const kernels::ActKind act :
+       {kernels::ActKind::kRelu, kernels::ActKind::kLeakyRelu,
+        kernels::ActKind::kSigmoid, kernels::ActKind::kTanh}) {
+    kernels::Epilogue ep;
+    ep.has_act = true;
+    ep.act = act;
+    eps.push_back(ep);
+  }
+  return eps;
 }
 
 /// Scalar probe loss L = Σ p_i · y_i with fixed random projection p, so a

@@ -1,9 +1,9 @@
 // dstee_serve — sparse inference server + load generator.
 //
 // Compiles an MLP, VGG or ResNet through the staged serve compiler
-// (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → im2col +
-// SpMM over patches, residual adds as graph joins), starts an
-// InferenceServer (sharded replica worker groups + per-group
+// (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → direct
+// sparse conv over the packed image, residual adds as graph joins),
+// starts an InferenceServer (sharded replica worker groups + per-group
 // micro-batching queues; intra-op work runs on the persistent runtime
 // pool), drives it with either closed-loop client threads or an
 // open-loop Poisson arrival process (--arrival-rate), and reports
@@ -25,7 +25,7 @@
 //   ./build/tools/dstee_run --model mlp --sparsity 0.95 --checkpoint m.bin
 //   ./build/tools/dstee_serve --checkpoint m.bin --in 32 --hidden 128,128
 //       --out 8 --clients 8 --requests 4000
-//   # serve a VGG-19 checkpoint (conv layers deploy as CSR over im2col):
+//   # serve a VGG-19 checkpoint (conv layers deploy as direct sparse conv):
 //   ./build/tools/dstee_run --model vgg19 --sparsity 0.9 --checkpoint v.bin
 //   ./build/tools/dstee_serve --model vgg19 --checkpoint v.bin
 //       --image-size 12 --classes 8 --width 0.1
@@ -173,11 +173,21 @@ void write_metrics_if_requested(const util::ArgParser& args) {
 }
 
 /// --profile-ops: the measured per-op breakdown after the run.
-void print_op_profile(const serve::CompiledNet& net) {
+/// The measured per-op breakdown after a run: wall ms, calls and share
+/// per node, next to its achieved GFLOP/s and weight GB/s. Those come from
+/// Plan::annotate's analytic per-sample FLOPs and weight bytes: FLOPs ×
+/// `samples` forwarded ÷ the node's time, and its weight bytes once per
+/// call ÷ the node's time (neither for a node without FLOPs or weights).
+void print_op_profile(const serve::CompiledNet& net,
+                      const tensor::Shape& sample_shape,
+                      std::size_t samples) {
   const obs::OpProfile* prof = net.op_profile();
   if (prof == nullptr) return;
+  const std::vector<serve::Plan::NodeCost> costs =
+      net.plan().annotate(sample_shape);
   const double total = static_cast<double>(prof->total_ns());
-  std::cout << "\nper-op profile (wall time over all forwards, all shards):\n";
+  std::cout << "\nper-op profile (wall time over all forwards, all shards; "
+            << samples << " samples):\n";
   for (std::size_t i = 0; i < net.num_ops(); ++i) {
     const std::int64_t ns = prof->node_ns(i);
     const double share = total > 0.0
@@ -186,7 +196,20 @@ void print_op_profile(const serve::CompiledNet& net) {
     std::cout << "  [" << i << "] " << net.executor().op_name(i) << ": "
               << util::format_fixed(static_cast<double>(ns) / 1e6, 3)
               << " ms / " << prof->node_calls(i) << " calls ("
-              << util::format_fixed(share, 1) << "%)\n";
+              << util::format_fixed(share, 1) << "%)";
+    // FLOPs / ns and bytes / ns are GFLOP/s and GB/s.
+    if (ns > 0 && costs[i].flops > 0.0) {
+      const double gflops = costs[i].flops * static_cast<double>(samples) /
+                            static_cast<double>(ns);
+      std::cout << ", " << util::format_fixed(gflops, 2) << " GFLOP/s";
+    }
+    if (ns > 0 && costs[i].weight_bytes > 0) {
+      const double gbps = static_cast<double>(costs[i].weight_bytes) *
+                          static_cast<double>(prof->node_calls(i)) /
+                          static_cast<double>(ns);
+      std::cout << ", weights " << util::format_fixed(gbps, 2) << " GB/s";
+    }
+    std::cout << "\n";
   }
 }
 
@@ -489,9 +512,10 @@ int run(int argc, const char* const* argv) {
                 "(empty = default pipeline)",
                 "")
       .add_flag("kernel-backend",
-                "pin the sparse-kernel backend (\"scalar\", \"avx2\"); "
-                "empty = CPUID pick, or the DSTEE_KERNEL_BACKEND "
-                "environment variable. Unsupported names fail loudly.",
+                "pin the sparse-kernel backend (\"scalar\", \"avx2\", "
+                "\"avx512\"); empty = CPUID pick (the widest), or the "
+                "DSTEE_KERNEL_BACKEND environment variable. Unsupported "
+                "names fail loudly.",
                 "")
       .add_flag("dump-plan",
                 "print the active pass pipeline and the post-pass compile "
@@ -539,7 +563,8 @@ int run(int argc, const char* const* argv) {
                 "")
       .add_flag("profile-ops",
                 "accumulate per-PlanOp wall time across all forwards and "
-                "print the measured breakdown after the run",
+                "print the measured breakdown after the run, with each "
+                "node's achieved GFLOP/s and weight GB/s",
                 "false")
       .add_flag("seed", "random seed", "1")
       .add_flag("smoke",
@@ -629,8 +654,9 @@ int run(int argc, const char* const* argv) {
   // forward. Cheap, and turns --smoke into a real correctness gate. An
   // int8-quantized net is NOT elementwise-close to fp32 — for it the
   // gate is per-sample top-1 agreement, the serving-level contract.
+  const std::size_t probe_batch = 4;
   {
-    tensor::Tensor probe = batched(m.sample_shape, 4);
+    tensor::Tensor probe = batched(m.sample_shape, probe_batch);
     util::Rng probe_rng(rng.fork("probe"));
     tensor::fill_normal(probe, probe_rng, 0.0f, 1.0f);
     const tensor::Tensor dense_out = m.module->forward(probe);
@@ -825,7 +851,8 @@ int run(int argc, const char* const* argv) {
     }
   }
 
-  print_op_profile(net);
+  // The probe batch ran through the same profiled executor.
+  print_op_profile(net, m.sample_shape, probe_batch + stats.requests);
   write_trace_if_requested(args);
   if (!args.get_string("metrics-out").empty()) {
     // Bridge the final snapshot alongside the live hot-path metrics, then
