@@ -27,7 +27,6 @@
 #include "nn/conv2d.hpp"
 #include "optim/optimizer.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/qcsr.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/init.hpp"
@@ -262,7 +261,7 @@ void BM_CsrSpmmCols(benchmark::State& state) {
 BENCHMARK(BM_CsrSpmmCols)->Arg(5)->Arg(10)->Arg(50)->Arg(100);
 
 // Kernel-backend dispatch: the same batched SpMM under the scalar
-// reference and the AVX2 backend (and the int8-quantized variant).
+// reference and the AVX2 backend.
 // Args are {batch, fused}: fused == 1 runs the bias+ReLU epilogue in the
 // kernel's output loop, the shape every hidden serve layer has after
 // FuseEpilogue. AVX2 cells are equals-gated against scalar before timing
@@ -322,37 +321,6 @@ void BM_SpmmAvx2(benchmark::State& state) {
   run_backend_spmm(state, avx2);
 }
 BENCHMARK(BM_SpmmAvx2)
-    ->Args({1, 0})->Args({8, 0})->Args({32, 0})->Args({8, 1});
-
-void BM_QSpmmInt8(benchmark::State& state) {
-  // The int8 path under the process-active backend (CPUID pick or the
-  // DSTEE_KERNEL_BACKEND override) — what a quantized serve replica runs.
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const bool fused = state.range(1) != 0;
-  const std::size_t n = 1024;
-  const auto q =
-      sparse::QCsrMatrix::quantize(backend_bench_csr(n, 0.1, 41));
-  const auto x = random_tensor(tensor::Shape({batch, n}), 42);
-  const auto bias = random_tensor(tensor::Shape({n}), 43);
-  kernels::Epilogue ep;
-  if (fused) {
-    ep.bias = bias.raw();
-    ep.has_act = true;
-    ep.act = kernels::ActKind::kRelu;
-  }
-  const auto& scalar = kernels::simd::scalar_backend();
-  if (!q.spmm(x, {}, ep).equals(q.spmm(x, {}, ep, &scalar))) {
-    fail_gate(state, "active-backend qspmm diverged from scalar");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(q.spmm(x, {}, ep));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch * q.nnz() * 2));
-  state.counters["density"] = q.density();
-}
-BENCHMARK(BM_QSpmmInt8)
     ->Args({1, 0})->Args({8, 0})->Args({32, 0})->Args({8, 1});
 
 // Hard gate: AVX2 must beat scalar by >= 1.5x on the batch-8 fp32 SpMM

@@ -23,7 +23,7 @@
 // feeds it and the kernel sums in CSR order from 0.0f, so the result is
 // bit-identical to im2col + CsrMatrix::spmm_cols_into by construction.
 // The kernel is KernelBackend::spconv, reached through
-// CsrMatrix/QCsrMatrix::spconv_into; serve's conv op drives it per image.
+// CsrMatrix::spconv_into; serve's conv op drives it per image.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +69,7 @@ struct DirectConv {
 
 /// offsets[k] = col_idx[k]·n: a dense row-major B[cols, n] as the spconv
 /// source, read over the one-row grid {1, n, n} — the patch-matrix
-/// product CsrMatrix/QCsrMatrix::spmm_cols_into. Checks that B fits
+/// product CsrMatrix::spmm_cols_into. Checks that B fits
 /// 32-bit offsets.
 std::vector<std::uint32_t> column_offsets(
     std::span<const std::uint32_t> col_idx, std::size_t cols, std::size_t n);

@@ -72,17 +72,12 @@ inline __m256 act8(__m256 v, const kernels::Epilogue& ep) {
 // broadcast against eight gathered activations.
 // ---------------------------------------------------------------------------
 
-template <typename View, bool kQuantized>
-void avx2_spmm_rows_impl(const View& a, const float* x, std::size_t batch,
-                         float* out, std::size_t r0, std::size_t r1,
-                         const kernels::Epilogue& ep) {
+void avx2_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
+                    float* out, std::size_t r0, std::size_t r1,
+                    const kernels::Epilogue& ep) {
   if (a.cols > kMaxGatherStride ||
       (ep.residual != nullptr && ep.residual_stride > kMaxGatherStride)) {
-    if constexpr (kQuantized) {
-      scalar_backend().qspmm_rows(a, x, batch, out, r0, r1, ep);
-    } else {
-      scalar_backend().spmm_rows(a, x, batch, out, r0, r1, ep);
-    }
+    scalar_backend().spmm_rows(a, x, batch, out, r0, r1, ep);
     return;
   }
 
@@ -103,17 +98,8 @@ void avx2_spmm_rows_impl(const View& a, const float* x, std::size_t batch,
         const __m256i idx = _mm256_add_epi32(
             xlane, _mm256_set1_epi32(static_cast<int>(a.col_idx[k])));
         const __m256 xv = _mm256_i32gather_ps(xn, idx, 4);
-        const __m256 vv = [&] {
-          if constexpr (kQuantized) {
-            return _mm256_set1_ps(static_cast<float>(a.values[k]));
-          } else {
-            return _mm256_set1_ps(a.values[k]);
-          }
-        }();
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(vv, xv));
-      }
-      if constexpr (kQuantized) {
-        acc = _mm256_mul_ps(acc, _mm256_set1_ps(a.scales[r]));
+        acc = _mm256_add_ps(acc,
+                            _mm256_mul_ps(_mm256_set1_ps(a.values[k]), xv));
       }
       if (ep.bias != nullptr) {
         acc = _mm256_add_ps(acc, _mm256_set1_ps(ep.bias[r]));
@@ -134,26 +120,9 @@ void avx2_spmm_rows_impl(const View& a, const float* x, std::size_t batch,
     if (tail.residual != nullptr) {
       tail.residual += n0 * tail.residual_stride;
     }
-    if constexpr (kQuantized) {
-      scalar_backend().qspmm_rows(a, x + n0 * a.cols, batch - n0,
-                                  out + n0 * a.rows, r0, r1, tail);
-    } else {
-      scalar_backend().spmm_rows(a, x + n0 * a.cols, batch - n0,
-                                 out + n0 * a.rows, r0, r1, tail);
-    }
+    scalar_backend().spmm_rows(a, x + n0 * a.cols, batch - n0,
+                               out + n0 * a.rows, r0, r1, tail);
   }
-}
-
-void avx2_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
-                    float* out, std::size_t r0, std::size_t r1,
-                    const kernels::Epilogue& ep) {
-  avx2_spmm_rows_impl<CsrView, false>(a, x, batch, out, r0, r1, ep);
-}
-
-void avx2_qspmm_rows(const QCsrView& a, const float* x, std::size_t batch,
-                     float* out, std::size_t r0, std::size_t r1,
-                     const kernels::Epilogue& ep) {
-  avx2_spmm_rows_impl<QCsrView, true>(a, x, batch, out, r0, r1, ep);
 }
 
 // ---------------------------------------------------------------------------
@@ -168,14 +137,11 @@ void avx2_qspmm_rows(const QCsrView& a, const float* x, std::size_t batch,
 /// Writes the finished values of grid positions [p, p + n), held in
 /// acc[0, n), to their output slots; (y, x) is p's grid coordinate.
 /// Positions x >= width are dropped. Each stored
-/// run gets scale (int8 only), bias, residual and activation, 8 lanes
-/// at a time with a scalar tail.
-template <bool kQuantized>
+/// run gets bias, residual and activation, 8 lanes at a time with a
+/// scalar tail.
 void store_runs(const float* acc, std::size_t n, std::size_t y,
                 std::size_t x, const ConvGrid& g, float* yr,
-                const float* res, float scale, float bias,
-                const kernels::Epilogue& ep) {
-  const __m256 vscale = _mm256_set1_ps(scale);
+                const float* res, float bias, const kernels::Epilogue& ep) {
   const __m256 vbias = _mm256_set1_ps(bias);
   std::size_t i = 0;
   while (i < n) {
@@ -189,14 +155,12 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
       std::size_t j = 0;
       for (; j + 8 <= run; j += 8) {
         __m256 v = _mm256_loadu_ps(ai + j);
-        if constexpr (kQuantized) v = _mm256_mul_ps(v, vscale);
         if (ep.bias != nullptr) v = _mm256_add_ps(v, vbias);
         if (ro != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(ro + j));
         _mm256_storeu_ps(out + j, act8(v, ep));
       }
       for (; j < run; ++j) {
         float v = ai[j];
-        if constexpr (kQuantized) v *= scale;
         if (ep.bias != nullptr) v += bias;
         if (ro != nullptr) v += ro[j];
         out[j] = ep.activate(v);
@@ -220,14 +184,13 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
 /// stream, each lane in the scalar k-order. With kMaskLast the last
 /// vector loads only the lanes set in `last` (a masked-off lane reads no
 /// memory), so a partial tile never reads past the swept grid.
-template <bool kQuantized, int kVecs, bool kMaskLast>
+template <int kVecs, bool kMaskLast>
 void accumulate(const SpconvArgs& a, std::size_t r, std::size_t p,
                 __m256i last, float* tile) {
   __m256 acc[kVecs];
   for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_ps();
   for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-    const __m256 vv = _mm256_set1_ps(
-        kQuantized ? static_cast<float>(a.qvalues[k]) : a.values[k]);
+    const __m256 vv = _mm256_set1_ps(a.values[k]);
     const float* s = a.src + a.offsets[k] + p;
     for (int v = 0; v < kVecs; ++v) {
       const __m256 x = kMaskLast && v == kVecs - 1
@@ -239,8 +202,7 @@ void accumulate(const SpconvArgs& a, std::size_t r, std::size_t p,
   for (int v = 0; v < kVecs; ++v) _mm256_store_ps(tile + 8 * v, acc[v]);
 }
 
-template <bool kQuantized>
-void avx2_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
+void avx2_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
   const ConvGrid& g = a.grid;
   if (g.height == 0 || g.width == 0) return;
   const std::size_t span = (g.height - 1) * g.pitch + g.width;
@@ -258,33 +220,23 @@ void avx2_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
         _mm256_set1_epi32(static_cast<int>(n - 8 * (vecs - 1))), lanes);
     for (std::size_t r = 0; r < a.rows; ++r) {
       if (n == 32) {
-        accumulate<kQuantized, 4, false>(a, r, p, last, tile);
+        accumulate<4, false>(a, r, p, last, tile);
       } else if (vecs == 4) {
-        accumulate<kQuantized, 4, true>(a, r, p, last, tile);
+        accumulate<4, true>(a, r, p, last, tile);
       } else if (vecs == 3) {
-        accumulate<kQuantized, 3, true>(a, r, p, last, tile);
+        accumulate<3, true>(a, r, p, last, tile);
       } else if (vecs == 2) {
-        accumulate<kQuantized, 2, true>(a, r, p, last, tile);
+        accumulate<2, true>(a, r, p, last, tile);
       } else {
-        accumulate<kQuantized, 1, true>(a, r, p, last, tile);
+        accumulate<1, true>(a, r, p, last, tile);
       }
-      store_runs<kQuantized>(
-          tile, n, ty, tx, g, a.out + r * plane,
-          ep.residual != nullptr ? ep.residual + r * plane : nullptr,
-          kQuantized ? a.scales[r] : 1.0f,
-          ep.bias != nullptr ? ep.bias[r] : 0.0f, ep);
+      store_runs(tile, n, ty, tx, g, a.out + r * plane,
+                 ep.residual != nullptr ? ep.residual + r * plane : nullptr,
+                 ep.bias != nullptr ? ep.bias[r] : 0.0f, ep);
     }
     tx += n;
     ty += tx / g.pitch;
     tx %= g.pitch;
-  }
-}
-
-void avx2_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
-  if (a.scales != nullptr) {
-    avx2_spconv_impl<true>(a, ep);
-  } else {
-    avx2_spconv_impl<false>(a, ep);
   }
 }
 
@@ -309,8 +261,8 @@ void avx2_epilogue_range(const float* in, float* out, std::size_t i0,
 }
 
 const KernelBackend kAvx2{
-    "avx2",          true,        avx2_spmm_rows,
-    avx2_qspmm_rows, avx2_spconv, avx2_epilogue_range,
+    "avx2",      true,        avx2_spmm_rows,
+    avx2_spconv, avx2_epilogue_range,
 };
 
 }  // namespace

@@ -5,8 +5,8 @@
 // one output row lives in four zmm accumulators for the row's whole
 // nonzero stream; every lane executes the scalar per-element op sequence,
 // a separate _mm512_mul_ps + _mm512_add_ps per nonzero (never FMA — this
-// file is built with -ffp-contract=off), then scale (int8), bias,
-// residual and activation as each valid position is stored. The last,
+// file is built with -ffp-contract=off), then bias, residual and
+// activation as each valid position is stored. The last,
 // partial tile uses masked loads: a masked-off lane reads no memory, so
 // no load reaches past the swept grid.
 //
@@ -64,13 +64,11 @@ inline __m512 act16(__m512 v, const kernels::Epilogue& ep,
 /// Writes the finished values of grid positions [p, p + n), held in
 /// acc[0, n), to their output slots; (y, x) is p's grid coordinate.
 /// Positions x >= width are dropped. Each stored
-/// run gets scale (int8 only), bias, residual and activation, 16 lanes
-/// at a time with a masked tail.
-template <bool kQuantized>
+/// run gets bias, residual and activation, 16 lanes at a time with a
+/// masked tail.
 void store_runs(const float* acc, std::size_t n, std::size_t y,
                 std::size_t x, const ConvGrid& g, float* yr,
-                const float* res, __m512 vscale, __m512 vbias,
-                const kernels::Epilogue& ep,
+                const float* res, __m512 vbias, const kernels::Epilogue& ep,
                 const kernels::Epilogue& act_only) {
   std::size_t i = 0;
   while (i < n) {
@@ -81,7 +79,6 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
       for (std::size_t j = 0; j < run; j += 16) {
         const __mmask16 m = first_lanes(run - j);
         __m512 v = _mm512_maskz_loadu_ps(m, acc + i + j);
-        if constexpr (kQuantized) v = _mm512_mul_ps(v, vscale);
         if (ep.bias != nullptr) v = _mm512_add_ps(v, vbias);
         if (res != nullptr) {
           v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(m, res + o + j));
@@ -102,8 +99,10 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
   }
 }
 
-template <bool kQuantized>
-void avx512_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
+}  // namespace
+
+namespace detail {
+void avx512_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
   const ConvGrid& g = a.grid;
   if (g.height == 0 || g.width == 0) return;
   const std::size_t span = (g.height - 1) * g.pitch + g.width;
@@ -123,18 +122,11 @@ void avx512_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
     const __mmask16 m3 = n > 48 ? first_lanes(n - 48) : 0;
     for (std::size_t r = 0; r < a.rows; ++r) {
       const std::size_t k0 = a.row_ptr[r], k1 = a.row_ptr[r + 1];
-      const auto value = [&](std::size_t k) {
-        if constexpr (kQuantized) {
-          return _mm512_set1_ps(static_cast<float>(a.qvalues[k]));
-        } else {
-          return _mm512_set1_ps(a.values[k]);
-        }
-      };
       __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
       __m512 acc2 = _mm512_setzero_ps(), acc3 = _mm512_setzero_ps();
       if (n == 64) {
         for (std::size_t k = k0; k < k1; ++k) {
-          const __m512 vv = value(k);
+          const __m512 vv = _mm512_set1_ps(a.values[k]);
           const float* s = a.src + a.offsets[k] + p;
           acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(vv, _mm512_loadu_ps(s)));
           acc1 = _mm512_add_ps(acc1,
@@ -148,7 +140,7 @@ void avx512_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
         // The partial last tile: masked loads over the n < 64 positions
         // left; sub-vectors past them are never addressed.
         for (std::size_t k = k0; k < k1; ++k) {
-          const __m512 vv = value(k);
+          const __m512 vv = _mm512_set1_ps(a.values[k]);
           const float* s = a.src + a.offsets[k] + p;
           acc0 = _mm512_add_ps(
               acc0, _mm512_mul_ps(vv, _mm512_maskz_loadu_ps(m0, s)));
@@ -170,27 +162,14 @@ void avx512_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
       _mm512_store_ps(tile + 16, acc1);
       _mm512_store_ps(tile + 32, acc2);
       _mm512_store_ps(tile + 48, acc3);
-      store_runs<kQuantized>(
-          tile, n, ty, tx, g, a.out + r * plane,
-          ep.residual != nullptr ? ep.residual + r * plane : nullptr,
-          _mm512_set1_ps(kQuantized ? a.scales[r] : 1.0f),
-          _mm512_set1_ps(ep.bias != nullptr ? ep.bias[r] : 0.0f), ep,
-          act_only);
+      store_runs(tile, n, ty, tx, g, a.out + r * plane,
+                 ep.residual != nullptr ? ep.residual + r * plane : nullptr,
+                 _mm512_set1_ps(ep.bias != nullptr ? ep.bias[r] : 0.0f), ep,
+                 act_only);
     }
     tx += n;
     ty += tx / g.pitch;
     tx %= g.pitch;
-  }
-}
-
-}  // namespace
-
-namespace detail {
-void avx512_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
-  if (a.scales != nullptr) {
-    avx512_spconv_impl<true>(a, ep);
-  } else {
-    avx512_spconv_impl<false>(a, ep);
   }
 }
 }  // namespace detail

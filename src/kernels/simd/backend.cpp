@@ -38,39 +38,12 @@ void scalar_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
   }
 }
 
-// Quantized kernels: int8 values widen to float per product, accumulate
-// in fp32, and the row scale multiplies the ACCUMULATOR once — before the
-// epilogue, so bias/residual stay full-precision fp32 additions.
-void scalar_qspmm_rows(const QCsrView& a, const float* x, std::size_t batch,
-                       float* out, std::size_t r0, std::size_t r1,
-                       const kernels::Epilogue& ep) {
-  for (std::size_t n = 0; n < batch; ++n) {
-    const float* xn = x + n * a.cols;
-    float* yn = out + n * a.rows;
-    const float* res = ep.residual != nullptr
-                           ? ep.residual + n * ep.residual_stride
-                           : nullptr;
-    for (std::size_t r = r0; r < r1; ++r) {
-      float acc = 0.0f;
-      for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-        acc += static_cast<float>(a.values[k]) * xn[a.col_idx[k]];
-      }
-      acc *= a.scales[r];
-      if (ep.bias != nullptr) acc += ep.bias[r];
-      if (res != nullptr) acc += res[r];
-      yn[r] = ep.activate(acc);
-    }
-  }
-}
-
 // Direct sparse convolution: the historical scalar spmm_cols loop, each
 // nonzero streaming src + offsets[k] instead of the patch-matrix row
 // b + col·n, over the whole swept grid [0, (height−1)·pitch + width).
 // When pitch == width (spmm_cols_into) the grid is the output row itself;
 // otherwise it is scratch, and the finish pass stores the valid positions.
-// Quantized rows always rescale before the epilogue.
-template <bool kQuantized>
-void scalar_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
+void scalar_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
   const ConvGrid& g = a.grid;
   if (g.height == 0 || g.width == 0) return;
   const std::size_t span = (g.height - 1) * g.pitch + g.width;
@@ -82,13 +55,11 @@ void scalar_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
     float* acc = in_place ? yr : scratch.data();
     for (std::size_t j = 0; j < span; ++j) acc[j] = 0.0f;
     for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-      const float v =
-          kQuantized ? static_cast<float>(a.qvalues[k]) : a.values[k];
+      const float v = a.values[k];
       const float* s = a.src + a.offsets[k];
       for (std::size_t j = 0; j < span; ++j) acc[j] += v * s[j];
     }
-    if (kQuantized || !ep.empty() || !in_place) {
-      const float scale = kQuantized ? a.scales[r] : 1.0f;
+    if (!ep.empty() || !in_place) {
       const float bias = ep.bias != nullptr ? ep.bias[r] : 0.0f;
       const float* res =
           ep.residual != nullptr ? ep.residual + r * plane : nullptr;
@@ -96,21 +67,12 @@ void scalar_spconv_impl(const SpconvArgs& a, const kernels::Epilogue& ep) {
         for (std::size_t x = 0; x < g.width; ++x) {
           const std::size_t o = y * g.width + x;
           float v = acc[y * g.pitch + x];
-          if (kQuantized) v *= scale;
           if (ep.bias != nullptr) v += bias;
           if (res != nullptr) v += res[o];
           yr[o] = ep.activate(v);
         }
       }
     }
-  }
-}
-
-void scalar_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
-  if (a.scales != nullptr) {
-    scalar_spconv_impl<true>(a, ep);
-  } else {
-    scalar_spconv_impl<false>(a, ep);
   }
 }
 
@@ -125,8 +87,8 @@ void scalar_epilogue_range(const float* in, float* out, std::size_t i0,
 }
 
 const KernelBackend kScalar{
-    "scalar",          false,         scalar_spmm_rows,
-    scalar_qspmm_rows, scalar_spconv, scalar_epilogue_range,
+    "scalar",      false,         scalar_spmm_rows,
+    scalar_spconv, scalar_epilogue_range,
 };
 
 /// Startup resolution: widest supported backend unless the environment

@@ -1,10 +1,10 @@
 // Runtime-dispatched sparse-kernel backends.
 //
 // Every hot sparse kernel in the serving stack funnels through ONE of the
-// function pointers below: `sparse::CsrMatrix::spmm*`/`spconv_into` and
-// their `sparse::QCsrMatrix` twins hand their loop bodies to a
-// KernelBackend, and the flat `kernels::apply_epilogue` does the same for
-// its elementwise tail. Three backends exist:
+// function pointers below: `sparse::CsrMatrix::spmm*`/`spconv_into` hand
+// their loop bodies to a KernelBackend, and the flat
+// `kernels::apply_epilogue` does the same for its elementwise tail. Three
+// backends exist:
 //
 //   scalar  the historical loop nests, unchanged — the bit-identity
 //           reference every other backend is tested against
@@ -52,17 +52,6 @@ struct CsrView {
   std::size_t cols = 0;
 };
 
-/// Raw view of int8-quantized CSR arrays: values are symmetric int8 with
-/// one fp32 scale per row (scales[r] belongs to row r).
-struct QCsrView {
-  const std::size_t* row_ptr = nullptr;
-  const std::uint32_t* col_idx = nullptr;
-  const std::int8_t* values = nullptr;
-  const float* scales = nullptr;
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-};
-
 /// The output grid of the direct sparse convolution kernel: `height`
 /// rows of `pitch` positions, of which the first `width` of each row are
 /// outputs, stored densely as out[y·width + x]. Grid position y·pitch + x
@@ -75,14 +64,11 @@ struct ConvGrid {
 };
 
 /// Arguments of KernelBackend::spconv. The weights are CSR rows with fp32
-/// `values`, or — when `scales` is set — int8 `qvalues` with one fp32
-/// scale per row. Nonzero k reads the source at src + offsets[k] + grid
+/// `values`. Nonzero k reads the source at src + offsets[k] + grid
 /// position, and output row r is out[r·height·width + y·width + x].
 struct SpconvArgs {
   const std::size_t* row_ptr = nullptr;
   const float* values = nullptr;
-  const std::int8_t* qvalues = nullptr;
-  const float* scales = nullptr;
   std::size_t rows = 0;
   const std::uint32_t* offsets = nullptr;
   const float* src = nullptr;
@@ -105,19 +91,11 @@ struct KernelBackend {
                     float* out, std::size_t r0, std::size_t r1,
                     const kernels::Epilogue& ep) = nullptr;
 
-  /// Quantized variant: accumulate float(int8 value) · activation in
-  /// fp32, multiply the row's accumulator by scales[r] once, then apply
-  /// the epilogue exactly like the fp32 kernel.
-  void (*qspmm_rows)(const QCsrView& a, const float* x, std::size_t batch,
-                     float* out, std::size_t r0, std::size_t r1,
-                     const kernels::Epilogue& ep) = nullptr;
-
-  /// Direct sparse convolution over a flattened output grid, fp32 or
-  /// int8 (SpconvArgs): out[r, y·width + x] = ep(scale_r · sum_k value[k]
-  /// · src[offsets[k] + y·pitch + x]), the sum starting from 0.0f in CSR
-  /// order and the int8 row scale applied before the epilogue. With
-  /// pitch == width == n, height 1 and offsets[k] = col[k]·n it is
-  /// Y = A·B over a dense row-major B[cols, n] — spmm_cols_into.
+  /// Direct sparse convolution over a flattened output grid (SpconvArgs):
+  /// out[r, y·width + x] = ep(sum_k value[k] · src[offsets[k] + y·pitch +
+  /// x]), the sum starting from 0.0f in CSR order. With pitch == width ==
+  /// n, height 1 and offsets[k] = col[k]·n it is Y = A·B over a dense
+  /// row-major B[cols, n] — spmm_cols_into.
   void (*spconv)(const SpconvArgs& a, const kernels::Epilogue& ep) = nullptr;
 
   /// Flat elementwise epilogue over [i0, i1): out[i] = ep.activate(in[i]

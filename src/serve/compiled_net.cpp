@@ -59,9 +59,6 @@ CompiledNet CompiledNet::clone_shared(
     if (op.csr != nullptr && shared.count(op.csr.get()) == 0) {
       op.csr = std::make_shared<sparse::CsrMatrix>(*op.csr);
     }
-    if (op.qcsr != nullptr && shared.count(op.qcsr.get()) == 0) {
-      op.qcsr = std::make_shared<sparse::QCsrMatrix>(*op.qcsr);
-    }
   }
   CompiledNet copy;
   copy.exec_ = exec_.rebind(*plan);

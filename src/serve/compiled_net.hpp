@@ -9,8 +9,7 @@
 //              module; Linear → CSR SpMM, Conv2d → direct sparse conv,
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
 //   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
-//              FreeAfterLastUse by default; FuseEpilogue and
-//              QuantizeWeights on request
+//              FreeAfterLastUse by default; FuseEpilogue on request
 //   bind()     Executor shares the plan's weights and fixes the
 //              runtime::IntraOp policy
 //
@@ -109,8 +108,8 @@ class CompiledNet {
   /// replica per shard from this. Same as clone_shared({}).
   CompiledNet clone() const;
 
-  /// clone() that keeps the matrices in `shared` (fp32 or int8, keyed by
-  /// type-erased pointer) by reference instead of copying. The delta
+  /// clone() that keeps the matrices in `shared` (keyed by pointer) by
+  /// reference instead of copying. The delta
   /// hot-swap path builds each shard's new replica with the delta-touched
   /// matrices fresh and everything else shared with the version it
   /// replaces — a deliberate, bounded relaxation of full replica
@@ -135,10 +134,7 @@ class CompiledNet {
   std::size_t num_residual_joins() const { return plan_->residual_joins; }
   /// CSR nodes FuseEpilogue annotated with a fused activation/residual.
   std::size_t num_fused_ops() const { return plan_->fused_ops; }
-  /// CSR nodes QuantizeWeights rewrote to int8 weights.
-  std::size_t num_quantized_ops() const { return plan_->quantized_ops; }
-  /// Weight bytes a replica streams (see Plan::total_weight_bytes) — the
-  /// memory lever int8 quantization moves.
+  /// Weight bytes a replica streams (see Plan::total_weight_bytes).
   std::size_t total_weight_bytes() const {
     return plan_->total_weight_bytes();
   }

@@ -12,7 +12,6 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
-#include "sparse/qcsr.hpp"
 #include "util/check.hpp"
 
 namespace dstee::serve {
@@ -667,8 +666,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
           (op.bn_ordinal >= mods.bns.size() || bn_touched[op.bn_ordinal] != 0);
       if (sites[s].touched || refold) {
         // Rebuild the node the way a full recompile with the same
-        // pipeline would: lower, re-fold, re-quantize.
-        const bool quantized = op.qcsr != nullptr;
+        // pipeline would: lower, then re-fold.
         const auto mit = masked.find(sites[s].weight);
         lower_weights(op, *sites[s].weight, sites[s].bias,
                       mit != masked.end() ? &state->layer(mit->second)
@@ -681,7 +679,6 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
           bn_scale_shift(*mods.bns[op.bn_ordinal], scale, shift);
           fold_scale_shift(op, scale, shift);
         }
-        if (quantized) quantize_weights(op);
         ++out.patched_weight_nodes;
       }
     } else if (op.kind == PlanOpKind::kScaleShift &&
@@ -701,11 +698,10 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   }
 
   if (out.patched_weight_nodes > 0) {
-    // Refresh the model-wide nnz counter, fp32 and quantized alike.
+    // Refresh the model-wide nnz counter.
     std::size_t nnz = 0;
     for (const PlanOp& op : plan.ops) {
       if (op.csr != nullptr) nnz += op.csr->nnz();
-      if (op.qcsr != nullptr) nnz += op.qcsr->nnz();
     }
     plan.total_nnz = nnz;
   }

@@ -21,8 +21,8 @@
 // keeps (CompiledNet::plan()) shares its CsrMatrix instances with the
 // bound ops, so apply_delta_to_plan() can copy that plan, rebuild ONLY
 // the nodes whose provenance ordinals (PlanOp::sparse_ordinal /
-// bn_ordinal) the delta touched — through the same lowering, folding and
-// quantizing helpers a full recompile runs — and leave every untouched
+// bn_ordinal) the delta touched — through the same lowering and folding
+// helpers a full recompile runs — and leave every untouched
 // node pointing at the very matrices the outgoing version serves.
 // Binding the patched plan then yields a new version that is
 // bit-identical to a full recompile (pinned by serve_test) at a fraction

@@ -16,22 +16,17 @@ namespace dstee::serve {
 
 namespace {
 
-/// Common state of the two CSR kernel families: the shared weight matrix,
-/// the bias, the FuseEpilogue annotation lowered to a kernels::Epilogue,
-/// the intra-op policy and the kernel backend pinned at bind time
-/// (nullptr = defer each call to the process-wide active backend).
-/// Folding and fusion happen at the plan level, before binding (see
-/// serve::FoldBatchNorm / serve::FuseEpilogue).
-///
-/// Templated over the weight type: M is sparse::CsrMatrix (fp32) or
-/// sparse::QCsrMatrix (int8 + per-row scales, from QuantizeWeights). The
-/// two expose the same kernel surface, so one op body serves both.
-template <typename M>
+/// Common state of the two CSR kernel families: the plan node's shared
+/// weight matrix, the bias, the FuseEpilogue annotation lowered to a
+/// kernels::Epilogue, the intra-op policy and the kernel backend pinned
+/// at bind time (nullptr = defer each call to the process-wide active
+/// backend). Folding and fusion happen at the plan level, before binding
+/// (see serve::FoldBatchNorm / serve::FuseEpilogue).
 class CsrOp : public EvalOp {
  public:
-  CsrOp(const PlanOp& op, std::shared_ptr<const M> weights,
-        runtime::IntraOp intra, const kernels::simd::KernelBackend* backend)
-      : w_(std::move(weights)),
+  CsrOp(const PlanOp& op, runtime::IntraOp intra,
+        const kernels::simd::KernelBackend* backend)
+      : w_(op.csr),
         bias_(op.bias),
         has_bias_(op.has_bias),
         intra_(intra),
@@ -54,7 +49,7 @@ class CsrOp : public EvalOp {
     return ep;
   }
 
-  std::shared_ptr<const M> w_;
+  std::shared_ptr<const sparse::CsrMatrix> w_;
   tensor::Tensor bias_;
   bool has_bias_;
   kernels::Epilogue ep_;  ///< activation part only; see make_ep()
@@ -65,15 +60,14 @@ class CsrOp : public EvalOp {
 /// CSR Linear: y = act(x·Wᵀ + bias + residual), the epilogue applied
 /// inside the SpMM output loop. A fused residual (second input) has the
 /// output's [N, rows] shape, so its per-sample stride is the row count.
-template <typename M>
-class CsrLinearOp final : public CsrOp<M> {
+class CsrLinearOp final : public CsrOp {
  public:
-  using CsrOp<M>::CsrOp;
+  using CsrOp::CsrOp;
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
     const tensor::Tensor& x = *inputs[0];
-    const std::size_t rows = this->w_->rows();
+    const std::size_t rows = w_->rows();
     const float* res = nullptr;
     if (inputs.size() == 2) {
       const tensor::Tensor& r = *inputs[1];
@@ -81,8 +75,7 @@ class CsrLinearOp final : public CsrOp<M> {
                   "fused spmm residual shape mismatch");
       res = r.raw();
     }
-    return this->w_->spmm(x, this->intra_, this->make_ep(res, rows),
-                          this->backend_);
+    return w_->spmm(x, intra_, make_ep(res, rows), backend_);
   }
 };
 
@@ -129,14 +122,11 @@ tensor::ConvGeometry image_geometry(tensor::ConvGeometry conv,
 /// multiply-add over the flattened output grid — no im2col patch matrix,
 /// and bit-identical to im2col + spmm_cols_into by construction. A fused
 /// residual is the [N, Cout, OH, OW] output map.
-template <typename M>
-class CsrConvOp final : public CsrOp<M> {
+class CsrConvOp final : public CsrOp {
  public:
-  CsrConvOp(const PlanOp& op, std::shared_ptr<const M> weights,
-            runtime::IntraOp intra,
+  CsrConvOp(const PlanOp& op, runtime::IntraOp intra,
             const kernels::simd::KernelBackend* backend)
-      : CsrOp<M>(op, std::move(weights), intra, backend),
-        conv_(conv_config(op)) {}
+      : CsrOp(op, intra, backend), conv_(conv_config(op)) {}
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
@@ -144,7 +134,7 @@ class CsrConvOp final : public CsrOp<M> {
     const kernels::DirectConv dc(image_geometry(conv_, x, "spconv"));
     const kernels::simd::ConvGrid grid = dc.grid();
     const std::size_t batch = x.dim(0);
-    const std::size_t channels = this->w_->rows();
+    const std::size_t channels = w_->rows();
     const float* res = nullptr;
     if (inputs.size() == 2) {
       const tensor::Tensor& r = *inputs[1];
@@ -161,8 +151,8 @@ class CsrConvOp final : public CsrOp<M> {
     // Each nonzero's read offset, computed per call from col_idx: the op
     // keeps no per-extent state, so it stays const and a delta swap
     // rebuilds nothing but the weights.
-    std::vector<std::uint32_t> offsets(this->w_->nnz());
-    dc.offsets(this->w_->col_idx(), offsets.data());
+    std::vector<std::uint32_t> offsets(w_->nnz());
+    dc.offsets(w_->col_idx(), offsets.data());
 
     // Intra-op parallelism splits the batch on the persistent runtime
     // pool: images are independent, so every output element has exactly
@@ -171,15 +161,13 @@ class CsrConvOp final : public CsrOp<M> {
     // zeroed once, since every image leaves the same pads. A single image
     // always runs inline. Bias and the fused epilogue are applied by the
     // kernel as it stores each output.
-    runtime::intra_chunks(this->intra_, batch, [&](std::size_t n0,
-                                                   std::size_t n1) {
+    runtime::intra_chunks(intra_, batch, [&](std::size_t n0, std::size_t n1) {
       std::vector<float> packed(dc.packed_size);
       for (std::size_t n = n0; n < n1; ++n) {
         dc.pack(x.raw() + n * in_elems, packed.data());
         const float* r = res != nullptr ? res + n * out_elems : nullptr;
-        this->w_->spconv_into(packed.data(), offsets, grid,
-                              y.raw() + n * out_elems, this->make_ep(r, 0),
-                              this->backend_);
+        w_->spconv_into(packed.data(), offsets, grid, y.raw() + n * out_elems,
+                        make_ep(r, 0), backend_);
       }
     });
     return y;
@@ -322,27 +310,14 @@ class GlobalAvgPoolOp final : public EvalOp {
   runtime::IntraOp intra_;
 };
 
-/// One CSR node as kernel family Op over its weight type.
-template <template <typename> class Op>
-std::unique_ptr<EvalOp> bind_csr(const PlanOp& op,
-                                 const runtime::IntraOp& intra,
-                                 const kernels::simd::KernelBackend* backend) {
-  if (op.qcsr != nullptr) {
-    return std::make_unique<Op<sparse::QCsrMatrix>>(op, op.qcsr, intra,
-                                                    backend);
-  }
-  return std::make_unique<Op<sparse::CsrMatrix>>(op, op.csr, intra,
-                                                 backend);
-}
-
 std::unique_ptr<EvalOp> bind_op(const PlanOp& op,
                                 const runtime::IntraOp& intra,
                                 const kernels::simd::KernelBackend* backend) {
   switch (op.kind) {
     case PlanOpKind::kSpmm:
-      return bind_csr<CsrLinearOp>(op, intra, backend);
+      return std::make_unique<CsrLinearOp>(op, intra, backend);
     case PlanOpKind::kConv:
-      return bind_csr<CsrConvOp>(op, intra, backend);
+      return std::make_unique<CsrConvOp>(op, intra, backend);
     case PlanOpKind::kScaleShift:
       return std::make_unique<ScaleShiftOp>(op.scale, op.shift, op.rank4);
     case PlanOpKind::kActivation: {
@@ -389,8 +364,7 @@ Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
   const PlanOp& head = plan.ops.front();
   if (head.kind == PlanOpKind::kSpmm &&
       head.inputs.front() == Plan::kInputId) {
-    exec.input_features_ =
-        head.csr != nullptr ? head.csr->cols() : head.qcsr->cols();
+    exec.input_features_ = head.csr->cols();
   }
 
   for (const PlanOp& op : plan.ops) {

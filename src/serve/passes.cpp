@@ -44,13 +44,7 @@ void FoldBatchNorm::run(Plan& plan) const {
     if (fold) {
       const PlanOp& producer = plan.ops[src];
       const bool conv_like = producer.kind == PlanOpKind::kConv;
-      // Quantized producers (csr == nullptr) are skipped: folding scales
-      // into int8 values would re-round them, and re-quantizing here
-      // would hide a precision change inside an unrelated pass. Run
-      // fold_bn before quantize:int8 — the standalone kScaleShift stays
-      // correct either way.
       fold = (producer.kind == PlanOpKind::kSpmm || conv_like) &&
-             producer.csr != nullptr &&
              producer.csr->rows() == bn.scale.size() &&
              conv_like == bn.rank4 && plan.use_counts()[src] == 1;
     }
@@ -81,17 +75,6 @@ void FreeAfterLastUse::run(Plan& plan) const {
   plan.validate();
 }
 
-void QuantizeWeights::run(Plan& plan) const {
-  for (PlanOp& op : plan.ops) {
-    const bool csr_kind =
-        op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv;
-    if (!csr_kind || op.csr == nullptr) continue;
-    quantize_weights(op);
-    ++plan.quantized_ops;
-  }
-  plan.validate();
-}
-
 namespace {
 
 /// Registry names are lowercased with '-' folded to '_', so spec authors
@@ -107,11 +90,6 @@ std::string normalize_pass_name(const std::string& name) {
   return out;
 }
 
-void check_no_args(const std::string& pass,
-                   const std::vector<std::string>& args) {
-  util::check(args.empty(), "pass '" + pass + "' takes no arguments");
-}
-
 /// The process-wide pass registry, seeded with every built-in pass.
 /// Unsynchronized by design: registration happens at start-up (or from
 /// the static initializer below), after which the map is only read —
@@ -120,37 +98,14 @@ std::unordered_map<std::string, Compiler::PassFactory>& pass_registry() {
   static std::unordered_map<std::string, Compiler::PassFactory> registry =
       [] {
         std::unordered_map<std::string, Compiler::PassFactory> reg;
-        reg["elide_dropout"] = [](const std::vector<std::string>& args,
-                                  const CompileOptions&) {
-          check_no_args("elide_dropout", args);
-          return std::make_unique<ElideDropout>();
-        };
-        const auto fold_bn = [](const std::vector<std::string>& args,
-                                const CompileOptions&) {
-          check_no_args("fold_batch_norm", args);
-          return std::make_unique<FoldBatchNorm>();
-        };
+        reg["elide_dropout"] = [] { return std::make_unique<ElideDropout>(); };
+        const auto fold_bn = [] { return std::make_unique<FoldBatchNorm>(); };
         reg["fold_batch_norm"] = fold_bn;
         reg["fold_bn"] = fold_bn;  // spec alias
-        reg["free_after_last_use"] = [](const std::vector<std::string>& args,
-                                        const CompileOptions&) {
-          check_no_args("free_after_last_use", args);
+        reg["free_after_last_use"] = [] {
           return std::make_unique<FreeAfterLastUse>();
         };
-        reg["fuse_epilogue"] = [](const std::vector<std::string>& args,
-                                  const CompileOptions&) {
-          check_no_args("fuse_epilogue", args);
-          return std::make_unique<FuseEpilogue>();
-        };
-        const auto quantize = [](const std::vector<std::string>& args,
-                                 const CompileOptions&) {
-          util::check(args.empty() || (args.size() == 1 && args[0] == "int8"),
-                      "quantize spec is quantize[:int8] — int8 is the only "
-                      "supported mode");
-          return std::make_unique<QuantizeWeights>();
-        };
-        reg["quantize_weights"] = quantize;
-        reg["quantize"] = quantize;  // spec alias
+        reg["fuse_epilogue"] = [] { return std::make_unique<FuseEpilogue>(); };
         return reg;
       }();
   return registry;
@@ -182,22 +137,12 @@ Compiler& Compiler::pipeline_from_spec(const std::string& spec) {
     start = end + 1;
     util::check(!token.empty(), "empty pass name in pipeline spec '" +
                                     spec + "'");
-    // name[:arg[:arg...]]
-    std::vector<std::string> parts;
-    std::size_t p = 0;
-    while (p <= token.size()) {
-      std::size_t q = token.find(':', p);
-      if (q == std::string::npos) q = token.size();
-      parts.push_back(token.substr(p, q - p));
-      p = q + 1;
-    }
-    const std::string name = normalize_pass_name(parts.front());
-    const std::vector<std::string> args(parts.begin() + 1, parts.end());
+    const std::string name = normalize_pass_name(token);
     const auto& registry = pass_registry();
     const auto it = registry.find(name);
     util::check(it != registry.end(),
-                "unknown pass '" + parts.front() + "' in pipeline spec");
-    std::unique_ptr<Pass> pass = it->second(args, options_);
+                "unknown pass '" + token + "' in pipeline spec");
+    std::unique_ptr<Pass> pass = it->second();
     util::check(pass != nullptr,
                 "pass factory for '" + name + "' returned null");
     pipeline.push_back(std::move(pass));

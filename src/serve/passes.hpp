@@ -13,8 +13,6 @@
 //   FuseEpilogue      absorbs activation / residual-add consumers into
 //                     the producing CSR node as a fused kernel epilogue
 //                     (serve/fusion.hpp)
-//   QuantizeWeights   rewrites fp32 CSR weight nodes to int8 values with
-//                     per-row fp32 scales ("quantize:int8" in specs)
 //
 // Compiler runs the default pipeline (the first three, preserving the
 // monolith's behavior bit-for-bit) and lets callers append passes — or
@@ -25,8 +23,7 @@
 //   serve::Plan plan = compiler.plan(model, &smodel);   // inspect / dump
 //   serve::CompiledNet net = compiler.bind(std::move(plan));
 //
-//   compiler.pipeline_from_spec(
-//       "elide-dropout,fold-bn,fuse-epilogue,quantize:int8");
+//   compiler.pipeline_from_spec("elide-dropout,fold-bn,fuse-epilogue");
 //
 // Every built-in pass is in the registry under its name() (plus the
 // spec aliases "fold-bn"/"fold_bn"); Compiler::register_pass adds custom
@@ -81,28 +78,13 @@ class FreeAfterLastUse final : public Pass {
   void run(Plan& plan) const override;
 };
 
-/// Rewrites every fp32 CSR weight node (kSpmm / kConv) to int8 weights
-/// with per-row fp32 scales (sparse::QCsrMatrix — symmetric
-/// round-to-nearest, fp32 accumulation). Registered as "quantize" with an
-/// optional mode argument ("quantize:int8", the only supported mode).
-/// Weight bytes drop to ~5/8 of fp32 storage per nonzero (int8 value + uint32
-/// index vs fp32 + uint32) plus one fp32 scale per row — annotate() and
-/// Plan::total_weight_bytes() report the reduction.
-class QuantizeWeights final : public Pass {
- public:
-  std::string name() const override { return "quantize_weights"; }
-  void run(Plan& plan) const override;
-};
-
 /// The serve pass manager: lowering + an ordered pass pipeline + binding.
 /// Default-constructed pipelines reproduce the pre-redesign compiler
 /// exactly (elide_dropout, fold_batch_norm, free_after_last_use).
 class Compiler {
  public:
-  /// Builds a Pass from spec arguments (the ":"-separated tokens after
-  /// the pass name, may be empty) under the compiler's options.
-  using PassFactory = std::function<std::unique_ptr<Pass>(
-      const std::vector<std::string>& args, const CompileOptions& options)>;
+  /// Builds a fresh instance of a registered pass.
+  using PassFactory = std::function<std::unique_ptr<Pass>()>;
 
   explicit Compiler(CompileOptions options = {});
 
@@ -114,10 +96,9 @@ class Compiler {
   static void register_pass(const std::string& name, PassFactory factory);
 
   /// Replaces the pipeline with the passes named in `spec`: a
-  /// comma-separated list of registry names, each optionally followed by
-  /// ":"-separated arguments — e.g.
-  /// "elide-dropout,fold-bn,fuse-epilogue,quantize:int8".
-  /// Unknown names fail loudly. Returns *this for chaining.
+  /// comma-separated list of registry names — e.g.
+  /// "elide-dropout,fold-bn,fuse-epilogue". Unknown names fail loudly.
+  /// Returns *this for chaining.
   Compiler& pipeline_from_spec(const std::string& spec);
 
   /// The active pipeline as a comma-separated list of pass names (what

@@ -78,27 +78,9 @@ tensor::ConvGeometry conv_geometry(const PlanOp& op, std::size_t in_h,
   return g;
 }
 
-// A CSR node carries exactly one of csr (fp32) / qcsr (int8); these
-// helpers let annotate/dump/validate read the weight geometry without
-// branching at every use site.
-std::size_t weights_rows(const PlanOp& op) {
-  return op.csr != nullptr ? op.csr->rows() : op.qcsr->rows();
-}
-
-std::size_t weights_cols(const PlanOp& op) {
-  return op.csr != nullptr ? op.csr->cols() : op.qcsr->cols();
-}
-
-std::size_t weights_nnz(const PlanOp& op) {
-  return op.csr != nullptr ? op.csr->nnz() : op.qcsr->nnz();
-}
-
-// Weight bytes this node streams at run time: fp32 CSR is 4-byte values
-// + 4-byte column indices, int8 QCsr is 1-byte values + 4-byte indices +
-// one fp32 scale per row; both stream size_t row_ptr. 0 for non-CSR
-// nodes.
+// Weight bytes this node streams at run time: 4-byte values + 4-byte
+// column indices + size_t row_ptr. 0 for non-CSR nodes.
 std::size_t node_weight_bytes(const PlanOp& op) {
-  if (op.qcsr != nullptr) return op.qcsr->weight_bytes();
   if (op.csr == nullptr) return 0;
   return op.csr->nnz() * (sizeof(float) + sizeof(std::uint32_t)) +
          op.csr->row_ptr().size() * sizeof(std::size_t);
@@ -173,12 +155,6 @@ void fold_scale_shift(PlanOp& op, const std::vector<float>& scale,
   op.has_bias = true;
 }
 
-void quantize_weights(PlanOp& op) {
-  op.qcsr = std::make_shared<sparse::QCsrMatrix>(
-      sparse::QCsrMatrix::quantize(*op.csr));
-  op.csr.reset();
-}
-
 std::size_t Plan::total_weight_bytes() const {
   std::size_t bytes = 0;
   for (const PlanOp& op : ops) bytes += node_weight_bytes(op);
@@ -219,10 +195,10 @@ std::vector<Plan::NodeCost> Plan::annotate(
     NodeCost& c = costs[i];
     switch (op.kind) {
       case PlanOpKind::kSpmm: {
-        c.out_shape = tensor::Shape({batch, weights_rows(op)});
-        c.flops = sparse::linear_nnz_flops(weights_nnz(op), batch);
+        c.out_shape = tensor::Shape({batch, op.csr->rows()});
+        c.flops = sparse::linear_nnz_flops(op.csr->nnz(), batch);
         c.dense_flops = sparse::linear_nnz_flops(
-            weights_rows(op) * weights_cols(op), batch);
+            op.csr->rows() * op.csr->cols(), batch);
         const double ep = epilogue_flops(op, c.out_shape.numel());
         c.flops += ep;
         c.dense_flops += ep;
@@ -232,11 +208,11 @@ std::vector<Plan::NodeCost> Plan::annotate(
       case PlanOpKind::kConv: {
         const tensor::ConvGeometry g = conv_geometry(op, in.dim(2), in.dim(3));
         c.out_shape =
-            tensor::Shape({batch, weights_rows(op), g.out_h(), g.out_w()});
-        c.flops = sparse::conv_nnz_flops(weights_nnz(op), g.out_h(), g.out_w(),
+            tensor::Shape({batch, op.csr->rows(), g.out_h(), g.out_w()});
+        c.flops = sparse::conv_nnz_flops(op.csr->nnz(), g.out_h(), g.out_w(),
                                          batch);
         c.dense_flops = sparse::conv_nnz_flops(
-            weights_rows(op) * weights_cols(op), g.out_h(), g.out_w(), batch);
+            op.csr->rows() * op.csr->cols(), g.out_h(), g.out_w(), batch);
         const double ep = epilogue_flops(op, c.out_shape.numel());
         c.flops += ep;
         c.dense_flops += ep;
@@ -345,10 +321,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
   if (fused_ops > 0) {
     out += ", " + std::to_string(fused_ops) + " fused";
   }
-  if (quantized_ops > 0) {
-    out += ", " + std::to_string(quantized_ops) + " int8 (" +
-           std::to_string(total_weight_bytes()) + " weight bytes)";
-  }
   out += "\n";
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -359,22 +331,20 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
       // Trailing annotations use separate appends: GCC 12's -Wrestrict
       // misfires on long operator+ chains ending in a ternary char*.
       case PlanOpKind::kSpmm:
-        out += "(" + std::to_string(weights_rows(op)) + "x" +
-               std::to_string(weights_cols(op)) +
-               ", nnz=" + std::to_string(weights_nnz(op));
+        out += "(" + std::to_string(op.csr->rows()) + "x" +
+               std::to_string(op.csr->cols()) +
+               ", nnz=" + std::to_string(op.csr->nnz());
         if (op.folded_bn) out += ", +bn";
-        if (op.qcsr != nullptr) out += ", int8";
         append_fused(out, op);
         out += ")";
         break;
       case PlanOpKind::kConv:
         out += "(" + std::to_string(op.in_channels) + "->" +
-               std::to_string(weights_rows(op)) + ", k" +
+               std::to_string(op.csr->rows()) + ", k" +
                std::to_string(op.kernel) + " s" + std::to_string(op.stride) +
                " p" + std::to_string(op.padding) +
-               ", nnz=" + std::to_string(weights_nnz(op));
+               ", nnz=" + std::to_string(op.csr->nnz());
         if (op.folded_bn) out += ", +bn";
-        if (op.qcsr != nullptr) out += ", int8";
         append_fused(out, op);
         out += ")";
         break;
@@ -444,11 +414,10 @@ void Plan::validate() const {
                       " consumes a later node (not topological)");
     }
     if (csr_kind) {
-      util::check((op.csr != nullptr) != (op.qcsr != nullptr),
-                  "CSR plan op " + std::to_string(i) +
-                      " must carry exactly one of fp32/int8 weights");
+      util::check(op.csr != nullptr,
+                  "CSR plan op " + std::to_string(i) + " has no weights");
     } else {
-      util::check(op.csr == nullptr && op.qcsr == nullptr,
+      util::check(op.csr == nullptr,
                   "non-CSR plan op " + std::to_string(i) +
                       " carries weights");
     }

@@ -3,16 +3,16 @@
 // The serve stack used to lower, optimize and bind in one monolithic
 // CompiledNet::compile(): BN folding, dropout elision and the
 // free-after-last-use policy were hard-coded into the module walk, so
-// there was no seam where a new graph optimization (epilogue fusion,
-// int8 weights) could be inserted or tested on its own.
+// there was no seam where a new graph optimization (epilogue fusion)
+// could be inserted or tested on its own.
 // The redesign splits compilation into three explicit stages:
 //
 //   Lowering (this file)  nn::Sequential + SparseModel → Plan, one PlanOp
 //                         per module, weights converted to CSR, no
 //                         optimization decisions at all
 //   Passes (passes.hpp)   named rewrites over the Plan — FoldBatchNorm,
-//                         ElideDropout, FreeAfterLastUse, FuseEpilogue,
-//                         QuantizeWeights — composed by serve::Compiler
+//                         ElideDropout, FreeAfterLastUse, FuseEpilogue —
+//                         composed by serve::Compiler
 //   Executor              binds a finished Plan to EvalOps + a
 //   (executor.hpp)        runtime::IntraOp policy; CompiledNet stays the
 //                         thin serving facade over the bound program
@@ -33,7 +33,6 @@
 #include "nn/sequential.hpp"
 #include "obs/profile.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/qcsr.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
@@ -90,10 +89,7 @@ struct PlanOp {
   std::vector<std::size_t> inputs;
 
   // kSpmm / kConv ------------------------------------------------------
-  std::shared_ptr<sparse::CsrMatrix> csr;  ///< fp32 weights
-  /// Int8-quantized weights (QuantizeWeights pass). A CSR node carries
-  /// exactly one of csr / qcsr — validate() enforces it.
-  std::shared_ptr<sparse::QCsrMatrix> qcsr;
+  std::shared_ptr<sparse::CsrMatrix> csr;  ///< weights, never null here
   tensor::Tensor bias;                     ///< per output row/channel
   bool has_bias = false;
   bool folded_bn = false;  ///< FoldBatchNorm absorbed a BN into this node
@@ -154,19 +150,16 @@ struct Plan {
   std::vector<std::vector<std::size_t>> release_after;
 
   // Model-wide counters (lowering fills them; passes update elided /
-  // fused / quantized).
+  // fused).
   std::size_t sparse_ops = 0;
   std::size_t elided = 0;
   std::size_t residual_joins = 0;
   std::size_t total_nnz = 0;
   std::size_t total_weights = 0;
   std::size_t fused_ops = 0;  ///< CSR nodes carrying a FuseEpilogue annotation
-  std::size_t quantized_ops = 0;  ///< CSR nodes rewritten to int8 weights
 
   /// Weight bytes a replica streams, summed over the CSR nodes (each
-  /// owns its own matrix): fp32 CSR counts values + uint32 col_idx +
-  /// row_ptr; int8 QCsr counts values + col_idx + row scales + row_ptr.
-  /// The memory lever QuantizeWeights moves.
+  /// owns its own matrix): fp32 values + uint32 col_idx + row_ptr.
   std::size_t total_weight_bytes() const;
 
   std::size_t size() const { return ops.size(); }
@@ -254,9 +247,5 @@ void lower_weights(PlanOp& op, const nn::Parameter& weight,
 /// bias becomes bias·scale + shift.
 void fold_scale_shift(PlanOp& op, const std::vector<float>& scale,
                       const std::vector<float>& shift);
-
-/// QuantizeWeights' rewrite: `op`'s fp32 CSR matrix becomes its int8
-/// quantization.
-void quantize_weights(PlanOp& op);
 
 }  // namespace dstee::serve

@@ -134,19 +134,14 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
     report.patched_scale_shifts = patch.patched_scale_shifts;
     // Matrices present in BOTH the old and the patched plan were not
     // rebuilt: shard replicas may keep sharing them with the outgoing
-    // version (see CompiledNet::clone_shared). Quantized matrices are
-    // tracked by the same type-erased pointers.
+    // version (see CompiledNet::clone_shared).
     std::unordered_set<const void*> old_matrices;
     for (const PlanOp& op : base.ops) {
       if (op.csr != nullptr) old_matrices.insert(op.csr.get());
-      if (op.qcsr != nullptr) old_matrices.insert(op.qcsr.get());
     }
     for (const PlanOp& op : patch.plan.ops) {
       if (op.csr != nullptr && old_matrices.count(op.csr.get()) > 0) {
         untouched.insert(op.csr.get());
-      }
-      if (op.qcsr != nullptr && old_matrices.count(op.qcsr.get()) > 0) {
-        untouched.insert(op.qcsr.get());
       }
     }
     net = std::make_shared<const CompiledNet>(
@@ -174,7 +169,37 @@ void ModelRegistry::swap_model(const std::string& name,
   util::MutexLock lock(slot.mu);
   util::check(!slot.removed.load(std::memory_order_acquire),
               "ModelRegistry: model '" + name + "' was removed");
-  train::load_checkpoint(checkpoint_path, *slot.module, slot.state.get());
+  // load_checkpoint writes each tensor as it reads it, so a file it
+  // rejects part way would leave the model a mix of two versions while
+  // the slot still serves, and hashes, the old one. Copy everything it
+  // writes first and put it back if the load throws.
+  const std::vector<nn::Parameter*> params = slot.module->parameters();
+  const std::vector<tensor::Tensor*> buffers = slot.module->state_buffers();
+  sparse::SparseModel* state = slot.state.get();
+  std::vector<tensor::Tensor> values, states, counters;
+  std::vector<sparse::Mask> masks;
+  for (const nn::Parameter* p : params) values.push_back(p->value);
+  for (const tensor::Tensor* b : buffers) states.push_back(*b);
+  const std::size_t layers = state != nullptr ? state->num_layers() : 0;
+  for (std::size_t i = 0; i < layers; ++i) {
+    masks.push_back(state->layer(i).mask());
+    counters.push_back(state->layer(i).counter());
+  }
+  try {
+    train::load_checkpoint(checkpoint_path, *slot.module, state);
+  } catch (...) {
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i]->value = std::move(values[i]);
+    }
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      *buffers[i] = std::move(states[i]);
+    }
+    for (std::size_t i = 0; i < layers; ++i) {
+      state->layer(i).mask() = std::move(masks[i]);
+      state->layer(i).counter() = std::move(counters[i]);
+    }
+    throw;
+  }
   slot.server->swap(recompile(slot));
 }
 

@@ -144,6 +144,8 @@ class ModelRegistry {
                          const CheckpointDelta& delta);
 
   /// Full-recompile hot swap from a full (v1/v2) checkpoint file.
+  /// All-or-nothing: throws util::CheckError, leaving the model, its hash
+  /// and the served version as they were, when the file is rejected.
   void swap_model(const std::string& name,
                   const std::string& checkpoint_path);
 

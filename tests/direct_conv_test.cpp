@@ -2,8 +2,8 @@
 // the scalar spmm_cols_into BIT FOR BIT (memcmp, not allclose), over
 // kernel sizes, strides and paddings, odd and non-square extents, output
 // grids shorter than and not a multiple of the 8/16-lane vector widths,
-// empty weight rows, every activation epilogue with bias and residual,
-// and fp32 and int8 weights. The serve level then pins whole networks —
+// empty weight rows, and every activation epilogue with bias and
+// residual. The serve level then pins whole networks —
 // VGG-19 and ResNet-18 through a checkpoint — to each backend against the
 // scalar-pinned net.
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "serve/compiled_net.hpp"
 #include "serve/passes.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/qcsr.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/im2col.hpp"
 #include "test_helpers.hpp"
@@ -73,8 +72,8 @@ tensor::ConvGeometry geometry(std::size_t cin, std::size_t h, std::size_t w,
 }
 
 /// The reference: im2col + the scalar spmm_cols_into.
-template <typename M>
-std::vector<float> im2col_reference(const M& m, const tensor::Tensor& image,
+std::vector<float> im2col_reference(const sparse::CsrMatrix& m,
+                                    const tensor::Tensor& image,
                                     const tensor::ConvGeometry& g,
                                     const Epilogue& ep) {
   tensor::Tensor cols({g.patch_size(), g.out_h() * g.out_w()});
@@ -87,8 +86,8 @@ std::vector<float> im2col_reference(const M& m, const tensor::Tensor& image,
 /// The direct path on `be`. The zeroed packing buffer first holds
 /// another image, as per-chunk scratch does for every image after the
 /// first: pack() must overwrite every image element and leave the pads.
-template <typename M>
-std::vector<float> direct(const M& m, const tensor::Tensor& image,
+std::vector<float> direct(const sparse::CsrMatrix& m,
+                          const tensor::Tensor& image,
                           const tensor::ConvGeometry& g, const Epilogue& ep,
                           const KernelBackend* be) {
   const kernels::DirectConv dc(g);
@@ -102,12 +101,11 @@ std::vector<float> direct(const M& m, const tensor::Tensor& image,
   return out;
 }
 
-/// Checks every backend, fp32 and int8, every activation epilogue with
-/// and without bias + residual, against the reference on one geometry.
+/// Checks every backend, every activation epilogue with and without
+/// bias + residual, against the reference on one geometry.
 void expect_direct_matches(const tensor::ConvGeometry& g, std::size_t cout,
                            std::uint64_t seed) {
   const auto csr = conv_csr(cout, g.patch_size(), seed);
-  const auto q = sparse::QCsrMatrix::quantize(csr);
   const auto image = random_tensor(
       tensor::Shape({g.in_channels, g.in_h, g.in_w}), seed + 1);
   const auto bias = random_tensor(tensor::Shape({cout}), seed + 2);
@@ -120,7 +118,6 @@ void expect_direct_matches(const tensor::ConvGeometry& g, std::size_t cout,
         ep.residual = residual.raw();
       }
       const auto ref = im2col_reference(csr, image, g, ep);
-      const auto qref = im2col_reference(q, image, g, ep);
       for (const KernelBackend* be : all_backends()) {
         const std::string where =
             std::string(be->name) + " k" + std::to_string(g.kernel_h) +
@@ -129,10 +126,7 @@ void expect_direct_matches(const tensor::ConvGeometry& g, std::size_t cout,
             std::to_string(g.in_w) + " act " +
             std::to_string(ep.has_act ? static_cast<int>(ep.act) : -1) +
             (operands ? " +bias+residual" : "");
-        EXPECT_TRUE(bits_equal(direct(csr, image, g, ep, be), ref))
-            << "fp32 " << where;
-        EXPECT_TRUE(bits_equal(direct(q, image, g, ep, be), qref))
-            << "int8 " << where;
+        EXPECT_TRUE(bits_equal(direct(csr, image, g, ep, be), ref)) << where;
       }
     }
   }
@@ -250,7 +244,6 @@ void expect_backends_match_scalar(nn::Sequential& model,
 const char* const kPipelines[] = {
     "",  // the default pipeline: separate activation and add nodes
     "elide-dropout,fold-bn,fuse-epilogue,free-after-last-use",
-    "elide-dropout,fold-bn,fuse-epilogue,quantize:int8,free-after-last-use",
 };
 
 TEST(DirectConvServe, Vgg19BitIdenticalToScalarThroughCheckpoint) {

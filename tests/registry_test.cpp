@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -272,6 +275,45 @@ TEST(Registry, DeltaAfterSwapModelPatchesTheSwappedVersion) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(registry.submit("m", x).get().equals(want)) << i;
   }
+  registry.shutdown();
+}
+
+TEST(Registry, RejectedSwapModelLeavesTheModelAsItWas) {
+  // A checkpoint cut at two thirds: load_checkpoint writes the records
+  // before the cut, then throws. The model must come back as it was, so
+  // the hash, the replies and a delta built against the pre-swap state
+  // all still match the version being served.
+  constexpr std::uint64_t kSeedA = 45;
+  constexpr std::uint64_t kSeedB = 46;
+  const std::string full = "serve_ckpt/registry_swap_cut_full.bin";
+  const std::string cut = "serve_ckpt/registry_swap_cut.bin";
+  SeededModel b(kSeedB);
+  train::save_checkpoint(full, b.model, &b.state);
+  {
+    std::ifstream in(full, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(),
+              static_cast<std::streamsize>(bytes.size() * 2 / 3));
+  }
+
+  serve::ModelRegistry registry;
+  SeededModel::add_to(registry, "m", kSeedA);
+  const serve::CheckpointDelta delta = step_delta(kSeedA);
+  ASSERT_EQ(registry.state_hash("m"), delta.base_hash);
+  const auto x = random_tensor(tensor::Shape({12}), 9);
+
+  EXPECT_THROW(registry.swap_model("m", cut), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), delta.base_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(
+      expected_row(kSeedA, x, false)));
+
+  const serve::SwapReport report = registry.apply_delta("m", delta);
+  EXPECT_FALSE(report.full_recompile);
+  EXPECT_EQ(registry.state_hash("m"), delta.result_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(
+      expected_row(kSeedA, x, true)));
   registry.shutdown();
 }
 

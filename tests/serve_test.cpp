@@ -1065,8 +1065,16 @@ TEST(Plan, DumpAnnotatesCostShares) {
   EXPECT_NE(dump.find("out="), std::string::npos);   // annotated shapes
   EXPECT_NE(dump.find("flops="), std::string::npos);
   EXPECT_NE(dump.find("%)"), std::string::npos);  // cost shares
+  // annotate()'s per-node weight bytes sum to the plan's total (no node
+  // double-counted, none dropped), and the bound net reports that total.
+  std::size_t node_bytes = 0;
+  for (const auto& c : plan.annotate(sample)) node_bytes += c.weight_bytes;
+  EXPECT_GT(node_bytes, 0u);
+  EXPECT_EQ(node_bytes, plan.total_weight_bytes());
+  const std::size_t total_bytes = plan.total_weight_bytes();
   // The plan is still bindable after inspection.
   const auto net = compiler.bind(std::move(plan));
+  EXPECT_EQ(net.total_weight_bytes(), total_bytes);
   const auto x = random_tensor(tensor::Shape({3, 12}), 412);
   EXPECT_TRUE(
       net.forward(x).equals(serve::CompiledNet::compile(h.model, &h.smodel)
@@ -1835,10 +1843,9 @@ TEST(Compiler, PipelineSpecRoundTripsAndFailsLoudly) {
   EXPECT_EQ(compiler.pipeline_spec(),
             "elide_dropout,fold_batch_norm,free_after_last_use");
   compiler.pipeline_from_spec(
-      "elide-dropout,fold-bn,fuse-epilogue,quantize:int8,"
-      "free-after-last-use");
+      "elide-dropout,fold-bn,fuse-epilogue,free-after-last-use");
   EXPECT_EQ(compiler.pipeline_spec(),
-            "elide_dropout,fold_batch_norm,fuse_epilogue,quantize_weights,"
+            "elide_dropout,fold_batch_norm,fuse_epilogue,"
             "free_after_last_use");
   EXPECT_THROW(compiler.pipeline_from_spec("no-such-pass"),
                util::CheckError);
@@ -1847,10 +1854,9 @@ TEST(Compiler, PipelineSpecRoundTripsAndFailsLoudly) {
   EXPECT_THROW(compiler.pipeline_from_spec("Partition-Rows:4"),
                util::CheckError);
   EXPECT_THROW(compiler.pipeline_from_spec(""), util::CheckError);
+  // No pass takes arguments: a token with ':' names no registered pass.
   EXPECT_THROW(compiler.pipeline_from_spec("fuse-epilogue:3"),
-               util::CheckError);  // takes no arguments
-  EXPECT_THROW(compiler.pipeline_from_spec("quantize:int4"),
-               util::CheckError);  // unsupported mode
+               util::CheckError);
 }
 
 TEST(Compiler, RegisterPassExtendsTheSpecNamespace) {
@@ -1866,17 +1872,14 @@ TEST(Compiler, RegisterPassExtendsTheSpecNamespace) {
   };
   auto hits = std::make_shared<std::size_t>(0);
   serve::Compiler::register_pass(
-      "test-marker",
-      [hits](const std::vector<std::string>& args,
-             const serve::CompileOptions&) -> std::unique_ptr<serve::Pass> {
-        EXPECT_EQ(args, (std::vector<std::string>{"7"}));
+      "test-marker", [hits]() -> std::unique_ptr<serve::Pass> {
         return std::make_unique<MarkerPass>(hits);
       });
 
   CompiledHarness h(0.9);
   serve::Compiler compiler;
   compiler.pipeline_from_spec(
-      "elide-dropout,fold-bn,test-marker:7,free-after-last-use");
+      "elide-dropout,fold-bn,test-marker,free-after-last-use");
   EXPECT_EQ(compiler.pipeline_spec(),
             "elide_dropout,fold_batch_norm,test_marker,free_after_last_use");
   const auto net = compiler.compile(h.model, &h.smodel);

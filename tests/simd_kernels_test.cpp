@@ -4,13 +4,10 @@
 // not allclose) across batch sizes that exercise full 8-wide vector
 // bodies, sub-register tails, and row ranges whose boundaries do not
 // align with the vector width. The direct-conv geometry sweep lives in
-// direct_conv_test.cpp. The int8 quantizer's error bound
-// (≤ scale/2 per stored value) is pinned here too, next to the kernels
-// that consume it.
+// direct_conv_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -19,7 +16,6 @@
 #include "kernels/epilogue.hpp"
 #include "kernels/simd/backend.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/qcsr.hpp"
 #include "tensor/tensor.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
@@ -47,11 +43,6 @@ kernels::simd::CsrView view_of(const sparse::CsrMatrix& m) {
           m.rows(), m.cols()};
 }
 
-kernels::simd::QCsrView view_of(const sparse::QCsrMatrix& m) {
-  return {m.row_ptr().data(), m.col_idx().data(), m.values().data(),
-          m.scales().data(), m.rows(), m.cols()};
-}
-
 /// Fill for output slots a row-range kernel must leave untouched.
 constexpr float kUnwritten = -1234.5f;
 
@@ -77,7 +68,6 @@ TEST(KernelBackend, RegistryNamesAndLookup) {
   EXPECT_STREQ(scalar.name, "scalar");
   EXPECT_FALSE(scalar.is_simd);
   EXPECT_NE(scalar.spmm_rows, nullptr);
-  EXPECT_NE(scalar.qspmm_rows, nullptr);
   EXPECT_NE(scalar.spconv, nullptr);
   EXPECT_NE(scalar.epilogue_range, nullptr);
 
@@ -119,7 +109,6 @@ TEST(KernelBackend, RegistryNamesAndLookup) {
     EXPECT_TRUE(kernels::simd::cpu_has_avx512());
     EXPECT_EQ(kernels::simd::find_backend("avx512"), avx512);
     EXPECT_EQ(avx512->spmm_rows, avx2->spmm_rows);
-    EXPECT_EQ(avx512->qspmm_rows, avx2->qspmm_rows);
     EXPECT_EQ(avx512->epilogue_range, avx2->epilogue_range);
     EXPECT_NE(avx512->spconv, nullptr);
     EXPECT_NE(avx512->spconv, avx2->spconv);
@@ -255,51 +244,6 @@ TEST(KernelBackend, SpmmColsBitIdentical) {
   }
 }
 
-TEST(KernelBackend, QuantizedSpmmBitIdentical) {
-  REQUIRE_AVX2(avx2);
-  const KernelBackend& scalar = kernels::simd::scalar_backend();
-  const std::size_t rows = 37, cols = 29;
-  const auto q = sparse::QCsrMatrix::quantize(sparse_csr(rows, cols, 651));
-  const auto bias = random_tensor(tensor::Shape({rows}), 652);
-  for (const std::size_t batch : {1u, 3u, 8u, 17u}) {
-    const auto x = random_tensor(tensor::Shape({batch, cols}), 653 + batch);
-    EXPECT_TRUE(q.spmm(x, {}, {}, avx2).equals(q.spmm(x, {}, {}, &scalar)))
-        << "batch " << batch;
-    Epilogue ep;
-    ep.bias = bias.raw();
-    ep.has_act = true;
-    ep.act = ActKind::kRelu;
-    EXPECT_TRUE(q.spmm(x, {}, ep, avx2).equals(q.spmm(x, {}, ep, &scalar)))
-        << "fused, batch " << batch;
-  }
-  // Quantized row ranges at unaligned boundaries, like the fp32 path.
-  const auto x = random_tensor(tensor::Shape({17, cols}), 658);
-  for (const std::size_t r0 : {std::size_t{3}, std::size_t{8}}) {
-    std::vector<float> ref(17 * rows, kUnwritten);
-    std::vector<float> got(17 * rows, kUnwritten);
-    scalar.qspmm_rows(view_of(q), x.raw(), 17, ref.data(), r0, 31, {});
-    avx2->qspmm_rows(view_of(q), x.raw(), 17, got.data(), r0, 31, {});
-    EXPECT_EQ(got, ref) << "rows [" << r0 << ", 31)";
-  }
-}
-
-TEST(KernelBackend, QuantizedSpmmColsBitIdentical) {
-  REQUIRE_AVX2(avx2);
-  const KernelBackend& scalar = kernels::simd::scalar_backend();
-  const std::size_t rows = 14, cols = 23;
-  const auto q = sparse::QCsrMatrix::quantize(sparse_csr(rows, cols, 661));
-  for (const std::size_t n : {19u, 70u}) {
-    const auto b = random_tensor(tensor::Shape({cols, n}), 662 + n);
-    std::vector<float> ref(rows * n);
-    q.spmm_cols_into(b, ref.data(), {}, &scalar);
-    for (const KernelBackend* be : simd_backends()) {
-      std::vector<float> got(rows * n);
-      q.spmm_cols_into(b, got.data(), {}, be);
-      EXPECT_EQ(got, ref) << be->name << ", n " << n;
-    }
-  }
-}
-
 TEST(KernelBackend, EpilogueRangeBitIdentical) {
   REQUIRE_AVX2(avx2);
   const KernelBackend& scalar = kernels::simd::scalar_backend();
@@ -314,58 +258,6 @@ TEST(KernelBackend, EpilogueRangeBitIdentical) {
       EXPECT_TRUE(got.equals(ref))
           << "numel " << numel << ", act "
           << (ep.has_act ? static_cast<int>(ep.act) : -1);
-    }
-  }
-}
-
-TEST(QCsrMatrix, QuantizePreservesPatternAndBoundsError) {
-  const auto csr = sparse_csr(23, 17, 681);
-  const auto q = sparse::QCsrMatrix::quantize(csr);
-  // The sparsity pattern survives exactly — only values change.
-  EXPECT_EQ(q.rows(), csr.rows());
-  EXPECT_EQ(q.cols(), csr.cols());
-  EXPECT_EQ(q.row_ptr(), csr.row_ptr());
-  EXPECT_EQ(q.col_idx(), csr.col_idx());
-  ASSERT_EQ(q.scales().size(), q.rows());
-
-  for (std::size_t r = 0; r < q.rows(); ++r) {
-    float amax = 0.0f;
-    for (std::size_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
-      amax = std::max(amax, std::abs(csr.values()[k]));
-    }
-    const float scale = q.scales()[r];
-    if (csr.row_ptr()[r] == csr.row_ptr()[r + 1]) continue;  // checked below
-    EXPECT_NEAR(scale, amax / 127.0f, 1e-6f * std::max(1.0f, amax));
-    for (std::size_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
-      // Round-to-nearest: per stored value the dequantization error is at
-      // most half a quantization step.
-      const float dequant = scale * static_cast<float>(q.values()[k]);
-      EXPECT_LE(std::abs(dequant - csr.values()[k]),
-                0.5f * scale + 1e-6f)
-          << "row " << r << " entry " << k;
-    }
-  }
-}
-
-TEST(QCsrMatrix, AllZeroRowGetsUnitScale) {
-  // Row 1 stores nothing (from_dense drops exact zeros); its scale must
-  // stay 1.0 so dequantization is well-defined.
-  tensor::Tensor dense(tensor::Shape({3, 4}));
-  for (std::size_t j = 0; j < 4; ++j) {
-    dense[0 * 4 + j] = 1.0f + static_cast<float>(j);
-    dense[2 * 4 + j] = -0.5f * static_cast<float>(j + 1);
-  }
-  const auto csr = sparse::CsrMatrix::from_dense(dense, 0.0f);
-  const auto q = sparse::QCsrMatrix::quantize(csr);
-  ASSERT_EQ(q.rows(), 3u);
-  EXPECT_EQ(q.row_ptr()[1], q.row_ptr()[2]);  // row 1 is empty
-  EXPECT_EQ(q.scales()[1], 1.0f);
-  // Dense round trip stays within half a step of the source everywhere.
-  const auto round_trip = q.to_dense();
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_LE(std::abs(round_trip[r * 4 + j] - dense[r * 4 + j]),
-                0.5f * q.scales()[r] + 1e-6f);
     }
   }
 }
