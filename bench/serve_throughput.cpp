@@ -272,7 +272,8 @@ void sweep_kernel_backend(const bench::BenchEnv& env, double min_time,
 }
 
 /// Closed-loop aggregate throughput of the sharded InferenceServer. Each
-/// shard owns a replica and its own worker; shards are the scaling knob.
+/// shard owns a queue and its own worker, and all of them run the one
+/// net; shards are the scaling knob.
 double measure_server_rps(const serve::CompiledNet& net,
                           const tensor::Shape& sample_shape,
                           std::size_t shards, std::size_t clients,
@@ -721,7 +722,7 @@ int run() {
   std::cout << table.render() << "\n";
 
   // Runtime scaling sweeps (epilogue fusion, kernel backends, shard
-  // replicas, hot swap, obs overhead). For the fusion rows, baseline is
+  // worker groups, hot swap, obs overhead). For the fusion rows, baseline is
   // the unfused rate.
   util::CsvWriter scaling_csv(
       "bench_results/serve_scaling.csv",

@@ -60,10 +60,11 @@ struct CompileOptions {
   /// bind time.
   std::string kernel_backend;
   /// Attach an obs::OpProfile to the bound executor: every forward times
-  /// each node and accumulates wall time per op (shared across replica
-  /// clones, so a sharded server aggregates into one profile). Read it
-  /// back via CompiledNet::op_profile(). Off by default — the untimed
-  /// forward stays the fast path.
+  /// each node and accumulates wall time per op (every shard of a server
+  /// runs the one net, and clones share the profile too, so a sharded
+  /// server aggregates into one profile). Read it back via
+  /// CompiledNet::op_profile(). Off by default — the untimed forward
+  /// stays the fast path.
   bool profile_ops = false;
 };
 
@@ -104,16 +105,16 @@ class CompiledNet {
 
   /// A replica: a copy of plan() with every weight matrix deep-copied,
   /// bound under this net's intra-op policy, kernel backend and profile.
-  /// It shares no matrix with the source. InferenceServer builds one
-  /// replica per shard from this. Same as clone_shared({}).
+  /// It shares no matrix with the source. Serving does not need one
+  /// (every shard of an InferenceServer runs the one published net);
+  /// tests and benches use it to check that a rebound copy answers bit
+  /// for bit. Same as clone_shared({}).
   CompiledNet clone() const;
 
   /// clone() that keeps the matrices in `shared` (keyed by pointer) by
-  /// reference instead of copying. The delta
-  /// hot-swap path builds each shard's new replica with the delta-touched
-  /// matrices fresh and everything else shared with the version it
-  /// replaces — a deliberate, bounded relaxation of full replica
-  /// isolation that makes patch swaps O(touched weights).
+  /// reference instead of copying them, so a copy costs O(weights
+  /// outside `shared`) — e.g. the delta-touched matrices of a patched
+  /// plan, with everything else shared with the version it replaces.
   CompiledNet clone_shared(
       const std::unordered_set<const void*>& shared) const;
 

@@ -123,8 +123,8 @@ struct PlanPatch {
 /// `model`/`state`, which must ALREADY have the delta applied. A CSR
 /// unit is one kSpmm/kConv node; folded BN re-folds through the node's
 /// bn_ordinal. Untouched nodes keep their CsrMatrix
-/// pointers — the zero-copy seam the hot-swap replica path shares with
-/// the outgoing version.
+/// pointers — the zero-copy seam that lets the patched version share
+/// every untouched matrix with the outgoing one.
 PlanPatch apply_delta_to_plan(const Plan& base_plan,
                               const CheckpointDelta& delta,
                               nn::Sequential& model,

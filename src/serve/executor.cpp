@@ -378,8 +378,8 @@ Executor Executor::bind(const Plan& plan, const runtime::IntraOp& intra,
 }
 
 Executor Executor::rebind(const Plan& plan) const {
-  // The profile is shared ON PURPOSE: every replica of a model adds into
-  // the same accumulator, so per-op times aggregate across shards.
+  // The profile is shared ON PURPOSE: every rebound copy of a model adds
+  // into the same accumulator, so per-op times aggregate across copies.
   return bind(plan, intra_, backend_, profile_);
 }
 

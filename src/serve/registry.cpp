@@ -4,7 +4,6 @@
 #include <chrono>
 #include <future>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/clock.hpp"
@@ -115,50 +114,25 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
   // model as it was, when the delta is rejected.
   serve::apply_delta(delta, *slot.module, slot.state.get());
 
-  // Patch from the plan of the version shard 0 serves: untouched nodes
-  // keep pointing at the very matrices that version's ops run on.
-  const Plan& base = slot.current->plan();
-  PlanPatch patch =
-      apply_delta_to_plan(base, delta, *slot.module, slot.state.get(),
-                          slot.options.compile.dense_eps);
+  // Patch from the plan of the served version: untouched nodes keep
+  // pointing at the very matrices that version's ops run on.
+  PlanPatch patch = apply_delta_to_plan(
+      slot.current->plan(), delta, *slot.module, slot.state.get(),
+      slot.options.compile.dense_eps);
 
   SwapReport report;
   report.total_weight_nodes = patch.total_weight_nodes;
-  std::shared_ptr<const CompiledNet> net;
-  std::unordered_set<const void*> untouched;
   if (patch.needs_full_recompile) {
     report.full_recompile = true;
-    net = recompile(slot);
+    recompile(slot);
   } else {
     report.patched_weight_nodes = patch.patched_weight_nodes;
     report.patched_scale_shifts = patch.patched_scale_shifts;
-    // Matrices present in BOTH the old and the patched plan were not
-    // rebuilt: shard replicas may keep sharing them with the outgoing
-    // version (see CompiledNet::clone_shared).
-    std::unordered_set<const void*> old_matrices;
-    for (const PlanOp& op : base.ops) {
-      if (op.csr != nullptr) old_matrices.insert(op.csr.get());
-    }
-    for (const PlanOp& op : patch.plan.ops) {
-      if (op.csr != nullptr && old_matrices.count(op.csr.get()) > 0) {
-        untouched.insert(op.csr.get());
-      }
-    }
-    net = std::make_shared<const CompiledNet>(
+    slot.current = std::make_shared<const CompiledNet>(
         slot.compiler.bind(std::move(patch.plan)));
-    slot.current = net;
     slot.hash = delta.result_hash;
   }
-
-  if (!untouched.empty()) {
-    slot.server->swap(net, [&net, &untouched](std::size_t shard) {
-      if (shard == 0) return net;
-      return std::make_shared<const CompiledNet>(
-          net->clone_shared(untouched));
-    });
-  } else {
-    slot.server->swap(net);
-  }
+  slot.server->swap(slot.current);
   report.swap_epoch = slot.server->swap_epoch();
   return report;
 }
@@ -206,12 +180,14 @@ void ModelRegistry::swap_model(const std::string& name,
 void ModelRegistry::remove_model(const std::string& name) {
   Slot& slot = find(name);  // throws when unknown or already removed
   // Publish the removal first: find() stops handing the slot out, so no
-  // new submits/swaps reach it. A submit that already routed wins or
-  // loses the race against shutdown exactly like it does today — queued
-  // requests drain, post-shutdown submits throw.
-  slot.removed.store(true, std::memory_order_release);
+  // new submits/swaps reach it. Two removals can both pass find(); the
+  // exchange lets exactly one through. A submit that already routed wins
+  // or loses the race against shutdown — queued requests drain,
+  // post-shutdown submits throw.
+  util::check(!slot.removed.exchange(true, std::memory_order_acq_rel),
+              "ModelRegistry: model '" + name + "' was removed");
   util::MutexLock lock(slot.mu);  // serialize with in-flight swaps
-  slot.server->decommission();    // drain, join, release warm replicas
+  slot.server->decommission();    // drain, join, release the version
   // Release the training-side source of truth; the slot shell (stats,
   // config) stays for the lifetime of the registry.
   slot.module.reset();

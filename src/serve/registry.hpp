@@ -7,19 +7,18 @@
 //
 // The registry owns, per model: the training-side module + SparseModel
 // (the mutable source of truth deltas apply to), the Compiler pipeline
-// it was compiled with, the version it published to shard 0 (whose
-// plan() names the very CsrMatrix instances its ops run — the seam
-// delta patches start from), and the server.
+// it was compiled with, the version its server serves on every shard
+// (whose plan() names the very CsrMatrix instances its ops run — the
+// seam delta patches start from), and the server.
 //
 // ZERO-DOWNTIME UPDATES
 //   apply_delta(name, delta)  checks the delta's base hash against the
 //       model, applies it all-or-nothing (a rejected delta leaves the
 //       model as it was), patches ONLY the touched plan nodes
 //       (apply_delta_to_plan), binds the patched plan and RCU-publishes
-//       it into the model's server. Replicas for shards 1.. are built
-//       with clone_shared, which binds a copy of the patched plan:
-//       delta-touched matrices fresh, everything else shared — a patch
-//       swap does O(touched weights) work, not O(model).
+//       it into the model's server. The patched plan shares every
+//       untouched matrix with the version it replaces — a patch swap
+//       does O(touched weights) work, not O(model).
 //   swap_model(name, checkpoint)  the full-recompile path for when no
 //       delta is available (or a delta declared needs_full_recompile).
 // Both run under the slot's swap lock; serving never pauses (workers
@@ -28,8 +27,9 @@
 // AUTOSCALING: an optional background thread polls each model's queue
 // depth and p99 and grows/shrinks the server's active shard count
 // between min/max bounds (autoscale_target is the pure, unit-testable
-// policy). Scaling only moves the routing bound — shard slots and their
-// warm replicas are pre-built, so reaction time is one poll interval.
+// policy). Scaling only moves the routing bound — shard slots are
+// pre-built and serve the published version, so reaction time is one
+// poll interval.
 #pragma once
 
 #include <atomic>
@@ -104,8 +104,9 @@ struct ModelOptions {
 /// submit/try_submit from any number of threads. Slot STORAGE lives until
 /// shutdown() (references handed out internally stay valid), but
 /// remove_model() decommissions a slot: its server drains in-flight
-/// requests on the version they captured, warm replicas and model state
-/// are released, and later lookups of the name fail until it is re-added.
+/// requests on the version they captured, the version and the model
+/// state are released, and later lookups of the name fail until it is
+/// re-added.
 class ModelRegistry {
  public:
   /// Evictions (and per-model serving metrics, when ModelOptions wires
@@ -154,9 +155,10 @@ class ModelRegistry {
   std::size_t scale_model(const std::string& name, std::size_t shards);
 
   /// Evicts `name`: in-flight and already-queued requests finish on the
-  /// version they captured, then the server's warm replicas and the
-  /// slot's module/state/plan are released. Later submits (and every
-  /// other by-name operation) throw a "removed" error; the name may be
+  /// version they captured, then the served version and the slot's
+  /// module/state are released. Later submits (and every other by-name
+  /// operation, a second remove_model included) throw a "removed"
+  /// error; of two concurrent calls exactly one evicts. The name may be
   /// re-added. Counted in the `dstee_model_evictions_total` obs metric.
   void remove_model(const std::string& name);
 
@@ -188,16 +190,17 @@ class ModelRegistry {
     /// Guards the mutable model state + published version + hash during
     /// swaps; submits never take it.
     mutable util::Mutex mu;
-    /// The version published to shard 0; deltas patch its plan().
+    /// The version the server serves; deltas patch its plan().
     std::shared_ptr<const CompiledNet> current DSTEE_GUARDED_BY(mu);
     std::uint64_t hash DSTEE_GUARDED_BY(mu) = 0;
 
     std::unique_ptr<InferenceServer> server;  ///< set once in add_model
     std::size_t low_streak = 0;  ///< autoscaler thread only
 
-    /// Set (release) by remove_model before it decommissions the slot;
+    /// Set by remove_model's exchange before it decommissions the slot:
+    /// the one call that flips it evicts, a concurrent one throws.
     /// find() refuses removed slots, so no new work reaches a slot whose
-    /// replicas are being released. Storage stays until shutdown().
+    /// version is being released. Storage stays until shutdown().
     std::atomic<bool> removed{false};
   };
 

@@ -57,15 +57,10 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
               "max_shards must be >= num_shards");
   util::check(config_.queue_quota <= config_.queue_capacity,
               "queue_quota must be <= queue_capacity");
+  net_.store(std::move(net));
   shards_.reserve(config_.max_shards);
   for (std::size_t s = 0; s < config_.max_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    if (s == 0) {
-      shard->net.store(net);  // the source net serves shard 0 directly
-    } else {
-      shard->net.store(std::make_shared<const CompiledNet>(net->clone()));
-    }
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
   active_shards_.store(config_.num_shards, std::memory_order_release);
   if (config_.metrics != nullptr) {
@@ -189,30 +184,14 @@ std::optional<std::future<tensor::Tensor>> InferenceServer::try_submit(
   return enqueue(shard, std::move(input));
 }
 
-void InferenceServer::swap(std::shared_ptr<const CompiledNet> net,
-                           const ReplicaFactory& factory) {
+void InferenceServer::swap(std::shared_ptr<const CompiledNet> net) {
   util::check(net != nullptr, "swap requires a non-null net");
   util::check(net->input_features() == input_features_,
               "swap: replacement net expects a different input shape");
-  util::MutexLock lock(swap_mu_);
-  // Publish into every SLOT, parked ones included: a later scale_to()
-  // grow must hand out the current version, not a stale one.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::shared_ptr<const CompiledNet> version;
-    if (factory) {
-      version = factory(s);
-      util::check(version != nullptr, "swap: replica factory returned null");
-    } else if (s == 0) {
-      version = net;
-    } else {
-      version = std::make_shared<const CompiledNet>(net->clone());
-    }
-    shards_[s]->net.store(std::move(version));
-  }
+  // One cell for every slot, parked ones included: a later scale_to()
+  // grow serves the current version by construction.
+  net_.store(std::move(net));
   ++swap_epoch_;
-  // One tick per swap (not per replica): aggregate() then reports the
-  // number of version publications, see stats.hpp.
-  shards_[0]->stats.record_swap();
 }
 
 std::size_t InferenceServer::scale_to(std::size_t shards) {
@@ -230,11 +209,6 @@ std::size_t InferenceServer::queue_depth() const {
     depth += shard->queue.size();
   }
   return depth;
-}
-
-std::size_t InferenceServer::swap_epoch() const {
-  util::MutexLock lock(swap_mu_);
-  return swap_epoch_;
 }
 
 InferenceServer::Batch InferenceServer::next_batch(
@@ -323,11 +297,11 @@ void InferenceServer::worker_loop(Shard& shard) {
     latencies_ms.reserve(b);
     std::size_t fulfilled = 0;  // promises already satisfied by set_value
     try {
-      // RCU read side: capture the shard's current version once for the
-      // whole micro-batch. A concurrent swap() retargets the NEXT batch;
-      // this one finishes on the version it captured, and the captured
+      // RCU read side: capture the published version once for the whole
+      // micro-batch. A concurrent swap() retargets the NEXT batch; this
+      // one finishes on the version it captured, and the captured
       // shared_ptr keeps that version alive until the batch is done.
-      const std::shared_ptr<const CompiledNet> net = shard.net.load();
+      const std::shared_ptr<const CompiledNet> net = net_.load();
       const std::int64_t fwd_ns = obs::now_ns();
       tensor::Tensor y;
       {
@@ -415,24 +389,26 @@ void InferenceServer::shutdown() {
 
 void InferenceServer::decommission() {
   shutdown();
-  // Workers are joined, so nothing loads the cells anymore; clearing them
-  // drops the last owning references to the warm replicas (and, for shard
-  // 0, to the borrowed/shared source net). Stats stay readable.
-  for (auto& shard : shards_) {
-    shard->net.store(nullptr);
-  }
+  // Workers are joined, so nothing loads the cell anymore; clearing it
+  // drops the server's reference to the published version. Stats stay
+  // readable.
+  net_.store(nullptr);
 }
 
 StatsSnapshot InferenceServer::stats() const {
   std::vector<const ServerStats*> groups;
   groups.reserve(shards_.size());
   for (const auto& shard : shards_) groups.push_back(&shard->stats);
-  return ServerStats::aggregate(groups);
+  StatsSnapshot s = ServerStats::aggregate(groups);
+  s.swap_count = swap_epoch();
+  return s;
 }
 
 StatsSnapshot InferenceServer::shard_stats(std::size_t shard) const {
   util::check(shard < shards_.size(), "shard index out of range");
-  return shards_[shard]->stats.snapshot();
+  StatsSnapshot s = shards_[shard]->stats.snapshot();
+  s.swap_count = swap_epoch();  // every shard serves every version
+  return s;
 }
 
 }  // namespace dstee::serve

@@ -3,24 +3,20 @@
 //
 // Clients submit single samples — rank-1 [features] rows for MLPs, rank-3
 // [C, H, W] images for conv nets — and get a future for the result row.
-// The server runs up to `max_shards` independent worker GROUPS. Each
-// group holds a versioned replica of the compiled network in a
-// util::RcuCell (shard 0 serves the published net itself, shards 1..
-// serve replicas built at construction/swap time by CompiledNet::clone(),
-// which binds a copy of the plan with its own weight matrices), its own
-// request queue, and `num_threads` worker threads. Requests route to the
-// first `active_shards` groups round-robin PER SAMPLE SHAPE, so
+// The server runs up to `max_shards` independent worker GROUPS, each with
+// its own request queue and `num_threads` worker threads. Every group
+// serves the one published CompiledNet version, held in a single
+// util::RcuCell: a forward is const and touches no shared state, so the
+// groups share its weights instead of each copying them. Requests route
+// to the first `active_shards` groups round-robin PER SAMPLE SHAPE, so
 // heterogeneous traffic spreads every shape across the active groups
 // instead of pinning one shape to one queue.
 //
-// HOT SWAP: swap() publishes a new CompiledNet version into every
-// shard's RcuCell. A worker captures the version pointer once per
-// micro-batch, so in-flight batches finish on the version they captured,
-// the next batch picks up the new one, and the old version is destroyed
-// when its last reference drops — no drain, no pause, no dropped
-// requests. The optional replica factory lets a delta-patched swap build
-// each shard's replica off to the side with CompiledNet::clone_shared
-// (sharing untouched weights) instead of copying every matrix.
+// HOT SWAP: swap() publishes a new CompiledNet version into the server's
+// RcuCell. A worker captures the version pointer once per micro-batch, so
+// in-flight batches finish on the version they captured, the next batch
+// picks up the new one, and the old version is destroyed when its last
+// reference drops — no drain, no pause, no dropped requests.
 //
 // ADMISSION CONTROL: submit() applies backpressure — it blocks while
 // `queue_capacity` requests are already waiting on the routed shard, and
@@ -31,16 +27,18 @@
 // SCALING: shard slots are pre-built up to `max_shards`; scale_to()
 // changes only how many of them receive new traffic (an atomic routing
 // bound), so growing or shrinking a model's serving capacity is
-// wait-free and parked shards simply drain and idle until re-activated.
+// wait-free and parked shards simply drain and idle until re-activated,
+// when they serve whatever version is published then.
 //
 // Within a group, workers coalesce queued requests of equal sample shape
-// into [batch, ...] tensors and run them through the group's CompiledNet
-// (whose forward is const and thread-safe). A partial batch is held for
-// more requests until `max_batch` are queued or the oldest queued request
-// has waited its hold: the shard's last measured forward time, capped at
-// `max_delay_ms`. Holding for about one forward lets requests that arrive
-// while a batch would run join it, so batches still form under load, but
-// a lone request at low load waits microseconds, not the whole delay.
+// into [batch, ...] tensors and run them through the published
+// CompiledNet (whose forward is const and thread-safe). A partial batch
+// is held for more requests until `max_batch` are queued or the oldest
+// queued request has waited its hold: the shard's last measured forward
+// time, capped at `max_delay_ms`. Holding for about one forward lets
+// requests that arrive while a batch would run join it, so batches still
+// form under load, but a lone request at low load waits microseconds,
+// not the whole delay.
 // The shard's first batch is not held. `fill_or_timeout` restores the
 // fixed window: hold for the full `max_delay_ms`.
 #pragma once
@@ -48,7 +46,6 @@
 #include <array>
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -73,7 +70,7 @@ namespace dstee::serve {
 
 struct ServerConfig {
   std::size_t num_threads = 2;   ///< batch-executing threads PER shard
-  std::size_t num_shards = 1;    ///< initially ACTIVE replica worker groups
+  std::size_t num_shards = 1;    ///< initially ACTIVE worker groups
   std::size_t max_batch = 16;    ///< flush when this many requests queue
   /// Cap on how long a partial batch's head request is held; the hold
   /// itself is the shard's last forward time when that is shorter.
@@ -93,25 +90,18 @@ struct ServerConfig {
   std::string metrics_label;  ///< `model` label on exported metrics
 };
 
-/// Multi-threaded micro-batching front-end over replicated CompiledNets.
+/// Multi-threaded micro-batching front-end over one hot-swappable
+/// CompiledNet.
 class InferenceServer {
  public:
-  /// Builds each shard's replica for a new version being swapped in;
-  /// called once per shard (including shard 0). Lets ApplyDelta-style
-  /// swaps share untouched weights with the outgoing version instead of
-  /// copying every matrix. Must return a non-null net of identical
-  /// architecture.
-  using ReplicaFactory =
-      std::function<std::shared_ptr<const CompiledNet>(std::size_t shard)>;
-
-  /// `net` must outlive the server (it is borrowed, not owned; shard 0
-  /// serves it directly and shards 1.. serve replicas built here with
-  /// net.clone()). Workers start immediately.
+  /// `net` must outlive the server (it is borrowed, not owned; every
+  /// shard serves it). Workers start immediately.
   InferenceServer(const CompiledNet& net, ServerConfig config);
 
   /// Shared-ownership variant: the server keeps the net alive for as
-  /// long as any shard or in-flight batch references it — required for
-  /// hot swap, where the caller may drop its reference after swap().
+  /// long as it is published or an in-flight batch references it —
+  /// required for hot swap, where the caller may drop its reference
+  /// after swap().
   InferenceServer(std::shared_ptr<const CompiledNet> net,
                   ServerConfig config);
 
@@ -133,20 +123,17 @@ class InferenceServer {
   /// waiting. Throws after shutdown(), like submit().
   std::optional<std::future<tensor::Tensor>> try_submit(tensor::Tensor input);
 
-  /// Publishes `net` as the serving version on every shard slot (active
+  /// Publishes `net` as the serving version of every shard slot (active
   /// and parked). In-flight batches finish on the version they captured;
   /// requests already queued and all later submits run on the new one.
-  /// `factory`, when set, builds each shard's replica (otherwise shard 0
-  /// serves `net` itself and shards 1.. replicas from net->clone()). The
-  /// new net must report the same input_features() as the one served so
-  /// far.
-  void swap(std::shared_ptr<const CompiledNet> net,
-            const ReplicaFactory& factory = nullptr);
+  /// The new net must report the same input_features() as the one served
+  /// so far.
+  void swap(std::shared_ptr<const CompiledNet> net);
 
   /// Sets how many shard slots receive new traffic, clamped to
   /// [1, max_shards]. Returns the resulting active count. Shrinking
-  /// parks the tail shards: they drain their queues and idle, keeping
-  /// their replica warm for a later grow.
+  /// parks the tail shards: they drain their queues and idle until a
+  /// later grow.
   std::size_t scale_to(std::size_t shards);
 
   std::size_t num_active_shards() const {
@@ -157,23 +144,25 @@ class InferenceServer {
   std::size_t queue_depth() const;
 
   /// Number of swap() publications so far.
-  std::size_t swap_epoch() const;
+  std::size_t swap_epoch() const { return swap_epoch_.load(); }
 
   /// Idempotent: rejects new submissions, lets workers drain what is
   /// already queued, then joins them.
   void shutdown();
 
-  /// shutdown() + releases every shard's warm replica (the RcuCells are
-  /// cleared once the workers are joined, so nothing loads them). The
+  /// shutdown() + releases the published version (the RcuCell is
+  /// cleared once the workers are joined, so nothing loads it). The
   /// eviction path: a decommissioned server keeps answering stats() but
   /// holds no weight memory. submit()/try_submit() throw, like after
   /// shutdown().
   void decommission();
 
-  /// Server-wide counters aggregated across all shards.
+  /// Server-wide counters aggregated across all shards; swap_count is
+  /// swap_epoch().
   StatsSnapshot stats() const;
 
-  /// One shard's counters (routing balance, per-group tails).
+  /// One shard's counters (routing balance, per-group tails). Its
+  /// swap_count is swap_epoch() too: every shard serves every version.
   StatsSnapshot shard_stats(std::size_t shard) const;
 
   /// Shard SLOTS (the scaling ceiling); see num_active_shards() for how
@@ -192,15 +181,11 @@ class InferenceServer {
     std::uint64_t trace_id = 0;
   };
 
-  /// One worker group: a versioned replica, a queue, workers and stats.
-  /// Lock discipline: `mu` guards the queue, the stopping flag and the
-  /// hold (`last_forward`); `net` is an RcuCell (workers capture a version
-  /// per batch, swap publishes new ones); `stats` is internally
-  /// synchronized; `workers` is touched only by the constructing/joining
-  /// thread (never by the workers themselves).
+  /// One worker group: a queue, workers and stats. Lock discipline: `mu`
+  /// guards the queue, the stopping flag and the hold (`last_forward`);
+  /// `stats` is internally synchronized; `workers` is touched only by the
+  /// constructing/joining thread (never by the workers themselves).
   struct Shard {
-    util::RcuCell<CompiledNet> net;  ///< current version for this shard
-
     util::Mutex mu;
     util::CondVar queue_cv;  ///< signals work / shutdown
     util::CondVar space_cv;  ///< signals queue room
@@ -252,6 +237,9 @@ class InferenceServer {
 
   ServerConfig config_;
   std::size_t input_features_ = 0;  ///< from the source net, for validation
+  /// The served version: every shard's workers load it once per batch,
+  /// swap() stores a new one.
+  util::RcuCell<CompiledNet> net_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Optional obs export, resolved once in the constructor (metric
@@ -269,10 +257,8 @@ class InferenceServer {
   /// store in scale_to(), acquire load in route().
   std::atomic<std::size_t> active_shards_{1};
 
-  /// Serializes swap() publications so every shard observes versions in
-  /// the same order (workers only ever load).
-  mutable util::Mutex swap_mu_;
-  std::size_t swap_epoch_ DSTEE_GUARDED_BY(swap_mu_) = 0;
+  /// Counts swap() publications; the one swap count StatsSnapshot reports.
+  std::atomic<std::size_t> swap_epoch_{0};
 
   /// Round-robin cursors, one per shape hash bucket: routing costs one
   /// relaxed fetch_add — no global lock, no allocation — so concurrent

@@ -54,18 +54,13 @@ void ServerStats::record_shed() {
   shed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServerStats::record_swap() {
-  swaps_.fetch_add(1, std::memory_order_relaxed);
-}
-
 StatsSnapshot ServerStats::finalize(std::size_t requests,
                                     std::size_t batches,
                                     double elapsed_seconds,
                                     std::vector<double> samples,
                                     std::size_t queue_peak,
                                     double blocked_ms,
-                                    std::size_t shed_total,
-                                    std::size_t swap_count) {
+                                    std::size_t shed_total) {
   StatsSnapshot s;
   s.requests = requests;
   s.batches = batches;
@@ -73,7 +68,6 @@ StatsSnapshot ServerStats::finalize(std::size_t requests,
   s.queue_peak = queue_peak;
   s.blocked_ms = blocked_ms;
   s.shed_total = shed_total;
-  s.swap_count = swap_count;
   std::sort(samples.begin(), samples.end());
   if (s.elapsed_seconds > 0.0) {
     s.throughput_rps = static_cast<double>(s.requests) / s.elapsed_seconds;
@@ -97,14 +91,14 @@ StatsSnapshot ServerStats::finalize(std::size_t requests,
 
 StatsSnapshot ServerStats::snapshot() const {
   std::vector<double> samples;
-  double elapsed = 0.0;
   {
-    // The lock covers only the sample-window copy and the clock base;
-    // counter reads below are lock-free and never stall a worker.
+    // The lock covers only the sample-window copy; counter reads below
+    // are lock-free and never stall a worker.
     util::MutexLock lock(mu_);
     samples = latencies_ms_;
-    elapsed = std::chrono::duration<double>(obs::now() - start_).count();
   }
+  const double elapsed =
+      std::chrono::duration<double>(obs::now() - start_).count();
   const std::size_t batches = batches_.load(std::memory_order_acquire);
   const std::size_t requests = requests_.load(std::memory_order_relaxed);
   return finalize(requests, batches, elapsed, std::move(samples),
@@ -112,15 +106,14 @@ StatsSnapshot ServerStats::snapshot() const {
                   static_cast<double>(
                       blocked_us_.load(std::memory_order_relaxed)) /
                       1000.0,
-                  shed_.load(std::memory_order_relaxed),
-                  swaps_.load(std::memory_order_relaxed));
+                  shed_.load(std::memory_order_relaxed));
 }
 
 StatsSnapshot ServerStats::aggregate(
     const std::vector<const ServerStats*>& groups) {
   std::vector<double> samples;
   std::size_t requests = 0, batches = 0, queue_peak = 0;
-  std::size_t shed = 0, swaps = 0;
+  std::size_t shed = 0;
   double blocked_ms = 0.0, elapsed = 0.0;
   for (const ServerStats* group : groups) {
     batches += group->batches_.load(std::memory_order_acquire);
@@ -128,35 +121,18 @@ StatsSnapshot ServerStats::aggregate(
     queue_peak = std::max(
         queue_peak, group->queue_peak_.load(std::memory_order_relaxed));
     shed += group->shed_.load(std::memory_order_relaxed);
-    swaps += group->swaps_.load(std::memory_order_relaxed);
     blocked_ms += static_cast<double>(
                       group->blocked_us_.load(std::memory_order_relaxed)) /
                   1000.0;
-    util::MutexLock lock(group->mu_);
-    samples.insert(samples.end(), group->latencies_ms_.begin(),
-                   group->latencies_ms_.end());
     elapsed = std::max(
         elapsed,
         std::chrono::duration<double>(obs::now() - group->start_).count());
+    util::MutexLock lock(group->mu_);
+    samples.insert(samples.end(), group->latencies_ms_.begin(),
+                   group->latencies_ms_.end());
   }
   return finalize(requests, batches, elapsed, std::move(samples), queue_peak,
-                  blocked_ms, shed, swaps);
-}
-
-void ServerStats::reset() {
-  // Counter stores and the ring clear are not one atomic transaction; a
-  // reset concurrent with recording may keep a stray tick. reset() is a
-  // bench/test convenience, not a serving-path operation.
-  requests_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  queue_peak_.store(0, std::memory_order_relaxed);
-  blocked_us_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
-  swaps_.store(0, std::memory_order_relaxed);
-  util::MutexLock lock(mu_);
-  latencies_ms_.clear();
-  next_slot_ = 0;
-  start_ = obs::now();
+                  blocked_ms, shed);
 }
 
 void export_stats_metrics(obs::MetricsRegistry& registry,
@@ -171,7 +147,7 @@ void export_stats_metrics(obs::MetricsRegistry& registry,
   set("dstee_stats_mean_batch_size", s.mean_batch_size,
       "Requests per executed batch");
   set("dstee_stats_throughput_rps", s.throughput_rps,
-      "Requests per second since start/reset");
+      "Requests per second since the server started");
   set("dstee_stats_latency_mean_ms", s.latency_mean_ms,
       "Mean end-to-end latency over the recent window, ms");
   set("dstee_stats_latency_p50_ms", s.latency_p50_ms,

@@ -40,7 +40,7 @@ namespace dstee::serve {
 struct StatsSnapshot {
   std::size_t requests = 0;       ///< completed requests
   std::size_t batches = 0;        ///< forward passes executed
-  double elapsed_seconds = 0.0;   ///< since construction / reset
+  double elapsed_seconds = 0.0;   ///< since construction
   double throughput_rps = 0.0;    ///< requests / elapsed
   double mean_batch_size = 0.0;   ///< requests / batches
   double latency_mean_ms = 0.0;
@@ -52,7 +52,10 @@ struct StatsSnapshot {
   std::size_t queue_peak = 0;     ///< queue-depth high-water mark
   double blocked_ms = 0.0;        ///< total submit() backpressure wait
   std::size_t shed_total = 0;     ///< admission-control rejects (try_submit)
-  std::size_t swap_count = 0;     ///< hot-swap versions published
+  /// Hot-swap versions published. Set by InferenceServer from its swap
+  /// epoch (every shard serves every version); a bare ServerStats leaves
+  /// it 0.
+  std::size_t swap_count = 0;
 
   /// Multi-line human-readable report.
   std::string to_string() const;
@@ -91,11 +94,6 @@ class ServerStats {
   /// that found the routed queue at its quota). Lock-free (relaxed add).
   void record_shed();
 
-  /// Counts one hot-swap publication. A sharded server records this once
-  /// per swap on its first shard's recorder, so the aggregate view counts
-  /// swaps, not per-replica publishes. Lock-free (relaxed add).
-  void record_swap();
-
   /// Aggregates everything recorded so far.
   StatsSnapshot snapshot() const;
 
@@ -104,9 +102,6 @@ class ServerStats {
   /// clock, and percentiles are computed over the union of the groups'
   /// latency windows.
   static StatsSnapshot aggregate(const std::vector<const ServerStats*>& groups);
-
-  /// Clears samples and restarts the throughput clock.
-  void reset();
 
  private:
   /// All serve-path timing goes through the obs clock surface — the
@@ -117,8 +112,7 @@ class ServerStats {
                                 double elapsed_seconds,
                                 std::vector<double> samples,
                                 std::size_t queue_peak, double blocked_ms,
-                                std::size_t shed_total,
-                                std::size_t swap_count);
+                                std::size_t shed_total);
 
   // Latency ring: guarded. Copying the window is the only work readers do
   // under the lock.
@@ -126,17 +120,14 @@ class ServerStats {
   std::vector<double> latencies_ms_
       DSTEE_GUARDED_BY(mu_);  ///< ring, capped at kMaxLatencySamples
   std::size_t next_slot_ DSTEE_GUARDED_BY(mu_) = 0;  ///< ring slot once full
-  Clock::time_point start_ DSTEE_GUARDED_BY(mu_);    ///< reset() clock base
+  const Clock::time_point start_;  ///< throughput clock base
 
-  // Counters: lock-free by design (see file comment). Monotonic except
-  // across reset(), which is documented as racy-but-benign when called
-  // concurrently with recording.
+  // Counters: lock-free by design (see file comment) and monotonic.
   std::atomic<std::size_t> requests_{0};
   std::atomic<std::size_t> batches_{0};
   std::atomic<std::size_t> queue_peak_{0};
   std::atomic<std::int64_t> blocked_us_{0};  ///< integral microseconds
   std::atomic<std::size_t> shed_{0};
-  std::atomic<std::size_t> swaps_{0};
 };
 
 /// Surfaces one StatsSnapshot through the obs metrics registry under the

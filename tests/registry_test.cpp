@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <future>
 #include <iterator>
@@ -256,7 +257,7 @@ TEST(Registry, DeltaAfterSwapModelPatchesTheSwappedVersion) {
 
   serve::ModelRegistry registry;
   serve::ModelOptions options;
-  options.server.num_shards = 2;  // replicas take the clone_shared path
+  options.server.num_shards = 2;  // both shards serve the patched version
   SeededModel::add_to(registry, "m", kSeedA, options);
   registry.swap_model("m", path);
   EXPECT_EQ(registry.state_hash("m"), delta.base_hash);
@@ -410,6 +411,30 @@ TEST(Registry, ScaleModelClampsAndKeepsServing) {
   registry.shutdown();
 }
 
+TEST(Registry, GrownShardServesTheVersionSwappedInWhileParked) {
+  // Shards 1 and 2 are parked when the delta lands; once grown they must
+  // serve the patched version, not the one the server started with.
+  constexpr std::uint64_t kSeed = 37;
+  serve::ModelOptions mopts;
+  mopts.server.num_shards = 1;
+  mopts.server.max_shards = 3;
+  serve::ModelRegistry registry;
+  SeededModel::add_to(registry, "m", kSeed, mopts);
+  registry.apply_delta("m", step_delta(kSeed));
+  EXPECT_EQ(registry.scale_model("m", 3), 3u);
+
+  // One sample shape, so round-robin sends two of the six sequential
+  // requests to each shard.
+  const auto x = random_tensor(tensor::Shape({12}), 11);
+  const tensor::Tensor want = expected_row(kSeed, x, true);
+  ASSERT_FALSE(want.equals(expected_row(kSeed, x, false)));
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_TRUE(registry.submit("m", x).get().equals(want)) << i;
+  }
+  EXPECT_EQ(registry.stats("m").swap_count, 1u);
+  registry.shutdown();
+}
+
 TEST(Registry, AutoscaleTargetPolicy) {
   serve::AutoscalerConfig cfg;
   cfg.min_shards = 1;
@@ -528,6 +553,128 @@ TEST(Registry, RemoveModelDrainsInFlightRequests) {
   for (int i = 0; i < 32; ++i) futures.push_back(registry.submit("a", x));
   registry.remove_model("a");
   for (auto& f : futures) EXPECT_TRUE(f.get().equals(expected));
+  registry.shutdown();
+}
+
+TEST(Registry, ConcurrentRemoveModelEvictsOnce) {
+  // Two threads remove the same model at once. Both may pass the name
+  // lookup before either marks the slot removed; exactly one must evict
+  // and the other must throw. The window is a few instructions wide, so
+  // the race runs many times: each round the main thread re-adds the
+  // model and releases both removers, which spin on the round counter.
+  constexpr std::size_t kRounds = 2000;
+  obs::MetricsRegistry metrics;
+  serve::ModelRegistry registry(&metrics);
+  serve::ModelOptions mopts;
+  mopts.server.num_threads = 1;
+  std::atomic<std::size_t> round{0}, finished{0}, evicted{0}, rejected{0};
+  const auto remover = [&] {
+    for (std::size_t r = 1; r <= kRounds; ++r) {
+      while (round.load() < r) std::this_thread::yield();
+      try {
+        registry.remove_model("m");
+        evicted.fetch_add(1);
+      } catch (const util::CheckError&) {
+        rejected.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    }
+  };
+  std::thread first(remover);
+  std::thread second(remover);
+  for (std::size_t r = 1; r <= kRounds; ++r) {
+    SeededModel::add_to(registry, "m", 5, mopts);
+    round.store(r);
+    while (finished.load() < 2 * r) std::this_thread::yield();
+  }
+  first.join();
+  second.join();
+  // Every round evicts at least once, so these hold only when every
+  // round evicted exactly once and refused the other call.
+  EXPECT_EQ(evicted.load(), kRounds);
+  EXPECT_EQ(rejected.load(), kRounds);
+  EXPECT_FALSE(registry.has_model("m"));
+  EXPECT_EQ(metrics.counter("dstee_model_evictions_total").value(), kRounds);
+  registry.shutdown();
+}
+
+TEST(Registry, SwapModelRacingRemoveModelReturnsOrThrowsCheckError) {
+  // One thread keeps swapping in a full checkpoint and client threads
+  // keep submitting while the main thread removes the model. Every call
+  // returns or throws util::CheckError, and every future a submit handed
+  // out resolves to the answer of one of the two versions.
+  constexpr std::uint64_t kSeedA = 51;
+  constexpr std::uint64_t kSeedB = 52;
+  constexpr std::size_t kClients = 3;
+  const std::string path = "serve_ckpt/registry_swap_race.bin";
+  {
+    SeededModel b(kSeedB);
+    train::save_checkpoint(path, b.model, &b.state);
+  }
+  obs::MetricsRegistry metrics;
+  serve::ModelRegistry registry(&metrics);
+  serve::ModelOptions mopts;
+  mopts.server.num_threads = 1;
+  mopts.server.num_shards = 2;
+  mopts.server.max_delay_ms = 0.2;
+  SeededModel::add_to(registry, "m", kSeedA, mopts);
+  const auto x = random_tensor(tensor::Shape({12}), 13);
+  const tensor::Tensor v_a = expected_row(kSeedA, x, false);
+  const tensor::Tensor v_b = expected_row(kSeedB, x, false);
+
+  std::atomic<std::size_t> swaps{0}, submitted{0}, other_errors{0};
+  std::thread swapper([&] {
+    for (;;) {
+      try {
+        registry.swap_model("m", path);
+        swaps.fetch_add(1);
+      } catch (const util::CheckError&) {
+        return;  // the model was removed
+      } catch (...) {
+        other_errors.fetch_add(1);
+        return;
+      }
+    }
+  });
+  std::vector<std::vector<std::future<tensor::Tensor>>> accepted(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (;;) {
+        try {
+          accepted[c].push_back(registry.submit("m", x));
+          submitted.fetch_add(1);
+        } catch (const util::CheckError&) {
+          return;  // removed, or its server already shut down
+        } catch (...) {
+          other_errors.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  while (swaps.load() < 20 || submitted.load() < 2000) {
+    std::this_thread::yield();
+  }
+  registry.remove_model("m");
+  swapper.join();
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(other_errors.load(), 0u);
+  std::size_t futures = 0;
+  for (auto& client : accepted) {
+    for (auto& reply : client) {
+      ++futures;
+      ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);  // removal drained it
+      const tensor::Tensor row = reply.get();
+      EXPECT_TRUE(row.equals(v_a) || row.equals(v_b));
+    }
+  }
+  EXPECT_GE(futures, 2000u);
+  EXPECT_FALSE(registry.has_model("m"));
+  EXPECT_THROW(registry.swap_model("m", path), util::CheckError);
+  EXPECT_EQ(metrics.counter("dstee_model_evictions_total").value(), 1u);
   registry.shutdown();
 }
 

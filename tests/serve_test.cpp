@@ -456,7 +456,7 @@ TEST(CompiledNet, ResNetCloneMatchesBitForBit) {
 TEST(Server, ShardedAnswersBitIdenticalToSingleShard) {
   CompiledHarness h(0.8);
   const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
-  // Shard replicas and the per-shape routing must be invisible to
+  // Sharding and the per-shape routing must be invisible to
   // clients: the CSR row reduction is batch-independent, so every shard
   // count returns identical bits for the same sample.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
@@ -572,7 +572,6 @@ TEST(ServerStats, SnapshotAndAggregateNeverBlockCounterRecording) {
         target.record_queue_depth(w * kBatchesPerWriter + i);
         target.record_blocked_ms(0.5);
         target.record_shed();
-        if (i % 10 == 0) target.record_swap();
       }
     });
   }
@@ -583,7 +582,6 @@ TEST(ServerStats, SnapshotAndAggregateNeverBlockCounterRecording) {
     const auto agg = serve::ServerStats::aggregate({&group_a, &group_b});
     EXPECT_GE(agg.requests, agg.batches);  // 2 requests per batch
     EXPECT_GE(agg.blocked_ms, 0.0);
-    EXPECT_LE(agg.swap_count, agg.shed_total + 1);  // 1 swap per 10 sheds
     const auto snap = group_a.snapshot();
     EXPECT_LE(snap.requests, kWriters * kBatchesPerWriter * 2);
   }
@@ -596,7 +594,6 @@ TEST(ServerStats, SnapshotAndAggregateNeverBlockCounterRecording) {
               0.5 * static_cast<double>(kWriters * kBatchesPerWriter), 1e-6);
   EXPECT_GT(final_agg.latency_p50_ms, 0.0);
   EXPECT_EQ(final_agg.shed_total, kWriters * kBatchesPerWriter);
-  EXPECT_EQ(final_agg.swap_count, kWriters * (kBatchesPerWriter / 10));
 }
 
 TEST(Server, FlushOnFullBatch) {
@@ -788,6 +785,88 @@ TEST(Server, ShutdownUnderLoadResolvesEveryAcceptedFuture) {
   shut_down.store(true);
   EXPECT_THROW(server.submit(inputs[0]), util::CheckError);
   for (auto& t : threads) t.join();
+
+  std::size_t futures = 0;
+  for (Client& client : clients) {
+    EXPECT_TRUE(client.rejected_after_shutdown);
+    for (auto& [k, reply] : client.accepted) {
+      ++futures;
+      ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);  // shutdown drained it
+      EXPECT_TRUE(reply.get().equals(expected[k]));
+    }
+  }
+  EXPECT_GE(futures, 2000u);
+  EXPECT_EQ(server.stats().requests, futures);
+}
+
+TEST(Server, ScaleToDuringShutdownResolvesEveryAcceptedFuture) {
+  // Clients submit while one thread keeps moving the routing bound over
+  // 1..3 shards and the main thread shuts the server down, then
+  // decommissions it. A request routed to any shard, parked or active,
+  // is either refused or drained: every accepted future resolves to the
+  // right reply.
+  CompiledHarness h(0.8);
+  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  constexpr std::size_t kInputs = 8;
+  std::vector<tensor::Tensor> inputs;
+  std::vector<tensor::Tensor> expected;
+  for (std::size_t k = 0; k < kInputs; ++k) {
+    inputs.push_back(random_tensor(tensor::Shape({12}), 660 + k));
+    expected.push_back(
+        net.forward(inputs.back().reshaped(tensor::Shape({1, 12})))
+            .reshaped(tensor::Shape({5})));
+  }
+  serve::ServerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.num_shards = 1;
+  cfg.max_shards = 3;
+  cfg.max_batch = 8;
+  cfg.max_delay_ms = 1.0;
+  serve::InferenceServer server(net, cfg);
+
+  struct Client {
+    std::vector<std::pair<std::size_t, std::future<tensor::Tensor>>> accepted;
+    bool rejected_after_shutdown = false;
+  };
+  constexpr std::size_t kClients = 3;
+  std::vector<Client> clients(kClients);
+  std::atomic<std::size_t> submitted{0};
+  std::atomic<bool> shut_down{false}, stop_scaling{false};
+  std::thread scaler([&] {
+    for (std::size_t n = 1; !stop_scaling.load(); n = n % 3 + 1) {
+      EXPECT_EQ(server.scale_to(n), n);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client& me = clients[c];
+      for (std::size_t i = 0;; ++i) {
+        const std::size_t k = (c + i) % kInputs;
+        try {
+          me.accepted.emplace_back(k, server.submit(inputs[k]));
+        } catch (const util::CheckError&) {
+          break;  // shutdown has reached the shard this submit routed to
+        }
+        submitted.fetch_add(1);
+      }
+      while (!shut_down.load()) std::this_thread::yield();
+      try {
+        server.submit(inputs[c]);
+      } catch (const util::CheckError&) {
+        me.rejected_after_shutdown = true;
+      }
+    });
+  }
+  while (submitted.load() < 2000) std::this_thread::yield();
+  server.shutdown();
+  server.decommission();
+  shut_down.store(true);
+  for (auto& t : threads) t.join();
+  stop_scaling.store(true);
+  scaler.join();
 
   std::size_t futures = 0;
   for (Client& client : clients) {

@@ -3,12 +3,12 @@
 // Compiles an MLP, VGG or ResNet through the staged serve compiler
 // (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → direct
 // sparse conv over the packed image, residual adds as graph joins),
-// starts an InferenceServer (sharded replica worker groups + per-group
-// micro-batching queues; intra-op work runs on the persistent runtime
-// pool), drives it with either closed-loop client threads or an
-// open-loop Poisson arrival process (--arrival-rate), and reports
-// latency percentiles (p50/p99/p99.9 in open-loop mode), queue peaks,
-// backpressure-blocked time, and throughput.
+// starts an InferenceServer (sharded worker groups over one shared
+// CompiledNet + per-group micro-batching queues; intra-op work runs on
+// the persistent runtime pool), drives it with either closed-loop client
+// threads or an open-loop Poisson arrival process (--arrival-rate), and
+// reports latency percentiles (p50/p99/p99.9 in open-loop mode), queue
+// peaks, backpressure-blocked time, and throughput.
 //
 // --passes SPEC rebuilds the whole pipeline from the named pass registry
 // (e.g. "elide-dropout,fold-bn,fuse-epilogue"). --dump-plan prints the
@@ -494,8 +494,7 @@ int run(int argc, const char* const* argv) {
       .add_flag("width", "width multiplier (vgg/resnet)", "0.1")
       .add_flag("sparsity", "topology sparsity when no checkpoint", "0.9")
       .add_flag("threads", "server worker threads per shard", "2")
-      .add_flag("shards", "replica worker groups (round-robin routing)",
-                "1")
+      .add_flag("shards", "worker groups (round-robin routing)", "1")
       .add_flag("max-batch", "micro-batch flush size", "16")
       .add_flag("max-delay-ms",
                 "cap on how long a partial micro-batch is held (the hold "
@@ -817,7 +816,7 @@ int run(int argc, const char* const* argv) {
   }
   if (server.num_shards() > 1) {
     std::cout << "\nper-shard (" << server.num_shards()
-              << " replica groups, round-robin-by-shape routing):\n";
+              << " worker groups, round-robin-by-shape routing):\n";
     for (std::size_t sh = 0; sh < server.num_shards(); ++sh) {
       const serve::StatsSnapshot ss = server.shard_stats(sh);
       std::cout << "  shard " << sh << ": " << ss.requests << " reqs in "
