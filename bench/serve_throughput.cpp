@@ -425,9 +425,10 @@ void hotswap_step(sparse::SparseModel& state) {
 
 /// Tail latency under a mid-run hot swap: the same open-loop arrival
 /// stream measured once without a swap (baseline) and once with a
-/// sparse-delta swap published halfway through. Two hard gates hold on
-/// every run by construction: every arrival completes, and the delta is
-/// patched into the plan, not recompiled. The zero-downtime claim in
+/// sparse-delta swap published halfway through. Three hard gates hold on
+/// every run by construction: every arrival completes, the delta is
+/// patched into the plan, not recompiled, and no patched node was
+/// rebuilt by a dense scan. The zero-downtime claim in
 /// latency form — the swap window's p99 stays within 2x of the
 /// steady-state p99, plus a small absolute floor for timer noise on the
 /// tiny scaled-down model — follows host load, so it is a note. Returns
@@ -572,6 +573,10 @@ bool sweep_hotswap(const bench::BenchEnv& env, double min_time,
   ok &= bench::gate("delta swap patched the plan without a full recompile",
                     swap_stats.swap_count == 1 && !report.full_recompile &&
                         report.patched_weight_nodes > 0);
+  // The swap's O(nnz) claim as a count that repeats exactly: every
+  // patched node merged the delta into its base node's positions.
+  ok &= bench::gate("a DST delta swap rebuilt no node by a dense scan",
+                    report.scanned_weight_nodes == 0);
   bench::shape_check("p99 with a mid-run swap stays within 2x of baseline",
                      swap_p99 <= base_p99 * 2.0 + 2.0);
   return ok;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -119,12 +120,31 @@ class DeltaReader {
   template <typename T>
   T read() {
     T v{};
-    util::check(left_ >= sizeof(v), "delta file truncated");
-    if (end_ - at_ < sizeof(v)) refill();
-    std::memcpy(&v, window_.data() + at_, sizeof(v));
-    at_ += sizeof(v);
-    left_ -= sizeof(v);
+    std::memcpy(&v, take(sizeof(v)), sizeof(v));
     return v;
+  }
+
+  /// The next `n` bytes (at most one window), contiguous in the window
+  /// and valid until the next read.
+  const char* take(std::size_t n) {
+    util::check(left_ >= n, "delta file truncated");
+    if (end_ - at_ < n) refill();
+    const char* bytes = window_.data() + at_;
+    at_ += n;
+    left_ -= n;
+    return bytes;
+  }
+
+  /// Decodes a list of `n` items of `item_bytes` each in window-sized
+  /// runs: `decode(bytes, count)` gets the next `count` items as
+  /// contiguous bytes.
+  template <typename Decode>
+  void read_list(std::size_t n, std::size_t item_bytes, Decode&& decode) {
+    const std::size_t run = kWindowBytes / item_bytes;
+    for (std::size_t first = 0; first < n; first += run) {
+      const std::size_t count = std::min(run, n - first);
+      decode(take(count * item_bytes), count);
+    }
   }
 
   /// A count of items that each take at least `min_bytes` in the file.
@@ -180,12 +200,34 @@ void write_pairs(std::ofstream& out,
   }
 }
 
+std::vector<std::size_t> read_indices(DeltaReader& in) {
+  std::vector<std::size_t> indices;
+  const std::size_t n = in.count(kIndexBytes);
+  indices.reserve(n);
+  in.read_list(n, kIndexBytes, [&](const char* bytes, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint64_t idx = 0;
+      std::memcpy(&idx, bytes + i * kIndexBytes, sizeof(idx));
+      indices.push_back(idx);
+    }
+  });
+  return indices;
+}
+
 std::vector<std::pair<std::size_t, float>> read_pairs(DeltaReader& in) {
-  std::vector<std::pair<std::size_t, float>> pairs(in.count(kPairBytes));
-  for (auto& [idx, value] : pairs) {
-    idx = in.read<std::uint64_t>();
-    value = in.read<float>();
-  }
+  std::vector<std::pair<std::size_t, float>> pairs;
+  const std::size_t n = in.count(kPairBytes);
+  pairs.reserve(n);
+  in.read_list(n, kPairBytes, [&](const char* bytes, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const char* item = bytes + i * kPairBytes;
+      std::uint64_t idx = 0;
+      float value = 0.0f;
+      std::memcpy(&idx, item, sizeof(idx));
+      std::memcpy(&value, item + sizeof(idx), sizeof(value));
+      pairs.emplace_back(idx, value);
+    }
+  });
   return pairs;
 }
 
@@ -204,7 +246,12 @@ std::vector<DenseTensorDelta> read_dense(DeltaReader& in) {
   for (DenseTensorDelta& d : tensors) {
     d.index = in.read<std::uint64_t>();
     d.values.resize(in.count(kValueBytes));
-    for (float& v : d.values) v = in.read<float>();
+    float* out = d.values.data();
+    in.read_list(d.values.size(), kValueBytes,
+                 [&](const char* bytes, std::size_t count) {
+                   std::memcpy(out, bytes, count * kValueBytes);
+                   out += count;
+                 });
   }
   return tensors;
 }
@@ -376,8 +423,7 @@ CheckpointDelta load_delta(const std::string& path) {
   delta.sparse_layers.resize(in.count(kSectionBytes));
   for (SparseLayerDelta& section : delta.sparse_layers) {
     section.layer = in.read<std::uint64_t>();
-    section.removed.resize(in.count(kIndexBytes));
-    for (std::size_t& idx : section.removed) idx = in.read<std::uint64_t>();
+    section.removed = read_indices(in);
     section.added = read_pairs(in);
     section.changed = read_pairs(in);
   }
@@ -568,9 +614,12 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   for (std::size_t i = 0; i < buffers.size(); ++i) buffer_index[buffers[i]] = i;
   const auto masked = masked_layers(state);
 
-  std::unordered_set<std::size_t> touched_layers;
+  // Each touched layer's section; null when two sections name one layer,
+  // since the second then edits the first's result, not the base node.
+  std::unordered_map<std::size_t, const SparseLayerDelta*> layer_section;
   for (const SparseLayerDelta& s : delta.sparse_layers) {
-    touched_layers.insert(s.layer);
+    const auto [it, first] = layer_section.emplace(s.layer, &s);
+    if (!first) it->second = nullptr;
   }
   std::unordered_set<std::size_t> touched_params;
   for (const DenseTensorDelta& d : delta.dense_params) {
@@ -612,7 +661,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
     const auto mit = masked.find(weight);
     if (mit != masked.end()) {
       covered_layers.insert(mit->second);
-      if (touched_layers.count(mit->second) > 0) touched = true;
+      if (layer_section.count(mit->second) > 0) touched = true;
     }
     if (bias != nullptr) {
       const std::size_t bi = param_index.at(bias);
@@ -647,7 +696,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   for (const std::size_t b : touched_buffers) {
     if (accounted_buffers.count(b) == 0) out.needs_full_recompile = true;
   }
-  for (const std::size_t l : touched_layers) {
+  for (const auto& [l, section] : layer_section) {
     if (covered_layers.count(l) == 0) out.needs_full_recompile = true;
   }
   if (out.needs_full_recompile) return out;
@@ -666,12 +715,35 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
           (op.bn_ordinal >= mods.bns.size() || bn_touched[op.bn_ordinal] != 0);
       if (sites[s].touched || refold) {
         // Rebuild the node the way a full recompile with the same
-        // pipeline would: lower, then re-fold.
+        // pipeline would: lower, then re-fold. A masked node's base
+        // matrix holds the base mask's positions (folding only scales
+        // values), so merging the section's lists into them lowers the
+        // edited mask without a dense scan.
         const auto mit = masked.find(sites[s].weight);
-        lower_weights(op, *sites[s].weight, sites[s].bias,
-                      mit != masked.end() ? &state->layer(mit->second)
-                                          : nullptr,
-                      dense_eps);
+        std::optional<sparse::CsrMatrix> merged;
+        if (mit != masked.end()) {
+          // A layer without a section (only its bias or batch-norm moved)
+          // merges an empty edit.
+          static const SparseLayerDelta kNoEdit;
+          const auto sit = layer_section.find(mit->second);
+          const SparseLayerDelta* section =
+              sit == layer_section.end() ? &kNoEdit : sit->second;
+          if (section != nullptr) {
+            merged = sparse::CsrMatrix::from_masked_edit(
+                *op.csr, sites[s].weight->value, section->removed,
+                section->added, section->changed);
+          }
+        }
+        if (merged) {
+          op.csr = std::make_shared<sparse::CsrMatrix>(std::move(*merged));
+          lower_bias(op, sites[s].bias);
+        } else {
+          lower_weights(op, *sites[s].weight, sites[s].bias,
+                        mit != masked.end() ? &state->layer(mit->second)
+                                            : nullptr,
+                        dense_eps);
+          ++out.scanned_weight_nodes;
+        }
         if (op.folded_bn) {
           util::check(op.bn_ordinal < mods.bns.size(),
                       "folded node lost its batch-norm provenance");
@@ -693,6 +765,7 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
   if (out.needs_full_recompile) {
     out.plan = base_plan;  // hand back the pristine base
     out.patched_weight_nodes = 0;
+    out.scanned_weight_nodes = 0;
     out.patched_scale_shifts = 0;
     return out;
   }

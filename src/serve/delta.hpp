@@ -24,9 +24,13 @@
 // bn_ordinal) the delta touched — through the same lowering and folding
 // helpers a full recompile runs — and leave every untouched
 // node pointing at the very matrices the outgoing version serves.
-// Binding the patched plan then yields a new version that is
-// bit-identical to a full recompile (pinned by serve_test) at a fraction
-// of the work.
+// A touched masked node is rebuilt in O(nnz + edits): the base node's
+// positions are the base mask's, so CsrMatrix::from_masked_edit merges
+// the section's removed and added lists into them instead of scanning
+// every dense slot. That is why the base plan must be the plan of the
+// delta's base state. Binding the patched plan then yields a new version
+// that is bit-identical to a full recompile (pinned by serve_test) at a
+// fraction of the work.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +115,11 @@ void apply_delta(const CheckpointDelta& delta, nn::Module& model,
 struct PlanPatch {
   Plan plan;                     ///< base plan with touched nodes rebuilt
   std::size_t patched_weight_nodes = 0;  ///< CSR units rebuilt
+  /// Of those, the units rebuilt by a scan of every dense slot
+  /// (from_masked when the delta's lists do not fit the base node, or
+  /// from_dense for a weight without a mask) instead of from the base
+  /// node's positions. 0 for a delta from make_delta on a masked model.
+  std::size_t scanned_weight_nodes = 0;
   std::size_t total_weight_nodes = 0;    ///< CSR units in the plan
   std::size_t patched_scale_shifts = 0;  ///< standalone BN nodes updated
   /// Set when a touched tensor could not be attributed to a plan node
@@ -120,11 +129,17 @@ struct PlanPatch {
 };
 
 /// Rebuilds only the delta-touched nodes of `base_plan` from
-/// `model`/`state`, which must ALREADY have the delta applied. A CSR
-/// unit is one kSpmm/kConv node; folded BN re-folds through the node's
-/// bn_ordinal. Untouched nodes keep their CsrMatrix
-/// pointers — the zero-copy seam that lets the patched version share
-/// every untouched matrix with the outgoing one.
+/// `model`/`state`, which must ALREADY have the delta applied.
+/// `base_plan` must be the plan of the delta's base state (the served
+/// version's plan(), or the plan the previous patch returned): a masked
+/// node is rebuilt from its base node's positions plus the delta's
+/// lists. When the lists do not fit the base node (not ascending, two
+/// sections for one layer, a position the base does not agree with) the
+/// node is lowered from the model by a dense scan instead, and counted
+/// in scanned_weight_nodes. A CSR unit is one kSpmm/kConv node; folded
+/// BN re-folds through the node's bn_ordinal. Untouched nodes keep their
+/// CsrMatrix pointers — the zero-copy seam that lets the patched version
+/// share every untouched matrix with the outgoing one.
 PlanPatch apply_delta_to_plan(const Plan& base_plan,
                               const CheckpointDelta& delta,
                               nn::Sequential& model,

@@ -138,6 +138,10 @@ void lower_weights(PlanOp& op, const nn::Parameter& weight,
       masked != nullptr ? sparse::CsrMatrix::from_masked(*masked)
                         : sparse::CsrMatrix::from_dense(weight.value,
                                                         dense_eps));
+  lower_bias(op, bias);
+}
+
+void lower_bias(PlanOp& op, const nn::Parameter* bias) {
   op.bias = bias != nullptr ? bias->value : tensor::Tensor();
   op.has_bias = bias != nullptr;
 }

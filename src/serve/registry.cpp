@@ -79,15 +79,15 @@ void ModelRegistry::add_model(const std::string& name,
       std::make_unique<InferenceServer>(net, slot->options.server);
 
   util::MutexLock lock(mu_);
-  for (const auto& existing : slots_) {
-    // A removed slot's name is free for re-use: re-adding a model after
-    // remove_model is part of the eviction contract.
-    util::check(existing->name != name ||
-                    existing->removed.load(std::memory_order_acquire),
-                "ModelRegistry: duplicate model name '" + name + "'");
-  }
+  const auto newest = by_name_.find(name);
+  // A removed slot's name is free for re-use: re-adding a model after
+  // remove_model is part of the eviction contract.
+  util::check(newest == by_name_.end() ||
+                  newest->second->removed.load(std::memory_order_acquire),
+              "ModelRegistry: duplicate model name '" + name + "'");
   slot->name = name;
   slots_.push_back(std::move(slot));
+  by_name_[name] = slots_.back().get();
   if (slots_.back()->options.autoscaler.enabled) start_autoscaler();
 }
 
@@ -127,6 +127,7 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
     recompile(slot);
   } else {
     report.patched_weight_nodes = patch.patched_weight_nodes;
+    report.scanned_weight_nodes = patch.scanned_weight_nodes;
     report.patched_scale_shifts = patch.patched_scale_shifts;
     slot.current = std::make_shared<const CompiledNet>(
         slot.compiler.bind(std::move(patch.plan)));
@@ -223,11 +224,8 @@ std::uint64_t ModelRegistry::state_hash(const std::string& name) const {
 std::vector<std::string> ModelRegistry::model_names() const {
   util::MutexLock lock(mu_);
   std::vector<std::string> names;
-  names.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    if (!slot->removed.load(std::memory_order_acquire)) {
-      names.push_back(slot->name);
-    }
+  for (const auto& [name, slot] : by_name_) {
+    if (!slot->removed.load(std::memory_order_acquire)) names.push_back(name);
   }
   return names;
 }
@@ -235,7 +233,7 @@ std::vector<std::string> ModelRegistry::model_names() const {
 std::size_t ModelRegistry::num_models() const {
   util::MutexLock lock(mu_);
   std::size_t count = 0;
-  for (const auto& slot : slots_) {
+  for (const auto& [name, slot] : by_name_) {
     if (!slot->removed.load(std::memory_order_acquire)) ++count;
   }
   return count;
@@ -243,13 +241,9 @@ std::size_t ModelRegistry::num_models() const {
 
 bool ModelRegistry::has_model(const std::string& name) const {
   util::MutexLock lock(mu_);
-  for (const auto& slot : slots_) {
-    if (slot->name == name &&
-        !slot->removed.load(std::memory_order_acquire)) {
-      return true;
-    }
-  }
-  return false;
+  const auto it = by_name_.find(name);
+  return it != by_name_.end() &&
+         !it->second->removed.load(std::memory_order_acquire);
 }
 
 void ModelRegistry::shutdown() {
@@ -267,16 +261,14 @@ void ModelRegistry::shutdown() {
 
 ModelRegistry::Slot& ModelRegistry::find(const std::string& name) const {
   util::MutexLock lock(mu_);
-  bool saw_removed = false;
-  for (const auto& slot : slots_) {
-    if (slot->name != name) continue;
-    if (!slot->removed.load(std::memory_order_acquire)) return *slot;
-    saw_removed = true;  // a re-added live slot may still follow
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end()) {
+    util::fail("ModelRegistry: unknown model '" + name + "'");
   }
-  if (saw_removed) {
+  if (it->second->removed.load(std::memory_order_acquire)) {
     util::fail("ModelRegistry: model '" + name + "' was removed");
   }
-  util::fail("ModelRegistry: unknown model '" + name + "'");
+  return *it->second;
 }
 
 std::shared_ptr<const CompiledNet> ModelRegistry::recompile(Slot& slot) {
@@ -298,10 +290,12 @@ void ModelRegistry::autoscale_loop() {
     std::vector<Slot*> scaled;
     {
       util::MutexLock lock(mu_);
-      for (const auto& slot : slots_) {
+      // Every live slot is its name's newest, so retired shells are never
+      // walked.
+      for (const auto& [name, slot] : by_name_) {
         if (slot->options.autoscaler.enabled &&
             !slot->removed.load(std::memory_order_acquire)) {
-          scaled.push_back(slot.get());
+          scaled.push_back(slot);
           interval_ms =
               std::min(interval_ms, slot->options.autoscaler.interval_ms);
         }

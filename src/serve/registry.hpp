@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -85,6 +86,9 @@ std::size_t autoscale_target(const AutoscalerConfig& config,
 struct SwapReport {
   bool full_recompile = false;  ///< delta fell back to a fresh plan()
   std::size_t patched_weight_nodes = 0;
+  /// Of the patched nodes, those rebuilt by a dense scan
+  /// (PlanPatch::scanned_weight_nodes); 0 for a DST delta.
+  std::size_t scanned_weight_nodes = 0;
   std::size_t total_weight_nodes = 0;
   std::size_t patched_scale_shifts = 0;
   std::size_t swap_epoch = 0;  ///< server swap count after this swap
@@ -168,6 +172,7 @@ class ModelRegistry {
   /// The model's current state hash (what a delta's base_hash must be).
   std::uint64_t state_hash(const std::string& name) const;
 
+  /// Live (not removed) model names, in name order.
   std::vector<std::string> model_names() const;
   std::size_t num_models() const;
   bool has_model(const std::string& name) const;
@@ -204,9 +209,9 @@ class ModelRegistry {
     std::atomic<bool> removed{false};
   };
 
-  /// Name lookup; throws CheckError on unknown and on removed names. The
-  /// returned slot is pointer-stable (slot storage is never freed before
-  /// shutdown()).
+  /// Name lookup, one map probe; throws CheckError on unknown and on
+  /// removed names. The returned slot is pointer-stable (slot storage is
+  /// never freed before shutdown()).
   Slot& find(const std::string& name) const;
 
   /// Compiles the slot's current model state, records it as the
@@ -220,8 +225,12 @@ class ModelRegistry {
   obs::MetricsRegistry* metrics_;       ///< never null
   obs::Counter* evictions_;             ///< dstee_model_evictions_total
 
-  mutable util::Mutex mu_;  ///< guards the slot vector (append-only)
+  mutable util::Mutex mu_;  ///< guards the slot vector and the name map
+  /// Every slot ever added, removed ones included (append-only).
   std::vector<std::unique_ptr<Slot>> slots_ DSTEE_GUARDED_BY(mu_);
+  /// Each name's newest slot, removed or not: lookups cost one probe
+  /// however many slots a rotating registry has retired.
+  std::map<std::string, Slot*> by_name_ DSTEE_GUARDED_BY(mu_);
 
   util::Mutex as_mu_;
   bool as_stop_ DSTEE_GUARDED_BY(as_mu_) = false;

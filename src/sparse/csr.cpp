@@ -63,20 +63,108 @@ CsrMatrix CsrMatrix::from_masked(const MaskedParameter& param) {
   const tensor::Tensor& dense = param.param().value;
   util::check(dense.rank() >= 2,
               "CSR conversion requires a parameter of rank >= 2");
-  const tensor::Tensor& mask = param.mask().tensor();
+  const float* mask = param.mask().tensor().raw();
+  const float* values = dense.raw();
   CsrMatrix m(dense.dim(0), dense.numel() / dense.dim(0));
-  const std::size_t nnz = param.mask().num_active();
-  m.col_idx_.reserve(nnz);
-  m.values_.reserve(nnz);
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < dense.numel(); ++i) {
+    nnz += mask[i] != 0.0f ? 1 : 0;
+  }
+  // Every slot is stored at the next free entry, which advances only
+  // past an active one: no branch per slot. The last inactive slots land
+  // in one spare entry, dropped at the end.
+  m.col_idx_.resize(nnz + 1);
+  m.values_.resize(nnz + 1);
+  std::uint32_t* col_out = m.col_idx_.data();
+  float* value_out = m.values_.data();
+  std::size_t k = 0;
   for (std::size_t r = 0; r < m.rows_; ++r) {
+    const std::size_t row = r * m.cols_;
     for (std::size_t c = 0; c < m.cols_; ++c) {
-      const std::size_t i = r * m.cols_ + c;
-      if (mask[i] != 0.0f) {
-        m.col_idx_.push_back(static_cast<std::uint32_t>(c));
-        m.values_.push_back(dense[i]);
+      col_out[k] = static_cast<std::uint32_t>(c);
+      value_out[k] = values[row + c];
+      k += mask[row + c] != 0.0f ? 1 : 0;
+    }
+    m.row_ptr_[r + 1] = k;
+  }
+  m.col_idx_.resize(nnz);
+  m.values_.resize(nnz);
+  return m;
+}
+
+std::optional<CsrMatrix> CsrMatrix::from_masked_edit(
+    const CsrMatrix& base, const tensor::Tensor& dense,
+    std::span<const std::size_t> removed,
+    std::span<const std::pair<std::size_t, float>> added,
+    std::span<const std::pair<std::size_t, float>> changed) {
+  util::check(dense.numel() == base.rows_ * base.cols_,
+              "from_masked_edit: weight tensor does not match the base "
+              "matrix");
+  if (removed.size() > base.nnz()) return std::nullopt;
+
+  CsrMatrix m(base.rows_, base.cols_);
+  const std::size_t nnz = base.nnz() - removed.size() + added.size();
+  m.col_idx_.resize(nnz);
+  m.values_.resize(nnz);
+  std::uint32_t* col_out = m.col_idx_.data();
+  float* value_out = m.values_.data();
+  const float* values = dense.raw();
+  // The next position of each list; an exhausted list reads as past
+  // every position. A removed or changed list that is not strictly
+  // ascending leaves its next position at or behind the base position
+  // just passed, which the checks below reject; an added list is checked
+  // as it is emitted.
+  constexpr std::size_t kDone = std::numeric_limits<std::size_t>::max();
+  std::size_t ri = 0, ai = 0, ci = 0;
+  std::size_t next_removed = removed.empty() ? kDone : removed[0];
+  std::size_t next_added = added.empty() ? kDone : added[0].first;
+  std::size_t next_changed = changed.empty() ? kDone : changed[0].first;
+  std::size_t k = 0;
+  // Emits every added position before `end`; false when the list does
+  // not ascend or would overrun the entries a fitting edit leaves.
+  const auto emit_added = [&](std::size_t row, std::size_t end) {
+    for (; next_added < end; ++ai) {
+      if (k == nnz) return false;
+      const std::size_t p = next_added;
+      col_out[k] = static_cast<std::uint32_t>(p - row);
+      value_out[k++] = added[ai].second;
+      next_added = ai + 1 < added.size() ? added[ai + 1].first : kDone;
+      if (next_added <= p) return false;
+    }
+    return true;
+  };
+  for (std::size_t r = 0; r < base.rows_; ++r) {
+    const std::size_t row = r * base.cols_;
+    for (std::size_t b = base.row_ptr_[r]; b < base.row_ptr_[r + 1]; ++b) {
+      const std::size_t p = row + base.col_idx_[b];
+      if (next_added <= p && (!emit_added(row, p) || next_added == p)) {
+        return std::nullopt;
+      }
+      if (next_removed <= p) {
+        if (next_removed < p) return std::nullopt;
+        ++ri;
+        next_removed = ri < removed.size() ? removed[ri] : kDone;
+        continue;
+      }
+      if (k == nnz) return std::nullopt;
+      col_out[k] = base.col_idx_[b];
+      if (next_changed <= p) {
+        if (next_changed < p) return std::nullopt;
+        value_out[k++] = changed[ci++].second;
+        next_changed = ci < changed.size() ? changed[ci].first : kDone;
+      } else {
+        value_out[k++] = values[p];
       }
     }
-    m.row_ptr_[r + 1] = m.values_.size();
+    const std::size_t end = row + base.cols_;
+    if (!emit_added(row, end) || next_removed < end || next_changed < end) {
+      return std::nullopt;
+    }
+    m.row_ptr_[r + 1] = k;
+  }
+  // A position past the last row fits no row.
+  if (ri < removed.size() || ai < added.size() || ci < changed.size()) {
+    return std::nullopt;
   }
   return m;
 }

@@ -10,7 +10,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kernels/epilogue.hpp"
@@ -37,7 +39,25 @@ class CsrMatrix {
   /// Builds from a masked parameter (only mask-active entries are stored,
   /// regardless of value — the faithful deployment of a sparse topology).
   /// Accepts rank >= 2 with the same row/column flattening as from_dense.
+  /// One count pass and one branch-free store pass over every dense slot.
   static CsrMatrix from_masked(const MaskedParameter& param);
+
+  /// from_masked of an edited mask, in O(nnz + edits) instead of a pass
+  /// over every dense slot. `base` holds the positions of the mask before
+  /// the edit, as from_masked built them (its values are not read). The
+  /// edit lists flat positions: `removed` leave the mask, `added` join it
+  /// with their values, and `changed` are surviving positions with new
+  /// values. Every other surviving position takes its value from `dense`
+  /// (the edited weights, [rows, cols] flattened), so the result equals
+  /// from_masked of the edited parameter. Returns nullopt when the lists
+  /// do not fit `base` — a list not strictly ascending, a removed
+  /// position `base` lacks, an added one it holds, a changed one that
+  /// does not survive — and the caller falls back to from_masked.
+  static std::optional<CsrMatrix> from_masked_edit(
+      const CsrMatrix& base, const tensor::Tensor& dense,
+      std::span<const std::size_t> removed,
+      std::span<const std::pair<std::size_t, float>> added,
+      std::span<const std::pair<std::size_t, float>> changed);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -44,18 +44,6 @@ double Mask::density() const {
   return static_cast<double>(num_active()) / static_cast<double>(numel());
 }
 
-bool Mask::is_active(std::size_t flat_index) const {
-  return values_.at(flat_index) != 0.0f;
-}
-
-void Mask::activate(std::size_t flat_index) {
-  values_.at(flat_index) = 1.0f;
-}
-
-void Mask::deactivate(std::size_t flat_index) {
-  values_.at(flat_index) = 0.0f;
-}
-
 std::vector<std::size_t> Mask::active_indices() const {
   std::vector<std::size_t> idx;
   idx.reserve(num_active());

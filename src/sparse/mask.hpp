@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace dstee::sparse {
@@ -37,11 +38,21 @@ class Mask {
   /// Fraction of active entries in [0, 1].
   double density() const;
 
-  bool is_active(std::size_t flat_index) const;
+  // Inline: delta application calls these once per edited position.
+  bool is_active(std::size_t flat_index) const {
+    check_index(flat_index);
+    return values_[flat_index] != 0.0f;
+  }
 
   /// Activates / deactivates a single element.
-  void activate(std::size_t flat_index);
-  void deactivate(std::size_t flat_index);
+  void activate(std::size_t flat_index) {
+    check_index(flat_index);
+    values_[flat_index] = 1.0f;
+  }
+  void deactivate(std::size_t flat_index) {
+    check_index(flat_index);
+    values_[flat_index] = 0.0f;
+  }
 
   /// Flat indices of all active / inactive elements (ascending).
   std::vector<std::size_t> active_indices() const;
@@ -58,6 +69,10 @@ class Mask {
   std::size_t hamming_distance(const Mask& other) const;
 
  private:
+  void check_index(std::size_t flat_index) const {
+    util::check(flat_index < numel(), "flat index out of range");
+  }
+
   tensor::Tensor values_;
 };
 

@@ -3,6 +3,9 @@
 // the serve compiler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "models/mlp.hpp"
@@ -10,6 +13,7 @@
 #include "nn/linear.hpp"
 #include "serve/compiled_net.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/masked_parameter.hpp"
 #include "sparse/sparse_model.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
@@ -149,6 +153,213 @@ TEST(Csr, ShapeChecks) {
   EXPECT_THROW(
       sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({4}), 9)),
       util::CheckError);
+}
+
+// --- from_masked_edit: from_masked of an edited mask ---------------------
+
+using Pairs = std::vector<std::pair<std::size_t, float>>;
+
+/// A masked [rows, cols] weight: random values at the active positions,
+/// zero elsewhere, as training leaves it.
+struct MaskedWeight {
+  MaskedWeight(std::size_t rows, std::size_t cols,
+               std::vector<std::size_t> active, std::uint64_t seed)
+      : param("w", tensor::Shape({rows, cols}), true),
+        layer(param,
+              sparse::Mask::from_indices(tensor::Shape({rows, cols}), active),
+              0) {
+    param.value = random_tensor(tensor::Shape({rows, cols}), seed);
+    layer.apply_mask_to_value();
+  }
+
+  /// The edit as apply_delta performs it.
+  void apply(const std::vector<std::size_t>& removed, const Pairs& added,
+             const Pairs& changed) {
+    for (const std::size_t i : removed) {
+      layer.mask().deactivate(i);
+      param.value[i] = 0.0f;
+    }
+    for (const auto& [i, v] : added) {
+      layer.mask().activate(i);
+      param.value[i] = v;
+    }
+    for (const auto& [i, v] : changed) param.value[i] = v;
+  }
+
+  nn::Parameter param;
+  sparse::MaskedParameter layer;
+};
+
+/// The same row pointers, columns and value bits.
+::testing::AssertionResult same_csr(const sparse::CsrMatrix& a,
+                                    const sparse::CsrMatrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure() << "shapes differ";
+  }
+  if (a.row_ptr() != b.row_ptr()) {
+    return ::testing::AssertionFailure() << "row_ptr differs";
+  }
+  if (a.col_idx() != b.col_idx()) {
+    return ::testing::AssertionFailure() << "col_idx differs";
+  }
+  if (std::memcmp(a.values().data(), b.values().data(),
+                  a.nnz() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "values differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// from_masked of `w` as it stands, with every value doubled: the base
+/// node of a folded plan, whose values the merge must not read.
+sparse::CsrMatrix folded_base(const MaskedWeight& w) {
+  sparse::CsrMatrix base = sparse::CsrMatrix::from_masked(w.layer);
+  base.scale_rows(std::vector<float>(base.rows(), 2.0f));
+  return base;
+}
+
+TEST(Csr, FromMaskedMatchesAReferenceScanOnRandomMasks) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t rows = 5 + seed, cols = 9 + 3 * seed;
+    MaskedWeight w(rows, cols,
+                   rng.sample_without_replacement(rows * cols,
+                                                  rows * cols / 10),
+                   seed);
+    const auto csr = sparse::CsrMatrix::from_masked(w.layer);
+    std::vector<std::size_t> row_ptr{0};
+    std::vector<std::uint32_t> col_idx;
+    std::vector<float> values;
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (w.layer.mask().is_active(r * cols + c)) {
+          col_idx.push_back(static_cast<std::uint32_t>(c));
+          values.push_back(w.param.value[r * cols + c]);
+        }
+      }
+      row_ptr.push_back(col_idx.size());
+    }
+    EXPECT_EQ(csr.row_ptr(), row_ptr) << "seed " << seed;
+    EXPECT_EQ(csr.col_idx(), col_idx) << "seed " << seed;
+    EXPECT_EQ(csr.values(), values) << "seed " << seed;
+  }
+}
+
+TEST(Csr, FromMaskedEditEqualsFromMaskedOfTheEditedMask) {
+  // 90%-sparse random masks, a DST-sized edit: a third of the active
+  // positions leave, as many inactive ones join, and half of the
+  // survivors move.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(100 + seed);
+    const std::size_t rows = 7 + seed, cols = 11 + 2 * seed;
+    const std::size_t n = rows * cols;
+    MaskedWeight w(rows, cols, rng.sample_without_replacement(n, n / 10),
+                   seed);
+    const std::vector<std::size_t> active = w.layer.mask().active_indices();
+    const std::vector<std::size_t> inactive =
+        w.layer.mask().inactive_indices();
+    std::vector<std::size_t> removed;
+    Pairs added, changed;
+    std::vector<char> leaves(n, 0);
+    for (const std::size_t k :
+         rng.sample_without_replacement(active.size(), active.size() / 3)) {
+      leaves[active[k]] = 1;
+    }
+    for (const std::size_t i : active) {
+      if (leaves[i] != 0) {
+        removed.push_back(i);
+      } else if (rng.uniform() < 0.5) {
+        changed.emplace_back(i, static_cast<float>(rng.normal()));
+      }
+    }
+    std::vector<std::size_t> joins = rng.sample_without_replacement(
+        inactive.size(), removed.size());
+    std::sort(joins.begin(), joins.end());
+    for (const std::size_t k : joins) {
+      added.emplace_back(inactive[k], static_cast<float>(rng.normal()));
+    }
+
+    const sparse::CsrMatrix base = folded_base(w);
+    w.apply(removed, added, changed);
+    const auto merged = sparse::CsrMatrix::from_masked_edit(
+        base, w.param.value, removed, added, changed);
+    ASSERT_TRUE(merged.has_value()) << "seed " << seed;
+    EXPECT_TRUE(same_csr(*merged, sparse::CsrMatrix::from_masked(w.layer)))
+        << "seed " << seed;
+  }
+}
+
+// A 4×6 mask whose rows exercise the merge's edges:
+//   row 0 {0, 3}     → remove the first column, add the last
+//   row 1 {1, 4}     → both removed: the row empties
+//   row 2 {}         → the first and last columns join: filled from empty
+//   row 3 {0, 2, 5}  → survivors only; `changed` names the first and last
+constexpr std::size_t kEdgeRows = 4, kEdgeCols = 6;
+const std::vector<std::size_t> kEdgeActive = {0, 3, 7, 10, 18, 20, 23};
+const std::vector<std::size_t> kEdgeRemoved = {0, 7, 10};
+const Pairs kEdgeAdded = {{5, 0.5f}, {12, -1.5f}, {17, 2.5f}};
+const Pairs kEdgeChanged = {{18, 3.0f}, {23, -4.0f}};
+
+TEST(Csr, FromMaskedEditHandlesRowEdgesAndEmptyRows) {
+  for (const bool with_changes : {true, false}) {
+    // Without a changed list every surviving value comes from the dense
+    // tensor; with one covering two of row 3's three survivors, the third
+    // still does.
+    const Pairs changed = with_changes ? kEdgeChanged : Pairs{};
+    MaskedWeight w(kEdgeRows, kEdgeCols, kEdgeActive, 7);
+    const sparse::CsrMatrix base = folded_base(w);
+    w.apply(kEdgeRemoved, kEdgeAdded, changed);
+    const auto merged = sparse::CsrMatrix::from_masked_edit(
+        base, w.param.value, kEdgeRemoved, kEdgeAdded, changed);
+    ASSERT_TRUE(merged.has_value());
+    const auto expected = sparse::CsrMatrix::from_masked(w.layer);
+    EXPECT_TRUE(same_csr(*merged, expected)) << "changes " << with_changes;
+    EXPECT_EQ(merged->row_ptr(),
+              (std::vector<std::size_t>{0, 2, 2, 4, 7}));
+    EXPECT_EQ(merged->col_idx(),
+              (std::vector<std::uint32_t>{3, 5, 0, 5, 0, 2, 5}));
+  }
+  // No edit at all: the base positions with the dense values.
+  MaskedWeight w(kEdgeRows, kEdgeCols, kEdgeActive, 8);
+  const auto merged = sparse::CsrMatrix::from_masked_edit(
+      folded_base(w), w.param.value, {}, {}, {});
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_TRUE(same_csr(*merged, sparse::CsrMatrix::from_masked(w.layer)));
+}
+
+TEST(Csr, FromMaskedEditReturnsNoMatrixForListsThatDoNotFit) {
+  MaskedWeight w(kEdgeRows, kEdgeCols, kEdgeActive, 9);
+  const sparse::CsrMatrix base = folded_base(w);
+  struct Case {
+    const char* what;
+    std::vector<std::size_t> removed;
+    Pairs added, changed;
+  };
+  const std::vector<Case> cases = {
+      {"removed not ascending", {7, 0}, {}, {}},
+      {"removed duplicate", {0, 0}, {}, {}},
+      {"added not ascending", {}, {{12, 1.0f}, {5, 1.0f}}, {}},
+      {"added duplicate", {}, {{5, 1.0f}, {5, 1.0f}}, {}},
+      {"changed not ascending", {}, {}, {{23, 1.0f}, {18, 1.0f}}},
+      {"changed duplicate", {}, {}, {{18, 1.0f}, {18, 1.0f}}},
+      {"removed position the base lacks", {1}, {}, {}},
+      {"removed past the last row", {24}, {}, {}},
+      {"added position the base holds", {}, {{3, 1.0f}}, {}},
+      {"changed at a removed position", {0}, {}, {{0, 1.0f}}},
+      {"changed at an inactive position", {}, {}, {{1, 1.0f}}},
+      {"changed at an added position", {}, {{5, 1.0f}}, {{5, 1.0f}}},
+      {"more removals than entries", {0, 3, 7, 10, 18, 20, 23, 24}, {}, {}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_FALSE(sparse::CsrMatrix::from_masked_edit(base, w.param.value,
+                                                     c.removed, c.added,
+                                                     c.changed)
+                     .has_value())
+        << c.what;
+  }
+  // A weight tensor of another size is a caller error, not a misfit.
+  EXPECT_THROW(sparse::CsrMatrix::from_masked_edit(
+                   base, random_tensor(tensor::Shape({4, 5}), 1), {}, {}, {}),
+               util::CheckError);
 }
 
 class CsrDensitySweep : public ::testing::TestWithParam<double> {};

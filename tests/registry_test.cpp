@@ -231,6 +231,8 @@ TEST(Registry, DeltaSwapUpdatesStateHashAndAnswers) {
 
   const serve::SwapReport report = registry.apply_delta("m", delta);
   EXPECT_FALSE(report.full_recompile);
+  EXPECT_GT(report.patched_weight_nodes, 0u);
+  EXPECT_EQ(report.scanned_weight_nodes, 0u);  // every node merged
   EXPECT_EQ(registry.state_hash("m"), delta.result_hash);
   EXPECT_TRUE(registry.submit("m", x).get().equals(
       expected_row(kSeed, x, true)));
@@ -534,6 +536,46 @@ TEST(Registry, RemoveModelEvictsCountsAndAllowsReAdd) {
       registry.submit("a", x).get().equals(expected_row(9, x, false)));
   registry.remove_model("a");
   EXPECT_EQ(metrics.counter("dstee_model_evictions_total").value(), 2u);
+  registry.shutdown();
+}
+
+TEST(Registry, LookupAfterManyRemovalsServesTheLiveModel) {
+  // A registry that rotates a model keeps every retired slot; lookups
+  // must still find the live model by name, whatever the history.
+  obs::MetricsRegistry metrics;
+  serve::ModelRegistry registry(&metrics);
+  SeededModel::add_to(registry, "keep", 5);
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    SeededModel::add_to(registry, "tmp", 6);
+    registry.remove_model("tmp");
+  }
+  EXPECT_EQ(registry.model_names(), std::vector<std::string>{"keep"});
+  EXPECT_EQ(registry.num_models(), 1u);
+  EXPECT_TRUE(registry.has_model("keep"));
+  EXPECT_FALSE(registry.has_model("tmp"));
+  const auto x = random_tensor(tensor::Shape({12}), 7);
+  EXPECT_TRUE(
+      registry.submit("keep", x).get().equals(expected_row(5, x, false)));
+  const auto message = [&](const std::string& name) {
+    try {
+      registry.submit(name, x);
+    } catch (const util::CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(message("tmp").find("model 'tmp' was removed"),
+            std::string::npos);
+  EXPECT_NE(message("never").find("unknown model 'never'"),
+            std::string::npos);
+  EXPECT_EQ(metrics.counter("dstee_model_evictions_total").value(), 1000u);
+
+  SeededModel::add_to(registry, "tmp", 9);
+  EXPECT_EQ(registry.model_names(),
+            (std::vector<std::string>{"keep", "tmp"}));
+  EXPECT_EQ(registry.num_models(), 2u);
+  EXPECT_TRUE(
+      registry.submit("tmp", x).get().equals(expected_row(9, x, false)));
   registry.shutdown();
 }
 

@@ -4,6 +4,7 @@
 // CompiledNet round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -20,6 +21,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/dst_ee.hpp"
+#include "data/dataloader.hpp"
+#include "data/synthetic_images.hpp"
+#include "data/synthetic_tabular.hpp"
 #include "methods/dst_engine.hpp"
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
@@ -2150,6 +2155,244 @@ TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE dstee_request_latency_ms histogram"),
             std::string::npos);
+}
+
+// --- DST-EE delta chains: a swap patches every node by merge ----------
+
+/// A sparse net trained by DST-EE with ΔT = 1, so every step is a
+/// drop-and-grow round and SGD moves every active weight: each delta has
+/// a section for every masked layer, as in perfbench's chains. `build`
+/// makes the architecture; `served` is a twin loaded from the trainer's
+/// starting checkpoint that follows the chain one delta behind.
+struct DstEeChain {
+  using Build = std::unique_ptr<nn::Sequential> (*)(util::Rng&);
+
+  DstEeChain(Build build, std::unique_ptr<data::Dataset> dataset,
+             const std::string& ckpt, std::size_t steps, std::uint64_t seed)
+      : rng(seed),
+        module(build(rng)),
+        data(std::move(dataset)),
+        opt(module->parameters(), sgd()),
+        loader(*data, 4, rng.fork("loader")) {
+    core::DstEeConfig ee;
+    ee.sparsity = 0.9;
+    ee.delta_t = 1;
+    ee.stop_fraction = 1.0;
+    session =
+        std::make_unique<core::DstEeSession>(*module, opt, ee, steps + 1, seed);
+    // Two training-mode batches move batch-norm statistics off their
+    // init, so folding is not the identity.
+    for (int i = 0; i < 2; ++i) module->forward(next_batch().examples);
+    module->set_training(false);
+    train::save_checkpoint(ckpt, *module, &session->sparse_model());
+    util::Rng twin_rng(seed + 1);
+    served = build(twin_rng);
+    served_state = std::make_unique<sparse::SparseModel>(
+        *served, 0.9, sparse::DistributionKind::kErk, twin_rng);
+    train::load_checkpoint(ckpt, *served, served_state.get());
+    served->set_training(false);
+  }
+
+  static optim::Sgd::Config sgd() {
+    optim::Sgd::Config cfg;
+    cfg.lr = 0.05;
+    cfg.momentum = 0.9;
+    return cfg;
+  }
+
+  data::DataLoader::Batch next_batch() {
+    if (!loader.has_next()) loader.start_epoch();
+    return loader.next_batch();
+  }
+
+  /// One training step, then the delta from `served` to the trainer.
+  serve::CheckpointDelta step(std::size_t it) {
+    module->set_training(true);
+    const data::DataLoader::Batch batch = next_batch();
+    module->zero_grad();
+    loss.forward(module->forward(batch.examples), batch.labels);
+    module->backward(loss.backward());
+    session->on_iteration_end(it, sgd().lr);
+    opt.step();
+    session->after_optimizer_step();
+    module->set_training(false);
+    return serve::make_delta(*served, served_state.get(), *module,
+                             &session->sparse_model());
+  }
+
+  util::Rng rng;
+  std::unique_ptr<nn::Sequential> module;
+  std::unique_ptr<data::Dataset> data;
+  optim::Sgd opt;
+  data::DataLoader loader;
+  std::unique_ptr<core::DstEeSession> session;
+  nn::SoftmaxCrossEntropy loss;
+  std::unique_ptr<nn::Sequential> served;
+  std::unique_ptr<sparse::SparseModel> served_state;
+};
+
+/// Every weight node of `a` and `b` holds the same row pointers, columns,
+/// value bits and bias bits.
+::testing::AssertionResult same_weights(const serve::Plan& a,
+                                        const serve::Plan& b) {
+  if (a.ops.size() != b.ops.size()) {
+    return ::testing::AssertionFailure() << "node counts differ";
+  }
+  const auto same_bits = [](const float* x, const float* y, std::size_t n) {
+    return std::memcmp(x, y, n * sizeof(float)) == 0;
+  };
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    const serve::PlanOp& x = a.ops[i];
+    const serve::PlanOp& y = b.ops[i];
+    if ((x.csr == nullptr) != (y.csr == nullptr)) {
+      return ::testing::AssertionFailure() << "node " << i << ": kind";
+    }
+    if (x.csr == nullptr) continue;
+    if (x.csr->row_ptr() != y.csr->row_ptr() ||
+        x.csr->col_idx() != y.csr->col_idx() ||
+        x.csr->nnz() != y.csr->nnz() ||
+        !same_bits(x.csr->values().data(), y.csr->values().data(),
+                   x.csr->nnz())) {
+      return ::testing::AssertionFailure() << "node " << i << ": matrix";
+    }
+    if (x.has_bias != y.has_bias || x.bias.numel() != y.bias.numel() ||
+        !same_bits(x.bias.raw(), y.bias.raw(), x.bias.numel())) {
+      return ::testing::AssertionFailure() << "node " << i << ": bias";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs `steps` DST-EE steps; each delta is applied to the served twin
+/// and patched into its plan. Every patch must merge every node (none by
+/// a dense scan) and equal a full recompile byte for byte.
+void expect_chain_patches_by_merge(DstEeChain& chain,
+                                   const serve::Compiler& compiler,
+                                   const tensor::Tensor& x,
+                                   std::size_t steps) {
+  serve::Plan plan = compiler.plan(*chain.served, chain.served_state.get());
+  std::size_t grown = 0;
+  for (std::size_t k = 0; k < steps; ++k) {
+    const serve::CheckpointDelta delta = chain.step(k);
+    EXPECT_EQ(delta.sparse_layers.size(), chain.served_state->num_layers())
+        << "step " << k;
+    for (const serve::SparseLayerDelta& s : delta.sparse_layers) {
+      grown += s.added.size();
+    }
+    serve::apply_delta(delta, *chain.served, chain.served_state.get());
+    serve::PlanPatch patch = serve::apply_delta_to_plan(
+        plan, delta, *chain.served, chain.served_state.get());
+    ASSERT_FALSE(patch.needs_full_recompile) << "step " << k;
+    EXPECT_EQ(patch.patched_weight_nodes, patch.total_weight_nodes)
+        << "step " << k;
+    EXPECT_EQ(patch.scanned_weight_nodes, 0u) << "step " << k;
+    const serve::Plan full =
+        compiler.plan(*chain.served, chain.served_state.get());
+    EXPECT_TRUE(same_weights(patch.plan, full)) << "step " << k;
+
+    plan = std::move(patch.plan);
+    serve::Plan bound = plan;
+    const auto patched_net = compiler.bind(std::move(bound));
+    const auto full_net =
+        compiler.compile(*chain.served, chain.served_state.get());
+    EXPECT_TRUE(patched_net.forward(x).equals(full_net.forward(x)))
+        << "step " << k;
+  }
+  EXPECT_GT(grown, 0u);  // the chain rewired, not only moved values
+}
+
+std::unique_ptr<data::Dataset> tabular_data(std::uint64_t seed) {
+  data::SyntheticTabularConfig cfg;
+  cfg.num_classes = 5;
+  cfg.features = 12;
+  cfg.train_per_class = 8;
+  cfg.test_per_class = 1;
+  cfg.seed = seed;
+  return std::make_unique<data::SyntheticTabularDataset>(
+      cfg, data::SyntheticTabularDataset::Split::kTrain);
+}
+
+std::unique_ptr<nn::Sequential> chain_mlp(util::Rng& rng) {
+  return std::make_unique<models::Mlp>(small_cfg(/*batch_norm=*/true), rng);
+}
+
+TEST(Delta, DstEeMlpChainPatchesEveryNodeByMerge) {
+  DstEeChain chain(chain_mlp, tabular_data(61), "serve_ckpt/chain_mlp.bin",
+                   6, 61);
+  expect_chain_patches_by_merge(chain, serve::Compiler(),
+                                random_tensor(tensor::Shape({3, 12}), 62), 6);
+}
+
+TEST(Delta, DstEeResNetChainPatchesEveryNodeByMergeThroughFusedEpilogue) {
+  const auto build = [](util::Rng& rng) -> std::unique_ptr<nn::Sequential> {
+    models::ResNetConfig cfg;
+    cfg.depth = 18;
+    cfg.image_size = 8;
+    cfg.num_classes = 4;
+    cfg.width_multiplier = 0.07;
+    return std::make_unique<models::ResNet>(cfg, rng);
+  };
+  data::SyntheticImageConfig cfg;
+  cfg.num_classes = 4;
+  cfg.image_size = 8;
+  cfg.train_per_class = 4;
+  cfg.test_per_class = 1;
+  cfg.seed = 63;
+  DstEeChain chain(build,
+                   std::make_unique<data::SyntheticImageDataset>(
+                       cfg, data::SyntheticImageDataset::Split::kTrain),
+                   "serve_ckpt/chain_resnet.bin", 5, 63);
+  const serve::Compiler compiler = fused_compiler();
+  ASSERT_GT(compiler.plan(*chain.served, chain.served_state.get()).fused_ops,
+            0u);
+  expect_chain_patches_by_merge(
+      chain, compiler, random_tensor(tensor::Shape({2, 3, 8, 8}), 64), 5);
+}
+
+TEST(Delta, UnfitSectionsPatchBitIdenticallyThroughTheDenseScan) {
+  // Valid deltas that do not fit the base nodes: every list reversed, or
+  // one layer's section split in two. Both apply, since apply_delta takes
+  // entries in any order, and patch the same plan a full recompile
+  // builds, by the dense-scan fallback, which the patch reports.
+  DstEeChain chain(chain_mlp, tabular_data(65), "serve_ckpt/chain_unfit.bin",
+                   1, 65);
+  const serve::CheckpointDelta delta = chain.step(0);
+  ASSERT_EQ(delta.sparse_layers.size(), 3u);
+
+  serve::CheckpointDelta reversed = delta;
+  for (serve::SparseLayerDelta& s : reversed.sparse_layers) {
+    ASSERT_GT(s.changed.size(), 1u);
+    std::reverse(s.removed.begin(), s.removed.end());
+    std::reverse(s.added.begin(), s.added.end());
+    std::reverse(s.changed.begin(), s.changed.end());
+  }
+  serve::CheckpointDelta split = delta;
+  serve::SparseLayerDelta second;
+  second.layer = split.sparse_layers[1].layer;
+  second.changed = std::move(split.sparse_layers[1].changed);
+  split.sparse_layers[1].changed.clear();
+  split.sparse_layers.push_back(std::move(second));
+
+  serve::Compiler compiler;
+  for (const auto& [variant, scanned] :
+       {std::pair{&reversed, std::size_t{3}}, std::pair{&split, std::size_t{1}}}) {
+    // A fresh served twin at the delta's base for each variant.
+    util::Rng rng(66);
+    auto module = chain_mlp(rng);
+    sparse::SparseModel state(*module, 0.9, sparse::DistributionKind::kErk,
+                              rng);
+    train::load_checkpoint("serve_ckpt/chain_unfit.bin", *module, &state);
+    module->set_training(false);
+    const serve::Plan base_plan = compiler.plan(*module, &state);
+
+    serve::apply_delta(*variant, *module, &state);
+    const serve::PlanPatch patch =
+        serve::apply_delta_to_plan(base_plan, *variant, *module, &state);
+    ASSERT_FALSE(patch.needs_full_recompile);
+    EXPECT_EQ(patch.patched_weight_nodes, 3u);
+    EXPECT_EQ(patch.scanned_weight_nodes, scanned);
+    EXPECT_TRUE(same_weights(patch.plan, compiler.plan(*module, &state)));
+  }
 }
 
 }  // namespace

@@ -439,7 +439,9 @@ int run_registry(const util::ArgParser& args) {
                       : std::to_string(swap_report->patched_weight_nodes) +
                             "/" +
                             std::to_string(swap_report->total_weight_nodes) +
-                            " weight nodes patched")
+                            " weight nodes patched (" +
+                            std::to_string(swap_report->scanned_weight_nodes) +
+                            " by a dense scan)")
               << ", swap epoch " << swap_report->swap_epoch << "\n";
   }
 
