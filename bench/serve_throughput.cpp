@@ -12,7 +12,7 @@
 // Runtime sweeps follow: (1) epilogue fusion (fused vs unfused
 // pipelines, equals-gated); (2) SIMD kernel-backend dispatch
 // (equals-gated against scalar); (3) InferenceServer closed-loop
-// throughput at 1 and 2 shards, the default batch hold against the fixed
+// throughput at 1 and 2 shards, the default hold rule against the fixed
 // fill-or-timeout window, hard-gated; (4) tail latency under a mid-run
 // delta hot swap, hard-gated on dropping nothing and on patching the plan
 // without a full recompile, with the p99 bound a note; (5) observability
@@ -312,12 +312,13 @@ double measure_server_rps(const serve::CompiledNet& net,
 }
 
 /// Sharded serving under closed-loop overload (8 clients, 1 worker per
-/// shard, max_batch 8, max_delay_ms 0.2): the default batch hold (about
-/// one forward time) against the fixed fill-or-timeout window, at 1 and 2
-/// shards. The four cells alternate, so host drift hits every cell alike,
-/// and each keeps its best of 7: on a shared 4-vCPU host one 0.45 s
-/// default-hold cell swings by +-15% (a preempted forward stretches the
-/// next hold to the cap), and best of 3 or 5 still let a ratio fall below
+/// shard, max_batch 8, max_delay_ms 0.2): the default hold rule (hold a
+/// partial batch one forward estimate while a second request is due
+/// within it, see serve::decide_hold) against the fixed fill-or-timeout
+/// window, at 1 and 2 shards. The four cells alternate, so host drift
+/// hits every cell alike, and each keeps its best of 7: on a shared
+/// 4-vCPU host one 0.45 s default-hold cell swings by +-15% (preempted
+/// clients and workers), and best of 3 or 5 still let a ratio fall below
 /// its gate now and then. Two hard gates, armed at >= 4 hardware
 /// threads (the bench host's count): at 1 shard the default keeps >=
 /// 0.85x the fixed window's req/s, because the short hold still fills

@@ -66,7 +66,7 @@ void ModelRegistry::add_model(const std::string& name,
     options.server.metrics_label = name;
   }
 
-  auto slot = std::make_unique<Slot>(std::move(options));
+  auto slot = std::make_shared<Slot>(std::move(options));
   slot->module = std::move(module);
   slot->state = std::move(state);
 
@@ -78,32 +78,35 @@ void ModelRegistry::add_model(const std::string& name,
   slot->server =
       std::make_unique<InferenceServer>(net, slot->options.server);
 
+  const bool autoscaled = slot->options.autoscaler.enabled;
+  // Declared before the lock: a retired slot the map held last is freed
+  // after mu_ is released.
+  std::shared_ptr<Slot> retired;
   util::MutexLock lock(mu_);
-  const auto newest = by_name_.find(name);
+  std::shared_ptr<Slot>& newest = by_name_[name];
   // A removed slot's name is free for re-use: re-adding a model after
   // remove_model is part of the eviction contract.
-  util::check(newest == by_name_.end() ||
-                  newest->second->removed.load(std::memory_order_acquire),
+  util::check(newest == nullptr ||
+                  newest->removed.load(std::memory_order_acquire),
               "ModelRegistry: duplicate model name '" + name + "'");
-  slot->name = name;
-  slots_.push_back(std::move(slot));
-  by_name_[name] = slots_.back().get();
-  if (slots_.back()->options.autoscaler.enabled) start_autoscaler();
+  retired = std::exchange(newest, std::move(slot));
+  if (autoscaled) start_autoscaler();
 }
 
 std::future<tensor::Tensor> ModelRegistry::submit(const std::string& name,
                                                   tensor::Tensor input) {
-  return find(name).server->submit(std::move(input));
+  return find(name)->server->submit(std::move(input));
 }
 
 std::optional<std::future<tensor::Tensor>> ModelRegistry::try_submit(
     const std::string& name, tensor::Tensor input) {
-  return find(name).server->try_submit(std::move(input));
+  return find(name)->server->try_submit(std::move(input));
 }
 
 SwapReport ModelRegistry::apply_delta(const std::string& name,
                                       const CheckpointDelta& delta) {
-  Slot& slot = find(name);
+  const std::shared_ptr<Slot> held = find(name);
+  Slot& slot = *held;
   util::MutexLock lock(slot.mu);
   // find() raced a concurrent remove_model: the slot was decommissioned
   // (module/state freed) while we waited for the swap lock.
@@ -140,7 +143,8 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
 
 void ModelRegistry::swap_model(const std::string& name,
                                const std::string& checkpoint_path) {
-  Slot& slot = find(name);
+  const std::shared_ptr<Slot> held = find(name);
+  Slot& slot = *held;
   util::MutexLock lock(slot.mu);
   util::check(!slot.removed.load(std::memory_order_acquire),
               "ModelRegistry: model '" + name + "' was removed");
@@ -179,7 +183,9 @@ void ModelRegistry::swap_model(const std::string& name,
 }
 
 void ModelRegistry::remove_model(const std::string& name) {
-  Slot& slot = find(name);  // throws when unknown or already removed
+  // Throws when unknown or already removed.
+  const std::shared_ptr<Slot> held = find(name);
+  Slot& slot = *held;
   // Publish the removal first: find() stops handing the slot out, so no
   // new submits/swaps reach it. Two removals can both pass find(); the
   // exchange lets exactly one through. A submit that already routed wins
@@ -190,7 +196,7 @@ void ModelRegistry::remove_model(const std::string& name) {
   util::MutexLock lock(slot.mu);  // serialize with in-flight swaps
   slot.server->decommission();    // drain, join, release the version
   // Release the training-side source of truth; the slot shell (stats,
-  // config) stays for the lifetime of the registry.
+  // config) stays until the name is re-added.
   slot.module.reset();
   slot.state.reset();
   slot.current.reset();
@@ -200,25 +206,25 @@ void ModelRegistry::remove_model(const std::string& name) {
 
 std::size_t ModelRegistry::scale_model(const std::string& name,
                                        std::size_t shards) {
-  return find(name).server->scale_to(shards);
+  return find(name)->server->scale_to(shards);
 }
 
 StatsSnapshot ModelRegistry::stats(const std::string& name) const {
-  return find(name).server->stats();
+  return find(name)->server->stats();
 }
 
 std::size_t ModelRegistry::num_active_shards(const std::string& name) const {
-  return find(name).server->num_active_shards();
+  return find(name)->server->num_active_shards();
 }
 
 std::size_t ModelRegistry::queue_depth(const std::string& name) const {
-  return find(name).server->queue_depth();
+  return find(name)->server->queue_depth();
 }
 
 std::uint64_t ModelRegistry::state_hash(const std::string& name) const {
-  Slot& slot = find(name);
-  util::MutexLock lock(slot.mu);
-  return slot.hash;
+  const std::shared_ptr<Slot> slot = find(name);
+  util::MutexLock lock(slot->mu);
+  return slot->hash;
 }
 
 std::vector<std::string> ModelRegistry::model_names() const {
@@ -254,12 +260,11 @@ void ModelRegistry::shutdown() {
   as_cv_.notify_all();
   if (autoscaler_.joinable()) autoscaler_.join();
   util::MutexLock lock(mu_);
-  for (const auto& slot : slots_) {
-    if (slot->server != nullptr) slot->server->shutdown();
-  }
+  for (const auto& [name, slot] : by_name_) slot->server->shutdown();
 }
 
-ModelRegistry::Slot& ModelRegistry::find(const std::string& name) const {
+std::shared_ptr<ModelRegistry::Slot> ModelRegistry::find(
+    const std::string& name) const {
   util::MutexLock lock(mu_);
   const auto it = by_name_.find(name);
   if (it == by_name_.end()) {
@@ -268,7 +273,7 @@ ModelRegistry::Slot& ModelRegistry::find(const std::string& name) const {
   if (it->second->removed.load(std::memory_order_acquire)) {
     util::fail("ModelRegistry: model '" + name + "' was removed");
   }
-  return *it->second;
+  return it->second;
 }
 
 std::shared_ptr<const CompiledNet> ModelRegistry::recompile(Slot& slot) {
@@ -287,11 +292,9 @@ void ModelRegistry::start_autoscaler() {
 void ModelRegistry::autoscale_loop() {
   for (;;) {
     double interval_ms = 50.0;
-    std::vector<Slot*> scaled;
+    std::vector<std::shared_ptr<Slot>> scaled;
     {
       util::MutexLock lock(mu_);
-      // Every live slot is its name's newest, so retired shells are never
-      // walked.
       for (const auto& [name, slot] : by_name_) {
         if (slot->options.autoscaler.enabled &&
             !slot->removed.load(std::memory_order_acquire)) {
@@ -313,7 +316,7 @@ void ModelRegistry::autoscale_loop() {
       }
       if (as_stop_) return;
     }
-    for (Slot* slot : scaled) {
+    for (const std::shared_ptr<Slot>& slot : scaled) {
       AutoscalerConfig cfg = slot->options.autoscaler;
       if (cfg.max_shards == 0) cfg.max_shards = slot->server->num_shards();
       const std::size_t active = slot->server->num_active_shards();

@@ -105,12 +105,14 @@ struct ModelOptions {
 ///
 /// Thread-safety: add_model/apply_delta/swap_model/scale_model/
 /// remove_model may be called concurrently with each other and with
-/// submit/try_submit from any number of threads. Slot STORAGE lives until
-/// shutdown() (references handed out internally stay valid), but
-/// remove_model() decommissions a slot: its server drains in-flight
-/// requests on the version they captured, the version and the model
-/// state are released, and later lookups of the name fail until it is
-/// re-added.
+/// submit/try_submit from any number of threads. Each call holds a
+/// shared reference to the slot it looked up, so a slot outlives a
+/// concurrent removal and re-add. remove_model() decommissions a slot:
+/// its server drains in-flight requests on the version they captured,
+/// the version and the model state are released, and later lookups of
+/// the name fail until it is re-added. The removed slot's shell (server
+/// stats, options) stays until the name is re-added, which frees it once
+/// no call still holds it.
 class ModelRegistry {
  public:
   /// Evictions (and per-model serving metrics, when ModelOptions wires
@@ -186,7 +188,6 @@ class ModelRegistry {
     explicit Slot(ModelOptions opts)
         : options(std::move(opts)), compiler(options.compile) {}
 
-    std::string name;  ///< immutable after add_model publishes the slot
     const ModelOptions options;
     std::unique_ptr<nn::Sequential> module;
     std::unique_ptr<sparse::SparseModel> state;
@@ -205,14 +206,14 @@ class ModelRegistry {
     /// Set by remove_model's exchange before it decommissions the slot:
     /// the one call that flips it evicts, a concurrent one throws.
     /// find() refuses removed slots, so no new work reaches a slot whose
-    /// version is being released. Storage stays until shutdown().
+    /// version is being released.
     std::atomic<bool> removed{false};
   };
 
   /// Name lookup, one map probe; throws CheckError on unknown and on
-  /// removed names. The returned slot is pointer-stable (slot storage is
-  /// never freed before shutdown()).
-  Slot& find(const std::string& name) const;
+  /// removed names. The caller's reference keeps the slot alive across a
+  /// concurrent remove and re-add of the name.
+  std::shared_ptr<Slot> find(const std::string& name) const;
 
   /// Compiles the slot's current model state, records it as the
   /// slot's published version under slot.mu and returns it.
@@ -225,12 +226,10 @@ class ModelRegistry {
   obs::MetricsRegistry* metrics_;       ///< never null
   obs::Counter* evictions_;             ///< dstee_model_evictions_total
 
-  mutable util::Mutex mu_;  ///< guards the slot vector and the name map
-  /// Every slot ever added, removed ones included (append-only).
-  std::vector<std::unique_ptr<Slot>> slots_ DSTEE_GUARDED_BY(mu_);
-  /// Each name's newest slot, removed or not: lookups cost one probe
-  /// however many slots a rotating registry has retired.
-  std::map<std::string, Slot*> by_name_ DSTEE_GUARDED_BY(mu_);
+  mutable util::Mutex mu_;  ///< guards the name map
+  /// Each name's newest slot, removed or not: lookups cost one probe, and
+  /// re-adding a name drops its retired slot.
+  std::map<std::string, std::shared_ptr<Slot>> by_name_ DSTEE_GUARDED_BY(mu_);
 
   util::Mutex as_mu_;
   bool as_stop_ DSTEE_GUARDED_BY(as_mu_) = false;

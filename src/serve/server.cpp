@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -27,15 +28,61 @@ double millis_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// Indexed by InferenceServer::FlushReason. Span names need static
-// storage (TraceRecorder::record copies only the pointer).
+// Indexed by FlushReason. Span names need static storage
+// (TraceRecorder::record copies only the pointer).
 constexpr const char* kFlushReasonNames[] = {"full", "window", "deadline",
-                                             "shutdown"};
+                                             "shutdown", "idle"};
 constexpr const char* kFlushSpanNames[] = {"flush:full", "flush:window",
                                            "flush:deadline",
-                                           "flush:shutdown"};
+                                           "flush:shutdown", "flush:idle"};
 
 }  // namespace
+
+HoldDecision decide_hold(std::size_t queued, Clock::duration head_age,
+                         Clock::duration forward, Clock::duration mean_gap,
+                         bool stopping, const ServerConfig& config) {
+  if (queued >= config.max_batch) return FlushReason::kFull;
+  if (stopping) return FlushReason::kShutdown;
+  // A forward shorter than the mean gap ends before the next request is
+  // due: holding would only delay the head.
+  if (!config.fill_or_timeout && forward < mean_gap) return FlushReason::kIdle;
+  const Clock::duration max_delay = millis_duration(config.max_delay_ms);
+  const bool windowed = !config.fill_or_timeout && forward < max_delay;
+  const Clock::duration hold = windowed ? forward : max_delay;
+  if (head_age >= hold) {
+    return windowed ? FlushReason::kWindow : FlushReason::kDeadline;
+  }
+  return hold - head_age;
+}
+
+void ArrivalGaps::observe(Clock::time_point arrival) {
+  if (last_) {
+    const Clock::duration gap = arrival - *last_;
+    mean_ = mean_ == Clock::duration::max() ? gap : mean_ + (gap - mean_) / 8;
+  }
+  last_ = arrival;
+}
+
+void ForwardEstimate::record(Clock::duration forward) {
+  recent_[next_] = forward;
+  next_ = (next_ + 1) % recent_.size();
+  count_ = std::min(count_ + 1, recent_.size());
+}
+
+Clock::duration ForwardEstimate::estimate() const {
+  // Until the ring fills, its first count_ slots hold every forward.
+  const auto& [a, b, c] = recent_;
+  switch (count_) {
+    case 0:
+      return {};
+    case 1:
+      return a;
+    case 2:
+      return std::min(a, b);
+    default:
+      return std::max(std::min(a, b), std::min(std::max(a, b), c));
+  }
+}
 
 InferenceServer::InferenceServer(const CompiledNet& net, ServerConfig config)
     : InferenceServer(util::borrow(net), config) {}
@@ -143,6 +190,7 @@ std::future<tensor::Tensor> InferenceServer::enqueue(Shard& shard,
   // nonzero id and its spans land in the trace.
   req.trace_id = obs::trace().sample();
   req.enqueued = obs::now();
+  shard.arrivals.observe(req.enqueued);
   std::future<tensor::Tensor> result = req.result.get_future();
   shard.queue.push_back(std::move(req));
   shard.stats.record_queue_depth(shard.queue.size());
@@ -213,35 +261,28 @@ std::size_t InferenceServer::queue_depth() const {
 
 InferenceServer::Batch InferenceServer::next_batch(
     Shard& shard, std::optional<Clock::duration> forward) {
-  const Clock::duration max_delay = millis_duration(config_.max_delay_ms);
   util::UniqueLock lock(shard.mu);
-  if (forward) shard.last_forward = *forward;
+  if (forward) shard.forwards.record(*forward);
   for (;;) {
     while (!shard.stopping && shard.queue.empty()) shard.queue_cv.wait(lock);
     if (shard.queue.empty()) return {};  // stopping and fully drained
 
-    // Hold a partial batch for more requests, but never keep the head
-    // waiting past its hold: one forward time (the window), capped at
-    // max_delay_ms (the deadline). Both are recomputed each pass — another
-    // worker may have drained the queue and a newer request become head,
-    // or finished a forward and moved last_forward. During shutdown flush
-    // at once.
+    // Decided afresh on every wake: another worker may have drained the
+    // queue and a newer request become head, or finished a forward and
+    // moved the estimate.
     FlushReason reason = FlushReason::kFull;
-    while (!shard.queue.empty() && shard.queue.size() < config_.max_batch) {
-      if (shard.stopping) {
-        reason = FlushReason::kShutdown;
+    while (!shard.queue.empty()) {
+      const Clock::time_point now = obs::now();
+      const HoldDecision decision = decide_hold(
+          shard.queue.size(), now - shard.queue.front().enqueued,
+          shard.forwards.estimate(), shard.arrivals.mean(), shard.stopping,
+          config_);
+      if (const auto* flush = std::get_if<FlushReason>(&decision)) {
+        reason = *flush;
         break;
       }
-      const bool windowed =
-          !config_.fill_or_timeout && shard.last_forward < max_delay;
-      const Clock::time_point deadline =
-          shard.queue.front().enqueued +
-          (windowed ? shard.last_forward : max_delay);
-      if (obs::now() >= deadline) {
-        reason = windowed ? FlushReason::kWindow : FlushReason::kDeadline;
-        break;
-      }
-      shard.queue_cv.wait_until(lock, deadline);
+      shard.queue_cv.wait_until(lock,
+                                now + std::get<Clock::duration>(decision));
     }
     if (shard.queue.empty()) continue;
 
@@ -260,8 +301,8 @@ InferenceServer::Batch InferenceServer::next_batch(
 }
 
 void InferenceServer::worker_loop(Shard& shard) {
-  // Wall time of this worker's last forward, handed to next_batch as the
-  // shard's new hold. A failed batch hands nullopt: the hold stays as is.
+  // Wall time of this worker's last forward, handed to next_batch for the
+  // shard's forward estimate. A failed batch hands nullopt.
   std::optional<Clock::duration> forward;
   for (;;) {
     Batch next = next_batch(shard, std::exchange(forward, std::nullopt));

@@ -32,24 +32,29 @@
 //
 // Within a group, workers coalesce queued requests of equal sample shape
 // into [batch, ...] tensors and run them through the published
-// CompiledNet (whose forward is const and thread-safe). A partial batch
-// is held for more requests until `max_batch` are queued or the oldest
-// queued request has waited its hold: the shard's last measured forward
-// time, capped at `max_delay_ms`. Holding for about one forward lets
-// requests that arrive while a batch would run join it, so batches still
-// form under load, but a lone request at low load waits microseconds,
-// not the whole delay.
-// The shard's first batch is not held. `fill_or_timeout` restores the
-// fixed window: hold for the full `max_delay_ms`.
+// CompiledNet (whose forward is const and thread-safe). Whether a partial
+// batch waits for more requests is decided by decide_hold(), a pure
+// function of what the shard observes: a partial batch is flushed at once
+// when the shard's forward estimate (the median of its last three
+// forwards) is shorter than the mean gap between its arrivals, because no
+// second request is due before the batch would be done. Otherwise it is
+// held until `max_batch` are queued or the oldest queued request has
+// waited one forward estimate, capped at `max_delay_ms`, so requests that
+// arrive while a batch would run join it and batches still form under
+// load. A lone request at low load waits for nothing, and the shard's
+// first batch is not held. `fill_or_timeout` restores the fixed window:
+// hold every partial batch for the full `max_delay_ms`.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "obs/clock.hpp"
@@ -72,11 +77,14 @@ struct ServerConfig {
   std::size_t num_threads = 2;   ///< batch-executing threads PER shard
   std::size_t num_shards = 1;    ///< initially ACTIVE worker groups
   std::size_t max_batch = 16;    ///< flush when this many requests queue
-  /// Cap on how long a partial batch's head request is held; the hold
-  /// itself is the shard's last forward time when that is shorter.
+  /// Cap on how long a partial batch's head request is held. A partial
+  /// batch is held only while its shard's forward estimate is at least
+  /// the mean gap between its arrivals, and then for one forward
+  /// estimate when that is shorter than this cap (see decide_hold).
   double max_delay_ms = 2.0;
   /// Hold every partial batch for the full `max_delay_ms` (the fixed
-  /// fill-or-timeout window) instead of about one forward time.
+  /// fill-or-timeout window), whatever the forward estimate and the
+  /// arrival gaps.
   bool fill_or_timeout = false;
   std::size_t queue_capacity = 4096;  ///< per-shard; submit() blocks beyond
   std::size_t max_shards = 0;    ///< scaling headroom; 0 = num_shards
@@ -88,6 +96,62 @@ struct ServerConfig {
   /// ServerStats. Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_label;  ///< `model` label on exported metrics
+};
+
+/// Why a micro-batch's hold ended.
+enum class FlushReason : std::uint8_t {
+  kFull,      ///< max_batch requests were queued
+  kWindow,    ///< the head request waited one forward estimate
+  kDeadline,  ///< the head request waited max_delay_ms
+  kShutdown,  ///< the shard is stopping
+  kIdle,      ///< no second request is due within one forward: no hold
+};
+inline constexpr std::size_t kFlushReasons = 5;
+
+/// The batcher's decision for its queue: flush now, for a reason, or
+/// hold the head request this much longer.
+using HoldDecision = std::variant<FlushReason, obs::Clock::duration>;
+
+/// The hold rule, a pure function of what a shard observes. `queued`
+/// (>= 1) requests wait, the oldest for `head_age`; `forward` is the
+/// shard's forward estimate (zero before its first forward) and
+/// `mean_gap` the mean gap between its arrivals (duration::max() before
+/// its second arrival). In order: `max_batch` queued flushes kFull;
+/// `stopping` flushes kShutdown; `fill_or_timeout` holds the head to
+/// `max_delay_ms`, then flushes kDeadline; a forward estimate shorter
+/// than the mean gap flushes kIdle; otherwise the head is held one
+/// forward estimate, then flushes kWindow, or, when the estimate is at
+/// least `max_delay_ms`, held to `max_delay_ms`, then flushes kDeadline.
+HoldDecision decide_hold(std::size_t queued, obs::Clock::duration head_age,
+                         obs::Clock::duration forward,
+                         obs::Clock::duration mean_gap, bool stopping,
+                         const ServerConfig& config);
+
+/// The mean gap between a shard's arrivals: a moving average with weight
+/// 1/8, seeded by the first gap. Not synchronized.
+class ArrivalGaps {
+ public:
+  void observe(obs::Clock::time_point arrival);
+  /// duration::max() until a second arrival gives the first gap.
+  obs::Clock::duration mean() const { return mean_; }
+
+ private:
+  std::optional<obs::Clock::time_point> last_;
+  obs::Clock::duration mean_ = obs::Clock::duration::max();
+};
+
+/// A shard's forward estimate: the median of its last three successful
+/// forwards (the smaller of two, the one of one, zero before the first),
+/// so one preempted forward does not stretch the hold. Not synchronized.
+class ForwardEstimate {
+ public:
+  void record(obs::Clock::duration forward);
+  obs::Clock::duration estimate() const;
+
+ private:
+  std::array<obs::Clock::duration, 3> recent_{};
+  std::size_t count_ = 0;  ///< forwards recorded, saturating at 3
+  std::size_t next_ = 0;   ///< ring slot the next forward overwrites
 };
 
 /// Multi-threaded micro-batching front-end over one hot-swappable
@@ -182,7 +246,8 @@ class InferenceServer {
   };
 
   /// One worker group: a queue, workers and stats. Lock discipline: `mu`
-  /// guards the queue, the stopping flag and the hold (`last_forward`);
+  /// guards the queue, the stopping flag and the hold's inputs
+  /// (`arrivals`, `forwards`);
   /// `stats` is internally synchronized; `workers` is touched only by the
   /// constructing/joining thread (never by the workers themselves).
   struct Shard {
@@ -191,10 +256,10 @@ class InferenceServer {
     util::CondVar space_cv;  ///< signals queue room
     std::deque<Request> queue DSTEE_GUARDED_BY(mu);
     bool stopping DSTEE_GUARDED_BY(mu) = false;
-    /// Wall time of the shard's most recent successful forward: how long
-    /// a partial batch is held (capped at max_delay_ms). Zero until the
-    /// first forward, so the first batch is not held.
-    obs::Clock::duration last_forward DSTEE_GUARDED_BY(mu){};
+    /// Gaps between enqueue stamps, updated by enqueue().
+    ArrivalGaps arrivals DSTEE_GUARDED_BY(mu);
+    /// The shard's recent successful forwards, updated by next_batch().
+    ForwardEstimate forwards DSTEE_GUARDED_BY(mu);
 
     ServerStats stats;
     // Shard workers ARE the serving inter-op layer (long-lived batchers,
@@ -215,13 +280,6 @@ class InferenceServer {
 
   void validate_sample(const tensor::Tensor& input) const;
 
-  /// Why next_batch stopped holding a partial batch: max_batch requests
-  /// were queued, the head waited one forward time (the window) or
-  /// max_delay_ms (the deadline), or the shard is shutting down.
-  enum class FlushReason : std::uint8_t { kFull, kWindow, kDeadline,
-                                          kShutdown };
-  static constexpr std::size_t kFlushReasons = 4;
-
   struct Batch {
     std::vector<Request> requests;  ///< empty means shutdown
     FlushReason reason = FlushReason::kFull;
@@ -229,10 +287,10 @@ class InferenceServer {
 
   void worker_loop(Shard& shard);
   /// Pops the next micro-batch from `shard` (requests of equal sample
-  /// shape, up to max_batch, held as the file comment describes).
-  /// `forward` is the wall time of the caller's previous forward, or
-  /// nullopt if it failed or none ran; it becomes the shard's
-  /// last_forward under the lock the pop takes anyway.
+  /// shape, up to max_batch, held as decide_hold says). `forward` is the
+  /// wall time of the caller's previous forward, or nullopt if it failed
+  /// or none ran; it joins the shard's forward estimate under the lock
+  /// the pop takes anyway.
   Batch next_batch(Shard& shard, std::optional<obs::Clock::duration> forward);
 
   ServerConfig config_;

@@ -540,7 +540,7 @@ TEST(Registry, RemoveModelEvictsCountsAndAllowsReAdd) {
 }
 
 TEST(Registry, LookupAfterManyRemovalsServesTheLiveModel) {
-  // A registry that rotates a model keeps every retired slot; lookups
+  // A registry that rotates a model retires a slot per cycle; lookups
   // must still find the live model by name, whatever the history.
   obs::MetricsRegistry metrics;
   serve::ModelRegistry registry(&metrics);
@@ -576,6 +576,71 @@ TEST(Registry, LookupAfterManyRemovalsServesTheLiveModel) {
   EXPECT_EQ(registry.num_models(), 2u);
   EXPECT_TRUE(
       registry.submit("tmp", x).get().equals(expected_row(9, x, false)));
+  registry.shutdown();
+}
+
+TEST(Registry, ReAddDuringTrySubmitKeepsEveryHeldSlotAlive) {
+  // The main thread removes and re-adds "rot" while clients try_submit
+  // to it and to "keep". Re-adding frees the retired slot once no call
+  // holds it, so a client whose lookup found the old slot still submits
+  // to a live object: every call returns or throws CheckError, every
+  // accepted request gets its model's answer, and "keep" never fails.
+  constexpr std::size_t kCycles = 200;
+  constexpr std::size_t kClients = 3;
+  obs::MetricsRegistry metrics;
+  serve::ModelRegistry registry(&metrics);
+  serve::ModelOptions mopts;
+  mopts.server.num_threads = 1;
+  mopts.server.max_delay_ms = 0.2;
+  SeededModel::add_to(registry, "keep", 5, mopts);
+  SeededModel::add_to(registry, "rot", 6, mopts);
+  const auto x = random_tensor(tensor::Shape({12}), 21);
+  const tensor::Tensor keep_row = expected_row(5, x, false);
+  const tensor::Tensor rot_row = expected_row(6, x, false);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> keep_served{0}, rot_served{0}, wrong{0},
+      keep_errors{0}, other_errors{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      while (!stop.load()) {
+        for (const bool to_rot : {true, false}) {
+          try {
+            auto reply = registry.try_submit(to_rot ? "rot" : "keep", x);
+            if (!reply) continue;  // shed
+            const tensor::Tensor row = reply->get();
+            if (!row.equals(to_rot ? rot_row : keep_row)) wrong.fetch_add(1);
+            (to_rot ? rot_served : keep_served).fetch_add(1);
+          } catch (const util::CheckError&) {
+            // "rot" may be removed, or its server shut down, mid-call.
+            if (!to_rot) keep_errors.fetch_add(1);
+          } catch (...) {
+            other_errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  // Let the clients reach both models before the first removal.
+  while (keep_served.load() + keep_errors.load() + other_errors.load() < 20) {
+    std::this_thread::yield();
+  }
+  for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+    registry.remove_model("rot");
+    SeededModel::add_to(registry, "rot", 6, mopts);
+  }
+  stop.store(true);
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(keep_errors.load(), 0u);
+  EXPECT_EQ(other_errors.load(), 0u);
+  EXPECT_GT(rot_served.load(), 0u);
+  EXPECT_EQ(metrics.counter("dstee_model_evictions_total").value(), kCycles);
+  EXPECT_EQ(registry.model_names(),
+            (std::vector<std::string>{"keep", "rot"}));
+  EXPECT_TRUE(registry.submit("rot", x).get().equals(rot_row));
   registry.shutdown();
 }
 

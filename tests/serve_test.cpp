@@ -1,7 +1,7 @@
 // Serving-path tests: CompiledNet lowering (CSR SpMM, BN folding, dropout
 // elision), the micro-batching InferenceServer (flush-on-full,
-// flush-on-timeout, concurrency, shutdown semantics) and the checkpoint →
-// CompiledNet round trip.
+// flush-on-timeout, concurrency, shutdown semantics), the batcher's hold
+// rule on a simulated clock and the checkpoint → CompiledNet round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,16 +9,21 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/dst_ee.hpp"
@@ -671,6 +676,339 @@ TEST(Server, IdleShardDoesNotWaitOutMaxDelay) {
         << "request " << i;
   }
   server.shutdown();
+}
+
+TEST(Server, FirstLoneRequestFlushesIdle) {
+  // Before its first forward a shard's forward estimate is zero, shorter
+  // than any arrival gap: the first batch is not held, and its flush is
+  // counted and traced as idle.
+  CompiledHarness h(0.5);
+  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  obs::MetricsRegistry registry;
+  serve::ServerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.max_delay_ms = 60000.0;
+  cfg.metrics = &registry;
+  cfg.metrics_label = "m0";
+  // The process-wide recorder keeps earlier tests' spans: count only
+  // flush spans that start after this stamp.
+  const std::int64_t start_ns = obs::now_ns();
+  obs::trace().enable(/*sample_every=*/1);
+  serve::InferenceServer server(net, cfg);
+  std::future<tensor::Tensor> reply =
+      server.submit(random_tensor(tensor::Shape({12}), 75));
+  ASSERT_EQ(reply.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  server.shutdown();
+  obs::trace().disable();
+  EXPECT_EQ(registry.counter("dstee_batches_total", "m0").value(), 1u);
+  EXPECT_EQ(registry.counter("dstee_batch_flush_idle_total", "m0").value(),
+            1u);
+  std::vector<std::string> flushes;
+  for (const obs::TraceEvent& event : obs::trace().drain()) {
+    if (event.kind == obs::SpanKind::kFlush && event.ts_ns >= start_ns) {
+      flushes.emplace_back(event.name);
+    }
+  }
+  EXPECT_EQ(flushes, std::vector<std::string>{"flush:idle"});
+}
+
+// --- The hold rule on a simulated clock --------------------------------
+//
+// decide_hold is a pure function of what a shard observes, so these tests
+// drive it with scripted arrivals and forwards on a simulated clock: no
+// sleeps, no threads, and every decision is asserted exactly.
+
+using SimDuration = obs::Clock::duration;
+using SimTime = obs::Clock::time_point;
+
+SimDuration sim_us(double us) {
+  return std::chrono::duration_cast<SimDuration>(
+      std::chrono::duration<double, std::micro>(us));
+}
+
+/// One simulated micro-batch: its size, why its hold ended and how many
+/// hold decisions came before the flush.
+struct SimBatch {
+  std::size_t size = 0;
+  serve::FlushReason reason = serve::FlushReason::kFull;
+  std::size_t holds = 0;
+};
+
+/// Runs one shard with one worker as next_batch does: each arrival joins
+/// the queue and the shard's ArrivalGaps at its time, the worker asks
+/// decide_hold and either flushes or sleeps until the next arrival or the
+/// hold's end, and batch k takes `forward(k, size)`, which the shard's
+/// ForwardEstimate records. `on_done(size, done, arrivals)` may script
+/// the arrivals a completed batch causes (a closed loop). Stops after
+/// `max_batches` batches or when no request is left.
+std::vector<SimBatch> simulate_shard(
+    const serve::ServerConfig& config, std::multiset<SimTime> arrivals,
+    const std::function<SimDuration(std::size_t, std::size_t)>& forward,
+    const std::function<void(std::size_t, SimTime, std::multiset<SimTime>&)>&
+        on_done,
+    std::size_t max_batches) {
+  serve::ArrivalGaps gaps;
+  serve::ForwardEstimate forwards;
+  std::deque<SimTime> queue;
+  std::vector<SimBatch> batches;
+  SimTime now{};
+  const auto admit = [&] {
+    while (!arrivals.empty() && *arrivals.begin() <= now) {
+      gaps.observe(*arrivals.begin());
+      queue.push_back(*arrivals.begin());
+      arrivals.erase(arrivals.begin());
+    }
+  };
+  while (batches.size() < max_batches) {
+    admit();
+    if (queue.empty()) {
+      if (arrivals.empty()) break;
+      now = *arrivals.begin();
+      continue;
+    }
+    SimBatch batch;
+    for (;;) {
+      const serve::HoldDecision decision =
+          serve::decide_hold(queue.size(), now - queue.front(),
+                             forwards.estimate(), gaps.mean(),
+                             /*stopping=*/false, config);
+      if (const auto* reason = std::get_if<serve::FlushReason>(&decision)) {
+        batch.reason = *reason;
+        break;
+      }
+      ++batch.holds;
+      const SimTime until = now + std::get<SimDuration>(decision);
+      now = !arrivals.empty() && *arrivals.begin() <= until
+                ? *arrivals.begin()
+                : until;
+      admit();
+    }
+    batch.size = std::min(queue.size(), config.max_batch);
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(batch.size));
+    const SimDuration took = forward(batches.size(), batch.size);
+    now += took;
+    forwards.record(took);
+    batches.push_back(batch);
+    if (on_done) on_done(batch.size, now, arrivals);
+  }
+  return batches;
+}
+
+/// Poisson arrivals at `rate` per second from a fixed seed.
+std::multiset<SimTime> poisson_arrivals(double rate, std::size_t count,
+                                        std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::exponential_distribution<double> gap_s(rate);
+  std::multiset<SimTime> arrivals;
+  double t_s = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    t_s += gap_s(gen);
+    arrivals.insert(SimTime{} + sim_us(t_s * 1e6));
+  }
+  return arrivals;
+}
+
+/// perfbench's mlp_fleet_swap shard: max_batch 16, max_delay_ms 2.
+serve::ServerConfig fleet_shard_config() {
+  serve::ServerConfig cfg;
+  cfg.max_batch = 16;
+  cfg.max_delay_ms = 2.0;
+  return cfg;
+}
+
+TEST(HoldRule, PoissonArrivalsFlushEveryRequestIdle) {
+  // One shard of mlp_fleet_swap: 500 req/s (a 2 ms mean gap) against a
+  // 0.043 ms forward. No second request is due within one forward, so
+  // no request is ever held.
+  const std::vector<SimBatch> batches = simulate_shard(
+      fleet_shard_config(), poisson_arrivals(500.0, 4000, 61),
+      [](std::size_t, std::size_t) { return sim_us(43); }, {}, 4000);
+  std::size_t requests = 0, lone = 0;
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    EXPECT_EQ(batches[k].reason, serve::FlushReason::kIdle) << "batch " << k;
+    EXPECT_EQ(batches[k].holds, 0u) << "batch " << k;
+    requests += batches[k].size;
+    if (batches[k].size == 1) ++lone;
+  }
+  EXPECT_EQ(requests, 4000u);
+  EXPECT_GT(lone, batches.size() * 9 / 10);
+}
+
+TEST(HoldRule, ClosedLoopBurstsHoldThenFlushFullOrWindow) {
+  // sweep_shards' shape: closed-loop clients resubmit as soon as their
+  // batch completes, so a burst arrives after each batch, microseconds
+  // apart, and the mean gap stays far below one forward.
+  for (const std::size_t clients : {std::size_t{8}, std::size_t{4}}) {
+    serve::ServerConfig cfg;
+    cfg.max_batch = 8;
+    cfg.max_delay_ms = 0.2;
+    std::multiset<SimTime> first_burst;
+    for (std::size_t c = 0; c < clients; ++c) {
+      first_burst.insert(SimTime{} + sim_us(1.0 + 2.0 * c));
+    }
+    const auto resubmit = [](std::size_t size, SimTime done,
+                             std::multiset<SimTime>& arrivals) {
+      for (std::size_t c = 0; c < size; ++c) {
+        arrivals.insert(done + sim_us(1.0 + 2.0 * c));
+      }
+    };
+    const std::vector<SimBatch> batches = simulate_shard(
+        cfg, first_burst,
+        [](std::size_t, std::size_t size) {
+          return sim_us(40.0 + 6.0 * static_cast<double>(size));
+        },
+        resubmit, 200);
+    ASSERT_EQ(batches.size(), 200u);
+    // The first batch runs before any forward is known.
+    EXPECT_EQ(batches[0].reason, serve::FlushReason::kIdle);
+    // Eight clients fill max_batch; four never can, so their hold ends
+    // after one forward estimate.
+    const serve::FlushReason expected = clients == 8
+                                            ? serve::FlushReason::kFull
+                                            : serve::FlushReason::kWindow;
+    for (std::size_t k = 2; k < batches.size(); ++k) {
+      SCOPED_TRACE(std::to_string(clients) + " clients, batch " +
+                   std::to_string(k));
+      EXPECT_GE(batches[k].holds, 1u);
+      EXPECT_EQ(batches[k].reason, expected);
+      EXPECT_EQ(batches[k].size, clients);
+    }
+  }
+}
+
+TEST(HoldRule, OnePreemptedForwardDoesNotChangeTheNextDecisions) {
+  // Batch 100's forward is preempted for 5 ms among 0.043 ms ones. The
+  // median of the last three forwards ignores it, so every later decision
+  // is the one an unpreempted run makes: flush idle, hold nothing.
+  const serve::ServerConfig cfg = fleet_shard_config();
+  const auto run = [&](bool preempted) {
+    return simulate_shard(
+        cfg, poisson_arrivals(500.0, 2000, 73),
+        [preempted](std::size_t k, std::size_t) {
+          return sim_us(preempted && k == 100 ? 5000.0 : 43.0);
+        },
+        {}, 2000);
+  };
+  const std::vector<SimBatch> steady = run(false);
+  const std::vector<SimBatch> preempted = run(true);
+  ASSERT_GT(preempted.size(), 101u);
+  ASSERT_GE(steady.size(), preempted.size());
+  for (std::size_t k = 101; k < preempted.size(); ++k) {
+    EXPECT_EQ(preempted[k].reason, steady[k].reason) << "batch " << k;
+    EXPECT_EQ(preempted[k].holds, steady[k].holds) << "batch " << k;
+  }
+  // A last-forward estimate would hold the next lone request to the
+  // max_delay_ms cap.
+  EXPECT_EQ(serve::decide_hold(1, {}, sim_us(5000), sim_us(2000), false, cfg),
+            serve::HoldDecision{sim_us(2000)});
+}
+
+TEST(HoldRule, FirstBatchIsNotHeld) {
+  const serve::ServerConfig cfg = fleet_shard_config();
+  // No forward and no second arrival yet.
+  EXPECT_EQ(serve::decide_hold(1, {}, {}, SimDuration::max(), false, cfg),
+            serve::HoldDecision{serve::FlushReason::kIdle});
+  EXPECT_EQ(serve::decide_hold(3, {}, {}, sim_us(1), false, cfg),
+            serve::HoldDecision{serve::FlushReason::kIdle});
+  // Even arrivals with equal stamps get a zero hold.
+  EXPECT_EQ(serve::decide_hold(2, {}, {}, {}, false, cfg),
+            serve::HoldDecision{serve::FlushReason::kWindow});
+}
+
+TEST(HoldRule, HoldsOneForwardWhenASecondRequestIsDue) {
+  const serve::ServerConfig cfg = fleet_shard_config();
+  // A 50 us forward against a 20 us mean gap: hold the head 50 us.
+  EXPECT_EQ(serve::decide_hold(1, {}, sim_us(50), sim_us(20), false, cfg),
+            serve::HoldDecision{sim_us(50)});
+  EXPECT_EQ(serve::decide_hold(3, sim_us(30), sim_us(50), sim_us(20), false,
+                               cfg),
+            serve::HoldDecision{sim_us(20)});
+  EXPECT_EQ(serve::decide_hold(3, sim_us(50), sim_us(50), sim_us(20), false,
+                               cfg),
+            serve::HoldDecision{serve::FlushReason::kWindow});
+  // A forward exactly as long as the mean gap still holds.
+  EXPECT_EQ(serve::decide_hold(1, {}, sim_us(50), sim_us(50), false, cfg),
+            serve::HoldDecision{sim_us(50)});
+  EXPECT_EQ(serve::decide_hold(1, {}, sim_us(50), sim_us(51), false, cfg),
+            serve::HoldDecision{serve::FlushReason::kIdle});
+}
+
+TEST(HoldRule, FillOrTimeoutHoldsToMaxDelayAndFlushesDeadline) {
+  serve::ServerConfig cfg = fleet_shard_config();
+  cfg.fill_or_timeout = true;
+  // Whatever the forward and the gaps, the idle rule included.
+  for (const SimDuration forward : {SimDuration{}, sim_us(50)}) {
+    for (const SimDuration gap : {sim_us(10), SimDuration::max()}) {
+      EXPECT_EQ(serve::decide_hold(1, {}, forward, gap, false, cfg),
+                serve::HoldDecision{sim_us(2000)});
+      EXPECT_EQ(serve::decide_hold(4, sim_us(1500), forward, gap, false, cfg),
+                serve::HoldDecision{sim_us(500)});
+      EXPECT_EQ(serve::decide_hold(4, sim_us(2000), forward, gap, false, cfg),
+                serve::HoldDecision{serve::FlushReason::kDeadline});
+    }
+  }
+}
+
+TEST(HoldRule, ForwardAtLeastMaxDelayHoldsToMaxDelayAndFlushesDeadline) {
+  const serve::ServerConfig cfg = fleet_shard_config();  // 2 ms cap
+  for (const SimDuration forward : {sim_us(2000), sim_us(3000)}) {
+    EXPECT_EQ(serve::decide_hold(1, {}, forward, sim_us(100), false, cfg),
+              serve::HoldDecision{sim_us(2000)});
+    EXPECT_EQ(serve::decide_hold(1, sim_us(2000), forward, sim_us(100), false,
+                                 cfg),
+              serve::HoldDecision{serve::FlushReason::kDeadline});
+  }
+}
+
+TEST(HoldRule, StoppingFlushesShutdownAndAFullQueueFlushesFull) {
+  serve::ServerConfig cfg = fleet_shard_config();
+  for (const bool fixed : {false, true}) {
+    cfg.fill_or_timeout = fixed;
+    EXPECT_EQ(serve::decide_hold(1, {}, sim_us(50), sim_us(20), true, cfg),
+              serve::HoldDecision{serve::FlushReason::kShutdown});
+    // A full queue flushes kFull, during shutdown too.
+    for (const bool stopping : {false, true}) {
+      EXPECT_EQ(serve::decide_hold(16, {}, sim_us(50), sim_us(20), stopping,
+                                   cfg),
+                serve::HoldDecision{serve::FlushReason::kFull});
+      EXPECT_EQ(serve::decide_hold(40, {}, sim_us(50), sim_us(20), stopping,
+                                   cfg),
+                serve::HoldDecision{serve::FlushReason::kFull});
+    }
+  }
+}
+
+TEST(HoldRule, ForwardEstimateIsTheMedianOfTheLastThree) {
+  serve::ForwardEstimate forwards;
+  EXPECT_EQ(forwards.estimate(), SimDuration{});
+  forwards.record(sim_us(90));
+  EXPECT_EQ(forwards.estimate(), sim_us(90));
+  forwards.record(sim_us(40));
+  EXPECT_EQ(forwards.estimate(), sim_us(40));  // the smaller of two
+  forwards.record(sim_us(5000));
+  EXPECT_EQ(forwards.estimate(), sim_us(90));
+  forwards.record(sim_us(45));  // overwrites the 90
+  EXPECT_EQ(forwards.estimate(), sim_us(45));
+  forwards.record(sim_us(50));  // overwrites the 40
+  EXPECT_EQ(forwards.estimate(), sim_us(50));
+  forwards.record(sim_us(41));  // overwrites the 5000
+  EXPECT_EQ(forwards.estimate(), sim_us(45));
+}
+
+TEST(HoldRule, ArrivalGapsAreAMovingAverageWithWeightOneEighth) {
+  serve::ArrivalGaps gaps;
+  EXPECT_EQ(gaps.mean(), SimDuration::max());
+  const SimTime t0 = SimTime{} + sim_us(1000);
+  gaps.observe(t0);
+  EXPECT_EQ(gaps.mean(), SimDuration::max());  // no gap yet
+  gaps.observe(t0 + sim_us(800));
+  EXPECT_EQ(gaps.mean(), sim_us(800));  // the first gap seeds it
+  gaps.observe(t0 + sim_us(800));
+  EXPECT_EQ(gaps.mean(), sim_us(700));  // 800 + (0 - 800) / 8
+  gaps.observe(t0 + sim_us(2400));
+  EXPECT_EQ(gaps.mean(), sim_us(812.5));  // 700 + (1600 - 700) / 8
 }
 
 TEST(Server, ConcurrentClientsGetTheirOwnAnswers) {
@@ -2136,7 +2474,8 @@ TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {
   const std::uint64_t batches =
       registry.counter("dstee_batches_total", "m0").value();
   std::uint64_t flushes = 0;
-  for (const std::string reason : {"full", "window", "deadline", "shutdown"}) {
+  for (const std::string reason :
+       {"full", "window", "deadline", "shutdown", "idle"}) {
     flushes +=
         registry.counter("dstee_batch_flush_" + reason + "_total", "m0")
             .value();

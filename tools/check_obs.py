@@ -18,7 +18,7 @@ text exposition written by --metrics-out:
             ascending le order, and the +Inf bucket equals _count
           - every sample value parses as a number
           - for every model label with a dstee_batches_total counter: the
-            four dstee_batch_flush_{full,window,deadline,shutdown}_total
+            five dstee_batch_flush_{full,window,deadline,shutdown,idle}_total
             counters sum to it, and dstee_batch_size_count equals it
           - the two accounting systems agree: for every model label that
             has both the live counters and the bridged StatsSnapshot
@@ -143,7 +143,7 @@ def base_family(name):
     return name
 
 
-FLUSH_REASONS = ("full", "window", "deadline", "shutdown")
+FLUSH_REASONS = ("full", "window", "deadline", "shutdown", "idle")
 
 
 def check_batch_accounting(path, values):

@@ -499,8 +499,9 @@ int run(int argc, const char* const* argv) {
       .add_flag("shards", "worker groups (round-robin routing)", "1")
       .add_flag("max-batch", "micro-batch flush size", "16")
       .add_flag("max-delay-ms",
-                "cap on how long a partial micro-batch is held (the hold "
-                "is one forward time when shorter)",
+                "cap on how long a partial micro-batch is held (it is held "
+                "one forward estimate, when shorter, and only while a "
+                "second request is due within it)",
                 "2.0")
       .add_flag("intra-op",
                 "intra-op chunks per kernel on the runtime pool (0 = "
