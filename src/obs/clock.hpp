@@ -2,9 +2,10 @@
 //
 // Every serve-path timestamp — micro-batch deadlines, latency samples,
 // autoscaler polls, trace spans — reads obs::now(), so spans recorded by
-// the TraceRecorder and latencies reported by ServerStats are measured on
-// the SAME monotonic clock and can be cross-checked exactly (a request
-// span's duration equals the latency the stats ring recorded for it).
+// the TraceRecorder and the latencies the server's metrics record are
+// measured on the SAME monotonic clock and can be cross-checked exactly (a
+// request span's duration is the latency the dstee_request_latency_ms
+// histogram observed for it).
 // tools/dstee_lint's `serve-timing` rule bars src/serve/ from naming
 // std::chrono::steady_clock directly, which keeps this the single
 // definition site.

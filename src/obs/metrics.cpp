@@ -1,5 +1,8 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -63,18 +66,50 @@ std::string format_double(double v) {
 }  // namespace
 
 double Histogram::bucket_le(std::size_t i) {
-  return std::ldexp(1.0, kMinExp + static_cast<int>(i));
+  const double step = static_cast<double>(i % kSubBuckets + 1);
+  return std::ldexp(1.0 + step / static_cast<double>(kSubBuckets),
+                    kMinExp + static_cast<int>(i / kSubBuckets));
 }
 
 std::size_t Histogram::bucket_index(double v) {
   if (std::isnan(v)) return kNumBuckets;  // NaN counts only toward +Inf
-  std::size_t i = 0;
-  double le = bucket_le(0);
-  while (i < kNumBuckets && v > le) {
-    le *= 2.0;
-    ++i;
+  if (v <= 0.0) return 0;
+  // A positive double's biased exponent and top three mantissa bits,
+  // read as one integer, count the eighths of octaves below it; rounding
+  // the lower mantissa bits up puts a value on a bound into the bucket
+  // whose le it equals. Everything up to bucket 0's bound lands in it.
+  constexpr int kLowBits = 52 - std::countr_zero(kSubBuckets);
+  constexpr std::uint64_t kLowMask = (std::uint64_t{1} << kLowBits) - 1;
+  constexpr std::uint64_t kFirst =
+      static_cast<std::uint64_t>(1023 + kMinExp) * kSubBuckets + 1;
+  const std::uint64_t eighths =
+      (std::bit_cast<std::uint64_t>(v) + kLowMask) >> kLowBits;
+  if (eighths <= kFirst) return 0;
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(eighths - kFirst, kNumBuckets));
+}
+
+double Histogram::quantile(double q) const {
+  util::check(q >= 0.0 && q <= 1.0, "quantile rank must be in [0, 1]");
+  std::array<std::uint64_t, kNumBuckets + 1> counts{};
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i <= kNumBuckets; ++i) {
+    counts[i] = bucket_count(i);
+    total += counts[i];
   }
-  return i;
+  if (total == 0) return 0.0;
+  // Nearest rank: the ceil(q * total)-th smallest sample, at least the
+  // first.
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
+  std::uint64_t below = 0;
+  std::size_t i = 0;
+  while (below + counts[i] < rank) below += counts[i++];
+  if (i == kNumBuckets) return bucket_le(kNumBuckets - 1);
+  const double lo = i == 0 ? 0.0 : bucket_le(i - 1);
+  const double hi = bucket_le(i);
+  return lo + (hi - lo) * static_cast<double>(rank - below) /
+                  static_cast<double>(counts[i]);
 }
 
 MetricsRegistry::Entry& MetricsRegistry::get_or_create(
@@ -83,14 +118,14 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(
   util::check(valid_metric_name(name),
               "invalid metric name '" + name +
                   "' (want [a-zA-Z_:][a-zA-Z0-9_:]*)");
-  for (Entry& e : entries_) {
-    if (e.name != name) continue;
-    util::check(e.kind == kind,
-                "metric '" + name + "' already registered with another kind");
-    if (e.label == label) {
-      if (e.help.empty() && !help.empty()) e.help = help;
-      return e;
-    }
+  const auto [family, added] = families_.try_emplace(name);
+  if (added) family->second.kind = kind;
+  util::check(family->second.kind == kind,
+              "metric '" + name + "' already registered with another kind");
+  Entry*& slot = family->second.by_label[label];
+  if (slot != nullptr) {
+    if (slot->help.empty() && !help.empty()) slot->help = help;
+    return *slot;
   }
   Entry e;
   e.name = name;
@@ -109,7 +144,8 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(
       break;
   }
   entries_.push_back(std::move(e));
-  return entries_.back();
+  slot = &entries_.back();
+  return *slot;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
@@ -191,14 +227,15 @@ std::string MetricsRegistry::prometheus_text() const {
           break;
         case Kind::kHistogram: {
           const Histogram& h = *e->histogram;
+          // Finite buckets from the first non-empty one to the last: the
+          // cumulative series stays monotone and gap-free, and the
+          // exposition skips the empty ends of the bucket range.
+          std::size_t first = 0, end = Histogram::kNumBuckets;
+          while (first < end && h.bucket_count(first) == 0) ++first;
+          while (end > first && h.bucket_count(end - 1) == 0) --end;
           std::uint64_t cumulative = 0;
-          for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-            const std::uint64_t c = h.bucket_count(i);
-            cumulative += c;
-            // Skip still-empty leading buckets to keep the exposition
-            // small, but always emit from the first hit onwards so the
-            // cumulative series stays monotone and gap-free.
-            if (cumulative == 0 && c == 0) continue;
+          for (std::size_t i = first; i < end; ++i) {
+            cumulative += h.bucket_count(i);
             os << sample_key(name + "_bucket", e->label,
                              "le=\"" + format_double(Histogram::bucket_le(i)) +
                                  "\"")

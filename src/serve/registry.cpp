@@ -12,25 +12,30 @@
 
 namespace dstee::serve {
 
+namespace {
+
+obs::Counter* evictions_counter(obs::MetricsRegistry* metrics) {
+  util::check(metrics != nullptr,
+              "ModelRegistry requires a metrics registry");
+  return &metrics->counter("dstee_model_evictions_total", "",
+                           "Models removed from the registry");
+}
+
+}  // namespace
+
 std::size_t autoscale_target(const AutoscalerConfig& config,
-                             std::size_t active,
-                             double mean_queue_per_shard, double p99_ms,
+                             std::size_t active, double mean_queue_per_shard,
                              std::size_t& low_streak) {
   const std::size_t min_shards = std::max<std::size_t>(1, config.min_shards);
   const std::size_t max_shards = std::max(config.max_shards, min_shards);
   const auto clamped = [&](std::size_t n) {
     return std::clamp(n, min_shards, max_shards);
   };
-  const bool hot =
-      mean_queue_per_shard >= config.queue_high ||
-      (config.p99_high_ms > 0.0 && p99_ms >= config.p99_high_ms);
-  if (hot) {
+  if (mean_queue_per_shard >= config.queue_high) {
     low_streak = 0;
     return clamped(active + 1);
   }
-  const bool cold = mean_queue_per_shard <= config.queue_low &&
-                    (config.p99_high_ms <= 0.0 || p99_ms < config.p99_high_ms);
-  if (!cold) {
+  if (mean_queue_per_shard > config.queue_low) {
     low_streak = 0;
     return clamped(active);
   }
@@ -41,13 +46,13 @@ std::size_t autoscale_target(const AutoscalerConfig& config,
   return clamped(active > 1 ? active - 1 : 1);
 }
 
+ModelRegistry::ModelRegistry()
+    : owned_metrics_(std::make_unique<obs::MetricsRegistry>()),
+      metrics_(owned_metrics_.get()),
+      evictions_(evictions_counter(metrics_)) {}
+
 ModelRegistry::ModelRegistry(obs::MetricsRegistry* metrics)
-    : metrics_(metrics),
-      evictions_(&metrics->counter("dstee_model_evictions_total", "",
-                                   "Models removed from the registry")) {
-  util::check(metrics != nullptr,
-              "ModelRegistry requires a metrics registry");
-}
+    : metrics_(metrics), evictions_(evictions_counter(metrics)) {}
 
 ModelRegistry::~ModelRegistry() { shutdown(); }
 
@@ -195,7 +200,7 @@ void ModelRegistry::remove_model(const std::string& name) {
               "ModelRegistry: model '" + name + "' was removed");
   util::MutexLock lock(slot.mu);  // serialize with in-flight swaps
   slot.server->decommission();    // drain, join, release the version
-  // Release the training-side source of truth; the slot shell (stats,
+  // Release the training-side source of truth; the slot shell (server,
   // config) stays until the name is re-added.
   slot.module.reset();
   slot.state.reset();
@@ -323,11 +328,8 @@ void ModelRegistry::autoscale_loop() {
       const double mean_queue =
           static_cast<double>(slot->server->queue_depth()) /
           static_cast<double>(std::max<std::size_t>(1, active));
-      const double p99 = cfg.p99_high_ms > 0.0
-                             ? slot->server->stats().latency_p99_ms
-                             : 0.0;
       const std::size_t target =
-          autoscale_target(cfg, active, mean_queue, p99, slot->low_streak);
+          autoscale_target(cfg, active, mean_queue, slot->low_streak);
       if (target != active) slot->server->scale_to(target);
     }
   }

@@ -25,11 +25,10 @@
 // capture a version per micro-batch, see server.hpp).
 //
 // AUTOSCALING: an optional background thread polls each model's queue
-// depth and p99 and grows/shrinks the server's active shard count
-// between min/max bounds (autoscale_target is the pure, unit-testable
-// policy). Scaling only moves the routing bound — shard slots are
-// pre-built and serve the published version, so reaction time is one
-// poll interval.
+// depth and grows/shrinks the server's active shard count between
+// min/max bounds (autoscale_target is the pure, unit-testable policy).
+// Scaling only moves the routing bound — shard slots are pre-built and
+// serve the published version, so reaction time is one poll interval.
 #pragma once
 
 #include <atomic>
@@ -54,7 +53,7 @@
 
 namespace dstee::serve {
 
-/// Queue-depth / p99-driven shard scaling policy knobs.
+/// Queue-depth-driven shard scaling policy knobs.
 struct AutoscalerConfig {
   bool enabled = false;
   double interval_ms = 50.0;  ///< poll period
@@ -64,9 +63,6 @@ struct AutoscalerConfig {
   double queue_high = 8.0;
   /// Shrink candidate when mean queue per shard is at or below this.
   double queue_low = 1.0;
-  /// Also grow when the aggregate p99 reaches this (0 disables the
-  /// latency signal).
-  double p99_high_ms = 0.0;
   /// Consecutive cold polls required before shrinking by one — scaling
   /// down is cheap to undo but thrashing wastes warm queues.
   std::size_t shrink_patience = 3;
@@ -78,8 +74,7 @@ struct AutoscalerConfig {
 /// shrinks by one after `shrink_patience` cold polls, else holds.
 /// `max_shards` must already be resolved (non-zero).
 std::size_t autoscale_target(const AutoscalerConfig& config,
-                             std::size_t active,
-                             double mean_queue_per_shard, double p99_ms,
+                             std::size_t active, double mean_queue_per_shard,
                              std::size_t& low_streak);
 
 /// What a hot swap did, for logs and tests.
@@ -110,15 +105,24 @@ struct ModelOptions {
 /// concurrent removal and re-add. remove_model() decommissions a slot:
 /// its server drains in-flight requests on the version they captured,
 /// the version and the model state are released, and later lookups of
-/// the name fail until it is re-added. The removed slot's shell (server
-/// stats, options) stays until the name is re-added, which frees it once
-/// no call still holds it.
+/// the name fail until it is re-added. The removed slot's shell (server,
+/// options) stays until the name is re-added, which frees it once no
+/// call still holds it.
+///
+/// Accounting: each model's server records into the registry's metrics
+/// under the model name (unless its ModelOptions route it elsewhere), and
+/// stats() reads those series. A name re-added to one registry therefore
+/// continues its series: the new model's counts start from the removed
+/// one's.
 class ModelRegistry {
  public:
-  /// Evictions (and per-model serving metrics, when ModelOptions wires
-  /// them) are counted in `metrics`; the default is the process-wide
-  /// obs registry. Must outlive the registry.
-  explicit ModelRegistry(obs::MetricsRegistry* metrics = &obs::metrics());
+  /// Per-model serving metrics and evictions are counted in a metrics
+  /// registry this registry owns, so two default-constructed registries
+  /// that serve the same name count apart.
+  ModelRegistry();
+  /// Counts them in `metrics` instead (obs::metrics() for the
+  /// process-wide one), which must be non-null and outlive the registry.
+  explicit ModelRegistry(obs::MetricsRegistry* metrics);
   ~ModelRegistry();
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -223,6 +227,8 @@ class ModelRegistry {
   void autoscale_loop();
   void start_autoscaler();
 
+  /// Set by the default constructor; metrics_ points into it.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;       ///< never null
   obs::Counter* evictions_;             ///< dstee_model_evictions_total
 

@@ -16,16 +16,13 @@ namespace dstee::serve {
 namespace {
 
 // The obs clock is the one sanctioned serve-path timing surface (lint
-// rule serve-timing); millis helpers below are pure duration arithmetic.
+// rule serve-timing); the millis helper below is pure duration
+// arithmetic.
 using Clock = obs::Clock;
 
 Clock::duration millis_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
-}
-
-double millis_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
 // Indexed by FlushReason. Span names need static storage
@@ -110,30 +107,38 @@ InferenceServer::InferenceServer(std::shared_ptr<const CompiledNet> net,
     shards_.push_back(std::make_unique<Shard>());
   }
   active_shards_.store(config_.num_shards, std::memory_order_release);
-  if (config_.metrics != nullptr) {
-    latency_hist_ = &config_.metrics->histogram(
-        "dstee_request_latency_ms", config_.metrics_label,
-        "End-to-end request latency (queue wait + compute), milliseconds");
-    requests_ctr_ = &config_.metrics->counter(
-        "dstee_requests_total", config_.metrics_label, "Completed requests");
-    batches_ctr_ = &config_.metrics->counter(
-        "dstee_batches_total", config_.metrics_label,
-        "Micro-batches executed");
-    queue_wait_hist_ = &config_.metrics->histogram(
-        "dstee_queue_wait_ms", config_.metrics_label,
-        "Time from enqueue to being popped into a micro-batch, "
-        "milliseconds");
-    batch_size_hist_ = &config_.metrics->histogram(
-        "dstee_batch_size", config_.metrics_label,
-        "Requests per executed micro-batch");
-    static_assert(std::size(kFlushReasonNames) == kFlushReasons &&
-                  std::size(kFlushSpanNames) == kFlushReasons);
-    for (std::size_t r = 0; r < kFlushReasons; ++r) {
-      const std::string reason = kFlushReasonNames[r];
-      flush_ctrs_[r] = &config_.metrics->counter(
-          "dstee_batch_flush_" + reason + "_total", config_.metrics_label,
-          "Executed micro-batches whose hold ended by: " + reason);
-    }
+  if (config_.metrics == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+  }
+  obs::MetricsRegistry& metrics =
+      config_.metrics != nullptr ? *config_.metrics : *owned_metrics_;
+  const std::string& label = config_.metrics_label;
+  latency_hist_ = &metrics.histogram(
+      "dstee_request_latency_ms", label,
+      "End-to-end request latency (queue wait + compute), milliseconds");
+  requests_ctr_ =
+      &metrics.counter("dstee_requests_total", label, "Completed requests");
+  batches_ctr_ =
+      &metrics.counter("dstee_batches_total", label, "Micro-batches executed");
+  queue_wait_hist_ = &metrics.histogram(
+      "dstee_queue_wait_ms", label,
+      "Time from enqueue to being popped into a micro-batch, milliseconds");
+  batch_size_hist_ = &metrics.histogram("dstee_batch_size", label,
+                                        "Requests per executed micro-batch");
+  shed_ctr_ = &metrics.counter("dstee_requests_shed_total", label,
+                               "Requests rejected by admission control");
+  blocked_hist_ = &metrics.histogram(
+      "dstee_submit_blocked_ms", label,
+      "submit() backpressure stalls on a full queue, milliseconds");
+  queue_peak_ = &metrics.gauge("dstee_queue_depth_peak", label,
+                               "Most requests queued on one shard");
+  static_assert(std::size(kFlushReasonNames) == kFlushReasons &&
+                std::size(kFlushSpanNames) == kFlushReasons);
+  for (std::size_t r = 0; r < kFlushReasons; ++r) {
+    const std::string reason = kFlushReasonNames[r];
+    flush_ctrs_[r] = &metrics.counter(
+        "dstee_batch_flush_" + reason + "_total", label,
+        "Executed micro-batches whose hold ended by: " + reason);
   }
   // Workers start only after every shard exists: a worker never observes a
   // half-built shards_ vector.
@@ -193,7 +198,7 @@ std::future<tensor::Tensor> InferenceServer::enqueue(Shard& shard,
   shard.arrivals.observe(req.enqueued);
   std::future<tensor::Tensor> result = req.result.get_future();
   shard.queue.push_back(std::move(req));
-  shard.stats.record_queue_depth(shard.queue.size());
+  queue_peak_->raise_to(static_cast<double>(shard.queue.size()));
   shard.queue_cv.notify_one();
   return result;
 }
@@ -210,8 +215,7 @@ std::future<tensor::Tensor> InferenceServer::submit(tensor::Tensor input) {
            shard.queue.size() >= config_.queue_capacity) {
       shard.space_cv.wait(lock);
     }
-    shard.stats.record_blocked_ms(
-        millis_between(blocked_from, obs::now()));
+    blocked_hist_->observe(obs::ms_between(blocked_from, obs::now()));
   }
   util::check(!shard.stopping, "submit on a shut-down server");
   return enqueue(shard, std::move(input));
@@ -226,7 +230,7 @@ std::optional<std::future<tensor::Tensor>> InferenceServer::try_submit(
   util::UniqueLock lock(shard.mu);
   util::check(!shard.stopping, "try_submit on a shut-down server");
   if (shard.queue.size() >= quota) {
-    shard.stats.record_shed();
+    shed_ctr_->add(1);
     return std::nullopt;
   }
   return enqueue(shard, std::move(input));
@@ -334,8 +338,6 @@ void InferenceServer::worker_loop(Shard& shard) {
     obs::trace().record(batch_tid, obs::SpanKind::kAssemble, "assemble",
                         assemble_ns, obs::now_ns() - assemble_ns, b);
 
-    std::vector<double> latencies_ms;
-    latencies_ms.reserve(b);
     std::size_t fulfilled = 0;  // promises already satisfied by set_value
     try {
       // RCU read side: capture the published version once for the whole
@@ -367,7 +369,8 @@ void InferenceServer::worker_loop(Shard& shard) {
         for (std::size_t j = 0; j < out; ++j) row[j] = src[j];
         batch[i].result.set_value(std::move(row));
         ++fulfilled;
-        latencies_ms.push_back(millis_between(batch[i].enqueued, done));
+        latency_hist_->observe(obs::ms_between(batch[i].enqueued, done));
+        queue_wait_hist_->observe(obs::ms_between(batch[i].enqueued, popped));
         // Per-request spans: queue [enqueued, popped) + batch [popped,
         // done) tile the request [enqueued, done) exactly, so a trace
         // consumer can check dur(queue) + dur(batch) == dur(request).
@@ -381,22 +384,15 @@ void InferenceServer::worker_loop(Shard& shard) {
           obs::trace().record(tid, obs::SpanKind::kBatch, "batch",
                               popped_ns, done_ns - popped_ns, i);
         }
-        if (latency_hist_ != nullptr) {
-          latency_hist_->observe(latencies_ms.back());
-          queue_wait_hist_->observe(
-              millis_between(batch[i].enqueued, popped));
-        }
       }
       const auto reason = static_cast<std::size_t>(next.reason);
       obs::trace().record(batch_tid, obs::SpanKind::kFlush,
                           kFlushSpanNames[reason], popped_ns,
                           done_ns - popped_ns, b);
-      if (requests_ctr_ != nullptr) {
-        requests_ctr_->add(b);
-        batches_ctr_->add(1);
-        flush_ctrs_[reason]->add(1);
-        batch_size_hist_->observe(static_cast<double>(b));
-      }
+      requests_ctr_->add(b);
+      batches_ctr_->add(1);
+      flush_ctrs_[reason]->add(1);
+      batch_size_hist_->observe(static_cast<double>(b));
     } catch (...) {
       // Settle only the promises that have not been fulfilled yet —
       // set_exception on a satisfied promise would itself throw and take
@@ -405,9 +401,8 @@ void InferenceServer::worker_loop(Shard& shard) {
       for (std::size_t i = fulfilled; i < b; ++i) {
         batch[i].result.set_exception(error);
       }
-      continue;  // failed batches do not pollute latency stats
+      // A failed batch counts nothing: the stats are of served requests.
     }
-    shard.stats.record_batch(latencies_ms);
   }
 }
 
@@ -437,18 +432,25 @@ void InferenceServer::decommission() {
 }
 
 StatsSnapshot InferenceServer::stats() const {
-  std::vector<const ServerStats*> groups;
-  groups.reserve(shards_.size());
-  for (const auto& shard : shards_) groups.push_back(&shard->stats);
-  StatsSnapshot s = ServerStats::aggregate(groups);
+  StatsSnapshot s;
+  s.requests = requests_ctr_->value();
+  s.batches = batches_ctr_->value();
+  if (s.batches > 0) {
+    s.mean_batch_size =
+        static_cast<double>(s.requests) / static_cast<double>(s.batches);
+  }
+  if (const std::uint64_t n = latency_hist_->count(); n > 0) {
+    s.latency_mean_ms = latency_hist_->sum() / static_cast<double>(n);
+  }
+  s.latency_p50_ms = latency_hist_->quantile(0.50);
+  s.latency_p95_ms = latency_hist_->quantile(0.95);
+  s.latency_p99_ms = latency_hist_->quantile(0.99);
+  s.latency_p999_ms = latency_hist_->quantile(0.999);
+  s.latency_max_ms = latency_hist_->quantile(1.0);
+  s.queue_peak = static_cast<std::size_t>(queue_peak_->value());
+  s.blocked_ms = blocked_hist_->sum();
+  s.shed_total = shed_ctr_->value();
   s.swap_count = swap_epoch();
-  return s;
-}
-
-StatsSnapshot InferenceServer::shard_stats(std::size_t shard) const {
-  util::check(shard < shards_.size(), "shard index out of range");
-  StatsSnapshot s = shards_[shard]->stats.snapshot();
-  s.swap_count = swap_epoch();  // every shard serves every version
   return s;
 }
 

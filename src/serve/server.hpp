@@ -20,9 +20,13 @@
 //
 // ADMISSION CONTROL: submit() applies backpressure — it blocks while
 // `queue_capacity` requests are already waiting on the routed shard, and
-// the stall is recorded in that shard's stats. try_submit() never
-// blocks: beyond the per-shard `queue_quota` (capacity when 0) the
-// request is shed and counted in `shed_total`.
+// the stall is recorded in `blocked_ms`. try_submit() never blocks:
+// beyond the per-shard `queue_quota` (capacity when 0) the request is
+// shed and counted in `shed_total`.
+//
+// ACCOUNTING: every request, batch, shed, stall and queue depth is
+// recorded once, lock-free, into obs metric series the server resolves
+// at construction (see ServerConfig::metrics); stats() reads them back.
 //
 // SCALING: shard slots are pre-built up to `max_shards`; scale_to()
 // changes only how many of them receive new traffic (an atomic routing
@@ -67,6 +71,7 @@
 
 namespace dstee::obs {
 class Counter;
+class Gauge;
 class Histogram;
 class MetricsRegistry;
 }  // namespace dstee::obs
@@ -90,12 +95,14 @@ struct ServerConfig {
   std::size_t max_shards = 0;    ///< scaling headroom; 0 = num_shards
   std::size_t queue_quota = 0;   ///< try_submit() sheds beyond this; 0 =
                                  ///< shed only at queue_capacity
-  /// When set, workers record per-request latency and queue wait, batch
-  /// sizes, and request, batch and per-flush-reason batch counts into
-  /// this registry (labeled `metrics_label`), in addition to the internal
-  /// ServerStats. Must outlive the server.
+  /// The registry the server records its accounting into, labeled
+  /// `metrics_label`: per-request latency and queue wait, batch sizes,
+  /// request, batch, shed and per-flush-reason counts, submit() stalls
+  /// and the queue-depth peak. stats() reads these series back, so
+  /// servers that share a registry and a label share counts. Null: the
+  /// server owns a registry of its own. Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_label;  ///< `model` label on exported metrics
+  std::string metrics_label;  ///< `model` label on the series
 };
 
 /// Why a micro-batch's hold ended.
@@ -182,7 +189,7 @@ class InferenceServer {
   std::future<tensor::Tensor> submit(tensor::Tensor input);
 
   /// Admission-controlled submit: never blocks. Returns nullopt — and
-  /// counts one shed on the routed shard — when that shard already has
+  /// counts one shed — when the routed shard already has
   /// `queue_quota` (or queue_capacity, whichever bounds first) requests
   /// waiting. Throws after shutdown(), like submit().
   std::optional<std::future<tensor::Tensor>> try_submit(tensor::Tensor input);
@@ -221,13 +228,9 @@ class InferenceServer {
   /// shutdown().
   void decommission();
 
-  /// Server-wide counters aggregated across all shards; swap_count is
-  /// swap_epoch().
+  /// The server's traffic, read from its metric series (see stats.hpp);
+  /// swap_count is swap_epoch().
   StatsSnapshot stats() const;
-
-  /// One shard's counters (routing balance, per-group tails). Its
-  /// swap_count is swap_epoch() too: every shard serves every version.
-  StatsSnapshot shard_stats(std::size_t shard) const;
 
   /// Shard SLOTS (the scaling ceiling); see num_active_shards() for how
   /// many currently receive traffic.
@@ -245,10 +248,9 @@ class InferenceServer {
     std::uint64_t trace_id = 0;
   };
 
-  /// One worker group: a queue, workers and stats. Lock discipline: `mu`
+  /// One worker group: a queue and its workers. Lock discipline: `mu`
   /// guards the queue, the stopping flag and the hold's inputs
-  /// (`arrivals`, `forwards`);
-  /// `stats` is internally synchronized; `workers` is touched only by the
+  /// (`arrivals`, `forwards`); `workers` is touched only by the
   /// constructing/joining thread (never by the workers themselves).
   struct Shard {
     util::Mutex mu;
@@ -261,7 +263,6 @@ class InferenceServer {
     /// The shard's recent successful forwards, updated by next_batch().
     ForwardEstimate forwards DSTEE_GUARDED_BY(mu);
 
-    ServerStats stats;
     // Shard workers ARE the serving inter-op layer (long-lived batchers,
     // not pool tasks): constructed in the InferenceServer ctor, joined in
     // shutdown(), never touched in between.
@@ -300,14 +301,19 @@ class InferenceServer {
   util::RcuCell<CompiledNet> net_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Optional obs export, resolved once in the constructor (metric
-  // objects are pointer-stable for the registry's lifetime); null when
-  // config_.metrics is null. The update path is lock-free either way.
+  /// The registry the series live in when config_.metrics is null.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  // The accounting, resolved once in the constructor (metric objects are
+  // pointer-stable for the registry's lifetime) and never null; every
+  // update is lock-free.
   obs::Histogram* latency_hist_ = nullptr;
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
+  obs::Histogram* blocked_hist_ = nullptr;  ///< submit() stalls, ms
   obs::Counter* requests_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
+  obs::Counter* shed_ctr_ = nullptr;
+  obs::Gauge* queue_peak_ = nullptr;
   /// Indexed by FlushReason; they sum to batches_ctr_.
   std::array<obs::Counter*, kFlushReasons> flush_ctrs_{};
 

@@ -2,15 +2,17 @@
 // roundtrip, wrap-keeps-newest, sampling cadence, disabled no-ops, and a
 // writers-vs-drain hammer that is TSan-clean by construction), Chrome
 // trace JSON emission, ThreadTraceScope nesting, the metrics registry
-// (counter/gauge/histogram semantics, pointer stability, Prometheus
-// exposition), and OpProfile accumulation.
+// (counter/gauge/histogram semantics, histogram quantiles, pointer
+// stability, Prometheus exposition), and OpProfile accumulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -235,17 +237,63 @@ TEST(ObsMetrics, CounterGaugeSemantics) {
   EXPECT_EQ(g.value(), -1.25);
 }
 
+TEST(ObsMetrics, GaugeRaiseToKeepsTheMaxAcrossThreads) {
+  // Four writers race raise_to over interleaved values; the gauge ends
+  // at the largest (this test runs under the TSan CI job).
+  obs::Gauge peak;
+  peak.raise_to(-5.0);
+  EXPECT_EQ(peak.value(), 0.0);  // a smaller value leaves it
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10000;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&peak, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        peak.raise_to(static_cast<double>(i * kThreads + t));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(peak.value(), static_cast<double>(kPerThread * kThreads - 1));
+}
+
 TEST(ObsMetrics, HistogramBucketsAreLogSpacedAndCumulativeAtInf) {
   obs::Histogram h;
-  // Boundaries are powers of two from 2^kMinExp.
-  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(0), std::ldexp(1.0, -10));
-  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(10), 1.0);
+  // Eight linear steps per power of two: bounds 2^k * (1 + j/8) for k
+  // from kMinExp, j = 1..8, so the first is 2^-10 * 9/8 and the last
+  // 2^kMaxExp.
+  EXPECT_EQ(obs::Histogram::kNumBuckets, 240u);
+  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(0), std::ldexp(1.125, -10));
+  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(7), std::ldexp(1.0, -9));
+  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(79), 1.0);
+  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(80), 1.125);
+  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(81), 1.25);
+  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_le(239), std::ldexp(1.0, 20));
+  for (std::size_t i = 1; i < obs::Histogram::kNumBuckets; ++i) {
+    const double lo = obs::Histogram::bucket_le(i - 1);
+    const double hi = obs::Histogram::bucket_le(i);
+    EXPECT_GT(hi, lo) << i;
+    EXPECT_LE(hi / lo, 1.125 + 1e-12) << i;  // at most 12.5% wide
+    // Inclusive at each bound, the next bucket just above it.
+    EXPECT_EQ(obs::Histogram::bucket_index(hi), i) << i;
+    EXPECT_EQ(obs::Histogram::bucket_index(std::nextafter(lo, 2 * lo)), i)
+        << i;
+  }
+  // Zero, negatives and anything below 2^-10 land in the first bucket.
   EXPECT_EQ(obs::Histogram::bucket_index(0.0), 0u);
-  // Inclusive at the boundary, next bucket just above it.
-  EXPECT_EQ(obs::Histogram::bucket_index(1.0), 10u);
-  EXPECT_EQ(obs::Histogram::bucket_index(1.0001), 11u);
-  // Beyond the last finite boundary -> the +Inf bucket.
+  EXPECT_EQ(obs::Histogram::bucket_index(-1.0), 0u);
+  EXPECT_EQ(obs::Histogram::bucket_index(1e-300), 0u);
+  EXPECT_EQ(obs::Histogram::bucket_index(std::ldexp(1.0, -10)), 0u);
+  EXPECT_EQ(obs::Histogram::bucket_index(1.0), 79u);
+  EXPECT_EQ(obs::Histogram::bucket_index(1.0001), 80u);
+  // Beyond the last finite bound (and NaN) -> the +Inf bucket.
+  EXPECT_EQ(obs::Histogram::bucket_index(std::ldexp(1.0, 20)), 239u);
+  EXPECT_EQ(obs::Histogram::bucket_index(std::nextafter(std::ldexp(1.0, 20),
+                                                        1e300)),
+            obs::Histogram::kNumBuckets);
   EXPECT_EQ(obs::Histogram::bucket_index(1e12), obs::Histogram::kNumBuckets);
+  EXPECT_EQ(obs::Histogram::bucket_index(std::nan("")),
+            obs::Histogram::kNumBuckets);
 
   const double samples[] = {0.0005, 0.5, 3.0, 1e12};
   for (const double v : samples) h.observe(v);
@@ -254,6 +302,72 @@ TEST(ObsMetrics, HistogramBucketsAreLogSpacedAndCumulativeAtInf) {
   for (const double v : samples) {
     EXPECT_EQ(h.bucket_count(obs::Histogram::bucket_index(v)), 1u) << v;
   }
+}
+
+TEST(ObsMetrics, HistogramQuantileMatchesNearestRank) {
+  // Seeded lognormal latencies around 1 ms (the serve unit), the shape
+  // of a real tail: every quantile is within 12.5% of the nearest-rank
+  // sample, the width of one bucket.
+  constexpr std::size_t kRuns = 20;
+  constexpr std::size_t kSamples = 20000;
+  const double ranks[] = {0.5, 0.9, 0.99, 0.999};
+  double worst = 0.0;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    std::mt19937_64 gen(1234 + run);
+    std::lognormal_distribution<double> latency(0.0, 1.0);
+    obs::Histogram h;
+    std::vector<double> samples(kSamples);
+    for (double& v : samples) {
+      v = latency(gen);
+      h.observe(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    for (const double q : ranks) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(q * static_cast<double>(kSamples)));
+      const double want = samples[rank - 1];
+      const double got = h.quantile(q);
+      EXPECT_NEAR(got, want, 0.125 * want) << "run " << run << " q " << q;
+      worst = std::max(worst, std::abs(got - want) / want);
+    }
+    // The 1.0-quantile is the largest sample's bucket bound.
+    EXPECT_GE(h.quantile(1.0), samples.back());
+    EXPECT_LE(h.quantile(1.0), samples.back() * 1.125);
+  }
+  RecordProperty("worst_relative_error", std::to_string(worst));
+}
+
+TEST(ObsMetrics, HistogramQuantileEdgeCases) {
+  obs::Histogram empty;
+  EXPECT_EQ(empty.quantile(0.5), 0.0);
+  EXPECT_EQ(empty.quantile(1.0), 0.0);
+
+  // Every sample beyond the top bound: a rank in +Inf reads as that
+  // bound, a floor rather than an estimate.
+  obs::Histogram beyond;
+  for (int i = 0; i < 10; ++i) beyond.observe(1e9);
+  EXPECT_EQ(beyond.quantile(0.0), std::ldexp(1.0, 20));
+  EXPECT_EQ(beyond.quantile(0.5), std::ldexp(1.0, 20));
+  EXPECT_EQ(beyond.quantile(1.0), std::ldexp(1.0, 20));
+
+  // One value on a bound sits at the top of its bucket: every quantile
+  // reads it back exactly.
+  obs::Histogram on_bound;
+  on_bound.observe(1.25);
+  EXPECT_EQ(on_bound.quantile(0.0), 1.25);
+  EXPECT_EQ(on_bound.quantile(0.5), 1.25);
+  EXPECT_EQ(on_bound.quantile(1.0), 1.25);
+
+  // Two samples in one bucket interpolate across it by rank.
+  obs::Histogram two;
+  two.observe(1.2);
+  two.observe(1.2);
+  EXPECT_DOUBLE_EQ(two.quantile(0.5), 1.1875);  // halfway in (1.125, 1.25]
+  EXPECT_DOUBLE_EQ(two.quantile(1.0), 1.25);
+
+  EXPECT_THROW(on_bound.quantile(-0.1), util::CheckError);
+  EXPECT_THROW(on_bound.quantile(1.5), util::CheckError);
+  EXPECT_THROW(empty.quantile(std::nan("")), util::CheckError);
 }
 
 TEST(ObsMetrics, RegistryReturnsSameObjectForSameNameAndLabel) {
@@ -271,6 +385,39 @@ TEST(ObsMetrics, RegistryReturnsSameObjectForSameNameAndLabel) {
   // Same name, different kind: fails loudly instead of aliasing.
   EXPECT_THROW(reg.gauge("t_requests"), util::CheckError);
   EXPECT_THROW(reg.counter("bad name!"), util::CheckError);
+}
+
+TEST(ObsMetrics, ManyLabelsKeepFirstRegistrationOrder) {
+  // The lookup index must not change what the registry exports: series
+  // come out in first-registration order however many labels a name has,
+  // and a repeated lookup finds the series it made.
+  obs::MetricsRegistry reg;
+  constexpr int kLabels = 500;
+  const auto label = [](int i) {
+    std::string out = "m";
+    out += std::to_string(i);
+    return out;
+  };
+  for (int i = 0; i < kLabels; ++i) {
+    reg.counter("t_requests", label(i)).add(static_cast<std::uint64_t>(i));
+    reg.gauge("t_depth", label(i)).set(i);
+  }
+  for (int i = 0; i < kLabels; ++i) {
+    EXPECT_EQ(reg.counter("t_requests", label(i)).value(),
+              static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(reg.num_metrics(), 2u * kLabels);
+  const std::vector<obs::MetricsRegistry::Sample> snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 2u * kLabels);
+  for (int i = 0; i < kLabels; ++i) {
+    const obs::MetricsRegistry::Sample& c = snap[2 * i];
+    const obs::MetricsRegistry::Sample& g = snap[2 * i + 1];
+    EXPECT_EQ(c.name, "t_requests");
+    EXPECT_EQ(c.label, label(i));
+    EXPECT_EQ(g.name, "t_depth");
+    EXPECT_EQ(g.value, static_cast<double>(i));
+  }
+  EXPECT_THROW(reg.histogram("t_depth", "m7"), util::CheckError);
 }
 
 TEST(ObsMetrics, SnapshotFlattensHistograms) {
@@ -314,6 +461,15 @@ TEST(ObsMetrics, PrometheusTextExposition) {
   EXPECT_NE(text.find("# TYPE t_lat histogram\n"), std::string::npos);
   EXPECT_NE(text.find("t_lat_bucket{model=\"m0\",le=\"+Inf\"} 3\n"),
             std::string::npos);
+  // Finite buckets run from the first non-empty one (0.002's, le =
+  // 2^-9 * 9/8) to the last (5.0 sits on the bound 4 * 5/4): 90 buckets.
+  EXPECT_EQ(text.find("le=\"0.001953125\""), std::string::npos);
+  EXPECT_NE(text.find("t_lat_bucket{model=\"m0\",le=\"0.002197265625\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("t_lat_bucket{model=\"m0\",le=\"5\"} 3\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("le=\"5.5\""), std::string::npos);
+  EXPECT_EQ(count_occurrences(text, "t_lat_bucket{"), 91u);
   EXPECT_NE(text.find("t_lat_count{model=\"m0\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("t_lat_sum{model=\"m0\"}"), std::string::npos);
   // One # TYPE line per family even with several labeled series.

@@ -448,29 +448,22 @@ TEST(Registry, AutoscaleTargetPolicy) {
 
   // Hot queue grows by one and resets the cold streak.
   streak = 2;
-  EXPECT_EQ(serve::autoscale_target(cfg, 2, 10.0, 0.0, streak), 3u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 2, 10.0, streak), 3u);
   EXPECT_EQ(streak, 0u);
   // Growth clamps at max_shards.
-  EXPECT_EQ(serve::autoscale_target(cfg, 4, 50.0, 0.0, streak), 4u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 4, 50.0, streak), 4u);
   // Neutral load holds and resets the streak.
   streak = 2;
-  EXPECT_EQ(serve::autoscale_target(cfg, 2, 4.0, 0.0, streak), 2u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 2, 4.0, streak), 2u);
   EXPECT_EQ(streak, 0u);
   // Cold polls shrink only after the patience threshold.
-  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, 0.0, streak), 3u);
-  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, 0.0, streak), 3u);
-  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, 0.0, streak), 2u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, streak), 3u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, streak), 3u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, streak), 2u);
   EXPECT_EQ(streak, 0u);
   // Shrink clamps at min_shards.
   streak = 2;
-  EXPECT_EQ(serve::autoscale_target(cfg, 1, 0.0, 0.0, streak), 1u);
-  // The p99 signal grows even when the queue looks calm.
-  cfg.p99_high_ms = 5.0;
-  streak = 0;
-  EXPECT_EQ(serve::autoscale_target(cfg, 2, 0.0, 9.0, streak), 3u);
-  // ... and a calm p99 below the bound still allows queue-based shrink.
-  streak = 2;
-  EXPECT_EQ(serve::autoscale_target(cfg, 3, 0.0, 1.0, streak), 2u);
+  EXPECT_EQ(serve::autoscale_target(cfg, 1, 0.0, streak), 1u);
 }
 
 TEST(Registry, AutoscalerGrowsUnderQueueBuildup) {
@@ -505,6 +498,36 @@ TEST(Registry, AutoscalerGrowsUnderQueueBuildup) {
   EXPECT_GE(registry.num_active_shards("m"), 2u);
   for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);
   registry.shutdown();
+}
+
+TEST(Registry, DefaultRegistriesCountApart) {
+  // A default-constructed registry owns its metrics, so two of them in
+  // one process, each serving "m", count only their own requests.
+  serve::ModelRegistry first;
+  serve::ModelRegistry second;
+  SeededModel::add_to(first, "m", 5);
+  SeededModel::add_to(second, "m", 5);
+  const auto x = random_tensor(tensor::Shape({12}), 3);
+  for (int i = 0; i < 3; ++i) first.submit("m", x).get();
+  for (int i = 0; i < 5; ++i) second.submit("m", x).get();
+  first.shutdown();
+  second.shutdown();
+  EXPECT_EQ(first.stats("m").requests, 3u);
+  EXPECT_EQ(second.stats("m").requests, 5u);
+}
+
+TEST(Registry, ReAddedNameContinuesItsSeries) {
+  // A model's stats are its name's series in the registry's metrics, so
+  // a name removed and re-added counts on from where it stood.
+  serve::ModelRegistry registry;
+  SeededModel::add_to(registry, "m", 5);
+  const auto x = random_tensor(tensor::Shape({12}), 3);
+  for (int i = 0; i < 2; ++i) registry.submit("m", x).get();
+  registry.remove_model("m");
+  SeededModel::add_to(registry, "m", 6);
+  registry.submit("m", x).get();
+  registry.shutdown();
+  EXPECT_EQ(registry.stats("m").requests, 3u);
 }
 
 TEST(Registry, RemoveModelEvictsCountsAndAllowsReAdd) {

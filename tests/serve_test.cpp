@@ -493,41 +493,52 @@ TEST(Server, ShardedAnswersBitIdenticalToSingleShard) {
   }
 }
 
-TEST(Server, ShardStatsSumToAggregateAndRoutingSpreadsLoad) {
+TEST(Server, RoundRobinSplitsOneShapeEvenlyAcrossShards) {
+  // Round robin per shape alternates one shape's requests between the
+  // two shards, and each shard flushes only a full batch of 4 (the fixed
+  // window holds a partial one for 60 s). So 4 requests complete nothing
+  // (no shard got all 4), and 4 more complete all 8 in exactly two full
+  // batches (each shard then holds 4): together these hold only for a
+  // 4/4 split. Shutdown flushes whatever a wrong split leaves held, so a
+  // failure does not hang.
   CompiledHarness h(0.5);
   const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  obs::MetricsRegistry registry;
   serve::ServerConfig cfg;
   cfg.num_threads = 1;
   cfg.num_shards = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.5;
+  cfg.max_delay_ms = 60000.0;
+  cfg.fill_or_timeout = true;
+  cfg.metrics = &registry;
+  cfg.metrics_label = "m";
   serve::InferenceServer server(net, cfg);
   EXPECT_EQ(server.num_shards(), 2u);
 
   std::vector<std::future<tensor::Tensor>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(
-        server.submit(random_tensor(tensor::Shape({12}), 700 + i)));
+  const auto submit = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      futures.push_back(server.submit(
+          random_tensor(tensor::Shape({12}), 700 + futures.size())));
+    }
+  };
+  submit(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (auto& f : futures) {
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
   }
-  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);
+  submit(4);
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+    EXPECT_EQ(f.get().numel(), 5u);
+  }
   server.shutdown();
-
-  const auto total = server.stats();
-  EXPECT_EQ(total.requests, 16u);
-  std::size_t sum = 0, batches = 0;
-  for (std::size_t s = 0; s < server.num_shards(); ++s) {
-    const auto ss = server.shard_stats(s);
-    sum += ss.requests;
-    batches += ss.batches;
-    // Round-robin-by-shape: one shape, so the split is exactly even.
-    EXPECT_EQ(ss.requests, 8u);
-    EXPECT_GE(ss.queue_peak, 1u);
-    EXPECT_GE(ss.blocked_ms, 0.0);
-  }
-  EXPECT_EQ(sum, total.requests);
-  EXPECT_EQ(batches, total.batches);
-  EXPECT_GE(total.queue_peak, 1u);
-  EXPECT_THROW(server.shard_stats(2), util::CheckError);
+  EXPECT_EQ(registry.counter("dstee_batch_flush_full_total", "m").value(), 2u);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, 8u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.queue_peak, 4u);
 }
 
 TEST(Server, BackpressureBlockedTimeIsRecorded) {
@@ -552,58 +563,122 @@ TEST(Server, BackpressureBlockedTimeIsRecorded) {
   EXPECT_GE(stats.blocked_ms, 0.0);  // stall counter wired through
 }
 
-TEST(ServerStats, PercentilesAreInterpolated) {
-  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(serve::percentile(sorted, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(serve::percentile(sorted, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(serve::percentile(sorted, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(serve::percentile(sorted, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(serve::percentile({}, 0.5), 0.0);
-  EXPECT_THROW(serve::percentile(sorted, 1.5), util::CheckError);
+TEST(Server, StatsReadTheMetricsSeries) {
+  // stats() is the metrics read back: after a run with a backpressure
+  // stall and a shed, every count equals its series' value, exactly.
+  CompiledHarness h(0.5);
+  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  obs::MetricsRegistry registry;
+  serve::ServerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.max_batch = 4;
+  cfg.queue_capacity = 4;  // a full batch fills the queue
+  cfg.queue_quota = 2;
+  cfg.max_delay_ms = 60000.0;  // partial batches wait for shutdown
+  cfg.fill_or_timeout = true;
+  cfg.metrics = &registry;
+  cfg.metrics_label = "m";
+  serve::InferenceServer server(net, cfg);
+  obs::Histogram& blocked = registry.histogram("dstee_submit_blocked_ms", "m");
+
+  // Bursts of 4 from one client: a submit that finds the last burst's
+  // full batch still queued stalls. Almost always the first burst does.
+  std::vector<std::future<tensor::Tensor>> futures;
+  for (int burst = 0; burst < 50 && blocked.count() == 0; ++burst) {
+    for (int i = 0; i < 4; ++i) {
+      futures.push_back(
+          server.submit(random_tensor(tensor::Shape({12}), 900 + i)));
+    }
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().numel(), 5u);
+  ASSERT_GT(blocked.count(), 0u);
+  // An empty queue takes 2 try_submits (the quota), held, and sheds the
+  // third; shutdown flushes the 2.
+  std::size_t accepted = futures.size();
+  for (int i = 0; i < 3; ++i) {
+    auto f = server.try_submit(random_tensor(tensor::Shape({12}), 950 + i));
+    if (f) {
+      ++accepted;
+      futures.push_back(std::move(*f));
+    }
+  }
+  server.shutdown();
+  for (auto& f : futures) {
+    if (f.valid()) {
+      EXPECT_EQ(f.get().numel(), 5u);
+    }
+  }
+
+  const serve::StatsSnapshot s = server.stats();
+  obs::Histogram& latency = registry.histogram("dstee_request_latency_ms", "m");
+  EXPECT_EQ(s.requests, accepted);
+  EXPECT_EQ(s.requests, registry.counter("dstee_requests_total", "m").value());
+  EXPECT_EQ(latency.count(), s.requests);
+  EXPECT_EQ(s.batches, registry.counter("dstee_batches_total", "m").value());
+  EXPECT_EQ(s.shed_total, 1u);
+  EXPECT_EQ(s.shed_total,
+            registry.counter("dstee_requests_shed_total", "m").value());
+  EXPECT_EQ(s.queue_peak, 4u);
+  EXPECT_EQ(static_cast<double>(s.queue_peak),
+            registry.gauge("dstee_queue_depth_peak", "m").value());
+  EXPECT_GT(s.blocked_ms, 0.0);
+  EXPECT_EQ(s.blocked_ms, blocked.sum());
+  EXPECT_DOUBLE_EQ(s.mean_batch_size, static_cast<double>(s.requests) /
+                                          static_cast<double>(s.batches));
+  EXPECT_DOUBLE_EQ(s.latency_mean_ms,
+                   latency.sum() / static_cast<double>(latency.count()));
+  EXPECT_EQ(s.latency_p50_ms, latency.quantile(0.5));
+  EXPECT_EQ(s.latency_p99_ms, latency.quantile(0.99));
+  EXPECT_EQ(s.latency_max_ms, latency.quantile(1.0));
+  EXPECT_GT(s.latency_p50_ms, 0.0);
+  EXPECT_EQ(s.swap_count, server.swap_epoch());
 }
 
-TEST(ServerStats, SnapshotAndAggregateNeverBlockCounterRecording) {
-  // Regression for the documented contract (stats.hpp): counter recording
-  // is lock-free, so hammering aggregate()/snapshot() from a reader while
-  // workers record concurrently must neither race (this test runs under
-  // the TSan CI job) nor lose a count. Latency samples share a brief
-  // mutex with the window copy by design; counts must still be exact.
-  constexpr std::size_t kWriters = 4;
-  constexpr std::size_t kBatchesPerWriter = 500;
-  serve::ServerStats group_a, group_b;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> writers;
-  for (std::size_t w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      serve::ServerStats& target = (w % 2 == 0) ? group_a : group_b;
-      while (!go.load()) std::this_thread::yield();
-      for (std::size_t i = 0; i < kBatchesPerWriter; ++i) {
-        target.record_batch({1.0, 2.0});
-        target.record_queue_depth(w * kBatchesPerWriter + i);
-        target.record_blocked_ms(0.5);
-        target.record_shed();
+TEST(Server, StatsReadWhileClientsSubmitAreExactAfterShutdown) {
+  // stats() reads lock-free series while the workers record into them. A
+  // reader polling it while clients submit must not race (this test runs
+  // under the TSan CI job) and sees counts that only grow; read after
+  // shutdown() every count is exact.
+  CompiledHarness h(0.5);
+  const auto net = serve::CompiledNet::compile(h.model, &h.smodel);
+  serve::ServerConfig cfg;
+  cfg.num_threads = 2;
+  cfg.num_shards = 2;
+  cfg.max_batch = 4;
+  serve::InferenceServer server(net, cfg);
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 100;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    serve::StatsSnapshot last;
+    while (!done.load()) {
+      const serve::StatsSnapshot s = server.stats();
+      EXPECT_GE(s.requests, last.requests);
+      EXPECT_GE(s.batches, last.batches);
+      EXPECT_LE(s.requests, kClients * kPerClient);
+      EXPECT_GE(s.latency_max_ms, 0.0);
+      last = s;
+    }
+  });
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        const auto x = random_tensor(tensor::Shape({12}), c * 1000 + i);
+        EXPECT_EQ(server.submit(x).get().numel(), 5u);
       }
     });
   }
-  go.store(true);
-  // Reader loop overlapping the writers: every intermediate view must be
-  // internally sane (monotonic-ish counts, derived fields finite).
-  for (int spin = 0; spin < 200; ++spin) {
-    const auto agg = serve::ServerStats::aggregate({&group_a, &group_b});
-    EXPECT_GE(agg.requests, agg.batches);  // 2 requests per batch
-    EXPECT_GE(agg.blocked_ms, 0.0);
-    const auto snap = group_a.snapshot();
-    EXPECT_LE(snap.requests, kWriters * kBatchesPerWriter * 2);
-  }
-  for (auto& t : writers) t.join();
-  const auto final_agg = serve::ServerStats::aggregate({&group_a, &group_b});
-  EXPECT_EQ(final_agg.batches, kWriters * kBatchesPerWriter);
-  EXPECT_EQ(final_agg.requests, kWriters * kBatchesPerWriter * 2);
-  EXPECT_EQ(final_agg.queue_peak, kWriters * kBatchesPerWriter - 1);
-  EXPECT_NEAR(final_agg.blocked_ms,
-              0.5 * static_cast<double>(kWriters * kBatchesPerWriter), 1e-6);
-  EXPECT_GT(final_agg.latency_p50_ms, 0.0);
-  EXPECT_EQ(final_agg.shed_total, kWriters * kBatchesPerWriter);
+  for (auto& t : clients) t.join();
+  done.store(true);
+  reader.join();
+  server.shutdown();
+  const serve::StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.requests, kClients * kPerClient);
+  EXPECT_GE(s.batches, 1u);
+  EXPECT_LE(s.batches, s.requests);
+  EXPECT_GT(s.latency_p50_ms, 0.0);
+  EXPECT_LE(s.latency_p50_ms, s.latency_max_ms);
 }
 
 TEST(Server, FlushOnFullBatch) {
@@ -2486,9 +2561,8 @@ TEST(Server, MetricsRegistryRecordsRequestsAndLatency) {
   EXPECT_DOUBLE_EQ(sizes.sum(), 6.0);
   EXPECT_EQ(registry.histogram("dstee_queue_wait_ms", "m0").count(), 6u);
 
-  // The StatsSnapshot bridge lands the same numbers as labeled gauges.
-  serve::export_stats_metrics(registry, "m0", snapshot);
-  EXPECT_EQ(registry.gauge("dstee_stats_requests", "m0").value(), 6.0);
+  // stats() reads these very series.
+  EXPECT_EQ(snapshot.requests, 6u);
   const std::string text = registry.prometheus_text();
   EXPECT_NE(text.find("dstee_requests_total{model=\"m0\"} 6"),
             std::string::npos);

@@ -20,11 +20,10 @@ text exposition written by --metrics-out:
           - for every model label with a dstee_batches_total counter: the
             five dstee_batch_flush_{full,window,deadline,shutdown,idle}_total
             counters sum to it, and dstee_batch_size_count equals it
-          - the two accounting systems agree: for every model label that
-            has both the live counters and the bridged StatsSnapshot
-            gauges (export_stats_metrics), dstee_stats_requests ==
-            dstee_requests_total == dstee_request_latency_ms_count and
-            dstee_stats_batches == dstee_batches_total
+          - every served request is counted once in each series: for
+            every model label with a dstee_requests_total counter,
+            dstee_request_latency_ms_count == dstee_queue_wait_ms_count
+            == dstee_requests_total
 
 Exit status 0 and "CHECK OBS OK" on success; 1 with a diagnostic on the
 first failure. Used by the tools.check_obs CTest case.
@@ -170,28 +169,19 @@ def check_batch_accounting(path, values):
             )
 
 
-def check_stats_bridge(path, values):
-    """The StatsSnapshot gauges count what the live counters count."""
-    for (name, labels), stats_requests in sorted(values.items()):
-        if name != "dstee_stats_requests":
+def check_request_accounting(path, values):
+    """Each completed request has one latency and one queue wait."""
+    for (name, labels), requests in sorted(values.items()):
+        if name != "dstee_requests_total":
             continue
-        if ("dstee_requests_total", labels) not in values:
-            continue  # no live counters under this label
-        for other in ("dstee_requests_total",
-                      "dstee_request_latency_ms_count"):
+        for other in ("dstee_request_latency_ms_count",
+                      "dstee_queue_wait_ms_count"):
             got = values.get((other, labels))
-            if got != stats_requests:
+            if got != requests:
                 fail(
                     f"{path}: {other}{labels} is {got}, "
-                    f"dstee_stats_requests is {stats_requests}"
+                    f"dstee_requests_total is {requests}"
                 )
-        batches = values.get(("dstee_batches_total", labels))
-        stats_batches = values.get(("dstee_stats_batches", labels))
-        if batches != stats_batches:
-            fail(
-                f"{path}: dstee_batches_total{labels} is {batches}, "
-                f"dstee_stats_batches is {stats_batches}"
-            )
 
 
 def check_metrics(path):
@@ -268,7 +258,7 @@ def check_metrics(path):
                     f"{buckets[-1][1]} != _count {total}"
                 )
     check_batch_accounting(path, values)
-    check_stats_bridge(path, values)
+    check_request_accounting(path, values)
     print(
         f"check_obs: metrics ok ({len(types)} families, {samples} samples, "
         f"{len(histograms)} histograms)"

@@ -160,7 +160,7 @@ void write_trace_if_requested(const util::ArgParser& args) {
 }
 
 /// --metrics-out FILE: Prometheus text exposition of everything in the
-/// process-wide registry (live serve metrics + bridged StatsSnapshots).
+/// process-wide registry (the serve metrics every stats() line reads).
 void write_metrics_if_requested(const util::ArgParser& args) {
   const std::string path = args.get_string("metrics-out");
   if (path.empty()) return;
@@ -293,7 +293,7 @@ int run_registry(const util::ArgParser& args) {
       static_cast<std::uint64_t>(args.get_int("seed"));
   const double sparsity = args.get_double("sparsity");
 
-  serve::ModelRegistry registry;
+  serve::ModelRegistry registry(&obs::metrics());
   for (std::size_t i = 0; i < n_models; ++i) {
     // Each model's weights AND topology are a pure function of its seed,
     // which is what lets the swap path rebuild m0's base out-of-band.
@@ -446,15 +446,7 @@ int run_registry(const util::ArgParser& args) {
   }
 
   write_trace_if_requested(args);
-  if (!args.get_string("metrics-out").empty()) {
-    // Per-model live metrics are already in the process registry (the
-    // ModelRegistry wires every server); bridge the final snapshots too.
-    for (const std::string& name : registry.model_names()) {
-      serve::export_stats_metrics(obs::metrics(), name,
-                                  registry.stats(name));
-    }
-    write_metrics_if_requested(args);
-  }
+  write_metrics_if_requested(args);
 
   util::check(failures.load() == 0,
               std::to_string(failures.load()) +
@@ -817,30 +809,10 @@ int run(int argc, const char* const* argv) {
                      static_cast<double>(stats.requests) / wall_s, 1)
               << " req/s\n";
   }
-  if (server.num_shards() > 1) {
-    std::cout << "\nper-shard (" << server.num_shards()
-              << " worker groups, round-robin-by-shape routing):\n";
-    for (std::size_t sh = 0; sh < server.num_shards(); ++sh) {
-      const serve::StatsSnapshot ss = server.shard_stats(sh);
-      std::cout << "  shard " << sh << ": " << ss.requests << " reqs in "
-                << ss.batches << " batches (mean "
-                << util::format_fixed(ss.mean_batch_size, 2) << "), p99 "
-                << util::format_fixed(ss.latency_p99_ms, 3)
-                << " ms, queue peak " << ss.queue_peak << ", blocked "
-                << util::format_fixed(ss.blocked_ms, 3) << " ms\n";
-    }
-  }
-
   // The probe batch ran through the same profiled executor.
   print_op_profile(net, m.sample_shape, probe_batch + stats.requests);
   write_trace_if_requested(args);
-  if (!args.get_string("metrics-out").empty()) {
-    // Bridge the final snapshot alongside the live hot-path metrics, then
-    // write the whole registry as one Prometheus exposition.
-    serve::export_stats_metrics(obs::metrics(), args.get_string("model"),
-                                stats);
-    write_metrics_if_requested(args);
-  }
+  write_metrics_if_requested(args);
 
   util::check(failures.load() == 0, std::to_string(failures.load()) +
                                         " requests failed or returned a "
