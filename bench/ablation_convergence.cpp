@@ -78,8 +78,8 @@ std::vector<double> grad_norm_trace(double sparsity, std::size_t rounds,
     smodel.apply_masks_to_grads();
     if (updated) {
       double norm_sq = 0.0;
-      for (const auto& layer : smodel.layers()) {
-        norm_sq += tensor::squared_norm(layer.param().grad);
+      for (auto& layer : smodel.layers()) {
+        norm_sq += tensor::squared_norm(layer.param().grad());
       }
       norms.push_back(norm_sq);
     }

@@ -143,12 +143,12 @@ void BM_DstEeScore(benchmark::State& state) {
   sparse::SparseModel smodel(model, 0.9, sparse::DistributionKind::kErk,
                              rng);
   auto& layer = smodel.layer(0);
-  tensor::fill_normal(layer.param().grad, rng, 0.0f, 1.0f);
+  tensor::fill_normal(layer.param().grad(), rng, 0.0f, 1.0f);
   methods::DstEeGrow::Config ee;
   methods::DstEeGrow grow(ee);
   util::Rng grow_rng(12);
   for (auto _ : state) {
-    methods::GrowContext ctx{layer, 0, layer.param().grad, 1000, grow_rng};
+    methods::GrowContext ctx{layer, 0, layer.param().grad(), 1000, grow_rng};
     benchmark::DoNotOptimize(grow.scores(ctx));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -540,7 +540,7 @@ void BM_EngineUpdateRound(benchmark::State& state) {
   methods::DstEngine engine(smodel, optimizer, std::move(engine_cfg),
                             rng.fork("engine"));
   for (auto& layer : smodel.layers()) {
-    tensor::fill_normal(layer.param().grad, rng, 0.0f, 1.0f);
+    tensor::fill_normal(layer.param().grad(), rng, 0.0f, 1.0f);
   }
   std::size_t iteration = 1;
   for (auto _ : state) {

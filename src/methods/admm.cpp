@@ -54,10 +54,11 @@ void AdmmPruner::add_penalty_gradients(sparse::SparseModel& model) const {
   const float rho = static_cast<float>(config_.rho);
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
     auto& p = model.layer(i).param();
+    tensor::Tensor& grad = p.grad();
     const tensor::Tensor& z = z_[i];
     const tensor::Tensor& u = u_[i];
-    for (std::size_t j = 0; j < p.grad.numel(); ++j) {
-      p.grad[j] += rho * (p.value[j] - z[j] + u[j]);
+    for (std::size_t j = 0; j < grad.numel(); ++j) {
+      grad[j] += rho * (p.value[j] - z[j] + u[j]);
     }
   }
 }

@@ -44,7 +44,7 @@ std::vector<std::size_t> DstEngine::grow_budgets(
   std::vector<double> weight(L, 0.0);
   double weight_sum = 0.0;
   for (std::size_t i = 0; i < L; ++i) {
-    const auto& g = model_->layer(i).param().grad;
+    const auto& g = model_->layer(i).param().grad();
     weight[i] = tensor::mean(tensor::abs(g));
     weight_sum += weight[i];
   }
@@ -114,7 +114,9 @@ void DstEngine::run_update(std::size_t iteration, double learning_rate) {
 
   for (std::size_t i = 0; i < L; ++i) {
     auto& layer = model_->layer(i);
-    const tensor::Tensor& dense_grad = layer.param().grad;
+    const tensor::Tensor& dense_grad = layer.param().grad();
+    // Read before anything is edited: a released counter throws here.
+    const tensor::Tensor& counter = layer.counter();
 
     // ---- select (on the pre-update mask; sets are disjoint) -------------
     util::Rng drop_rng = rng_.fork("drop/" + std::to_string(round_) + "/" +
@@ -157,7 +159,7 @@ void DstEngine::run_update(std::size_t iteration, double learning_rate) {
       }
     }
     for (const std::size_t j : grows) {
-      if (layer.counter()[j] == 0.0f) ++stats.never_seen_grown;
+      if (counter[j] == 0.0f) ++stats.never_seen_grown;
       layer.mask().activate(j);
       param.value[j] = 0.0f;  // grown weights start at zero (RigL/paper)
       if (config_.reset_momentum) {

@@ -129,10 +129,11 @@ void prune_snip(nn::Module& module, sparse::SparseModel& model,
   std::vector<tensor::Tensor> scores;
   scores.reserve(model.num_layers());
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    const auto& p = model.layer(i).param();
+    auto& p = model.layer(i).param();
+    const tensor::Tensor& grad = p.grad();
     tensor::Tensor s(p.value.shape());
     for (std::size_t j = 0; j < s.numel(); ++j) {
-      s[j] = std::fabs(p.value[j] * p.grad[j]);
+      s[j] = std::fabs(p.value[j] * grad[j]);
     }
     scores.push_back(std::move(s));
   }
@@ -150,10 +151,11 @@ void prune_grasp(nn::Module& module, sparse::SparseModel& model,
   std::vector<tensor::Tensor> scores;
   scores.reserve(model.num_layers());
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    const auto& p = model.layer(i).param();
+    auto& p = model.layer(i).param();
+    const tensor::Tensor& grad = p.grad();
     tensor::Tensor s(p.value.shape());
     for (std::size_t j = 0; j < s.numel(); ++j) {
-      s[j] = p.value[j] * p.grad[j];
+      s[j] = p.value[j] * grad[j];
     }
     scores.push_back(std::move(s));
   }
@@ -202,10 +204,11 @@ void prune_synflow(nn::Module& module, sparse::SparseModel& model,
     std::vector<tensor::Tensor> scores;
     scores.reserve(L);
     for (std::size_t i = 0; i < L; ++i) {
-      const auto& p = model.layer(i).param();
+      auto& p = model.layer(i).param();
+      const tensor::Tensor& grad = p.grad();
       tensor::Tensor s(p.value.shape());
       for (std::size_t j = 0; j < s.numel(); ++j) {
-        s[j] = std::fabs(p.value[j] * p.grad[j]);
+        s[j] = std::fabs(p.value[j] * grad[j]);
       }
       scores.push_back(std::move(s));
     }

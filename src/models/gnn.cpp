@@ -35,7 +35,7 @@ tensor::Tensor GcnLayer::backward(const tensor::Tensor& grad_out) {
   // Y = Â(XWᵀ); Â symmetric ⇒ d(XWᵀ) = Â·grad_out.
   const tensor::Tensor grad_xw = graph_->propagate(grad_out);
   tensor::Tensor grad_w = tensor::matmul_tn(grad_xw, cached_input_);
-  tensor::add_inplace(weight_.grad, grad_w);
+  tensor::add_inplace(weight_.grad(), grad_w);
   return tensor::matmul(grad_xw, weight_.value);
 }
 
@@ -92,9 +92,10 @@ tensor::Tensor GnnLinkPredictor::pair_grad_to_embedding_grad(
               "one logit gradient per pair required");
   const std::size_t d = cached_embeddings_.dim(1);
   tensor::Tensor grad_z(cached_embeddings_.shape());
+  tensor::Tensor& grad_bias = decoder_bias_.grad();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const float g = grad_logits[i];
-    decoder_bias_.grad[0] += g;
+    grad_bias[0] += g;
     const float* zu = cached_embeddings_.raw() + pairs[i].u * d;
     const float* zv = cached_embeddings_.raw() + pairs[i].v * d;
     float* gu = grad_z.raw() + pairs[i].u * d;

@@ -136,8 +136,8 @@ tensor::Tensor BatchNorm::backward(const tensor::Tensor& grad_out) {
           dx[i] = scale * dy[i];
         }
       }
-      gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-      beta_.grad[c] += static_cast<float>(sum_dy);
+      gamma_.grad()[c] += static_cast<float>(sum_dy_xhat);
+      beta_.grad()[c] += static_cast<float>(sum_dy);
     }
     return grad_x;
   }
@@ -154,8 +154,8 @@ tensor::Tensor BatchNorm::backward(const tensor::Tensor& grad_out) {
         sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
       }
     }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+    gamma_.grad()[c] += static_cast<float>(sum_dy_xhat);
+    beta_.grad()[c] += static_cast<float>(sum_dy);
 
     // dx = (gamma · inv_std / m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
     const double scale = gamma_.value[c] * cached_inv_std_[c] / m;

@@ -95,12 +95,12 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_out) {
         const float* plane = go + c * oh * ow;
         float acc = 0.0f;
         for (std::size_t i = 0; i < oh * ow; ++i) acc += plane[i];
-        bias_->grad[c] += acc;
+        bias_->grad()[c] += acc;
       }
     }
   }
   tensor::add_inplace(
-      weight_.grad, grad_w2d.reshaped(weight_.value.shape()));
+      weight_.grad(), grad_w2d.reshaped(weight_.value.shape()));
   return grad_x;
 }
 

@@ -52,13 +52,14 @@ tensor::Tensor Linear::backward(const tensor::Tensor& grad_out) {
               "linear backward gradient shape mismatch");
   // grad_W[out,in] += grad_outᵀ[out,batch] · x[batch,in]
   tensor::Tensor grad_w = tensor::matmul_tn(grad_out, cached_input_);
-  tensor::add_inplace(weight_.grad, grad_w);
+  tensor::add_inplace(weight_.grad(), grad_w);
   if (bias_) {
+    tensor::Tensor& grad_b = bias_->grad();
     const std::size_t batch = grad_out.dim(0);
     for (std::size_t n = 0; n < batch; ++n) {
       const float* row = grad_out.raw() + n * out_features_;
       for (std::size_t j = 0; j < out_features_; ++j) {
-        bias_->grad[j] += row[j];
+        grad_b[j] += row[j];
       }
     }
   }

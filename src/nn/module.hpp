@@ -18,8 +18,9 @@ namespace dstee::nn {
 ///
 /// Contract:
 ///  - forward(x) caches activations needed by backward;
-///  - backward(grad_out) ACCUMULATES into each parameter's `grad` and
-///    returns the gradient w.r.t. the forward input;
+///  - backward(grad_out) ACCUMULATES into each parameter's grad() (the
+///    first call allocates it, see parameter.hpp) and returns the
+///    gradient w.r.t. the forward input;
 ///  - backward must be called after forward with a matching batch;
 ///  - parameter gradients are DENSE: a masked (zero) weight still receives
 ///    its true gradient — the optimizer applies masks. This is what lets
@@ -61,7 +62,7 @@ class Module {
   /// Convenience: all persistent state buffers of this subtree.
   std::vector<tensor::Tensor*> state_buffers();
 
-  /// Zeroes every parameter gradient in this subtree.
+  /// Zeroes every allocated parameter gradient in this subtree.
   void zero_grad();
 
   /// Total trainable element count of this subtree.

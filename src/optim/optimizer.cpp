@@ -34,11 +34,12 @@ void Sgd::step() {
   const float wd = static_cast<float>(config_.weight_decay);
   for (std::size_t pi = 0; pi < params_.size(); ++pi) {
     nn::Parameter& p = *params_[pi];
+    const tensor::Tensor& grad = p.grad();
     tensor::Tensor& vel = velocity_[pi];
     const bool decay =
         wd != 0.0f && (p.sparsifiable || config_.decay_bn_and_bias);
     for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      float g = p.grad[i];
+      float g = grad[i];
       if (decay) g += wd * p.value[i];
       if (mu != 0.0f) {
         vel[i] = mu * vel[i] + g;
@@ -76,8 +77,9 @@ void Adam::step() {
     nn::Parameter& p = *params_[pi];
     tensor::Tensor& m = m_[pi];
     tensor::Tensor& v = v_[pi];
+    const tensor::Tensor& grad = p.grad();
     for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      float g = p.grad[i];
+      float g = grad[i];
       if (wd != 0.0f && p.sparsifiable) g += wd * p.value[i];
       m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * g);
       v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * g * g);

@@ -21,6 +21,33 @@ obs::Counter* evictions_counter(obs::MetricsRegistry* metrics) {
                            "Models removed from the registry");
 }
 
+// A registered model is inference-only: nothing the registry calls
+// (hashing, delta application, plan patching, lowering) reads a gradient
+// or a DST counter, so neither is kept.
+void release_training_state(nn::Module& module, sparse::SparseModel* state) {
+  for (nn::Parameter* p : module.parameters()) p->release_grad();
+  if (state != nullptr) state->release_counters();
+}
+
+// Bytes of every tensor a slot holds: parameter values, gradients and
+// counters that exist, state buffers, masks, and the served version's
+// plan weights (dstee_model_state_bytes).
+double held_bytes(nn::Module& module, const sparse::SparseModel* state,
+                  const CompiledNet& served) {
+  std::size_t floats = 0;
+  for (const nn::Parameter* p : module.parameters()) {
+    floats += p->value.numel() * (p->has_grad() ? 2 : 1);
+  }
+  for (const tensor::Tensor* b : module.state_buffers()) floats += b->numel();
+  const std::size_t layers = state != nullptr ? state->num_layers() : 0;
+  for (std::size_t i = 0; i < layers; ++i) {
+    const sparse::MaskedParameter& layer = state->layer(i);
+    floats += layer.numel() * (layer.has_counter() ? 2 : 1);
+  }
+  return static_cast<double>(floats * sizeof(float) +
+                             served.total_weight_bytes());
+}
+
 }  // namespace
 
 std::size_t autoscale_target(const AutoscalerConfig& config,
@@ -74,11 +101,17 @@ void ModelRegistry::add_model(const std::string& name,
   auto slot = std::make_shared<Slot>(std::move(options));
   slot->module = std::move(module);
   slot->state = std::move(state);
+  release_training_state(*slot->module, slot->state.get());
+  slot->state_bytes = &metrics_->gauge(
+      "dstee_model_state_bytes", name,
+      "Bytes of every tensor the model's slot holds, served plan included");
 
   std::shared_ptr<const CompiledNet> net;
+  double bytes = 0.0;
   {
     util::MutexLock lock(slot->mu);
     net = recompile(*slot);
+    bytes = held_bytes(*slot->module, slot->state.get(), *net);
   }
   slot->server =
       std::make_unique<InferenceServer>(net, slot->options.server);
@@ -94,6 +127,7 @@ void ModelRegistry::add_model(const std::string& name,
   util::check(newest == nullptr ||
                   newest->removed.load(std::memory_order_acquire),
               "ModelRegistry: duplicate model name '" + name + "'");
+  slot->state_bytes->set(bytes);
   retired = std::exchange(newest, std::move(slot));
   if (autoscaled) start_autoscaler();
 }
@@ -143,6 +177,8 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
   }
   slot.server->swap(slot.current);
   report.swap_epoch = slot.server->swap_epoch();
+  record_state_bytes(name, slot,
+                     held_bytes(*slot.module, slot.state.get(), *slot.current));
   return report;
 }
 
@@ -155,19 +191,19 @@ void ModelRegistry::swap_model(const std::string& name,
               "ModelRegistry: model '" + name + "' was removed");
   // load_checkpoint writes each tensor as it reads it, so a file it
   // rejects part way would leave the model a mix of two versions while
-  // the slot still serves, and hashes, the old one. Copy everything it
-  // writes first and put it back if the load throws.
+  // the slot still serves, and hashes, the old one. Copy the values,
+  // buffers and masks it writes first and put them back if the load
+  // throws. The counters it restores are released again either way.
   const std::vector<nn::Parameter*> params = slot.module->parameters();
   const std::vector<tensor::Tensor*> buffers = slot.module->state_buffers();
   sparse::SparseModel* state = slot.state.get();
-  std::vector<tensor::Tensor> values, states, counters;
+  std::vector<tensor::Tensor> values, states;
   std::vector<sparse::Mask> masks;
   for (const nn::Parameter* p : params) values.push_back(p->value);
   for (const tensor::Tensor* b : buffers) states.push_back(*b);
   const std::size_t layers = state != nullptr ? state->num_layers() : 0;
   for (std::size_t i = 0; i < layers; ++i) {
     masks.push_back(state->layer(i).mask());
-    counters.push_back(state->layer(i).counter());
   }
   try {
     train::load_checkpoint(checkpoint_path, *slot.module, state);
@@ -180,11 +216,14 @@ void ModelRegistry::swap_model(const std::string& name,
     }
     for (std::size_t i = 0; i < layers; ++i) {
       state->layer(i).mask() = std::move(masks[i]);
-      state->layer(i).counter() = std::move(counters[i]);
     }
+    release_training_state(*slot.module, state);
     throw;
   }
+  release_training_state(*slot.module, state);
   slot.server->swap(recompile(slot));
+  record_state_bytes(name, slot,
+                     held_bytes(*slot.module, slot.state.get(), *slot.current));
 }
 
 void ModelRegistry::remove_model(const std::string& name) {
@@ -206,6 +245,7 @@ void ModelRegistry::remove_model(const std::string& name) {
   slot.state.reset();
   slot.current.reset();
   slot.hash = 0;
+  record_state_bytes(name, slot, 0.0);
   evictions_->add(1);
 }
 
@@ -286,6 +326,17 @@ std::shared_ptr<const CompiledNet> ModelRegistry::recompile(Slot& slot) {
       slot.compiler.compile(*slot.module, slot.state.get()));
   slot.hash = model_state_hash(*slot.module, slot.state.get());
   return slot.current;
+}
+
+void ModelRegistry::record_state_bytes(const std::string& name,
+                                       const Slot& slot, double bytes) {
+  util::MutexLock lock(mu_);
+  // The name's series belongs to its newest slot: a swap or a removal
+  // that finishes after the name was re-added leaves it alone.
+  const auto it = by_name_.find(name);
+  if (it != by_name_.end() && it->second.get() == &slot) {
+    slot.state_bytes->set(bytes);
+  }
 }
 
 void ModelRegistry::start_autoscaler() {

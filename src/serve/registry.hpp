@@ -5,11 +5,23 @@
 // net's intra-op work lands on the one process-wide runtime::Pool — the
 // paper's deployment story scaled from "a model" to "a fleet".
 //
-// The registry owns, per model: the training-side module + SparseModel
-// (the mutable source of truth deltas apply to), the Compiler pipeline
-// it was compiled with, the version its server serves on every shard
-// (whose plan() names the very CsrMatrix instances its ops run — the
-// seam delta patches start from), and the server.
+// The registry owns, per model: the module + SparseModel (the mutable
+// source of truth deltas apply to), the Compiler pipeline it was compiled
+// with, the version its server serves on every shard (whose plan() names
+// the very CsrMatrix instances its ops run — the seam delta patches start
+// from), and the server.
+//
+// INFERENCE-ONLY: a registered model holds no training state. add_model
+// releases every parameter's gradient and every layer's DST counter, and
+// swap_model releases the counters load_checkpoint restores, whether the
+// load succeeds or throws. What a slot keeps is exactly what hashing,
+// delta application, plan patching and lowering read: parameter values,
+// state buffers (batch-norm running statistics), masks, and the served
+// plan. The dstee_model_state_bytes{model=...} gauge in the registry's
+// metrics counts those bytes (any gradient or counter too, were one
+// there); add_model, apply_delta and swap_model set it, remove_model
+// zeroes it. Training a registered model, or checkpointing its state,
+// throws CheckError.
 //
 // ZERO-DOWNTIME UPDATES
 //   apply_delta(name, delta)  checks the delta's base hash against the
@@ -130,8 +142,9 @@ class ModelRegistry {
 
   /// Registers `name`, taking ownership of the module and its sparse
   /// state (`state` may be null for dense models; when non-null it must
-  /// be built over `*module`). Compiles, keeps the compiled version,
-  /// starts the model's server. Throws on duplicate or empty name.
+  /// be built over `*module`). Releases their gradients and counters,
+  /// compiles, keeps the compiled version, starts the model's server.
+  /// Throws on duplicate or empty name.
   void add_model(const std::string& name,
                  std::unique_ptr<nn::Sequential> module,
                  std::unique_ptr<sparse::SparseModel> state,
@@ -205,6 +218,8 @@ class ModelRegistry {
     std::uint64_t hash DSTEE_GUARDED_BY(mu) = 0;
 
     std::unique_ptr<InferenceServer> server;  ///< set once in add_model
+    /// dstee_model_state_bytes{model=name}; set once in add_model.
+    obs::Gauge* state_bytes = nullptr;
     std::size_t low_streak = 0;  ///< autoscaler thread only
 
     /// Set by remove_model's exchange before it decommissions the slot:
@@ -223,6 +238,11 @@ class ModelRegistry {
   /// slot's published version under slot.mu and returns it.
   std::shared_ptr<const CompiledNet> recompile(Slot& slot)
       DSTEE_REQUIRES(slot.mu);
+
+  /// Sets `name`'s dstee_model_state_bytes gauge to `bytes` while `slot`
+  /// is still the name's newest slot.
+  void record_state_bytes(const std::string& name, const Slot& slot,
+                          double bytes) DSTEE_EXCLUDES(mu_);
 
   void autoscale_loop();
   void start_autoscaler();

@@ -69,6 +69,15 @@ void Mask::apply_to(tensor::Tensor& t) const {
   }
 }
 
+void Mask::check_binary() {
+  bool binary = true;
+  for (float& v : values_.data()) {
+    binary = binary && (v == 0.0f || v == 1.0f);
+    v = v == 1.0f ? 1.0f : 0.0f;
+  }
+  util::check(binary, "mask is not binary");
+}
+
 std::size_t Mask::hamming_distance(const Mask& other) const {
   util::check(shape() == other.shape(),
               "hamming distance requires equal shapes");

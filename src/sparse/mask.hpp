@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -65,6 +66,18 @@ class Mask {
   /// t ⊙ mask, in place.
   void apply_to(tensor::Tensor& t) const;
 
+  /// Overwrites the mask in place from a reader: `read` fills the whole
+  /// numel()-float storage span, then every element is checked to be 0
+  /// or 1 (a -0 is stored as 0). Loaders use this to read a mask record
+  /// without a temporary. A reader that throws, or a non-binary element
+  /// (CheckError), leaves the mask partly written: restore it from a
+  /// copy.
+  template <typename Read>
+  void read_in_place(Read&& read) {
+    read(std::span<float>(values_.data()));
+    check_binary();
+  }
+
   /// Number of positions where this mask and `other` differ.
   std::size_t hamming_distance(const Mask& other) const;
 
@@ -72,6 +85,9 @@ class Mask {
   void check_index(std::size_t flat_index) const {
     util::check(flat_index < numel(), "flat index out of range");
   }
+
+  /// CheckError unless every element is 0 or 1; stores each 0 as +0.
+  void check_binary();
 
   tensor::Tensor values_;
 };

@@ -16,10 +16,28 @@ MaskedParameter::MaskedParameter(nn::Parameter& param, Mask mask,
               "MaskedParameter requires a sparsifiable parameter");
 }
 
+tensor::Tensor& MaskedParameter::counter() {
+  if (!counter_) {
+    util::fail("layer '" + name() +
+               "': its DST counter was released (an inference-only model)");
+  }
+  return *counter_;
+}
+
+const tensor::Tensor& MaskedParameter::counter() const {
+  return const_cast<MaskedParameter*>(this)->counter();
+}
+
+tensor::Tensor& MaskedParameter::restore_counter() {
+  if (!counter_) counter_.emplace(param_->value.shape());
+  return *counter_;
+}
+
 void MaskedParameter::accumulate_counter() {
+  tensor::Tensor& counter = this->counter();
   const tensor::Tensor& m = mask_.tensor();
-  for (std::size_t i = 0; i < counter_.numel(); ++i) {
-    counter_[i] += m[i];
+  for (std::size_t i = 0; i < counter.numel(); ++i) {
+    counter[i] += m[i];
   }
 }
 

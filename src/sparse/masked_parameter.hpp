@@ -1,9 +1,16 @@
 // MaskedParameter: a sparsifiable parameter together with its mask and its
 // activation-occurrence counter N (the tensor the DST-EE exploration term
 // reads). One of these exists per conv/linear weight tensor in the model.
+//
+// The counter is training state only: serving reads the mask and the
+// value. release_counter() frees it (ModelRegistry does, for every model
+// it takes); afterwards every reader and writer of the counter throws
+// CheckError, until restore_counter() allocates it again (which
+// train::load_checkpoint does before reading a "#counter" record).
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "nn/parameter.hpp"
@@ -27,9 +34,19 @@ class MaskedParameter {
   const Mask& mask() const { return mask_; }
 
   /// Occurrence counter Nᵗ: accumulated per mask-update round by += mask
-  /// (Algorithm 1). Same shape as the parameter.
-  tensor::Tensor& counter() { return counter_; }
-  const tensor::Tensor& counter() const { return counter_; }
+  /// (Algorithm 1). Same shape as the parameter. Throws CheckError when
+  /// the counter was released.
+  tensor::Tensor& counter();
+  const tensor::Tensor& counter() const;
+
+  bool has_counter() const { return counter_.has_value(); }
+
+  /// Frees the counter (an inference-only layer needs none).
+  void release_counter() { counter_.reset(); }
+
+  /// Allocates a released counter as zeros of the parameter's shape (a
+  /// kept counter is returned as it is), for a loader to fill.
+  tensor::Tensor& restore_counter();
 
   std::size_t optimizer_index() const { return optimizer_index_; }
 
@@ -43,15 +60,16 @@ class MaskedParameter {
 
   /// Zeros gradients at masked positions (before the optimizer step, so
   /// inactive weights do not move).
-  void apply_mask_to_grad() { mask_.apply_to(param_->grad); }
+  void apply_mask_to_grad() { mask_.apply_to(param_->grad()); }
 
   /// Adds the current mask into the counter (one mask-update round).
+  /// Throws CheckError when the counter was released.
   void accumulate_counter();
 
  private:
   nn::Parameter* param_;  // non-owning; the model outlives this object
   Mask mask_;
-  tensor::Tensor counter_;
+  std::optional<tensor::Tensor> counter_;  // empty once released
   std::size_t optimizer_index_;
 };
 

@@ -89,6 +89,10 @@ void SparseModel::reset_counters_to_masks() {
   }
 }
 
+void SparseModel::release_counters() {
+  for (auto& l : layers_) l.release_counter();
+}
+
 std::vector<LayerDensity> SparseModel::layer_report() const {
   std::vector<LayerDensity> out;
   out.reserve(layers_.size());

@@ -65,6 +65,11 @@ class SparseModel {
   /// initialization). Static pruners call this after replacing the masks.
   void reset_counters_to_masks();
 
+  /// Frees every layer's counter (MaskedParameter::release_counter): an
+  /// inference-only model keeps its masks alone. Training on it, and
+  /// save_checkpoint, then throw CheckError.
+  void release_counters();
+
   /// Per-layer density report.
   std::vector<LayerDensity> layer_report() const;
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "sparse/mask.hpp"
 #include "util/check.hpp"
@@ -38,13 +39,13 @@ void write_tensor(std::ofstream& out, const std::string& name,
             static_cast<std::streamsize>(t.numel() * sizeof(float)));
 }
 
-// Reads one record and validates it against the expected name/shape,
-// writing the payload into `dest`. The name length and rank are untrusted
-// file fields, so each is checked against what the model expects before
-// it sizes an allocation: a corrupt length fails with a CheckError, never
-// a multi-GB allocation.
+// Reads one record and validates it against the expected name and
+// shape, writing the payload into `dest` (shape.numel() floats). The name
+// length and rank are untrusted file fields, so each is checked against
+// what the model expects before it sizes an allocation: a corrupt length
+// fails with a CheckError, never a multi-GB allocation.
 void read_tensor_into(std::ifstream& in, const std::string& expected_name,
-                      tensor::Tensor& dest) {
+                      const tensor::Shape& expected, std::span<float> dest) {
   const std::uint64_t name_len = read_u64(in);
   util::check(name_len == expected_name.size(),
               "checkpoint tensor order mismatch: expected '" + expected_name +
@@ -57,26 +58,38 @@ void read_tensor_into(std::ifstream& in, const std::string& expected_name,
               "checkpoint tensor order mismatch: expected '" + expected_name +
                   "', found '" + name + "'");
   const std::uint64_t rank = read_u64(in);
-  util::check(rank == dest.rank(),
+  util::check(rank == expected.rank(),
               "checkpoint shape mismatch for '" + name + "': file has rank " +
                   std::to_string(rank) + ", model has " +
-                  dest.shape().to_string());
+                  expected.to_string());
   std::vector<std::size_t> dims(rank);
   for (auto& d : dims) d = read_u64(in);
   const tensor::Shape shape{std::vector<std::size_t>(dims)};
-  util::check(shape == dest.shape(),
+  util::check(shape == expected,
               "checkpoint shape mismatch for '" + name + "': file has " +
-                  shape.to_string() + ", model has " +
-                  dest.shape().to_string());
-  in.read(reinterpret_cast<char*>(dest.raw()),
-          static_cast<std::streamsize>(dest.numel() * sizeof(float)));
+                  shape.to_string() + ", model has " + expected.to_string());
+  in.read(reinterpret_cast<char*>(dest.data()),
+          static_cast<std::streamsize>(dest.size_bytes()));
   util::check(in.good(), "checkpoint truncated in tensor data");
+}
+
+void read_tensor_into(std::ifstream& in, const std::string& expected_name,
+                      tensor::Tensor& dest) {
+  read_tensor_into(in, expected_name, dest.shape(), dest.data());
 }
 
 }  // namespace
 
 void save_checkpoint(const std::string& path, nn::Module& model,
                      const sparse::SparseModel* state) {
+  // Checked before the file is touched: a released counter would write a
+  // record no loader accepts.
+  for (std::size_t i = 0; state != nullptr && i < state->num_layers(); ++i) {
+    util::check(state->layer(i).has_counter(),
+                "cannot checkpoint layer '" + state->layer(i).name() +
+                    "': its DST counter was released (an inference-only "
+                    "model)");
+  }
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::error_code ec;
@@ -170,19 +183,14 @@ void load_checkpoint(const std::string& path, nn::Module& model,
   if (state != nullptr) {
     for (std::size_t i = 0; i < state->num_layers(); ++i) {
       auto& layer = state->layer(i);
-      tensor::Tensor mask_values(layer.param().value.shape());
-      read_tensor_into(in, "layer" + std::to_string(i) + "#mask",
-                       mask_values);
-      std::vector<std::size_t> active;
-      for (std::size_t j = 0; j < mask_values.numel(); ++j) {
-        const float v = mask_values[j];
-        util::check(v == 0.0f || v == 1.0f,
-                    "checkpoint mask is not binary");
-        if (v == 1.0f) active.push_back(j);
-      }
-      layer.mask() = sparse::Mask::from_indices(mask_values.shape(), active);
-      read_tensor_into(in, "layer" + std::to_string(i) + "#counter",
-                       layer.counter());
+      const std::string prefix = "layer" + std::to_string(i);
+      // Straight into the layer's mask, checked binary there.
+      sparse::Mask& mask = layer.mask();
+      mask.read_in_place([&](std::span<float> dest) {
+        read_tensor_into(in, prefix + "#mask", mask.shape(), dest);
+      });
+      // A released counter is allocated again to take the record.
+      read_tensor_into(in, prefix + "#counter", layer.restore_counter());
     }
     state->apply_masks_to_values();
   }

@@ -1,8 +1,8 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
-#include <unordered_set>
 
 #include "util/check.hpp"
 
@@ -109,18 +109,16 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   check(k <= n, "cannot sample more distinct items than the population size");
-  // Floyd's algorithm.
-  std::unordered_set<std::size_t> chosen;
+  // Floyd's algorithm, with the chosen set as an n-bit bitmap. j is new
+  // at step j (earlier steps draw below it), so it needs no test.
+  std::vector<std::uint64_t> chosen(k == 0 ? 0 : (n + 63) / 64, 0);
   std::vector<std::size_t> out;
   out.reserve(k);
   for (std::size_t j = n - k; j < n; ++j) {
-    const std::size_t t = static_cast<std::size_t>(uniform_index(j + 1));
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
+    std::size_t t = static_cast<std::size_t>(uniform_index(j + 1));
+    if ((chosen[t / 64] >> (t % 64)) & 1U) t = j;
+    chosen[t / 64] |= std::uint64_t{1} << (t % 64);
+    out.push_back(t);
   }
   return out;
 }

@@ -50,7 +50,8 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
   /// Samples `k` distinct indices uniformly from {0, ..., n-1} (k <= n).
-  /// Uses Floyd's algorithm: O(k) memory, no full permutation.
+  /// Uses Floyd's algorithm (k draws, no full permutation), marking the
+  /// chosen items in an n-bit bitmap.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 

@@ -60,7 +60,7 @@ struct EngineHarness {
   void fill_random_grads(std::uint64_t seed) {
     util::Rng r(seed);
     for (auto& layer : smodel.layers()) {
-      tensor::fill_normal(layer.param().grad, r, 0.0f, 1.0f);
+      tensor::fill_normal(layer.param().grad(), r, 0.0f, 1.0f);
     }
   }
 
@@ -219,7 +219,7 @@ TEST(Engine, RedistributionShiftsDensityTowardHighGradientLayers) {
   // Layer 0 gets huge gradients, the rest tiny ones.
   for (std::size_t round = 1; round <= 15; ++round) {
     for (std::size_t i = 0; i < h.smodel.num_layers(); ++i) {
-      auto& g = h.smodel.layer(i).param().grad;
+      auto& g = h.smodel.layer(i).param().grad();
       util::Rng r(round * 10 + i);
       tensor::fill_normal(g, r, 0.0f, i == 0 ? 10.0f : 0.01f);
     }
@@ -233,7 +233,7 @@ TEST(Engine, RedistributionShiftsDensityTowardHighGradientLayers) {
 TEST(Engine, MomentumResetOnTopologyChange) {
   EngineHarness h(0.9, "random");
   // Build momentum everywhere.
-  for (auto& layer : h.smodel.layers()) layer.param().grad.fill(1.0f);
+  for (auto& layer : h.smodel.layers()) layer.param().grad().fill(1.0f);
   h.optimizer.step();
   // Snapshot values of weights that are about to be dropped: magnitude drop
   // picks smallest |w| — force one active weight to be tiny.
@@ -248,7 +248,7 @@ TEST(Engine, MomentumResetOnTopologyChange) {
   EXPECT_FALSE(layer0.mask().is_active(victim));
   EXPECT_EQ(layer0.param().value[victim], 0.0f);
   // With gradient zero and momentum reset, a further step must not move it.
-  for (auto& layer : h.smodel.layers()) layer.param().grad.fill(0.0f);
+  for (auto& layer : h.smodel.layers()) layer.param().grad().fill(0.0f);
   h.smodel.apply_masks_to_grads();
   h.optimizer.step();
   EXPECT_EQ(layer0.param().value[victim], 0.0f);

@@ -156,6 +156,44 @@ TEST(Checkpoint, RoundTripsValuesMasksAndCounters) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Checkpoint, ReleasedCounters) {
+  // An inference-only state (counters released) has no training state to
+  // save, and a load into one restores the file's counters.
+  const std::string dir = "test_ckpt_released_counters";
+  const std::string path = dir + "/model.bin";
+  const std::string refused = dir + "/refused.bin";
+  CheckpointHarness a(5);
+  a.smodel.accumulate_counters();  // make counters nontrivial
+  train::save_checkpoint(path, a.model, &a.smodel);
+
+  CheckpointHarness b(99);
+  b.smodel.release_counters();
+  for (const auto& layer : b.smodel.layers()) {
+    EXPECT_FALSE(layer.has_counter());
+  }
+  EXPECT_THROW(train::save_checkpoint(refused, b.model, &b.smodel),
+               util::CheckError);
+  EXPECT_FALSE(std::filesystem::exists(refused));  // refused before opening
+  EXPECT_THROW(b.smodel.accumulate_counters(), util::CheckError);
+  EXPECT_THROW(b.smodel.reset_counters_to_masks(), util::CheckError);
+
+  train::load_checkpoint(path, b.model, &b.smodel);
+  for (std::size_t i = 0; i < a.smodel.num_layers(); ++i) {
+    ASSERT_TRUE(b.smodel.layer(i).has_counter());
+    const tensor::Tensor& want = a.smodel.layer(i).counter();
+    const tensor::Tensor& got = b.smodel.layer(i).counter();
+    ASSERT_EQ(want.shape(), got.shape());
+    EXPECT_EQ(std::memcmp(want.raw(), got.raw(), want.numel() * sizeof(float)),
+              0)
+        << "layer " << i;
+    EXPECT_EQ(a.smodel.layer(i).mask().hamming_distance(
+                  b.smodel.layer(i).mask()),
+              0u);
+  }
+  EXPECT_EQ(sparse::validate_invariants(b.smodel), "");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Checkpoint, ValuesOnlyRoundTrip) {
   const std::string dir = "test_ckpt_values_only";
   const std::string path = dir + "/dense.bin";

@@ -81,11 +81,11 @@ TEST(Vgg, BackwardRuns) {
   const auto gx = vgg.backward(random_tensor(y.shape(), 8));
   EXPECT_EQ(gx.shape(), x.shape());
   // All sparsifiable weights must have received gradients.
-  for (const auto* p : vgg.parameters()) {
+  for (auto* p : vgg.parameters()) {
     if (!p->sparsifiable) continue;
     double norm = 0.0;
-    for (std::size_t i = 0; i < p->grad.numel(); ++i) {
-      norm += std::abs(static_cast<double>(p->grad[i]));
+    for (std::size_t i = 0; i < p->grad().numel(); ++i) {
+      norm += std::abs(static_cast<double>(p->grad()[i]));
     }
     EXPECT_GT(norm, 0.0) << p->name;
   }
@@ -272,7 +272,7 @@ TEST(Gnn, PairGradientMatchesFiniteDifference) {
   ones.fill(1.0f);
   model.backward(model.pair_grad_to_embedding_grad(ones, pairs));
   nn::Parameter* w1 = model.parameters()[0];
-  const float analytic = w1->grad[0];
+  const float analytic = w1->grad()[0];
 
   auto loss_of = [&]() {
     model.forward(x);

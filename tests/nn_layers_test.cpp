@@ -10,6 +10,7 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/ops.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 
@@ -342,9 +343,9 @@ TEST(Sequential, ZeroGradClearsAll) {
   seq.forward(x);
   seq.backward(random_tensor(tensor::Shape({2, 3}), 41));
   seq.zero_grad();
-  for (const auto* p : seq.parameters()) {
-    for (std::size_t i = 0; i < p->grad.numel(); ++i) {
-      EXPECT_EQ(p->grad[i], 0.0f);
+  for (auto* p : seq.parameters()) {
+    for (std::size_t i = 0; i < p->grad().numel(); ++i) {
+      EXPECT_EQ(p->grad()[i], 0.0f);
     }
   }
 }
@@ -354,6 +355,42 @@ TEST(Sequential, NumParametersCountsElements) {
   nn::Sequential seq;
   seq.emplace<nn::Linear>(3, 4, rng);  // 12 + 4
   EXPECT_EQ(seq.num_parameters(), 16u);
+}
+
+TEST(Parameter, GradientIsAllocatedOnFirstUse) {
+  util::Rng rng(51);
+  nn::Sequential seq;
+  seq.emplace<nn::Conv2d>(2, 3, 3, 1, 1, rng, /*with_bias=*/true);
+  seq.emplace<nn::BatchNorm2d>(3);
+  seq.emplace<nn::Flatten>();
+  seq.emplace<nn::Linear>(3 * 4 * 4, 5, rng);
+  const std::vector<nn::Parameter*> params = seq.parameters();
+  ASSERT_EQ(params.size(), 6u);  // conv, batch-norm and linear: two each
+
+  // Fresh layers hold no gradient, and zero_grad() allocates none.
+  for (const nn::Parameter* p : params) EXPECT_FALSE(p->has_grad()) << p->name;
+  seq.zero_grad();
+  for (const nn::Parameter* p : params) EXPECT_FALSE(p->has_grad()) << p->name;
+
+  // The first grad() is zeros of the value's shape.
+  nn::Parameter& w = *params[0];
+  EXPECT_TRUE(w.grad().equals(tensor::Tensor(w.value.shape())));
+  EXPECT_TRUE(w.has_grad());
+  w.release_grad();
+  EXPECT_FALSE(w.has_grad());
+
+  // A backward pass allocates and fills every gradient.
+  seq.forward(random_tensor(tensor::Shape({2, 2, 4, 4}), 52));
+  seq.backward(random_tensor(tensor::Shape({2, 5}), 53));
+  for (nn::Parameter* p : params) {
+    ASSERT_TRUE(p->has_grad()) << p->name;
+    EXPECT_GT(tensor::squared_norm(p->grad()), 0.0) << p->name;
+  }
+
+  // Released, it is gone; a later grad() is zeros again.
+  w.release_grad();
+  EXPECT_FALSE(w.has_grad());
+  EXPECT_TRUE(w.grad().equals(tensor::Tensor(w.value.shape())));
 }
 
 TEST(Sequential, ConvPoolStackGradients) {

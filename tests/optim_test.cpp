@@ -23,8 +23,8 @@ nn::Parameter make_param(std::initializer_list<float> values,
 
 TEST(Sgd, PlainStepIsGradientDescent) {
   nn::Parameter p = make_param({1.0f, 2.0f});
-  p.grad[0] = 0.5f;
-  p.grad[1] = -1.0f;
+  p.grad()[0] = 0.5f;
+  p.grad()[1] = -1.0f;
   optim::Sgd::Config cfg;
   cfg.lr = 0.1;
   cfg.momentum = 0.0;
@@ -40,10 +40,10 @@ TEST(Sgd, MomentumAccumulates) {
   cfg.lr = 1.0;
   cfg.momentum = 0.5;
   optim::Sgd opt({&p}, cfg);
-  p.grad[0] = 1.0f;
+  p.grad()[0] = 1.0f;
   opt.step();  // v=1, w=-1
   EXPECT_NEAR(p.value[0], -1.0f, 1e-6);
-  p.grad[0] = 1.0f;
+  p.grad()[0] = 1.0f;
   opt.step();  // v=1.5, w=-2.5
   EXPECT_NEAR(p.value[0], -2.5f, 1e-6);
 }
@@ -55,7 +55,7 @@ TEST(Sgd, NesterovLookahead) {
   cfg.momentum = 0.5;
   cfg.nesterov = true;
   optim::Sgd opt({&p}, cfg);
-  p.grad[0] = 1.0f;
+  p.grad()[0] = 1.0f;
   opt.step();  // v=1; update = g + mu*v = 1.5
   EXPECT_NEAR(p.value[0], -1.5f, 1e-6);
 }
@@ -79,12 +79,12 @@ TEST(Sgd, ResetStateClearsMomentumEntry) {
   cfg.lr = 1.0;
   cfg.momentum = 0.9;
   optim::Sgd opt({&p}, cfg);
-  p.grad[0] = 1.0f;
-  p.grad[1] = 1.0f;
+  p.grad()[0] = 1.0f;
+  p.grad()[1] = 1.0f;
   opt.step();
   opt.reset_state_at(0, 0);  // kill momentum on element 0
-  p.grad[0] = 0.0f;
-  p.grad[1] = 0.0f;
+  p.grad()[0] = 0.0f;
+  p.grad()[1] = 0.0f;
   const float before0 = p.value[0], before1 = p.value[1];
   opt.step();  // element 1 still coasts on momentum, element 0 does not
   EXPECT_EQ(p.value[0], before0);
@@ -108,7 +108,7 @@ TEST(Sgd, ConvergesOnQuadratic) {
   cfg.momentum = 0.9;
   optim::Sgd opt({&p}, cfg);
   for (int i = 0; i < 200; ++i) {
-    p.grad[0] = 2.0f * (p.value[0] - 3.0f);
+    p.grad()[0] = 2.0f * (p.value[0] - 3.0f);
     opt.step();
   }
   EXPECT_NEAR(p.value[0], 3.0f, 1e-2);
@@ -120,7 +120,7 @@ TEST(Adam, ConvergesOnQuadratic) {
   cfg.lr = 0.1;
   optim::Adam opt({&p}, cfg);
   for (int i = 0; i < 300; ++i) {
-    p.grad[0] = 2.0f * (p.value[0] + 5.0f);
+    p.grad()[0] = 2.0f * (p.value[0] + 5.0f);
     opt.step();
   }
   EXPECT_NEAR(p.value[0], -5.0f, 5e-2);
@@ -131,7 +131,7 @@ TEST(Adam, FirstStepIsLrSized) {
   optim::Adam::Config cfg;
   cfg.lr = 0.01;
   optim::Adam opt({&p}, cfg);
-  p.grad[0] = 123.0f;  // Adam normalizes magnitude away on step 1
+  p.grad()[0] = 123.0f;  // Adam normalizes magnitude away on step 1
   opt.step();
   EXPECT_NEAR(p.value[0], -0.01f, 1e-4);
 }
@@ -140,10 +140,10 @@ TEST(Adam, ResetStateClearsMoments) {
   nn::Parameter p = make_param({0.0f});
   optim::Adam::Config cfg;
   optim::Adam opt({&p}, cfg);
-  p.grad[0] = 1.0f;
+  p.grad()[0] = 1.0f;
   opt.step();
   opt.reset_state_at(0, 0);
-  p.grad[0] = 0.0f;
+  p.grad()[0] = 0.0f;
   const float before = p.value[0];
   opt.step();
   EXPECT_EQ(p.value[0], before);

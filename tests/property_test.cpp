@@ -222,7 +222,7 @@ TEST_P(EngineFuzz, InvariantsHoldUnderRandomConfig) {
   for (std::size_t round = 1; round <= 8; ++round) {
     util::Rng grad_rng(round * 7 + GetParam());
     for (auto& layer : smodel.layers()) {
-      tensor::fill_normal(layer.param().grad, grad_rng, 0.0f, 1.0f);
+      tensor::fill_normal(layer.param().grad(), grad_rng, 0.0f, 1.0f);
     }
     engine.force_update(round * 10, 0.1);
     // P1: global active count preserved.

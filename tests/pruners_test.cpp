@@ -202,12 +202,12 @@ TEST(Admm, PenaltyGradientIsRhoScaledViolation) {
   admm.add_penalty_gradients(h.smodel);
   // Z = top-k projection of W, U = 0 → gradient = rho·(W − Z): zero on the
   // kept (largest) entries, rho·w on pruned-away entries.
-  const auto& p = h.smodel.layer(0).param();
+  auto& p = h.smodel.layer(0).param();
   std::size_t nonzero = 0;
-  for (std::size_t i = 0; i < p.grad.numel(); ++i) {
-    if (p.grad[i] != 0.0f) {
+  for (std::size_t i = 0; i < p.grad().numel(); ++i) {
+    if (p.grad()[i] != 0.0f) {
       ++nonzero;
-      EXPECT_NEAR(p.grad[i], 0.5f * p.value[i], 1e-5f);
+      EXPECT_NEAR(p.grad()[i], 0.5f * p.value[i], 1e-5f);
     }
   }
   EXPECT_GT(nonzero, 0u);
@@ -228,7 +228,7 @@ TEST(Admm, ConstraintViolationShrinksUnderPenaltySteps) {
     for (auto& layer : h.smodel.layers()) {
       auto& p = layer.param();
       for (std::size_t i = 0; i < p.value.numel(); ++i) {
-        p.value[i] -= 0.1f * p.grad[i];
+        p.value[i] -= 0.1f * p.grad()[i];
       }
     }
     admm.maybe_update_duals(h.smodel, t);

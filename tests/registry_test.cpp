@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iterator>
@@ -16,7 +17,10 @@
 #include <vector>
 
 #include "models/mlp.hpp"
+#include "models/resnet.hpp"
+#include "nn/losses.hpp"
 #include "obs/metrics.hpp"
+#include "optim/optimizer.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/delta.hpp"
 #include "serve/registry.hpp"
@@ -806,6 +810,174 @@ TEST(Registry, SwapModelRacingRemoveModelReturnsOrThrowsCheckError) {
   EXPECT_THROW(registry.swap_model("m", path), util::CheckError);
   EXPECT_EQ(metrics.counter("dstee_model_evictions_total").value(), 1u);
   registry.shutdown();
+}
+
+/// A module and its 90% ERK sparse state, a pure function of the seed:
+/// the registry MLP, or a batch-norm ResNet-18 (width 0.125, 8×8 input).
+struct Twin {
+  Twin(bool resnet, std::uint64_t seed) : rng(seed) {
+    if (resnet) {
+      models::ResNetConfig cfg;
+      cfg.depth = 18;
+      cfg.image_size = 8;
+      cfg.num_classes = 5;
+      cfg.width_multiplier = 0.125;
+      model = std::make_unique<models::ResNet>(cfg, rng);
+    } else {
+      model = std::make_unique<models::Mlp>(reg_cfg(), rng);
+    }
+    state = std::make_unique<sparse::SparseModel>(
+        *model, 0.9, sparse::DistributionKind::kErk, rng);
+    model->set_training(false);
+  }
+
+  util::Rng rng;
+  std::unique_ptr<nn::Sequential> model;
+  std::unique_ptr<sparse::SparseModel> state;
+};
+
+/// What a slot serving `t` should hold: 4 bytes per parameter value,
+/// buffer and mask element, no gradient, no counter, plus the weights of
+/// an independently compiled plan of the same state.
+double inference_bytes(Twin& t) {
+  std::size_t floats = 0;
+  for (const nn::Parameter* p : t.model->parameters()) {
+    floats += p->value.numel();
+  }
+  for (const tensor::Tensor* b : t.model->state_buffers()) {
+    floats += b->numel();
+  }
+  for (const auto& layer : t.state->layers()) floats += layer.mask().numel();
+  return static_cast<double>(
+      4 * floats +
+      serve::CompiledNet::compile(*t.model, t.state.get()).total_weight_bytes());
+}
+
+TEST(Registry, ModelStateBytesHoldNoTrainingState) {
+  for (const bool resnet : {false, true}) {
+    SCOPED_TRACE(resnet ? "resnet18" : "mlp");
+    const std::string dir =
+        std::string("serve_ckpt/state_bytes_") + (resnet ? "resnet" : "mlp");
+    obs::MetricsRegistry metrics;
+    serve::ModelRegistry registry(&metrics);
+    const auto gauge = [&](const std::string& name) {
+      return metrics.gauge("dstee_model_state_bytes", name).value();
+    };
+
+    Twin base(resnet, 71);
+    const double at_add = inference_bytes(base);
+    Twin served(resnet, 71);
+    registry.add_model("m", std::move(served.model), std::move(served.state));
+    EXPECT_EQ(gauge("m"), at_add);
+
+    // A delta swap: the patched plan weighs what a fresh compile does.
+    // ERK keeps the ResNet's stem dense, so only layers with an inactive
+    // position move.
+    Twin next(resnet, 71);
+    for (sparse::MaskedParameter& layer : next.state->layers()) {
+      const std::vector<std::size_t> inactive =
+          layer.mask().inactive_indices();
+      if (inactive.empty()) continue;
+      layer.mask().deactivate(layer.mask().active_indices()[0]);
+      layer.mask().activate(inactive[0]);
+      layer.param().value[inactive[0]] = 0.125f;
+      layer.apply_mask_to_value();
+    }
+    const serve::SwapReport report = registry.apply_delta(
+        "m", serve::make_delta(*base.model, base.state.get(), *next.model,
+                               next.state.get()));
+    EXPECT_FALSE(report.full_recompile);
+    EXPECT_EQ(gauge("m"), inference_bytes(next));
+
+    // A full-checkpoint swap: the counters it loads are released again.
+    Twin other(resnet, 72);
+    other.state->accumulate_counters();
+    train::save_checkpoint(dir + "/other.bin", *other.model,
+                           other.state.get());
+    registry.swap_model("m", dir + "/other.bin");
+    EXPECT_EQ(gauge("m"), inference_bytes(other));
+
+    // A model trained one step before registration sheds its gradients
+    // and counters too.
+    Twin trained(resnet, 73);
+    optim::Sgd::Config sgd;
+    sgd.lr = 0.05;
+    optim::Sgd opt(trained.model->parameters(), sgd);
+    nn::SoftmaxCrossEntropy loss;
+    trained.model->set_training(true);
+    trained.model->zero_grad();
+    const tensor::Shape batch =
+        resnet ? tensor::Shape({2, 3, 8, 8}) : tensor::Shape({2, 12});
+    loss.forward(trained.model->forward(random_tensor(batch, 74)),
+                 std::vector<std::size_t>{0, 1});
+    trained.model->backward(loss.backward());
+    trained.state->apply_masks_to_grads();
+    opt.step();
+    trained.state->apply_masks_to_values();
+    trained.model->set_training(false);
+    for (const nn::Parameter* p : trained.model->parameters()) {
+      ASSERT_TRUE(p->has_grad()) << p->name;
+    }
+    const double trained_bytes = inference_bytes(trained);
+    registry.add_model("t", std::move(trained.model),
+                       std::move(trained.state));
+    EXPECT_EQ(gauge("t"), trained_bytes);
+
+    registry.remove_model("m");
+    EXPECT_EQ(gauge("m"), 0.0);
+    EXPECT_EQ(gauge("t"), trained_bytes);
+    registry.shutdown();
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(Registry, SwapModelKeepsCountersReleased) {
+  constexpr std::uint64_t kSeedA = 81;
+  constexpr std::uint64_t kSeedB = 82;
+  const std::string dir = "serve_ckpt/keeps_counters_released";
+  const std::string full = dir + "/b.bin";
+  const std::string cut = dir + "/b_cut.bin";
+  {
+    SeededModel b(kSeedB);
+    b.state.accumulate_counters();
+    train::save_checkpoint(full, b.model, &b.state);
+    std::ifstream in(full, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 9));
+  }
+  // What a fresh compile of the checkpoint answers and hashes to.
+  Twin fresh(false, kSeedA);
+  train::load_checkpoint(full, *fresh.model, fresh.state.get());
+  const std::uint64_t fresh_hash =
+      serve::model_state_hash(*fresh.model, fresh.state.get());
+  const auto x = random_tensor(tensor::Shape({12}), 83);
+  const tensor::Tensor fresh_row =
+      serve::CompiledNet::compile(*fresh.model, fresh.state.get())
+          .forward(x.reshaped(tensor::Shape({1, 12})))
+          .reshaped(tensor::Shape({5}));
+
+  obs::MetricsRegistry metrics;
+  serve::ModelRegistry registry(&metrics);
+  SeededModel::add_to(registry, "m", kSeedA);
+  const auto gauge = [&] {
+    return metrics.gauge("dstee_model_state_bytes", "m").value();
+  };
+
+  registry.swap_model("m", full);
+  EXPECT_EQ(registry.state_hash("m"), fresh_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(fresh_row));
+  EXPECT_EQ(gauge(), inference_bytes(fresh));  // no counter bytes
+
+  // The cut file is rejected in its last counter record, after every
+  // value and mask was written; the model comes back whole.
+  EXPECT_THROW(registry.swap_model("m", cut), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), fresh_hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(fresh_row));
+  EXPECT_EQ(gauge(), inference_bytes(fresh));
+  registry.shutdown();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -41,8 +41,8 @@ TEST_P(ConvGeometry, OutputShapeMatchesFormulaAndBackwardRoundTrips) {
   EXPECT_FALSE(tensor::has_nonfinite(gx));
   // Weight gradient is populated everywhere (dense — DST's requirement).
   double grad_mass = 0.0;
-  for (std::size_t i = 0; i < conv.weight().grad.numel(); ++i) {
-    grad_mass += std::fabs(conv.weight().grad[i]);
+  for (std::size_t i = 0; i < conv.weight().grad().numel(); ++i) {
+    grad_mass += std::fabs(conv.weight().grad()[i]);
   }
   EXPECT_GT(grad_mass, 0.0);
 }

@@ -186,13 +186,13 @@ TEST(SparseModel, ApplyMasksToGrads) {
   models::Mlp model(cfg, rng);
   sparse::SparseModel sm(model, 0.5, sparse::DistributionKind::kUniform, rng);
   for (auto& layer : sm.layers()) {
-    layer.param().grad.fill(1.0f);
+    layer.param().grad().fill(1.0f);
   }
   sm.apply_masks_to_grads();
   for (auto& layer : sm.layers()) {
     const auto& mask = layer.mask().tensor();
     for (std::size_t i = 0; i < mask.numel(); ++i) {
-      EXPECT_EQ(layer.param().grad[i], mask[i]);
+      EXPECT_EQ(layer.param().grad()[i], mask[i]);
     }
   }
 }

@@ -120,7 +120,7 @@ inline void check_module_gradients(nn::Module& module,
       param->value[i] = saved;
       const double expected =
           (plus - minus) / (2.0 * static_cast<double>(eps));
-      EXPECT_NEAR(param->grad[i], expected,
+      EXPECT_NEAR(param->grad()[i], expected,
                   tol * std::max(1.0, std::fabs(expected)))
           << "gradient mismatch for " << param->name << " at flat index "
           << i;
@@ -180,7 +180,7 @@ inline void check_module_gradients_tolerant(nn::Module& module,
       param->value[i] = saved - eps;
       const double minus = probe.value(module.forward(input));
       param->value[i] = saved;
-      probe_entry(param->grad[i],
+      probe_entry(param->grad()[i],
                   (plus - minus) / (2.0 * static_cast<double>(eps)));
     }
   }

@@ -1,10 +1,18 @@
 // Trainer, metrics and experiment-harness tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "core/dst_ee.hpp"
 #include "data/dataloader.hpp"
 #include "data/synthetic_tabular.hpp"
 #include "graph/generator.hpp"
 #include "models/mlp.hpp"
+#include "models/resnet.hpp"
+#include "nn/losses.hpp"
+#include "optim/optimizer.hpp"
 #include "train/experiment.hpp"
 #include "train/metrics.hpp"
 #include "train/trainer.hpp"
@@ -260,6 +268,96 @@ TEST(Experiment, LinkPredictionAllMethodsRun) {
     EXPECT_GT(result.best_test_auc, 0.6);
     if (method != train::LinkMethod::kDense) {
       EXPECT_NEAR(result.achieved_sparsity, 0.8, 0.05);
+    }
+  }
+}
+
+// Trains a seeded model for four DST-EE iterations at ΔT = 1 (a
+// drop-and-grow round every step) and returns every value, buffer, mask
+// and counter. With `eager_grads` every gradient is allocated before
+// training, as when Parameter built it with the value; otherwise each is
+// allocated on first use.
+std::vector<tensor::Tensor> train_dst_ee(bool resnet, bool adam,
+                                         bool eager_grads) {
+  util::Rng rng(61);
+  std::unique_ptr<nn::Sequential> model;
+  std::vector<std::size_t> dims{4};
+  if (resnet) {
+    models::ResNetConfig cfg;
+    cfg.depth = 18;
+    cfg.image_size = 8;
+    cfg.num_classes = 4;
+    cfg.width_multiplier = 0.125;
+    model = std::make_unique<models::ResNet>(cfg, rng);
+    dims.insert(dims.end(), {3, 8, 8});
+  } else {
+    models::MlpConfig cfg;
+    cfg.in_features = 12;
+    cfg.hidden = {24, 16};
+    cfg.out_features = 4;
+    model = std::make_unique<models::Mlp>(cfg, rng);
+    dims.push_back(12);
+  }
+  if (eager_grads) {
+    for (nn::Parameter* p : model->parameters()) p->grad();
+  }
+  std::unique_ptr<optim::Optimizer> opt;
+  if (adam) {
+    optim::Adam::Config cfg;
+    cfg.lr = 0.01;
+    cfg.weight_decay = 1e-4;
+    opt = std::make_unique<optim::Adam>(model->parameters(), cfg);
+  } else {
+    optim::Sgd::Config cfg;
+    cfg.lr = 0.05;
+    cfg.momentum = 0.9;
+    cfg.weight_decay = 5e-4;
+    opt = std::make_unique<optim::Sgd>(model->parameters(), cfg);
+  }
+  core::DstEeConfig ee;
+  ee.sparsity = 0.8;
+  ee.delta_t = 1;
+  ee.stop_fraction = 1.0;
+  constexpr std::size_t kSteps = 4;
+  core::DstEeSession session(*model, *opt, ee, kSteps + 1, 62);
+  nn::SoftmaxCrossEntropy loss;
+  const std::vector<std::size_t> labels{0, 1, 2, 3};
+  for (std::size_t it = 1; it <= kSteps; ++it) {
+    model->zero_grad();
+    const tensor::Tensor logits = model->forward(
+        testing::random_tensor(tensor::Shape(dims), 100 + it));
+    loss.forward(logits, labels);
+    model->backward(loss.backward());
+    EXPECT_TRUE(session.on_iteration_end(it, 0.05));
+    opt->step();
+    session.after_optimizer_step();
+  }
+  std::vector<tensor::Tensor> out;
+  for (nn::Parameter* p : model->parameters()) out.push_back(p->value);
+  for (tensor::Tensor* b : model->state_buffers()) out.push_back(*b);
+  for (const auto& layer : session.sparse_model().layers()) {
+    out.push_back(layer.mask().tensor());
+    out.push_back(layer.counter());
+  }
+  return out;
+}
+
+TEST(Train, LazyGradientsTrainBitIdentically) {
+  for (const bool resnet : {false, true}) {
+    for (const bool adam : {false, true}) {
+      const std::vector<tensor::Tensor> eager =
+          train_dst_ee(resnet, adam, true);
+      const std::vector<tensor::Tensor> lazy =
+          train_dst_ee(resnet, adam, false);
+      ASSERT_EQ(eager.size(), lazy.size());
+      for (std::size_t i = 0; i < eager.size(); ++i) {
+        const tensor::Tensor& a = eager[i];
+        const tensor::Tensor& b = lazy[i];
+        ASSERT_EQ(a.shape(), b.shape());
+        EXPECT_EQ(std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)), 0)
+            << (resnet ? "resnet" : "mlp") << (adam ? " adam" : " sgd")
+            << ", tensor " << i;
+      }
     }
   }
 }

@@ -6,6 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -162,6 +165,45 @@ TEST(Rng, SampleWholePopulation) {
   const auto sample = rng.sample_without_replacement(10, 10);
   std::set<std::size_t> seen(sample.begin(), sample.end());
   EXPECT_EQ(seen.size(), 10u);
+}
+
+// Floyd's algorithm with a hash set for the chosen items: the sampler's
+// earlier form, kept as the reference its bitmap must reproduce draw for
+// draw.
+std::vector<std::size_t> floyd_reference(util::Rng& rng, std::size_t n,
+                                         std::size_t k) {
+  std::unordered_set<std::size_t> chosen;
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  for (std::size_t j = n - k; j < n; ++j) {
+    const std::size_t t = static_cast<std::size_t>(rng.uniform_index(j + 1));
+    if (chosen.insert(t).second) {
+      out.push_back(t);
+    } else {
+      chosen.insert(j);
+      out.push_back(j);
+    }
+  }
+  return out;
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesFloydReference) {
+  const std::vector<std::pair<std::size_t, std::size_t>> cases{
+      {0, 0},     {1, 0},       {1, 1},         {2, 1},      {2, 2},
+      {63, 62},   {64, 0},      {64, 63},       {64, 64},    {65, 64},
+      {100, 50},  {1000, 999},  {1000, 1000},   {4099, 410}, {4099, 4098},
+      {147456, 8200},           {262144, 26214}};
+  for (const std::uint64_t seed : {1ULL, 2ULL, 13ULL, 17ULL, 1234567ULL}) {
+    for (const auto& [n, k] : cases) {
+      util::Rng rng(seed);
+      util::Rng ref(seed);
+      EXPECT_EQ(rng.sample_without_replacement(n, k),
+                floyd_reference(ref, n, k))
+          << "seed " << seed << ", n " << n << ", k " << k;
+      // Same number of draws: the streams continue in step.
+      EXPECT_EQ(rng.next_u64(), ref.next_u64());
+    }
+  }
 }
 
 TEST(Rng, SampleRejectsOversizedRequest) {

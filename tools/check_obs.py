@@ -17,16 +17,22 @@ text exposition written by --metrics-out:
           - histogram cumulative buckets are monotone non-decreasing in
             ascending le order, and the +Inf bucket equals _count
           - every sample value parses as a number
-          - for every model label with a dstee_batches_total counter: the
-            five dstee_batch_flush_{full,window,deadline,shutdown,idle}_total
-            counters sum to it, and dstee_batch_size_count equals it
-          - every served request is counted once in each series: for
-            every model label with a dstee_requests_total counter,
-            dstee_request_latency_ms_count == dstee_queue_wait_ms_count
-            == dstee_requests_total
+          - every model label (any dstee_* sample carrying one) has the
+            full per-model accounting:
+            - dstee_batches_total, and the five
+              dstee_batch_flush_{full,window,deadline,shutdown,idle}_total
+              counters sum to it, and dstee_batch_size_count equals it
+            - dstee_requests_total, and every served request is counted
+              once in each series: dstee_request_latency_ms_count ==
+              dstee_queue_wait_ms_count == dstee_requests_total
+          - a ModelRegistry's metrics (those with the unlabeled
+            dstee_model_evictions_total counter) hold
+            dstee_model_state_bytes > 0 for every label that served
+            requests
 
 Exit status 0 and "CHECK OBS OK" on success; 1 with a diagnostic on the
-first failure. Used by the tools.check_obs CTest case.
+first failure. Used by the tools.check_obs and tools.check_obs_registry
+CTest cases.
 """
 
 import argparse
@@ -145,11 +151,20 @@ def base_family(name):
 FLUSH_REASONS = ("full", "window", "deadline", "shutdown", "idle")
 
 
+def model_labels(values):
+    """Every label set a dstee_* sample carries (one per served model)."""
+    return sorted(
+        {labels for (name, labels) in values
+         if labels and name.startswith("dstee_")}
+    )
+
+
 def check_batch_accounting(path, values):
     """Every executed micro-batch has one flush reason and one size."""
-    for (name, labels), batches in sorted(values.items()):
-        if name != "dstee_batches_total":
-            continue
+    for labels in model_labels(values):
+        batches = values.get(("dstee_batches_total", labels))
+        if batches is None:
+            fail(f"{path}: dstee_batches_total{labels} missing")
         flushes = 0.0
         for reason in FLUSH_REASONS:
             counter = f"dstee_batch_flush_{reason}_total"
@@ -171,9 +186,10 @@ def check_batch_accounting(path, values):
 
 def check_request_accounting(path, values):
     """Each completed request has one latency and one queue wait."""
-    for (name, labels), requests in sorted(values.items()):
-        if name != "dstee_requests_total":
-            continue
+    for labels in model_labels(values):
+        requests = values.get(("dstee_requests_total", labels))
+        if requests is None:
+            fail(f"{path}: dstee_requests_total{labels} missing")
         for other in ("dstee_request_latency_ms_count",
                       "dstee_queue_wait_ms_count"):
             got = values.get((other, labels))
@@ -182,6 +198,21 @@ def check_request_accounting(path, values):
                     f"{path}: {other}{labels} is {got}, "
                     f"dstee_requests_total is {requests}"
                 )
+
+
+def check_model_state(path, values):
+    """A registry reports what each model it served holds in memory."""
+    if ("dstee_model_evictions_total", "") not in values:
+        return  # a single server's metrics, not a registry's
+    for labels in model_labels(values):
+        if values.get(("dstee_requests_total", labels), 0.0) <= 0.0:
+            continue
+        held = values.get(("dstee_model_state_bytes", labels))
+        if held is None or held <= 0.0:
+            fail(
+                f"{path}: dstee_model_state_bytes{labels} is {held} for a "
+                f"model that served requests"
+            )
 
 
 def check_metrics(path):
@@ -259,6 +290,7 @@ def check_metrics(path):
                 )
     check_batch_accounting(path, values)
     check_request_accounting(path, values)
+    check_model_state(path, values)
     print(
         f"check_obs: metrics ok ({len(types)} families, {samples} samples, "
         f"{len(histograms)} histograms)"
