@@ -14,8 +14,9 @@
 // (equals-gated against scalar); (3) InferenceServer closed-loop
 // throughput at 1 and 2 shards, the default hold rule against the fixed
 // fill-or-timeout window, hard-gated; (4) tail latency under a mid-run
-// delta hot swap, hard-gated on dropping nothing and on patching the plan
-// without a full recompile, with the p99 bound a note; (5) observability
+// delta hot swap, hard-gated on dropping nothing, on patching the plan
+// without a full recompile or a dense scan and on hashing the state once,
+// with the p99 bound a note; (5) observability
 // overhead — tracing disabled vs armed-idle, noted against a 2%
 // throughput budget. All land in bench_results/serve_scaling.csv. The
 // util::check equality gates and the [FAIL] lines of the shard and
@@ -426,10 +427,11 @@ void hotswap_step(sparse::SparseModel& state) {
 
 /// Tail latency under a mid-run hot swap: the same open-loop arrival
 /// stream measured once without a swap (baseline) and once with a
-/// sparse-delta swap published halfway through. Three hard gates hold on
+/// sparse-delta swap published halfway through. Four hard gates hold on
 /// every run by construction: every arrival completes, the delta is
-/// patched into the plan, not recompiled, and no patched node was
-/// rebuilt by a dense scan. The zero-downtime claim in
+/// patched into the plan, not recompiled, no patched node was rebuilt by
+/// a dense scan, and the swap hashed the full state once. The
+/// zero-downtime claim in
 /// latency form — the swap window's p99 stays within 2x of the
 /// steady-state p99, plus a small absolute floor for timer noise on the
 /// tiny scaled-down model — follows host load, so it is a note. Returns
@@ -578,6 +580,10 @@ bool sweep_hotswap(const bench::BenchEnv& env, double min_time,
   // patched node merged the delta into its base node's positions.
   ok &= bench::gate("a DST delta swap rebuilt no node by a dense scan",
                     report.scanned_weight_nodes == 0);
+  // The dense model is read once per swap: the registry keys the delta
+  // by the hash it last verified and hashes only the result.
+  ok &= bench::gate("a delta swap hashed the full model state once",
+                    report.state_hashes == 1);
   bench::shape_check("p99 with a mid-run swap stays within 2x of baseline",
                      swap_p99 <= base_p99 * 2.0 + 2.0);
   return ok;

@@ -57,6 +57,10 @@ const char* to_string(SpanKind kind) {
       return "forward";
     case SpanKind::kOp:
       return "op";
+    case SpanKind::kSwap:
+      return "swap";
+    case SpanKind::kSwapPhase:
+      return "swap_phase";
   }
   return "?";
 }
@@ -84,6 +88,11 @@ std::uint64_t TraceRecorder::sample() {
   const std::uint32_t every = sample_every_.load(std::memory_order_relaxed);
   const std::uint64_t n = submit_seq_.fetch_add(1, std::memory_order_relaxed);
   if (every > 1 && n % every != 0) return 0;
+  return next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+std::uint64_t TraceRecorder::fresh_id() {
+  if (!enabled_.load(std::memory_order_relaxed)) return 0;
   return next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 

@@ -26,8 +26,11 @@
 // lane — the three share endpoints, so queue + batch sums EXACTLY to the
 // request duration. The worker that ran the micro-batch records `flush`
 // (whole batch) ⊃ `assemble` + `forward` ⊃ per-PlanOp `op` spans on its
-// own thread lane. write_chrome_trace() emits both lane families as
-// Chrome trace-event JSON ("X" complete events) loadable in Perfetto.
+// own thread lane. A ModelRegistry delta swap records `swap` ⊃ one
+// `swap_phase` span per phase (apply, patch, bind, publish) on the lane
+// of the thread that called it; the phases tile the swap.
+// write_chrome_trace() emits both lane families as Chrome trace-event
+// JSON ("X" complete events) loadable in Perfetto.
 #pragma once
 
 #include <atomic>
@@ -54,6 +57,8 @@ enum class SpanKind : std::uint8_t {
   kAssemble,     ///< gathering batch rows into the input tensor
   kForward,      ///< the compiled-net forward for the batch
   kOp,           ///< one PlanOp node inside the executor
+  kSwap,         ///< one model hot swap on the thread that ran it
+  kSwapPhase,    ///< one phase of a swap (apply, patch, bind, publish)
 };
 
 const char* to_string(SpanKind kind);
@@ -105,6 +110,11 @@ class TraceRecorder {
   /// returns a fresh nonzero trace id for every Nth request while
   /// enabled, else 0. When disabled this is ONE relaxed load + branch.
   std::uint64_t sample();
+
+  /// A fresh nonzero trace id while enabled, whatever the sampling
+  /// period; 0 when disabled. For control-plane work (a model swap),
+  /// which is rare enough to trace every time.
+  std::uint64_t fresh_id();
 
   /// Records a completed span on the calling thread's ring. No-op when
   /// `trace_id` is 0, so call sites need no enabled-check of their own.

@@ -256,6 +256,9 @@ std::vector<DenseTensorDelta> read_dense(DeltaReader& in) {
   return tensors;
 }
 
+/// model_state_hash calls on this thread (state_hashes_on_this_thread).
+thread_local std::uint64_t tls_state_hashes = 0;
+
 /// param pointer → masked-layer index, the lookup both the diff and the
 /// patch side key sparse updates on.
 std::unordered_map<const nn::Parameter*, std::size_t> masked_layers(
@@ -273,6 +276,7 @@ std::unordered_map<const nn::Parameter*, std::size_t> masked_layers(
 
 std::uint64_t model_state_hash(nn::Module& model,
                                const sparse::SparseModel* state) {
+  ++tls_state_hashes;
   StateHash h;
   for (const nn::Parameter* p : model.parameters()) h.mix(p->value);
   for (const tensor::Tensor* b : model.state_buffers()) h.mix(*b);
@@ -568,14 +572,20 @@ void restore_model(const CheckpointDelta& delta,
 
 }  // namespace
 
+std::uint64_t state_hashes_on_this_thread() { return tls_state_hashes; }
+
 void apply_delta(const CheckpointDelta& delta, nn::Module& model,
                  sparse::SparseModel* state) {
-  const std::uint64_t have = model_state_hash(model, state);
+  apply_delta(delta, model, state, model_state_hash(model, state));
+}
+
+void apply_delta(const CheckpointDelta& delta, nn::Module& model,
+                 sparse::SparseModel* state, std::uint64_t verified_hash) {
   util::check(
-      have == delta.base_hash,
+      verified_hash == delta.base_hash,
       "delta base mismatch: this delta was built against base state " +
           std::to_string(delta.base_hash) + " but the model hashes to " +
-          std::to_string(have) +
+          std::to_string(verified_hash) +
           " — apply the delta to the exact checkpoint it was made from");
 
   // All or nothing: the old values the delta overwrites (never a copy of

@@ -107,9 +107,29 @@ CheckpointDelta load_delta(const std::string& path);
 /// base-hash message when `model` is not the delta's base, and verifies
 /// the resulting state hashes to `result_hash`. All or nothing: when an
 /// entry is invalid or the result hash differs, every value already
-/// written is restored before the CheckError propagates.
+/// written is restored before the CheckError propagates. Hashes the full
+/// state twice: the base, then the result. It is the overload below
+/// called with model_state_hash(model, state).
 void apply_delta(const CheckpointDelta& delta, nn::Module& model,
                  sparse::SparseModel* state);
+
+/// apply_delta for a caller that already knows the model's state hash:
+/// `verified_hash` stands in for model_state_hash(model, state) in the
+/// base check, so only the result is hashed. "Verified" means the caller
+/// computed it from this very state, or had it confirmed as the
+/// result_hash of the last delta applied, and nothing has written the
+/// model since (ModelRegistry keeps one per model). A stale
+/// `verified_hash` cannot pass silently: the model does not reproduce
+/// `result_hash`, the delta is rejected and the model restored. On a
+/// base mismatch the message names `verified_hash` as what the model
+/// hashes to, and nothing is written.
+void apply_delta(const CheckpointDelta& delta, nn::Module& model,
+                 sparse::SparseModel* state, std::uint64_t verified_hash);
+
+/// How many times model_state_hash has run on the calling thread. A
+/// caller reads it before and after a call to count the full-state
+/// hashes the call computed (SwapReport::state_hashes).
+std::uint64_t state_hashes_on_this_thread();
 
 /// Result of the plan-level patch.
 struct PlanPatch {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <thread>
 #include <utility>
 
 #include "obs/clock.hpp"
+#include "obs/trace.hpp"
 #include "train/checkpoint.hpp"
 #include "util/check.hpp"
 
@@ -28,6 +30,9 @@ void release_training_state(nn::Module& module, sparse::SparseModel* state) {
   for (nn::Parameter* p : module.parameters()) p->release_grad();
   if (state != nullptr) state->release_counters();
 }
+
+// The phases of a delta swap, in order; metric dstee_swap_<phase>_ms.
+constexpr const char* kSwapPhases[4] = {"apply", "patch", "bind", "publish"};
 
 // Bytes of every tensor a slot holds: parameter values, gradients and
 // counters that exist, state buffers, masks, and the served version's
@@ -105,12 +110,27 @@ void ModelRegistry::add_model(const std::string& name,
   slot->state_bytes = &metrics_->gauge(
       "dstee_model_state_bytes", name,
       "Bytes of every tensor the model's slot holds, served plan included");
+  Slot::SwapSeries& swaps = slot->swaps;
+  swaps.total = &metrics_->histogram("dstee_swap_ms", name,
+                                     "Delta hot swap wall time, ms");
+  for (std::size_t i = 0; i < std::size(kSwapPhases); ++i) {
+    const std::string phase = kSwapPhases[i];
+    swaps.phases[i] = &metrics_->histogram(
+        "dstee_swap_" + phase + "_ms", name,
+        "Delta hot swap " + phase + " phase, ms");
+  }
+  swaps.rejected = &metrics_->counter("dstee_deltas_rejected_total", name,
+                                      "Deltas apply_delta rejected");
+  swaps.full_recompiles =
+      &metrics_->counter("dstee_swap_full_recompiles_total", name,
+                         "Delta swaps that recompiled the whole model");
 
   std::shared_ptr<const CompiledNet> net;
   double bytes = 0.0;
   {
     util::MutexLock lock(slot->mu);
     net = recompile(*slot);
+    slot->hash = model_state_hash(*slot->module, slot->state.get());
     bytes = held_bytes(*slot->module, slot->state.get(), *net);
   }
   slot->server =
@@ -151,10 +171,30 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
   // (module/state freed) while we waited for the swap lock.
   util::check(!slot.removed.load(std::memory_order_acquire),
               "ModelRegistry: model '" + name + "' was removed");
+#ifndef NDEBUG
+  // What release builds trust, re-checked on every swap: the cached hash
+  // is the model's.
+  check_cached_hash(name, slot);
+#endif
 
-  // Mutate the source-of-truth model first; this throws, leaving the
-  // model as it was, when the delta is rejected.
-  serve::apply_delta(delta, *slot.module, slot.state.get());
+  // One clock read between phases, so the phases tile the swap.
+  std::int64_t stamps[5] = {obs::now_ns()};
+  const std::uint64_t hashes = state_hashes_on_this_thread();
+  // Mutate the source-of-truth model first, keyed by the hash the slot
+  // last verified; this throws, leaving the model as it was, when the
+  // delta is rejected.
+  try {
+    serve::apply_delta(delta, *slot.module, slot.state.get(), slot.hash);
+  } catch (...) {
+    slot.swaps.rejected->add(1);
+    // The base matched the cached hash, yet the delta failed and the
+    // model was restored: only failures pay to re-hash it, which names a
+    // cache that drifted from its model.
+    if (delta.base_hash == slot.hash) check_cached_hash(name, slot);
+    throw;
+  }
+  slot.hash = delta.result_hash;  // verified by the one hash above
+  stamps[1] = obs::now_ns();
 
   // Patch from the plan of the served version: untouched nodes keep
   // pointing at the very matrices that version's ops run on.
@@ -166,19 +206,37 @@ SwapReport ModelRegistry::apply_delta(const std::string& name,
   report.total_weight_nodes = patch.total_weight_nodes;
   if (patch.needs_full_recompile) {
     report.full_recompile = true;
-    recompile(slot);
+    slot.swaps.full_recompiles->add(1);
+    recompile(slot);  // binds too: the bind phase is empty
+    stamps[2] = stamps[3] = obs::now_ns();
   } else {
     report.patched_weight_nodes = patch.patched_weight_nodes;
     report.scanned_weight_nodes = patch.scanned_weight_nodes;
     report.patched_scale_shifts = patch.patched_scale_shifts;
+    stamps[2] = obs::now_ns();
     slot.current = std::make_shared<const CompiledNet>(
         slot.compiler.bind(std::move(patch.plan)));
-    slot.hash = delta.result_hash;
+    stamps[3] = obs::now_ns();
   }
+  report.state_hashes =
+      static_cast<std::size_t>(state_hashes_on_this_thread() - hashes);
   slot.server->swap(slot.current);
   report.swap_epoch = slot.server->swap_epoch();
   record_state_bytes(name, slot,
                      held_bytes(*slot.module, slot.state.get(), *slot.current));
+  stamps[4] = obs::now_ns();
+
+  const auto ms = [](std::int64_t ns) { return static_cast<double>(ns) / 1e6; };
+  slot.swaps.total->observe(ms(stamps[4] - stamps[0]));
+  const std::uint64_t trace_id = obs::trace().fresh_id();
+  obs::trace().record(trace_id, obs::SpanKind::kSwap, "swap", stamps[0],
+                      stamps[4] - stamps[0], report.swap_epoch);
+  for (std::size_t i = 0; i < std::size(kSwapPhases); ++i) {
+    slot.swaps.phases[i]->observe(ms(stamps[i + 1] - stamps[i]));
+    obs::trace().record(trace_id, obs::SpanKind::kSwapPhase, kSwapPhases[i],
+                        stamps[i], stamps[i + 1] - stamps[i],
+                        report.swap_epoch);
+  }
   return report;
 }
 
@@ -221,6 +279,7 @@ void ModelRegistry::swap_model(const std::string& name,
     throw;
   }
   release_training_state(*slot.module, state);
+  slot.hash = model_state_hash(*slot.module, state);
   slot.server->swap(recompile(slot));
   record_state_bytes(name, slot,
                      held_bytes(*slot.module, slot.state.get(), *slot.current));
@@ -324,8 +383,17 @@ std::shared_ptr<ModelRegistry::Slot> ModelRegistry::find(
 std::shared_ptr<const CompiledNet> ModelRegistry::recompile(Slot& slot) {
   slot.current = std::make_shared<const CompiledNet>(
       slot.compiler.compile(*slot.module, slot.state.get()));
-  slot.hash = model_state_hash(*slot.module, slot.state.get());
   return slot.current;
+}
+
+void ModelRegistry::check_cached_hash(const std::string& name, Slot& slot) {
+  const std::uint64_t have = model_state_hash(*slot.module, slot.state.get());
+  util::check(have == slot.hash,
+              "ModelRegistry: the cached state hash of model '" + name +
+                  "' no longer matches its model: the registry last "
+                  "verified " +
+                  std::to_string(slot.hash) + " but the model hashes to " +
+                  std::to_string(have));
 }
 
 void ModelRegistry::record_state_bytes(const std::string& name,

@@ -25,16 +25,34 @@
 //
 // ZERO-DOWNTIME UPDATES
 //   apply_delta(name, delta)  checks the delta's base hash against the
-//       model, applies it all-or-nothing (a rejected delta leaves the
-//       model as it was), patches ONLY the touched plan nodes
-//       (apply_delta_to_plan), binds the patched plan and RCU-publishes
-//       it into the model's server. The patched plan shares every
-//       untouched matrix with the version it replaces — a patch swap
-//       does O(touched weights) work, not O(model).
+//       state hash the registry last verified for the model (computed
+//       by add_model/swap_model, or confirmed as the previous delta's
+//       result), applies it all-or-nothing (a rejected delta leaves the
+//       model as it was), hashes the result once to verify it, patches
+//       ONLY the touched plan nodes (apply_delta_to_plan), binds the
+//       patched plan and RCU-publishes it into the model's server. The
+//       patched plan shares every untouched matrix with the version it
+//       replaces — a patch swap reads the dense model once (the result
+//       hash) and otherwise does O(touched weights) work. A cached hash
+//       that drifted from its model fails the next delta's result check;
+//       the registry then re-hashes the restored model and names the
+//       drift. Builds without NDEBUG also re-hash the base before every
+//       delta and throw CheckError when it differs from the cached hash.
 //   swap_model(name, checkpoint)  the full-recompile path for when no
 //       delta is available (or a delta declared needs_full_recompile).
 // Both run under the slot's swap lock; serving never pauses (workers
 // capture a version per micro-batch, see server.hpp).
+//
+// A SWAP, VISIBLE: apply_delta records, under the model's label in the
+// registry's metrics, dstee_swap_ms (the whole swap) and the four phases
+// that tile it, read from one set of clock stamps:
+// dstee_swap_apply_ms (model patch + result hash), dstee_swap_patch_ms
+// (apply_delta_to_plan, or the recompile), dstee_swap_bind_ms and
+// dstee_swap_publish_ms (the server swap + the state-bytes gauge). It
+// counts dstee_deltas_rejected_total and dstee_swap_full_recompiles_total.
+// While tracing is on (obs::trace().enabled(), no request sampling), it
+// also records a `swap` span with one `swap_phase` child per phase on
+// the calling thread's lane.
 //
 // AUTOSCALING: an optional background thread polls each model's queue
 // depth and grows/shrinks the server's active shard count between
@@ -99,6 +117,10 @@ struct SwapReport {
   std::size_t total_weight_nodes = 0;
   std::size_t patched_scale_shifts = 0;
   std::size_t swap_epoch = 0;  ///< server swap count after this swap
+  /// Full-state hashes (model_state_hash) the swap computed: 1, the
+  /// result check, on the patch and the full-recompile path alike. The
+  /// Debug-only re-check of the cached base hash is not counted.
+  std::size_t state_hashes = 0;
 };
 
 /// Per-model serving + compilation options for ModelRegistry::add_model.
@@ -162,8 +184,9 @@ class ModelRegistry {
   /// Applies a sparse delta to `name` in place and hot-swaps the served
   /// version, rebuilding only the delta-touched plan nodes. Fails (and
   /// changes nothing) when the delta's base hash does not match the
-  /// model's current state, when an entry is invalid, or when the result
-  /// does not hash to the delta's result_hash.
+  /// state hash the registry last verified for the model, when an entry
+  /// is invalid, or when the result does not hash to the delta's
+  /// result_hash; each failure counts in dstee_deltas_rejected_total.
   SwapReport apply_delta(const std::string& name,
                          const CheckpointDelta& delta);
 
@@ -188,7 +211,8 @@ class ModelRegistry {
   StatsSnapshot stats(const std::string& name) const;
   std::size_t num_active_shards(const std::string& name) const;
   std::size_t queue_depth(const std::string& name) const;
-  /// The model's current state hash (what a delta's base_hash must be).
+  /// The model's current state hash (what a delta's base_hash must be):
+  /// the hash the registry last verified, not a fresh hash of the model.
   std::uint64_t state_hash(const std::string& name) const;
 
   /// Live (not removed) model names, in name order.
@@ -215,11 +239,21 @@ class ModelRegistry {
     mutable util::Mutex mu;
     /// The version the server serves; deltas patch its plan().
     std::shared_ptr<const CompiledNet> current DSTEE_GUARDED_BY(mu);
+    /// model_state_hash of `module`/`state` as last verified: computed
+    /// by add_model/swap_model, or a delta's checked result_hash.
     std::uint64_t hash DSTEE_GUARDED_BY(mu) = 0;
 
     std::unique_ptr<InferenceServer> server;  ///< set once in add_model
     /// dstee_model_state_bytes{model=name}; set once in add_model.
     obs::Gauge* state_bytes = nullptr;
+    /// dstee_swap_*{model=name}; set once in add_model.
+    struct SwapSeries {
+      obs::Histogram* total = nullptr;  ///< dstee_swap_ms
+      /// dstee_swap_{apply,patch,bind,publish}_ms, in swap order.
+      obs::Histogram* phases[4] = {};
+      obs::Counter* rejected = nullptr;         ///< deltas rejected
+      obs::Counter* full_recompiles = nullptr;  ///< deltas recompiled
+    } swaps;
     std::size_t low_streak = 0;  ///< autoscaler thread only
 
     /// Set by remove_model's exchange before it decommissions the slot:
@@ -235,8 +269,14 @@ class ModelRegistry {
   std::shared_ptr<Slot> find(const std::string& name) const;
 
   /// Compiles the slot's current model state, records it as the
-  /// slot's published version under slot.mu and returns it.
+  /// slot's published version under slot.mu and returns it. Does not
+  /// hash: the caller sets slot.hash.
   std::shared_ptr<const CompiledNet> recompile(Slot& slot)
+      DSTEE_REQUIRES(slot.mu);
+
+  /// Re-hashes the slot's model; throws CheckError naming the drift
+  /// when it no longer hashes to slot.hash.
+  static void check_cached_hash(const std::string& name, Slot& slot)
       DSTEE_REQUIRES(slot.mu);
 
   /// Sets `name`'s dstee_model_state_bytes gauge to `bytes` while `slot`

@@ -11,7 +11,9 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +21,9 @@
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
 #include "nn/losses.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/delta.hpp"
@@ -978,6 +982,189 @@ TEST(Registry, SwapModelKeepsCountersReleased) {
   EXPECT_EQ(gauge(), inference_bytes(fresh));
   registry.shutdown();
   std::filesystem::remove_all(dir);
+}
+
+/// The registry MLP plus a state buffer no plan node reads. The state
+/// hash covers it, so a delta that moves it has no node to patch and the
+/// registry recompiles the model.
+class SpareBufferMlp : public models::Mlp {
+ public:
+  explicit SpareBufferMlp(util::Rng& rng) : models::Mlp(reg_cfg(), rng) {}
+
+  void collect_state_buffers(std::vector<tensor::Tensor*>& out) override {
+    models::Mlp::collect_state_buffers(out);
+    out.push_back(&spare);
+  }
+
+  tensor::Tensor spare{tensor::Shape({3})};
+};
+
+/// A SpareBufferMlp and its 90% ERK state, a pure function of the seed.
+struct SpareTwin {
+  explicit SpareTwin(std::uint64_t seed)
+      : rng(seed), model(std::make_unique<SpareBufferMlp>(rng)),
+        state(std::make_unique<sparse::SparseModel>(
+            *model, 0.9, sparse::DistributionKind::kErk, rng)) {
+    model->set_training(false);
+  }
+
+  std::uint64_t hash() { return serve::model_state_hash(*model, state.get()); }
+
+  util::Rng rng;
+  std::unique_ptr<SpareBufferMlp> model;
+  std::unique_ptr<sparse::SparseModel> state;
+};
+
+TEST(Registry, StateHashTracksTheModelThroughEveryPath) {
+  // `twin` follows every operation the registry's model goes through,
+  // applied directly; `next` is one step ahead to make each delta. After
+  // each operation the hash the registry publishes is the twin's.
+  constexpr std::uint64_t kSeed = 91;
+  const std::string dir = "serve_ckpt/state_hash_tracks";
+  SpareTwin twin(kSeed);
+  SpareTwin next(kSeed);
+  serve::ModelRegistry registry;
+  {
+    SpareTwin served(kSeed);
+    registry.add_model("m", std::move(served.model), std::move(served.state));
+  }
+  EXPECT_EQ(registry.state_hash("m"), twin.hash());
+
+  // Steps the registry and the twin through `delta`, which must apply.
+  const auto step = [&](const serve::CheckpointDelta& delta,
+                        bool full_recompile) {
+    const serve::SwapReport report = registry.apply_delta("m", delta);
+    EXPECT_EQ(report.full_recompile, full_recompile);
+    EXPECT_EQ(report.state_hashes, 1u);
+    serve::apply_delta(delta, *twin.model, twin.state.get());
+    EXPECT_EQ(registry.state_hash("m"), twin.hash());
+  };
+  // The delta from the twin to `next` after one faked DST step.
+  const auto dst_step = [&] {
+    perturb(*next.state);
+    return serve::make_delta(*twin.model, twin.state.get(), *next.model,
+                             next.state.get());
+  };
+
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    step(dst_step(), false);
+  }
+
+  // Rejected after writing (the result check fails): restored.
+  serve::CheckpointDelta corrupt = dst_step();
+  const serve::CheckpointDelta good = corrupt;
+  corrupt.result_hash ^= 1;
+  EXPECT_THROW(registry.apply_delta("m", corrupt), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), twin.hash());
+
+  // Rejected before writing (the base is not the model's).
+  serve::CheckpointDelta wrong_base = good;
+  wrong_base.base_hash ^= 1;
+  EXPECT_THROW(registry.apply_delta("m", wrong_base), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), twin.hash());
+  step(good, false);
+
+  // swap_model, accepted: the twin and `next` load the same checkpoint.
+  SpareTwin other(kSeed + 1);
+  other.model->spare[1] = 2.0f;
+  train::save_checkpoint(dir + "/other.bin", *other.model, other.state.get());
+  registry.swap_model("m", dir + "/other.bin");
+  for (SpareTwin* t : {&twin, &next}) {
+    train::load_checkpoint(dir + "/other.bin", *t->model, t->state.get());
+  }
+  EXPECT_EQ(registry.state_hash("m"), twin.hash());
+
+  // swap_model, rejected part way: restored.
+  {
+    std::ifstream in(dir + "/other.bin", std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::ofstream out(dir + "/cut.bin", std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  }
+  EXPECT_THROW(registry.swap_model("m", dir + "/cut.bin"), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), twin.hash());
+
+  // A delta that moves the spare buffer has no node to patch: the
+  // registry recompiles, still hashing once, and serves the result.
+  next.model->spare[0] = 1.5f;
+  step(dst_step(), true);
+  const auto x = random_tensor(tensor::Shape({12}), 92);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(
+      serve::CompiledNet::compile(*twin.model, twin.state.get())
+          .forward(x.reshaped(tensor::Shape({1, 12})))
+          .reshaped(tensor::Shape({5}))));
+
+  // The chain goes on from the recompiled version.
+  step(dst_step(), false);
+  registry.shutdown();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Registry, SwapMetricsTileTheSwapAndCountRejections) {
+  constexpr std::uint64_t kSeed = 95;
+  constexpr std::size_t kDeltas = 4;
+  obs::MetricsRegistry metrics;
+  serve::ModelRegistry registry(&metrics);
+  SeededModel::add_to(registry, "m", kSeed);
+  SeededModel prev(kSeed);
+  SeededModel next(kSeed);
+
+  obs::trace().enable(1u << 30);  // on, but no request is sampled
+  const std::int64_t since = obs::now_ns();
+  for (std::size_t k = 0; k < kDeltas; ++k) {
+    perturb(next.state);
+    const serve::CheckpointDelta delta =
+        serve::make_delta(prev.model, &prev.state, next.model, &next.state);
+    perturb(prev.state);
+    if (k == 1) {
+      serve::CheckpointDelta corrupt = delta;
+      corrupt.result_hash ^= 1;
+      EXPECT_THROW(registry.apply_delta("m", corrupt), util::CheckError);
+    }
+    registry.apply_delta("m", delta);
+  }
+  obs::trace().disable();
+
+  const obs::Histogram& total = metrics.histogram("dstee_swap_ms", "m");
+  EXPECT_EQ(total.count(), kDeltas);
+  EXPECT_GT(total.sum(), 0.0);
+  double phases = 0.0;
+  for (const char* phase : {"apply", "patch", "bind", "publish"}) {
+    const obs::Histogram& h =
+        metrics.histogram(std::string("dstee_swap_") + phase + "_ms", "m");
+    EXPECT_EQ(h.count(), kDeltas) << phase;
+    phases += h.sum();
+  }
+  EXPECT_NEAR(phases, total.sum(), 1e-9 * total.sum());
+  EXPECT_EQ(metrics.counter("dstee_deltas_rejected_total", "m").value(), 1u);
+  EXPECT_EQ(metrics.counter("dstee_swap_full_recompiles_total", "m").value(),
+            0u);
+
+  // Each swap left one `swap` span and four phases that tile it, on this
+  // thread's lane.
+  std::map<std::uint64_t, std::int64_t> swap_ns, phase_ns;
+  std::map<std::uint64_t, std::size_t> phase_count;
+  std::set<std::uint32_t> rings;
+  for (const obs::TraceEvent& ev : obs::trace().drain()) {
+    if (ev.ts_ns < since) continue;
+    if (ev.kind == obs::SpanKind::kSwap) {
+      swap_ns[ev.trace_id] = ev.dur_ns;
+      rings.insert(ev.ring);
+    } else if (ev.kind == obs::SpanKind::kSwapPhase) {
+      phase_ns[ev.trace_id] += ev.dur_ns;
+      ++phase_count[ev.trace_id];
+      rings.insert(ev.ring);
+    }
+  }
+  EXPECT_EQ(swap_ns.size(), kDeltas);
+  EXPECT_EQ(rings.size(), 1u);
+  for (const auto& [id, dur] : swap_ns) {
+    EXPECT_EQ(phase_count[id], 4u) << id;
+    EXPECT_EQ(phase_ns[id], dur) << id;
+  }
+  registry.shutdown();
 }
 
 }  // namespace

@@ -1817,6 +1817,74 @@ TEST(Delta, RejectedDeltaFailsLoudlyAndMutatesNothing) {
                util::CheckError);
 }
 
+TEST(Delta, WrongVerifiedHashIsABaseMismatchAndWritesNothing) {
+  CompiledHarness a(0.9, false, 0.0, 11);
+  CompiledHarness b(0.9, false, 0.0, 11);
+  perturb_layer(b.smodel, 0);
+  const serve::CheckpointDelta delta =
+      serve::make_delta(a.model, &a.smodel, b.model, &b.smodel);
+  const tensor::Tensor weights = a.smodel.layer(0).param().value;
+  const tensor::Tensor mask = a.smodel.layer(0).mask().tensor();
+
+  // The model is the delta's base, but the caller vouches for another
+  // hash: the overload trusts it, so the base check fails with the
+  // 3-argument form's message naming that hash, before any write.
+  const std::uint64_t wrong = delta.base_hash ^ 1;
+  const std::string message = check_message([&] {
+    serve::apply_delta(delta, a.model, &a.smodel, wrong);
+  });
+  EXPECT_TRUE(mentions(message, "delta base mismatch"));
+  EXPECT_TRUE(mentions(message, "the model hashes to " + std::to_string(wrong)));
+  EXPECT_EQ(serve::model_state_hash(a.model, &a.smodel), delta.base_hash);
+  EXPECT_TRUE(a.smodel.layer(0).param().value.equals(weights));
+  EXPECT_TRUE(a.smodel.layer(0).mask().tensor().equals(mask));
+}
+
+TEST(Delta, VerifiedHashOverloadEqualsTheThreeArgumentFormAlongAChain) {
+  // Two twins walk one chain: `full` through the 3-argument form, which
+  // hashes base and result, `cached` through the overload keyed by the
+  // last verified result hash, which hashes the result only. `prev` and
+  // `next` make each step's delta.
+  CompiledHarness full(0.9, false, 0.0, 13);
+  CompiledHarness cached(0.9, false, 0.0, 13);
+  CompiledHarness prev(0.9, false, 0.0, 13);
+  CompiledHarness next(0.9, false, 0.0, 13);
+  std::uint64_t verified =
+      serve::model_state_hash(cached.model, &cached.smodel);
+  for (std::size_t step = 0; step < 4; ++step) {
+    SCOPED_TRACE(step);
+    const std::size_t layer = step % next.smodel.num_layers();
+    perturb_layer(next.smodel, layer);
+    const serve::CheckpointDelta delta =
+        serve::make_delta(prev.model, &prev.smodel, next.model, &next.smodel);
+    perturb_layer(prev.smodel, layer);
+    ASSERT_EQ(delta.base_hash, verified);
+
+    const std::uint64_t h0 = serve::state_hashes_on_this_thread();
+    serve::apply_delta(delta, full.model, &full.smodel);
+    const std::uint64_t h1 = serve::state_hashes_on_this_thread();
+    serve::apply_delta(delta, cached.model, &cached.smodel, verified);
+    const std::uint64_t h2 = serve::state_hashes_on_this_thread();
+    EXPECT_EQ(h1 - h0, 2u);
+    EXPECT_EQ(h2 - h1, 1u);
+    verified = delta.result_hash;
+
+    const std::vector<nn::Parameter*> fp = full.model.parameters();
+    const std::vector<nn::Parameter*> cp = cached.model.parameters();
+    ASSERT_EQ(fp.size(), cp.size());
+    for (std::size_t i = 0; i < fp.size(); ++i) {
+      EXPECT_TRUE(fp[i]->value.equals(cp[i]->value)) << "parameter " << i;
+    }
+    for (std::size_t l = 0; l < full.smodel.num_layers(); ++l) {
+      EXPECT_TRUE(full.smodel.layer(l).mask().tensor().equals(
+          cached.smodel.layer(l).mask().tensor()))
+          << "mask " << l;
+    }
+    EXPECT_EQ(serve::model_state_hash(cached.model, &cached.smodel),
+              delta.result_hash);
+  }
+}
+
 TEST(Delta, LoadersRejectEachOthersFormats) {
   CompiledHarness a(0.9, false, 0.0, 11);
   CompiledHarness b(0.9, false, 0.0, 11);

@@ -29,6 +29,12 @@ text exposition written by --metrics-out:
             dstee_model_evictions_total counter) hold
             dstee_model_state_bytes > 0 for every label that served
             requests
+          - every label with a dstee_swap_ms histogram has the four
+            phase histograms dstee_swap_{apply,patch,bind,publish}_ms,
+            each with dstee_swap_ms's _count, and their _sums add up to
+            dstee_swap_ms_sum (relative 1e-6): the phases tile the swap
+  trace   - (as above, plus) every "swap" span's "swap_phase" children
+            (same trace_id) tile it exactly
 
 Exit status 0 and "CHECK OBS OK" on success; 1 with a diagnostic on the
 first failure. Used by the tools.check_obs and tools.check_obs_registry
@@ -125,12 +131,31 @@ def check_trace(path, slack_ns):
                 f"request {ns(req['dur'])} ns"
             )
 
+    # Swap lanes: the phases of each swap tile it exactly (one set of
+    # clock stamps).
+    swaps = {}
+    for ev in spans:
+        if ev.get("cat") in ("swap", "swap_phase"):
+            trace_id = ev.get("args", {}).get("trace_id")
+            swaps.setdefault(trace_id, []).append(ev)
+    for trace_id, group in sorted(swaps.items()):
+        whole = [ev for ev in group if ev["cat"] == "swap"]
+        phases = [ev for ev in group if ev["cat"] == "swap_phase"]
+        if len(whole) != 1 or not phases:
+            fail(f"{path}: swap {trace_id}: {len(whole)} swap spans, "
+                 f"{len(phases)} phases")
+        total = sum(ns(ev["dur"]) for ev in phases)
+        if abs(total - ns(whole[0]["dur"])) > slack_ns:
+            fail(f"{path}: swap {trace_id}: phases sum to {total} ns, "
+                 f"swap is {ns(whole[0]['dur'])} ns")
+
     ops = [ev for ev in spans if ev.get("cat") == "op"]
     if not ops:
         fail(f"{path}: no per-PlanOp 'op' spans recorded")
     print(
         f"check_obs: trace ok ({len(spans)} spans, {len(requests)} sampled "
-        f"requests, {len(ops)} op spans, {len(lanes)} lanes)"
+        f"requests, {len(ops)} op spans, {len(swaps)} swaps, "
+        f"{len(lanes)} lanes)"
     )
 
 
@@ -215,6 +240,33 @@ def check_model_state(path, values):
             )
 
 
+SWAP_PHASES = ("apply", "patch", "bind", "publish")
+
+
+def check_swap_accounting(path, values):
+    """A registry's delta swaps: the phase histograms tile dstee_swap_ms."""
+    for labels in model_labels(values):
+        count = values.get(("dstee_swap_ms_count", labels))
+        if count is None:
+            continue
+        total = values[("dstee_swap_ms_sum", labels)]
+        phase_sum = 0.0
+        for phase in SWAP_PHASES:
+            family = f"dstee_swap_{phase}_ms"
+            got = values.get((family + "_count", labels))
+            if got != count:
+                fail(
+                    f"{path}: {family}_count{labels} is {got}, "
+                    f"dstee_swap_ms_count is {count}"
+                )
+            phase_sum += values[(family + "_sum", labels)]
+        if abs(phase_sum - total) > 1e-6 * abs(total):
+            fail(
+                f"{path}: swap phases{labels} sum to {phase_sum} ms, "
+                f"dstee_swap_ms_sum is {total} ms"
+            )
+
+
 def check_metrics(path):
     types = {}
     histograms = {}  # family -> {labels-minus-le: [(le, count)]}
@@ -291,6 +343,7 @@ def check_metrics(path):
     check_batch_accounting(path, values)
     check_request_accounting(path, values)
     check_model_state(path, values)
+    check_swap_accounting(path, values)
     print(
         f"check_obs: metrics ok ({len(types)} families, {samples} samples, "
         f"{len(histograms)} histograms)"

@@ -442,6 +442,8 @@ int run_registry(const util::ArgParser& args) {
                             " weight nodes patched (" +
                             std::to_string(swap_report->scanned_weight_nodes) +
                             " by a dense scan)")
+              << ", " << swap_report->state_hashes << " state hash"
+              << (swap_report->state_hashes == 1 ? "" : "es")
               << ", swap epoch " << swap_report->swap_epoch << "\n";
   }
 
