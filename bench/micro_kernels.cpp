@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "kernels/activations.hpp"
 #include "kernels/direct_conv.hpp"
 #include "kernels/epilogue.hpp"
 #include "kernels/simd/backend.hpp"
@@ -199,45 +198,6 @@ void BM_CsrMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrMatvec)->Arg(2)->Arg(5)->Arg(10)->Arg(20)->Arg(50);
 
-// Fused epilogue vs separate activation pass: the kernel-level half of
-// the serve::FuseEpilogue story. Same SpMM, same float op order — the
-// fused variant applies ReLU in-register in the output loop, the
-// unfused one pays a second full pass over the output tensor.
-void BM_SpmmFusedRelu(benchmark::State& state) {
-  const std::size_t n = 1024;
-  auto w = random_tensor(tensor::Shape({n, n}), 31);
-  util::Rng rng(32);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    if (!rng.bernoulli(0.1)) w[i] = 0.0f;
-  }
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-  const auto x = random_tensor(tensor::Shape({1, n}), 33);
-  kernels::Epilogue ep;
-  ep.has_act = true;
-  ep.act = kernels::ActKind::kRelu;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(csr.spmm(x, {}, ep));
-  }
-  state.counters["density"] = csr.density();
-}
-BENCHMARK(BM_SpmmFusedRelu);
-
-void BM_SpmmThenRelu(benchmark::State& state) {
-  const std::size_t n = 1024;
-  auto w = random_tensor(tensor::Shape({n, n}), 31);
-  util::Rng rng(32);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    if (!rng.bernoulli(0.1)) w[i] = 0.0f;
-  }
-  const auto csr = sparse::CsrMatrix::from_dense(w);
-  const auto x = random_tensor(tensor::Shape({1, n}), 33);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::relu(csr.spmm(x)));
-  }
-  state.counters["density"] = csr.density();
-}
-BENCHMARK(BM_SpmmThenRelu);
-
 // CSR-over-im2col conv kernel (serve::CompiledNet's ConvOp hot loop):
 // one image's patch matrix against a masked [Cout, Cin·K·K] weight.
 void BM_CsrSpmmCols(benchmark::State& state) {
@@ -261,12 +221,10 @@ void BM_CsrSpmmCols(benchmark::State& state) {
 BENCHMARK(BM_CsrSpmmCols)->Arg(5)->Arg(10)->Arg(50)->Arg(100);
 
 // Kernel-backend dispatch: the same batched SpMM under the scalar
-// reference and the AVX2 backend.
-// Args are {batch, fused}: fused == 1 runs the bias+ReLU epilogue in the
-// kernel's output loop, the shape every hidden serve layer has after
-// FuseEpilogue. AVX2 cells are equals-gated against scalar before timing
-// — the backends are bit-identical by contract, so any mismatch is a
-// kernel bug, not noise — and skip cleanly on non-AVX2 hosts.
+// reference and the AVX2 backend, the arg being the batch. AVX2 cells
+// are equals-gated against scalar before timing — the backends are
+// bit-identical by contract, so any mismatch is a kernel bug, not noise
+// — and skip cleanly on non-AVX2 hosts.
 sparse::CsrMatrix backend_bench_csr(std::size_t n, double density,
                                     std::uint64_t seed) {
   auto w = random_tensor(tensor::Shape({n, n}), seed);
@@ -280,26 +238,18 @@ sparse::CsrMatrix backend_bench_csr(std::size_t n, double density,
 void run_backend_spmm(benchmark::State& state,
                       const kernels::simd::KernelBackend* backend) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const bool fused = state.range(1) != 0;
   const std::size_t n = 1024;
   const auto csr = backend_bench_csr(n, 0.1, 41);
   const auto x = random_tensor(tensor::Shape({batch, n}), 42);
-  const auto bias = random_tensor(tensor::Shape({n}), 43);
-  kernels::Epilogue ep;
-  if (fused) {
-    ep.bias = bias.raw();
-    ep.has_act = true;
-    ep.act = kernels::ActKind::kRelu;
-  }
   if (backend->is_simd) {
     const auto& scalar = kernels::simd::scalar_backend();
-    if (!csr.spmm(x, {}, ep, backend).equals(csr.spmm(x, {}, ep, &scalar))) {
+    if (!csr.spmm(x, {}, {}, backend).equals(csr.spmm(x, {}, {}, &scalar))) {
       fail_gate(state, "SIMD spmm diverged from scalar reference");
       return;
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csr.spmm(x, {}, ep, backend));
+    benchmark::DoNotOptimize(csr.spmm(x, {}, {}, backend));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch * csr.nnz() * 2));
@@ -309,8 +259,7 @@ void run_backend_spmm(benchmark::State& state,
 void BM_SpmmScalar(benchmark::State& state) {
   run_backend_spmm(state, &kernels::simd::scalar_backend());
 }
-BENCHMARK(BM_SpmmScalar)
-    ->Args({1, 0})->Args({8, 0})->Args({32, 0})->Args({8, 1});
+BENCHMARK(BM_SpmmScalar)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_SpmmAvx2(benchmark::State& state) {
   const auto* avx2 = kernels::simd::avx2_backend();
@@ -320,8 +269,7 @@ void BM_SpmmAvx2(benchmark::State& state) {
   }
   run_backend_spmm(state, avx2);
 }
-BENCHMARK(BM_SpmmAvx2)
-    ->Args({1, 0})->Args({8, 0})->Args({32, 0})->Args({8, 1});
+BENCHMARK(BM_SpmmAvx2)->Arg(1)->Arg(8)->Arg(32);
 
 // Hard gate: AVX2 must beat scalar by >= 1.5x on the batch-8 fp32 SpMM
 // (the vector width's bread-and-butter shape), best of 5. Reported as the
@@ -374,7 +322,7 @@ struct ConvBench {
   sparse::CsrMatrix w;
   tensor::Tensor image;
   tensor::Tensor bias;
-  kernels::Epilogue ep;  ///< bias + ReLU, the fused serve shape
+  kernels::Epilogue ep;  ///< bias only, what serve's conv op passes
 
   static ConvBench make(std::int64_t which) {
     tensor::ConvGeometry g;
@@ -393,8 +341,6 @@ struct ConvBench {
                 random_tensor(tensor::Shape({16, 32, 32}), 53),
                 random_tensor(tensor::Shape({cout}), 54), {}};
     b.ep.bias = b.bias.raw();
-    b.ep.has_act = true;
-    b.ep.act = kernels::ActKind::kRelu;
     return b;
   }
 

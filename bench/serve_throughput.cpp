@@ -9,16 +9,14 @@
 // speedup. Rows land in bench_results/serve_throughput.csv with a
 // `workload` column.
 //
-// Runtime sweeps follow: (1) epilogue fusion (fused vs unfused
-// pipelines, equals-gated); (2) SIMD kernel-backend dispatch
-// (equals-gated against scalar); (3) InferenceServer closed-loop
-// throughput at 1 and 2 shards, the default hold rule against the fixed
-// fill-or-timeout window, hard-gated; (4) tail latency under a mid-run
-// delta hot swap, hard-gated on dropping nothing, on patching the plan
-// without a full recompile or a dense scan and on hashing the state once,
-// with the p99 bound a note; (5) observability
-// overhead — tracing disabled vs armed-idle, noted against a 2%
-// throughput budget. All land in bench_results/serve_scaling.csv. The
+// Runtime sweeps follow: (1) SIMD kernel-backend dispatch (equals-gated
+// against scalar); (2) InferenceServer closed-loop throughput at 1 and 2
+// shards, the default hold rule against the fixed fill-or-timeout
+// window, hard-gated; (3) tail latency under a mid-run delta hot swap,
+// hard-gated on dropping nothing, on patching the plan without a full
+// recompile or a dense scan and on hashing the state once, with the p99
+// bound a note; (4) observability overhead — tracing disabled vs
+// armed-idle, noted against a 2% throughput budget. All land in bench_results/serve_scaling.csv. The
 // util::check equality gates and the [FAIL] lines of the shard and
 // hot-swap gates fail the run (nonzero exit); the [ok]/[note] shape
 // checks are printed only.
@@ -26,18 +24,15 @@
 // DSTEE_SCALE scales the model width; DSTEE_SERVE_MIN_TIME (seconds, default
 // 0.15) controls per-cell measurement time.
 #include <atomic>
-#include <cmath>
 #include <future>
 
 #include "bench_common.hpp"
 #include "kernels/simd/backend.hpp"
 #include "models/mlp.hpp"
-#include "models/resnet.hpp"
 #include "models/vgg.hpp"
 #include "obs/trace.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/delta.hpp"
-#include "serve/passes.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "sparse/sparse_model.hpp"
@@ -106,115 +101,6 @@ void sweep_batches(nn::Sequential& model, const serve::CompiledNet& net,
                    std::to_string(net.total_nnz()),
                    util::format_fixed(net.density(), 4)});
   }
-}
-
-/// Epilogue fusion (serve::FuseEpilogue): the graph-fusion step. The
-/// fused pipeline absorbs activation and residual-add nodes into the
-/// producing CSR op's kernel epilogue, so each output element is biased,
-/// added and activated in-register during the SpMM output loop instead
-/// of in separate full passes over the output tensor. Two workloads:
-///
-///   fusion_mlp     90%-sparse MLP (ReLU epilogues on the hidden SpMMs)
-///   fusion_resnet  90%-sparse ResNet-18 (conv ReLUs + residual adds)
-///
-/// Every fused program is gated bit-identical to the unfused default
-/// pipeline before timing — fusion reorders no float ops, it only
-/// removes tensor-wide passes. The fused batch-1 rate is the latency
-/// claim: small batches are memory-pass-bound, so dropping a pass shows
-/// up directly.
-void sweep_fusion(const bench::BenchEnv& env, double min_time,
-                  util::CsvWriter& csv) {
-  constexpr const char* kFusedSpec =
-      "elide-dropout,fold-bn,fuse-epilogue,free-after-last-use";
-  const std::vector<std::size_t> batches = {1, 2, 4, 8};
-
-  struct B1 {
-    double unfused = 0.0;
-    double fused = 0.0;
-  };
-  auto run_workload = [&](const std::string& workload,
-                          nn::Sequential& model,
-                          const sparse::SparseModel& smodel,
-                          const tensor::Shape& sample) {
-    const serve::CompiledNet unfused =
-        serve::CompiledNet::compile(model, &smodel);
-    serve::Compiler compiler;
-    compiler.pipeline_from_spec(kFusedSpec);
-    const serve::CompiledNet fused = compiler.compile(model, &smodel);
-    util::check(fused.num_fused_ops() > 0,
-                "fusion sweep workload produced no fused ops");
-
-    std::cout << "epilogue fusion: " << workload << " ("
-              << fused.num_fused_ops() << " fused ops, "
-              << unfused.num_ops() - fused.num_ops()
-              << " nodes removed)\n";
-    util::Table table(
-        {"batch", "unfused rows/s", "fused rows/s", "speedup"});
-    B1 b1;
-    for (const std::size_t batch : batches) {
-      tensor::Tensor x{sample.prepended(batch)};
-      util::Rng xrng(300 + batch);
-      tensor::fill_normal(x, xrng, 0.0f, 1.0f);
-      // Equals gate: fused must match unfused bit-for-bit, not just
-      // approximately — fusion changes where ops run, never their order.
-      util::check(fused.forward(x).equals(unfused.forward(x)),
-                  "fused forward diverged from unfused");
-      const double base =
-          measure_rows_per_s([&] { unfused.forward(x); }, batch, min_time);
-      const double rate =
-          measure_rows_per_s([&] { fused.forward(x); }, batch, min_time);
-      if (batch == 1) {
-        b1.unfused = base;
-        b1.fused = rate;
-      }
-      table.add_row({std::to_string(batch), util::format_fixed(base, 0),
-                     util::format_fixed(rate, 0),
-                     util::format_fixed(rate / base, 2) + "x"});
-      csv.write_row({workload, "-", "-", std::to_string(batch),
-                     util::format_fixed(base, 1), util::format_fixed(rate, 1),
-                     util::format_fixed(rate / base, 3)});
-    }
-    std::cout << table.render() << "\n";
-    return b1;
-  };
-
-  models::MlpConfig mcfg;
-  mcfg.in_features = env.scaled(256, 32);
-  mcfg.hidden = {env.scaled(512, 64), env.scaled(512, 64)};
-  mcfg.out_features = 10;
-  util::Rng mrng(61);
-  models::Mlp mlp(mcfg, mrng);
-  sparse::SparseModel mlp_state(mlp, 0.9, sparse::DistributionKind::kErk,
-                                mrng);
-  mlp.set_training(false);
-  const B1 mlp_b1 = run_workload("fusion_mlp", mlp, mlp_state,
-                                 tensor::Shape({mcfg.in_features}));
-
-  models::ResNetConfig rcfg;
-  rcfg.depth = 18;
-  rcfg.image_size = 8;
-  rcfg.num_classes = 10;
-  rcfg.width_multiplier = 0.25 * env.scale;
-  util::Rng rrng(62);
-  models::ResNet resnet(rcfg, rrng);
-  sparse::SparseModel resnet_state(resnet, 0.9,
-                                   sparse::DistributionKind::kErk, rrng);
-  tensor::Tensor warm({2, 3, rcfg.image_size, rcfg.image_size});
-  util::Rng wrng(63);
-  tensor::fill_normal(warm, wrng, 0.0f, 1.0f);
-  resnet.forward(warm);  // move BN stats off init so folding is non-trivial
-  resnet.set_training(false);
-  const B1 res_b1 = run_workload(
-      "fusion_resnet", resnet, resnet_state,
-      tensor::Shape({3, rcfg.image_size, rcfg.image_size}));
-
-  // Gate on the geomean across both workloads: one noisy cell on the
-  // tiny scaled-down models must not flip the claim.
-  const double geomean = std::sqrt((mlp_b1.fused / mlp_b1.unfused) *
-                                   (res_b1.fused / res_b1.unfused));
-  bench::shape_check(
-      "epilogue fusion improves batch-1 latency (geomean, mlp+resnet)",
-      geomean > 1.0);
 }
 
 /// Kernel-backend dispatch: the same 90%-sparse MLP served under every
@@ -733,14 +619,12 @@ int run() {
 
   std::cout << table.render() << "\n";
 
-  // Runtime scaling sweeps (epilogue fusion, kernel backends, shard
-  // worker groups, hot swap, obs overhead). For the fusion rows, baseline is
-  // the unfused rate.
+  // Runtime scaling sweeps (kernel backends, shard worker groups, hot
+  // swap, obs overhead).
   util::CsvWriter scaling_csv(
       "bench_results/serve_scaling.csv",
       {"sweep", "shards", "intra_op", "batch", "baseline_rows_per_s",
        "rows_per_s", "speedup"});
-  sweep_fusion(env, min_time, scaling_csv);
   sweep_kernel_backend(env, min_time, scaling_csv);
   const bool shards_ok = sweep_shards(env, min_time, scaling_csv);
   const bool hotswap_ok = sweep_hotswap(env, min_time, scaling_csv);

@@ -40,9 +40,10 @@ tensor::Tensor relu(const tensor::Tensor& x, tensor::Tensor* mask,
 
 tensor::Tensor add_relu(const tensor::Tensor& a, const tensor::Tensor& b,
                         tensor::Tensor* mask, const runtime::IntraOp& intra) {
-  util::check(a.shape() == b.shape(),
-              "residual branches disagree: " + a.shape().to_string() +
-                  " vs " + b.shape().to_string());
+  if (a.shape() != b.shape()) {
+    util::fail("residual branches disagree: " + a.shape().to_string() +
+               " vs " + b.shape().to_string());
+  }
   if (mask == nullptr) {
     Epilogue ep;
     ep.residual = b.raw();

@@ -9,12 +9,12 @@
 // through kernels::apply_epilogue, so train-time and serve-time numerics
 // cannot drift apart; serve/ EvalOps must NOT call these directly
 // (enforced by the `serve-epilogue` dstee_lint rule) — they build a
-// kernels::Epilogue instead, fused into the producing kernel where the
-// plan allows it. Each kernel accepts a runtime::IntraOp chunking the
-// flat element range across the persistent runtime pool; elementwise
-// outputs trivially have one writer per element, so results are
-// bit-identical for any chunk count. Small tensors always run inline
-// regardless of the policy (fan-out would cost more than the loop).
+// kernels::Epilogue for apply_epilogue instead. Each kernel accepts a
+// runtime::IntraOp chunking the flat element range across the persistent
+// runtime pool; elementwise outputs trivially have one writer per
+// element, so results are bit-identical for any chunk count. Small
+// tensors always run inline regardless of the policy (fan-out would cost
+// more than the loop).
 #pragma once
 
 #include "runtime/pool.hpp"

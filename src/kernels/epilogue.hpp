@@ -1,23 +1,19 @@
-// The fused-epilogue kernel API.
+// The kernel epilogue: the elementwise tail out = act(acc + bias +
+// residual).
 //
-// A kernel epilogue is the elementwise tail a producer applies to each
-// output value while it is still hot in cache/register instead of in a
-// separate pass over memory: out = act(acc + bias + residual). One
-// `Epilogue` descriptor is consumed uniformly by the CSR SpMM kernels
-// (`sparse::CsrMatrix::spmm*`), the dense conv forward
-// (`kernels::conv2d_forward`), and the standalone elementwise application
-// below — so there is exactly one definition of what "bias + residual +
-// activation" means and fused and unfused programs cannot drift apart
-// numerically. The serve/ fusion pass (`serve::FuseEpilogue`) annotates
-// Plan nodes with epilogues; EvalOps translate those annotations into
-// this struct at run time.
+// One `Epilogue` descriptor is what the standalone elementwise
+// application below applies (serve's activation and residual-join nodes,
+// and the training activations in activations.hpp), and what the dense
+// training conv forward (`kernels::conv2d_forward`) applies in its output
+// loop, so there is exactly one definition of what "bias + residual +
+// activation" means. The CSR kernels (`sparse::CsrMatrix::spmm*` and
+// `spconv_into`) take the same descriptor but apply its bias only; they
+// throw on a residual or an activation.
 //
 // Bit-identity contract: activate() reproduces the historical standalone
 // activation kernels operation-for-operation (same compares, same
 // multiply for the leaky slope, same std::exp/std::tanh calls), and the
-// additions are applied in the producer's order (acc, then bias, then
-// residual). A fused program is therefore bit-identical to the unfused
-// op sequence it replaced, not merely close.
+// additions are applied in order: acc, then bias, then residual.
 #pragma once
 
 #include <cmath>
@@ -41,20 +37,17 @@ enum class ActKind { kRelu, kLeakyRelu, kSigmoid, kTanh };
 /// identity. Pointer members borrow — the caller keeps them alive for
 /// the duration of the kernel call.
 struct Epilogue {
-  /// Per-output-row bias, indexed by the kernel's local row index
+  /// Per-output-row bias, indexed by the kernel's row or channel index
   /// (nullptr = no bias). Row-structured kernels only; the flat
   /// apply_epilogue() rejects it.
   const float* bias = nullptr;
 
-  /// Residual operand added after the bias (nullptr = none). Layout is
-  /// kernel-specific: batched SpMM indexes residual[n * residual_stride
-  /// + r]; per-sample kernels and apply_epilogue() index it exactly like
-  /// their output.
+  /// Residual operand added after the bias (nullptr = none).
+  /// apply_epilogue() indexes it exactly like its output;
+  /// conv2d_forward indexes image n's at residual + n * residual_stride.
   const float* residual = nullptr;
 
-  /// Per-sample element stride of `residual` for batched kernels (the
-  /// full output row width even when the kernel computes only a row
-  /// range of it, as each intra-op chunk does).
+  /// Per-image element stride of `residual` for conv2d_forward.
   std::size_t residual_stride = 0;
 
   bool has_act = false;

@@ -8,10 +8,10 @@
 // lane then executes exactly the scalar per-element op sequence: separate
 // _mm256_mul_ps + _mm256_add_ps per nonzero (never FMA — the scalar
 // reference contracts nothing, and this file is built with
-// -ffp-contract=off so the compiler cannot fuse them either), bias before
-// residual before activation. Batch lanes that don't exist (batch % 8)
-// fall back to the scalar backend; grid positions past the swept range
-// are masked off.
+// -ffp-contract=off so the compiler cannot fuse them either), then the
+// bias in the CSR bodies, and residual before activation in the flat
+// epilogue. Batch lanes that don't exist (batch % 8) fall back to the
+// scalar backend; grid positions past the swept range are masked off.
 //
 // ReLU uses _mm256_max_ps(v, +0.0f), which matches `v > 0 ? v : 0` bit
 // for bit including v = -0.0 (max returns the second operand on equal
@@ -74,24 +74,17 @@ inline __m256 act8(__m256 v, const kernels::Epilogue& ep) {
 
 void avx2_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
                     float* out, std::size_t r0, std::size_t r1,
-                    const kernels::Epilogue& ep) {
-  if (a.cols > kMaxGatherStride ||
-      (ep.residual != nullptr && ep.residual_stride > kMaxGatherStride)) {
-    scalar_backend().spmm_rows(a, x, batch, out, r0, r1, ep);
+                    const float* bias) {
+  if (a.cols > kMaxGatherStride) {
+    scalar_backend().spmm_rows(a, x, batch, out, r0, r1, bias);
     return;
   }
 
   const __m256i xlane = lane_offsets(a.cols);
-  const __m256i rlane =
-      ep.residual != nullptr ? lane_offsets(ep.residual_stride)
-                             : _mm256_setzero_si256();
 
   std::size_t n0 = 0;
   for (; n0 + 8 <= batch; n0 += 8) {
     const float* xn = x + n0 * a.cols;
-    const float* resn = ep.residual != nullptr
-                            ? ep.residual + n0 * ep.residual_stride
-                            : nullptr;
     for (std::size_t r = r0; r < r1; ++r) {
       __m256 acc = _mm256_setzero_ps();
       for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
@@ -101,13 +94,7 @@ void avx2_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
         acc = _mm256_add_ps(acc,
                             _mm256_mul_ps(_mm256_set1_ps(a.values[k]), xv));
       }
-      if (ep.bias != nullptr) {
-        acc = _mm256_add_ps(acc, _mm256_set1_ps(ep.bias[r]));
-      }
-      if (resn != nullptr) {
-        acc = _mm256_add_ps(acc, _mm256_i32gather_ps(resn + r, rlane, 4));
-      }
-      acc = act8(acc, ep);
+      if (bias != nullptr) acc = _mm256_add_ps(acc, _mm256_set1_ps(bias[r]));
       alignas(32) float tmp[8];
       _mm256_store_ps(tmp, acc);
       float* yn = out + n0 * a.rows + r;
@@ -116,12 +103,8 @@ void avx2_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
   }
 
   if (n0 < batch) {
-    kernels::Epilogue tail = ep;
-    if (tail.residual != nullptr) {
-      tail.residual += n0 * tail.residual_stride;
-    }
     scalar_backend().spmm_rows(a, x + n0 * a.cols, batch - n0,
-                               out + n0 * a.rows, r0, r1, tail);
+                               out + n0 * a.rows, r0, r1, bias);
   }
 }
 
@@ -136,13 +119,12 @@ void avx2_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
 
 /// Writes the finished values of grid positions [p, p + n), held in
 /// acc[0, n), to their output slots; (y, x) is p's grid coordinate.
-/// Positions x >= width are dropped. Each stored
-/// run gets bias, residual and activation, 8 lanes at a time with a
-/// scalar tail.
+/// Positions x >= width are dropped. Each stored run gets the row's
+/// `bias` (null: none), 8 lanes at a time with a scalar tail.
 void store_runs(const float* acc, std::size_t n, std::size_t y,
                 std::size_t x, const ConvGrid& g, float* yr,
-                const float* res, float bias, const kernels::Epilogue& ep) {
-  const __m256 vbias = _mm256_set1_ps(bias);
+                const float* bias) {
+  const __m256 vbias = _mm256_set1_ps(bias != nullptr ? *bias : 0.0f);
   std::size_t i = 0;
   while (i < n) {
     const std::size_t avail = n - i;
@@ -151,19 +133,16 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
       const std::size_t o = y * g.width + x;
       const float* ai = acc + i;
       float* out = yr + o;
-      const float* ro = res != nullptr ? res + o : nullptr;
       std::size_t j = 0;
       for (; j + 8 <= run; j += 8) {
         __m256 v = _mm256_loadu_ps(ai + j);
-        if (ep.bias != nullptr) v = _mm256_add_ps(v, vbias);
-        if (ro != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(ro + j));
-        _mm256_storeu_ps(out + j, act8(v, ep));
+        if (bias != nullptr) v = _mm256_add_ps(v, vbias);
+        _mm256_storeu_ps(out + j, v);
       }
       for (; j < run; ++j) {
         float v = ai[j];
-        if (ep.bias != nullptr) v += bias;
-        if (ro != nullptr) v += ro[j];
-        out[j] = ep.activate(v);
+        if (bias != nullptr) v += *bias;
+        out[j] = v;
       }
       i += run;
       x += run;
@@ -202,7 +181,7 @@ void accumulate(const SpconvArgs& a, std::size_t r, std::size_t p,
   for (int v = 0; v < kVecs; ++v) _mm256_store_ps(tile + 8 * v, acc[v]);
 }
 
-void avx2_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
+void avx2_spconv(const SpconvArgs& a) {
   const ConvGrid& g = a.grid;
   if (g.height == 0 || g.width == 0) return;
   const std::size_t span = (g.height - 1) * g.pitch + g.width;
@@ -231,8 +210,7 @@ void avx2_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
         accumulate<1, true>(a, r, p, last, tile);
       }
       store_runs(tile, n, ty, tx, g, a.out + r * plane,
-                 ep.residual != nullptr ? ep.residual + r * plane : nullptr,
-                 ep.bias != nullptr ? ep.bias[r] : 0.0f, ep);
+                 a.bias != nullptr ? a.bias + r : nullptr);
     }
     tx += n;
     ty += tx / g.pitch;

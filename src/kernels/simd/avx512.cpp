@@ -5,17 +5,10 @@
 // one output row lives in four zmm accumulators for the row's whole
 // nonzero stream; every lane executes the scalar per-element op sequence,
 // a separate _mm512_mul_ps + _mm512_add_ps per nonzero (never FMA — this
-// file is built with -ffp-contract=off), then bias, residual and
-// activation as each valid position is stored. The last,
-// partial tile uses masked loads: a masked-off lane reads no memory, so
-// no load reaches past the swept grid.
-//
-// ReLU and LeakyReLU keep the AVX2 lane contracts (max with +0.0f as the
-// second operand; an ordered greater-than compare + blend). Sigmoid/tanh
-// run the scalar backend's epilogue over each 16 lanes: std::exp has no
-// vector contract, and calling header inline code from here would compile
-// a copy of it with AVX-512 enabled that the linker may pick for callers
-// on any CPU.
+// file is built with -ffp-contract=off), then the row's bias as each
+// valid position is stored. The last, partial tile uses masked loads: a
+// masked-off lane reads no memory, so no load reaches past the swept
+// grid.
 #ifdef DSTEE_SIMD_AVX512
 
 #include <immintrin.h>
@@ -34,42 +27,14 @@ inline __mmask16 first_lanes(std::size_t count) {
                      : static_cast<__mmask16>((1u << count) - 1u);
 }
 
-/// ep.activate() over sixteen lanes, bit-identical per lane. `act_only`
-/// is ep without its bias/residual pointers, for the scalar fallback.
-inline __m512 act16(__m512 v, const kernels::Epilogue& ep,
-                    const kernels::Epilogue& act_only) {
-  if (!ep.has_act) return v;
-  switch (ep.act) {
-    case kernels::ActKind::kRelu:
-      // The zero-masked form: GCC 12 flags the plain one's undefined
-      // pass-through operand as maybe-uninitialized. Same vmaxps.
-      return _mm512_maskz_max_ps(first_lanes(16), v, _mm512_setzero_ps());
-    case kernels::ActKind::kLeakyRelu: {
-      const __mmask16 gt =
-          _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
-      const __m512 neg = _mm512_mul_ps(_mm512_set1_ps(ep.slope), v);
-      return _mm512_mask_blend_ps(gt, neg, v);
-    }
-    case kernels::ActKind::kSigmoid:
-    case kernels::ActKind::kTanh: {
-      alignas(64) float tmp[16];
-      _mm512_store_ps(tmp, v);
-      scalar_backend().epilogue_range(tmp, tmp, 0, 16, act_only);
-      return _mm512_load_ps(tmp);
-    }
-  }
-  return v;  // unreachable
-}
-
 /// Writes the finished values of grid positions [p, p + n), held in
 /// acc[0, n), to their output slots; (y, x) is p's grid coordinate.
-/// Positions x >= width are dropped. Each stored
-/// run gets bias, residual and activation, 16 lanes at a time with a
-/// masked tail.
+/// Positions x >= width are dropped. Each stored run gets the row's
+/// `bias` (null: none), 16 lanes at a time with a masked tail.
 void store_runs(const float* acc, std::size_t n, std::size_t y,
                 std::size_t x, const ConvGrid& g, float* yr,
-                const float* res, __m512 vbias, const kernels::Epilogue& ep,
-                const kernels::Epilogue& act_only) {
+                const float* bias) {
+  const __m512 vbias = _mm512_set1_ps(bias != nullptr ? *bias : 0.0f);
   std::size_t i = 0;
   while (i < n) {
     const std::size_t avail = n - i;
@@ -79,11 +44,8 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
       for (std::size_t j = 0; j < run; j += 16) {
         const __mmask16 m = first_lanes(run - j);
         __m512 v = _mm512_maskz_loadu_ps(m, acc + i + j);
-        if (ep.bias != nullptr) v = _mm512_add_ps(v, vbias);
-        if (res != nullptr) {
-          v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(m, res + o + j));
-        }
-        _mm512_mask_storeu_ps(yr + o + j, m, act16(v, ep, act_only));
+        if (bias != nullptr) v = _mm512_add_ps(v, vbias);
+        _mm512_mask_storeu_ps(yr + o + j, m, v);
       }
       i += run;
       x += run;
@@ -102,14 +64,11 @@ void store_runs(const float* acc, std::size_t n, std::size_t y,
 }  // namespace
 
 namespace detail {
-void avx512_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
+void avx512_spconv(const SpconvArgs& a) {
   const ConvGrid& g = a.grid;
   if (g.height == 0 || g.width == 0) return;
   const std::size_t span = (g.height - 1) * g.pitch + g.width;
   const std::size_t plane = g.height * g.width;
-  kernels::Epilogue act_only = ep;
-  act_only.bias = nullptr;
-  act_only.residual = nullptr;
   alignas(64) float tile[64];
   // Tile-major: every row of one 64-position tile before the next tile,
   // so the source window the tile reads stays in L1 across the rows.
@@ -163,9 +122,7 @@ void avx512_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
       _mm512_store_ps(tile + 32, acc2);
       _mm512_store_ps(tile + 48, acc3);
       store_runs(tile, n, ty, tx, g, a.out + r * plane,
-                 ep.residual != nullptr ? ep.residual + r * plane : nullptr,
-                 _mm512_set1_ps(ep.bias != nullptr ? ep.bias[r] : 0.0f), ep,
-                 act_only);
+                 a.bias != nullptr ? a.bias + r : nullptr);
     }
     tx += n;
     ty += tx / g.pitch;

@@ -19,21 +19,17 @@ namespace {
 
 void scalar_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
                       float* out, std::size_t r0, std::size_t r1,
-                      const kernels::Epilogue& ep) {
+                      const float* bias) {
   for (std::size_t n = 0; n < batch; ++n) {
     const float* xn = x + n * a.cols;
     float* yn = out + n * a.rows;
-    const float* res = ep.residual != nullptr
-                           ? ep.residual + n * ep.residual_stride
-                           : nullptr;
     for (std::size_t r = r0; r < r1; ++r) {
       float acc = 0.0f;
       for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
         acc += a.values[k] * xn[a.col_idx[k]];
       }
-      if (ep.bias != nullptr) acc += ep.bias[r];
-      if (res != nullptr) acc += res[r];
-      yn[r] = ep.activate(acc);
+      if (bias != nullptr) acc += bias[r];
+      yn[r] = acc;
     }
   }
 }
@@ -43,7 +39,7 @@ void scalar_spmm_rows(const CsrView& a, const float* x, std::size_t batch,
 // b + col·n, over the whole swept grid [0, (height−1)·pitch + width).
 // When pitch == width (spmm_cols_into) the grid is the output row itself;
 // otherwise it is scratch, and the finish pass stores the valid positions.
-void scalar_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
+void scalar_spconv(const SpconvArgs& a) {
   const ConvGrid& g = a.grid;
   if (g.height == 0 || g.width == 0) return;
   const std::size_t span = (g.height - 1) * g.pitch + g.width;
@@ -59,17 +55,13 @@ void scalar_spconv(const SpconvArgs& a, const kernels::Epilogue& ep) {
       const float* s = a.src + a.offsets[k];
       for (std::size_t j = 0; j < span; ++j) acc[j] += v * s[j];
     }
-    if (!ep.empty() || !in_place) {
-      const float bias = ep.bias != nullptr ? ep.bias[r] : 0.0f;
-      const float* res =
-          ep.residual != nullptr ? ep.residual + r * plane : nullptr;
+    if (a.bias != nullptr || !in_place) {
+      const float bias = a.bias != nullptr ? a.bias[r] : 0.0f;
       for (std::size_t y = 0; y < g.height; ++y) {
         for (std::size_t x = 0; x < g.width; ++x) {
-          const std::size_t o = y * g.width + x;
           float v = acc[y * g.pitch + x];
-          if (ep.bias != nullptr) v += bias;
-          if (res != nullptr) v += res[o];
-          yr[o] = ep.activate(v);
+          if (a.bias != nullptr) v += bias;
+          yr[y * g.width + x] = v;
         }
       }
     }

@@ -3,8 +3,10 @@
 // Every hot sparse kernel in the serving stack funnels through ONE of the
 // function pointers below: `sparse::CsrMatrix::spmm*`/`spconv_into` hand
 // their loop bodies to a KernelBackend, and the flat
-// `kernels::apply_epilogue` does the same for its elementwise tail. Three
-// backends exist:
+// `kernels::apply_epilogue` does the same for its elementwise tail. The
+// CSR bodies add a per-row bias and nothing else: an activation or a
+// residual join is its own plan node, which serve runs through
+// apply_epilogue. Three backends exist:
 //
 //   scalar  the historical loop nests, unchanged — the bit-identity
 //           reference every other backend is tested against
@@ -74,29 +76,30 @@ struct SpconvArgs {
   const float* src = nullptr;
   ConvGrid grid;
   float* out = nullptr;
+  const float* bias = nullptr;  ///< per-row bias; null = none
 };
 
-/// One sparse-kernel implementation set. All kernels share the epilogue
-/// semantics of the scalar reference (kernels/epilogue.hpp): bias is
-/// indexed by row, the batched spmm residual by
-/// n * ep.residual_stride + r, the spconv residual like `out`.
+/// One sparse-kernel implementation set. The CSR kernels finish each
+/// output with the row's bias (when there is one) and nothing else; only
+/// epilogue_range applies a residual and an activation.
 struct KernelBackend {
   const char* name = "?";
   bool is_simd = false;
 
   /// Batched SpMM body over output rows [r0, r1) for every batch sample:
-  /// out[n * a.rows + r] = ep(sum_k values[k] * x[n * a.cols + col[k]]).
-  /// This is the chunk body CsrMatrix::spmm_into fans out row-wise.
+  /// out[n * a.rows + r] = sum_k values[k] * x[n * a.cols + col[k]] +
+  /// bias[r] (`bias` null = none). This is the chunk body
+  /// CsrMatrix::spmm_into fans out row-wise.
   void (*spmm_rows)(const CsrView& a, const float* x, std::size_t batch,
                     float* out, std::size_t r0, std::size_t r1,
-                    const kernels::Epilogue& ep) = nullptr;
+                    const float* bias) = nullptr;
 
   /// Direct sparse convolution over a flattened output grid (SpconvArgs):
-  /// out[r, y·width + x] = ep(sum_k value[k] · src[offsets[k] + y·pitch +
-  /// x]), the sum starting from 0.0f in CSR order. With pitch == width ==
-  /// n, height 1 and offsets[k] = col[k]·n it is Y = A·B over a dense
-  /// row-major B[cols, n] — spmm_cols_into.
-  void (*spconv)(const SpconvArgs& a, const kernels::Epilogue& ep) = nullptr;
+  /// out[r, y·width + x] = sum_k value[k] · src[offsets[k] + y·pitch + x]
+  /// + bias[r], the sum starting from 0.0f in CSR order. With pitch ==
+  /// width == n, height 1 and offsets[k] = col[k]·n it is Y = A·B over a
+  /// dense row-major B[cols, n] — spmm_cols_into.
+  void (*spconv)(const SpconvArgs& a) = nullptr;
 
   /// Flat elementwise epilogue over [i0, i1): out[i] = ep.activate(in[i]
   /// + residual[i]). No bias (no row structure) — the chunk body of
@@ -149,7 +152,7 @@ const KernelBackend& avx2_backend_impl();
 
 /// Defined in avx512.cpp; referenced only when the build compiles the
 /// AVX-512 kernel (DSTEE_SIMD_AVX512).
-void avx512_spconv(const SpconvArgs& a, const kernels::Epilogue& ep);
+void avx512_spconv(const SpconvArgs& a);
 }  // namespace detail
 
 }  // namespace dstee::kernels::simd

@@ -8,17 +8,17 @@
 //   lower()    nn::Sequential + SparseModel → Plan IR (one node per
 //              module; Linear → CSR SpMM, Conv2d → direct sparse conv,
 //              eval-BN → scale/shift, residual blocks → add+ReLU joins)
-//   passes     serve::Compiler's pipeline — ElideDropout, FoldBatchNorm,
-//              FreeAfterLastUse by default; FuseEpilogue on request
+//   passes     serve::Compiler's fixed sequence — elide_dropout,
+//              fold_batch_norm, free_after_last_use
 //   bind()     Executor shares the plan's weights and fixes the
 //              runtime::IntraOp policy
 //
 // CompiledNet keeps the finished Plan next to the bound Executor. The
 // plan is the one source of model-level facts — counters, nnz/FLOPs,
 // the node listing — so InferenceServer, dstee_serve and the checkpoint
-// path keep their one-call workflow: CompiledNet::compile() runs the
-// default Compiler pipeline and is bit-identical to the pre-redesign
-// monolithic compiler.
+// path keep their one-call workflow: CompiledNet::compile() runs
+// serve::Compiler and is bit-identical to the pre-redesign monolithic
+// compiler.
 #pragma once
 
 #include <cstddef>
@@ -74,8 +74,8 @@ class CompiledNet {
   /// Producer id meaning "the network input" in a node's input list.
   static constexpr std::size_t kInputId = Plan::kInputId;
 
-  /// Lowers `model` and runs the DEFAULT pass pipeline (use
-  /// serve::Compiler directly to customize passes — e.g. FuseEpilogue).
+  /// Lowers `model` and runs serve::Compiler's rewrites (use
+  /// serve::Compiler directly to inspect the plan before binding).
   /// When `state` is non-null, each Linear/Conv2d weight that has a mask
   /// in `state` is converted with from_masked (faithful topology
   /// deployment); other weights fall back to from_dense(options.dense_eps).
@@ -133,8 +133,6 @@ class CompiledNet {
   std::size_t num_elided() const { return plan_->elided; }
   /// Residual add+ReLU joins in the graph (0 for chain models).
   std::size_t num_residual_joins() const { return plan_->residual_joins; }
-  /// CSR nodes FuseEpilogue annotated with a fused activation/residual.
-  std::size_t num_fused_ops() const { return plan_->fused_ops; }
   /// Weight bytes a replica streams (see Plan::total_weight_bytes).
   std::size_t total_weight_bytes() const {
     return plan_->total_weight_bytes();

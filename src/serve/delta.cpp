@@ -724,8 +724,8 @@ PlanPatch apply_delta_to_plan(const Plan& base_plan,
           op.folded_bn &&
           (op.bn_ordinal >= mods.bns.size() || bn_touched[op.bn_ordinal] != 0);
       if (sites[s].touched || refold) {
-        // Rebuild the node the way a full recompile with the same
-        // pipeline would: lower, then re-fold. A masked node's base
+        // Rebuild the node the way a full recompile would: lower, then
+        // re-fold. A masked node's base
         // matrix holds the base mask's positions (folding only scales
         // values), so merging the section's lists into them lowers the
         // edited mask without a dense scan.

@@ -17,7 +17,7 @@
 // 3 was keyed by an older state hash, so load_delta() rejects it with a
 // pointer at make_delta().
 //
-// The serving half re-uses the compiler seam: the Plan a CompiledNet
+// The serving half starts from the compiler's Plan: the one a CompiledNet
 // keeps (CompiledNet::plan()) shares its CsrMatrix instances with the
 // bound ops, so apply_delta_to_plan() can copy that plan, rebuild ONLY
 // the nodes whose provenance ordinals (PlanOp::sparse_ordinal /

@@ -17,11 +17,11 @@ namespace dstee::serve {
 namespace {
 
 /// Common state of the two CSR kernel families: the plan node's shared
-/// weight matrix, the bias, the FuseEpilogue annotation lowered to a
-/// kernels::Epilogue, the intra-op policy and the kernel backend pinned
-/// at bind time (nullptr = defer each call to the process-wide active
-/// backend). Folding and fusion happen at the plan level, before binding
-/// (see serve::FoldBatchNorm / serve::FuseEpilogue).
+/// weight matrix, the bias, the intra-op policy and the kernel backend
+/// pinned at bind time (nullptr = defer each call to the process-wide
+/// active backend). Folding happens at the plan level, before binding
+/// (see serve::fold_batch_norm); activations and residual joins are nodes
+/// of their own (EpilogueOp).
 class CsrOp : public EvalOp {
  public:
   CsrOp(const PlanOp& op, runtime::IntraOp intra,
@@ -30,52 +30,31 @@ class CsrOp : public EvalOp {
         bias_(op.bias),
         has_bias_(op.has_bias),
         intra_(intra),
-        backend_(backend) {
-    ep_.has_act = op.epilogue.has_act;
-    ep_.act = op.epilogue.act;
-    ep_.slope = op.epilogue.slope;
-  }
+        backend_(backend) {}
 
  protected:
-  /// The kernels::Epilogue for one kernel call: bias plus the fused
-  /// annotation, with the residual pointer/stride supplied per call
-  /// (layout is kernel-specific — see the kernel doc comments).
-  kernels::Epilogue make_ep(const float* residual,
-                            std::size_t residual_stride) const {
-    kernels::Epilogue ep = ep_;
+  /// The bias-only kernels::Epilogue the CSR kernels apply.
+  kernels::Epilogue bias_ep() const {
+    kernels::Epilogue ep;
     if (has_bias_) ep.bias = bias_.raw();
-    ep.residual = residual;
-    ep.residual_stride = residual_stride;
     return ep;
   }
 
   std::shared_ptr<const sparse::CsrMatrix> w_;
   tensor::Tensor bias_;
   bool has_bias_;
-  kernels::Epilogue ep_;  ///< activation part only; see make_ep()
   runtime::IntraOp intra_;
   const kernels::simd::KernelBackend* backend_;
 };
 
-/// CSR Linear: y = act(x·Wᵀ + bias + residual), the epilogue applied
-/// inside the SpMM output loop. A fused residual (second input) has the
-/// output's [N, rows] shape, so its per-sample stride is the row count.
+/// CSR Linear: y = x·Wᵀ + bias, the bias added in the SpMM output loop.
 class CsrLinearOp final : public CsrOp {
  public:
   using CsrOp::CsrOp;
 
   tensor::Tensor run(
       std::span<const tensor::Tensor* const> inputs) const override {
-    const tensor::Tensor& x = *inputs[0];
-    const std::size_t rows = w_->rows();
-    const float* res = nullptr;
-    if (inputs.size() == 2) {
-      const tensor::Tensor& r = *inputs[1];
-      util::check(r.rank() == 2 && r.dim(0) == x.dim(0) && r.dim(1) == rows,
-                  "fused spmm residual shape mismatch");
-      res = r.raw();
-    }
-    return w_->spmm(x, intra_, make_ep(res, rows), backend_);
+    return w_->spmm(*inputs[0], intra_, bias_ep(), backend_);
   }
 };
 
@@ -113,15 +92,14 @@ tensor::ConvGeometry image_geometry(tensor::ConvGeometry conv,
 }
 
 /// CSR conv: a direct sparse convolution per image, with optional folded
-/// BN, bias and fused epilogue. The CSR matrix holds the masked weight
-/// viewed as [Cout, Cin·K·K] — the exact lowering nn::Conv2d uses
-/// densely, so a masked checkpoint deploys its trained topology
-/// bit-for-bit. The op reads the image [N, Cin, H, W], packs each image
-/// once into per-chunk scratch (stride-phase planes, see
-/// kernels/direct_conv.hpp) and runs every nonzero as one contiguous
-/// multiply-add over the flattened output grid — no im2col patch matrix,
-/// and bit-identical to im2col + spmm_cols_into by construction. A fused
-/// residual is the [N, Cout, OH, OW] output map.
+/// BN and bias. The CSR matrix holds the masked weight viewed as [Cout,
+/// Cin·K·K] — the exact lowering nn::Conv2d uses densely, so a masked
+/// checkpoint deploys its trained topology bit-for-bit. The op reads the
+/// image [N, Cin, H, W], packs each image once into per-chunk scratch
+/// (stride-phase planes, see kernels/direct_conv.hpp) and runs every
+/// nonzero as one contiguous multiply-add over the flattened output grid
+/// — no im2col patch matrix, and bit-identical to im2col +
+/// spmm_cols_into by construction.
 class CsrConvOp final : public CsrOp {
  public:
   CsrConvOp(const PlanOp& op, runtime::IntraOp intra,
@@ -135,15 +113,6 @@ class CsrConvOp final : public CsrOp {
     const kernels::simd::ConvGrid grid = dc.grid();
     const std::size_t batch = x.dim(0);
     const std::size_t channels = w_->rows();
-    const float* res = nullptr;
-    if (inputs.size() == 2) {
-      const tensor::Tensor& r = *inputs[1];
-      util::check(r.rank() == 4 && r.dim(0) == batch &&
-                      r.dim(1) == channels && r.dim(2) == grid.height &&
-                      r.dim(3) == grid.width,
-                  "fused spconv residual shape mismatch");
-      res = r.raw();
-    }
     tensor::Tensor y({batch, channels, grid.height, grid.width});
     const std::size_t in_elems = x.dim(1) * x.dim(2) * x.dim(3);
     const std::size_t out_elems = channels * grid.height * grid.width;
@@ -159,15 +128,15 @@ class CsrConvOp final : public CsrOp {
     // one writer and the result is bit-identical for any chunk count.
     // Per-chunk packing scratch keeps run() const and thread-safe; it is
     // zeroed once, since every image leaves the same pads. A single image
-    // always runs inline. Bias and the fused epilogue are applied by the
-    // kernel as it stores each output.
+    // always runs inline. The kernel adds the bias as it stores each
+    // output.
+    const kernels::Epilogue ep = bias_ep();
     runtime::intra_chunks(intra_, batch, [&](std::size_t n0, std::size_t n1) {
       std::vector<float> packed(dc.packed_size);
       for (std::size_t n = n0; n < n1; ++n) {
         dc.pack(x.raw() + n * in_elems, packed.data());
-        const float* r = res != nullptr ? res + n * out_elems : nullptr;
         w_->spconv_into(packed.data(), offsets, grid, y.raw() + n * out_elems,
-                        make_ep(r, 0), backend_);
+                        ep, backend_);
       }
     });
     return y;
@@ -193,9 +162,10 @@ class EpilogueOp final : public EvalOp {
     kernels::Epilogue ep = ep_;
     if (inputs.size() == 2) {
       const tensor::Tensor& r = *inputs[1];
-      util::check(x.shape() == r.shape(),
-                  "residual add branches disagree: " + x.shape().to_string() +
-                      " vs " + r.shape().to_string());
+      if (x.shape() != r.shape()) {
+        util::fail("residual add branches disagree: " +
+                   x.shape().to_string() + " vs " + r.shape().to_string());
+      }
       ep.residual = r.raw();
     }
     return kernels::apply_epilogue(x, ep, intra_, backend_);
@@ -245,8 +215,8 @@ class ScaleShiftOp final : public EvalOp {
   bool rank4_;
 };
 
-/// Eval-time dropout when ElideDropout was disabled: inverted dropout is
-/// the identity at inference, but the node stays visible in the plan.
+/// Eval-time dropout in a plan bound without elide_dropout (a raw
+/// lowering): inverted dropout is the identity at inference.
 class IdentityDropoutOp final : public EvalOp {
  public:
   tensor::Tensor run(
@@ -398,8 +368,8 @@ void Executor::run_node(std::size_t i, std::vector<tensor::Tensor>& values,
 
 tensor::Tensor Executor::forward(const tensor::Tensor& x) const {
   // nodes_ is non-empty (checked at bind). Intermediates are released per
-  // the FreeAfterLastUse annotation, so peak memory tracks the graph's
-  // width; without the pass everything stays live until return.
+  // the free_after_last_use annotation, so peak memory tracks the graph's
+  // width; without it everything stays live until return.
   std::vector<tensor::Tensor> values(nodes_.size());
   auto release = [&](std::size_t i) {
     if (release_after_.empty()) return;

@@ -5,7 +5,7 @@
 // matrices, nothing is copied — and fixes the execution policy
 // (runtime::IntraOp). The result is the immutable, thread-safe program
 // CompiledNet serves: forward() walks the ops in topological order and
-// releases intermediates according to the plan's FreeAfterLastUse
+// releases intermediates according to the plan's free_after_last_use
 // annotation. Shapes, FLOPs and the node listing stay with the Plan
 // (Plan::annotate / Plan::dump); the executor only runs.
 #pragma once
@@ -59,9 +59,9 @@ class Executor {
   /// (CompiledNet's member lives through this state during construction).
   Executor() = default;
 
-  /// Most producers one node may consume (kAdd, or a CSR node with a
-  /// fused residual); bind() rejects wider nodes. forward() gathers a
-  /// node's inputs in a stack array of this size.
+  /// Most producers one node may consume (kAdd); bind() rejects wider
+  /// nodes. forward() gathers a node's inputs in a stack array of this
+  /// size.
   static constexpr std::size_t kMaxInputs = 2;
 
   /// Binds `plan` under the given intra-op policy. The ops share the
@@ -113,7 +113,7 @@ class Executor {
 
   std::vector<OpNode> nodes_;
   /// release_after_[i]: values to free once node i ran. Empty when
-  /// FreeAfterLastUse did not run — keep everything live.
+  /// free_after_last_use did not run — keep everything live.
   std::vector<std::vector<std::size_t>> release_after_;
   std::size_t input_features_ = 0;
   /// The bind() inputs rebind() reuses: the ops already hold copies of

@@ -86,30 +86,6 @@ std::size_t node_weight_bytes(const PlanOp& op) {
          op.csr->row_ptr().size() * sizeof(std::size_t);
 }
 
-// FLOPs the fused epilogue adds per node: one add for the residual and
-// one op for the activation, per output element. Counted in annotate()
-// so a fused plan reports the epilogue work the separate
-// kActivation/kAdd nodes used to carry.
-double epilogue_flops(const PlanOp& op, double out_elems) {
-  double per_elem = 0.0;
-  if (op.epilogue.add_residual) per_elem += 1.0;
-  if (op.epilogue.has_act) per_elem += 1.0;
-  return per_elem * out_elems;
-}
-
-// Appends ", fused(relu)" / ", fused(add+relu)" / ", fused(add)" for a
-// CSR node carrying a FuseEpilogue annotation.
-void append_fused(std::string& out, const PlanOp& op) {
-  if (op.epilogue.empty()) return;
-  out += ", fused(";
-  if (op.epilogue.add_residual) out += "add";
-  if (op.epilogue.has_act) {
-    if (op.epilogue.add_residual) out += "+";
-    out += to_string(op.epilogue.act);
-  }
-  out += ")";
-}
-
 }  // namespace
 
 // The same arithmetic the monolithic compiler used, so folding — and the
@@ -203,9 +179,6 @@ std::vector<Plan::NodeCost> Plan::annotate(
         c.flops = sparse::linear_nnz_flops(op.csr->nnz(), batch);
         c.dense_flops = sparse::linear_nnz_flops(
             op.csr->rows() * op.csr->cols(), batch);
-        const double ep = epilogue_flops(op, c.out_shape.numel());
-        c.flops += ep;
-        c.dense_flops += ep;
         c.weight_bytes = node_weight_bytes(op);
         break;
       }
@@ -217,9 +190,6 @@ std::vector<Plan::NodeCost> Plan::annotate(
                                          batch);
         c.dense_flops = sparse::conv_nnz_flops(
             op.csr->rows() * op.csr->cols(), g.out_h(), g.out_w(), batch);
-        const double ep = epilogue_flops(op, c.out_shape.numel());
-        c.flops += ep;
-        c.dense_flops += ep;
         c.weight_bytes = node_weight_bytes(op);
         break;
       }
@@ -322,9 +292,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
   if (residual_joins > 0) {
     out += ", " + std::to_string(residual_joins) + " residual joins";
   }
-  if (fused_ops > 0) {
-    out += ", " + std::to_string(fused_ops) + " fused";
-  }
   out += "\n";
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -339,7 +306,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
                std::to_string(op.csr->cols()) +
                ", nnz=" + std::to_string(op.csr->nnz());
         if (op.folded_bn) out += ", +bn";
-        append_fused(out, op);
         out += ")";
         break;
       case PlanOpKind::kConv:
@@ -349,7 +315,6 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
                " p" + std::to_string(op.padding) +
                ", nnz=" + std::to_string(op.csr->nnz());
         if (op.folded_bn) out += ", +bn";
-        append_fused(out, op);
         out += ")";
         break;
       case PlanOpKind::kScaleShift:
@@ -394,36 +359,30 @@ std::string Plan::dump(const tensor::Shape* sample_shape) const {
 
 void Plan::validate() const {
   util::check(!ops.empty(), "plan has no ops");
+  // Every bind validates every node, so each message is built only on
+  // failure.
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const PlanOp& op = ops[i];
-    util::check(!op.inputs.empty(),
-                "plan op " + std::to_string(i) + " has no inputs");
-    // CSR nodes gain a second input (the residual edge) when FuseEpilogue
-    // absorbed a residual add into them.
+    if (op.inputs.empty()) {
+      util::fail("plan op " + std::to_string(i) + " has no inputs");
+    }
+    if (op.inputs.size() != (op.kind == PlanOpKind::kAdd ? 2u : 1u)) {
+      util::fail("plan op " + std::to_string(i) + " has wrong arity");
+    }
+    for (const std::size_t in : op.inputs) {
+      if (in != kInputId && in >= i) {
+        util::fail("plan op " + std::to_string(i) +
+                   " consumes a later node (not topological)");
+      }
+    }
     const bool csr_kind =
         op.kind == PlanOpKind::kSpmm || op.kind == PlanOpKind::kConv;
-    const std::size_t want =
-        op.kind == PlanOpKind::kAdd ||
-                (csr_kind && op.epilogue.add_residual)
-            ? 2
-            : 1;
-    util::check(op.inputs.size() == want,
-                "plan op " + std::to_string(i) + " has wrong arity");
-    util::check(csr_kind || op.epilogue.empty(),
-                "plan op " + std::to_string(i) +
-                    " carries an epilogue on a non-CSR kind");
-    for (const std::size_t in : op.inputs) {
-      util::check(in == kInputId || in < i,
-                  "plan op " + std::to_string(i) +
-                      " consumes a later node (not topological)");
+    if (csr_kind && op.csr == nullptr) {
+      util::fail("CSR plan op " + std::to_string(i) + " has no weights");
     }
-    if (csr_kind) {
-      util::check(op.csr != nullptr,
-                  "CSR plan op " + std::to_string(i) + " has no weights");
-    } else {
-      util::check(op.csr == nullptr,
-                  "non-CSR plan op " + std::to_string(i) +
-                      " carries weights");
+    if (!csr_kind && op.csr != nullptr) {
+      util::fail("non-CSR plan op " + std::to_string(i) +
+                 " carries weights");
     }
   }
   if (!release_after.empty()) {

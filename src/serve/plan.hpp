@@ -3,22 +3,21 @@
 // The serve stack used to lower, optimize and bind in one monolithic
 // CompiledNet::compile(): BN folding, dropout elision and the
 // free-after-last-use policy were hard-coded into the module walk, so
-// there was no seam where a new graph optimization (epilogue fusion)
-// could be inserted or tested on its own.
-// The redesign splits compilation into three explicit stages:
+// none of them could be inspected or tested on its own. Compilation is
+// three explicit stages:
 //
 //   Lowering (this file)  nn::Sequential + SparseModel → Plan, one PlanOp
 //                         per module, weights converted to CSR, no
 //                         optimization decisions at all
-//   Passes (passes.hpp)   named rewrites over the Plan — FoldBatchNorm,
-//                         ElideDropout, FreeAfterLastUse, FuseEpilogue —
-//                         composed by serve::Compiler
+//   Passes (passes.hpp)   one fixed sequence of rewrites over the Plan —
+//                         elide_dropout, fold_batch_norm,
+//                         free_after_last_use — run by serve::Compiler
 //   Executor              binds a finished Plan to EvalOps + a
 //   (executor.hpp)        runtime::IntraOp policy; CompiledNet stays the
 //                         thin serving facade over the bound program
 //
-// A PlanOp is a plain tagged struct, not a virtual hierarchy: passes
-// pattern-match on `kind` and rewrite vectors in place, the way graph IRs
+// A PlanOp is a plain tagged struct, not a virtual hierarchy: rewrites
+// pattern-match on `kind` and edit vectors in place, the way graph IRs
 // do it (compare the MXNet executor's node-attribute graph). Each node
 // names its producers by id; Plan::annotate() propagates a sample shape
 // through the DAG to attach per-node shapes, executed FLOPs, weight
@@ -49,7 +48,7 @@ enum class PlanOpKind {
   kConv,           ///< CSR conv: direct sparse conv per packed image
   kScaleShift,     ///< eval-mode batch-norm as per-channel affine
   kActivation,     ///< ReLU / LeakyReLU / Sigmoid / Tanh
-  kDropout,        ///< identity at eval; removed by ElideDropout
+  kDropout,        ///< identity at eval; removed by elide_dropout
   kFlatten,        ///< [N, ...] → [N, features]
   kMaxPool,        ///< 2-d max pooling
   kAvgPool,        ///< 2-d average pooling
@@ -60,23 +59,9 @@ enum class PlanOpKind {
 /// Short lowercase name for dumps ("spmm", "spconv", ...).
 const char* to_string(PlanOpKind kind);
 
-/// Activation kinds are the kernel layer's: the plan annotation and the
-/// fused kernels::Epilogue a bound op builds from it can never disagree.
+/// Activation kinds are the kernel layer's: a kActivation node and the
+/// kernels::Epilogue its bound op builds can never disagree.
 using ActKind = kernels::ActKind;
-
-/// Fused-epilogue annotation on a producing CSR node (kSpmm / kConv).
-/// FuseEpilogue absorbs a downstream kActivation and/or residual kAdd
-/// into the node; the executor lowers this to a kernels::Epilogue
-/// applied in the kernel's output loop. Empty (the default) means the
-/// node computes the plain affine product.
-struct PlanEpilogue {
-  bool add_residual = false;  ///< inputs[1] is added before activation
-  bool has_act = false;
-  ActKind act = ActKind::kRelu;
-  float slope = 0.01f;  ///< LeakyReLU negative slope
-
-  bool empty() const { return !add_residual && !has_act; }
-};
 
 /// One plan node. Which fields are meaningful depends on `kind` (see the
 /// member comments); everything else stays at its default. Weights are
@@ -92,11 +77,7 @@ struct PlanOp {
   std::shared_ptr<sparse::CsrMatrix> csr;  ///< weights, never null here
   tensor::Tensor bias;                     ///< per output row/channel
   bool has_bias = false;
-  bool folded_bn = false;  ///< FoldBatchNorm absorbed a BN into this node
-  /// FuseEpilogue annotation. When `epilogue.add_residual` is set the node
-  /// gains a second input (the residual edge) — validate() accounts for
-  /// the extra arity on CSR kinds.
-  PlanEpilogue epilogue;
+  bool folded_bn = false;  ///< fold_batch_norm absorbed a BN into this node
 
   // kConv --------------------------------------------------------------
   std::size_t in_channels = 0;
@@ -129,15 +110,15 @@ struct PlanOp {
   /// order — the key serve::ApplyDelta uses to rebuild only the nodes a
   /// checkpoint delta touched. Matches collect_lowered_modules().
   std::size_t sparse_ordinal = kNoOrdinal;
-  /// For kScaleShift (and, after FoldBatchNorm, the CSR node that
+  /// For kScaleShift (and, after fold_batch_norm, the CSR node that
   /// absorbed it): index of the originating BatchNorm in lowering order.
   std::size_t bn_ordinal = kNoOrdinal;
 };
 
 /// The compile-time program: a DAG of PlanOps in topological (emission)
 /// order, plus the model-wide counters lowering gathered and the
-/// annotations passes attach. Value-semantic: tests copy plans freely to
-/// compare before/after a pass.
+/// annotations rewrites attach. Value-semantic: tests copy plans freely
+/// to compare before/after a rewrite.
 struct Plan {
   /// Producer id meaning "the network input".
   static constexpr std::size_t kInputId = static_cast<std::size_t>(-1);
@@ -145,18 +126,17 @@ struct Plan {
   std::vector<PlanOp> ops;
 
   /// release_after[i] lists node ids whose intermediate may be freed once
-  /// op i has run — the FreeAfterLastUse annotation. Empty (no pass run)
+  /// op i has run — the free_after_last_use annotation. Empty (not run)
   /// means the executor keeps every intermediate until the forward ends.
   std::vector<std::vector<std::size_t>> release_after;
 
-  // Model-wide counters (lowering fills them; passes update elided /
-  // fused).
+  // Model-wide counters (lowering fills them; elide_dropout updates
+  // elided).
   std::size_t sparse_ops = 0;
   std::size_t elided = 0;
   std::size_t residual_joins = 0;
   std::size_t total_nnz = 0;
   std::size_t total_weights = 0;
-  std::size_t fused_ops = 0;  ///< CSR nodes carrying a FuseEpilogue annotation
 
   /// Weight bytes a replica streams, summed over the CSR nodes (each
   /// owns its own matrix): fp32 values + uint32 col_idx + row_ptr.
@@ -197,16 +177,16 @@ struct Plan {
 
   /// Structural invariants: producer ids precede consumers, arities match
   /// kinds, release lists (when present) reference valid ids. Throws
-  /// util::CheckError on violation; passes call this after rewriting.
+  /// util::CheckError on violation; each rewrite calls this after it.
   void validate() const;
 };
 
 /// Lowering: walks the module tree (recursing through nested Sequentials
 /// and residual blocks) and emits one PlanOp per module — including
 /// dropout and standalone batch-norm nodes; folding and elision are
-/// passes, not lowering decisions. When `state` is non-null, weights with
-/// a mask deploy via CsrMatrix::from_masked (faithful topology); others
-/// fall back to from_dense(dense_eps).
+/// rewrites (passes.hpp), not lowering decisions. When `state` is
+/// non-null, weights with a mask deploy via CsrMatrix::from_masked
+/// (faithful topology); others fall back to from_dense(dense_eps).
 Plan lower(nn::Sequential& model, const sparse::SparseModel* state = nullptr,
            float dense_eps = 0.0f);
 
@@ -227,13 +207,13 @@ LoweredModules collect_lowered_modules(nn::Sequential& model);
 
 /// Eval-mode batch-norm as a per-channel affine: scale = γ/√(σ²+ε),
 /// shift = β − μ·scale (double-precision intermediates). Shared by
-/// lowering, FoldBatchNorm and the delta re-fold path.
+/// lowering, fold_batch_norm and the delta re-fold path.
 void bn_scale_shift(const nn::BatchNorm& bn, std::vector<float>& scale,
                     std::vector<float>& shift);
 
-// One implementation of a weight node (kSpmm / kConv), shared by the
-// passes and delta patching, so a patched node is bit-identical to a
-// full recompile by construction.
+// One implementation of a weight node (kSpmm / kConv), shared by
+// lowering, folding and delta patching, so a patched node is
+// bit-identical to a full recompile by construction.
 
 /// Sets `op`'s fp32 CSR matrix (fresh) and bias from a Linear/Conv2d's
 /// parameters, as lowering does: from_masked(*masked) when the weight has
@@ -248,7 +228,7 @@ void lower_weights(PlanOp& op, const nn::Parameter& weight,
 /// lower_weights' bias half: `op`'s bias from `bias` (null: no bias).
 void lower_bias(PlanOp& op, const nn::Parameter* bias);
 
-/// FoldBatchNorm's arithmetic: y·scale + shift folded into `op`, whose
+/// fold_batch_norm's arithmetic: y·scale + shift folded into `op`, whose
 /// CSR rows are scaled IN PLACE (the caller must own *op.csr) and whose
 /// bias becomes bias·scale + shift.
 void fold_scale_shift(PlanOp& op, const std::vector<float>& scale,

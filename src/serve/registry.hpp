@@ -6,10 +6,10 @@
 // paper's deployment story scaled from "a model" to "a fleet".
 //
 // The registry owns, per model: the module + SparseModel (the mutable
-// source of truth deltas apply to), the Compiler pipeline it was compiled
-// with, the version its server serves on every shard (whose plan() names
-// the very CsrMatrix instances its ops run — the seam delta patches start
-// from), and the server.
+// source of truth deltas apply to), the Compiler that compiles and binds
+// it under its CompileOptions, the version its server serves on every
+// shard (whose plan() names the very CsrMatrix instances its ops run —
+// the seam delta patches start from), and the server.
 //
 // INFERENCE-ONLY: a registered model holds no training state. add_model
 // releases every parameter's gradient and every layer's DST counter, and
@@ -232,7 +232,7 @@ class ModelRegistry {
     const ModelOptions options;
     std::unique_ptr<nn::Sequential> module;
     std::unique_ptr<sparse::SparseModel> state;
-    Compiler compiler;  ///< pipeline the model was (re)compiled with
+    Compiler compiler;  ///< (re)compiles and binds under options.compile
 
     /// Guards the mutable model state + published version + hash during
     /// swaps; submits never take it.

@@ -177,13 +177,13 @@ void InferenceServer::validate_sample(const tensor::Tensor& input) const {
   util::check(input.rank() >= 1,
               "submit expects a sample without a batch axis, e.g. "
               "[features] or [C, H, W]");
-  if (input_features_ != 0) {
-    // A CSR-linear-first net pins the flat feature count; conv-first nets
-    // validate [C, H, W] inside the first op instead.
-    util::check(input.rank() == 1 && input.numel() == input_features_,
-                "sample has shape " + input.shape().to_string() +
-                    ", net expects [" + std::to_string(input_features_) +
-                    "]");
+  // A CSR-linear-first net pins the flat feature count; conv-first nets
+  // validate [C, H, W] inside the first op instead. Runs on every submit,
+  // so the message is built only on failure.
+  if (input_features_ != 0 &&
+      (input.rank() != 1 || input.numel() != input_features_)) {
+    util::fail("sample has shape " + input.shape().to_string() +
+               ", net expects [" + std::to_string(input_features_) + "]");
   }
 }
 

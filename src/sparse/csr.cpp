@@ -26,6 +26,16 @@ const kernels::simd::KernelBackend& backend_or_active(
   return backend != nullptr ? *backend : kernels::simd::active_backend();
 }
 
+/// The bias of `ep`, the only part of an epilogue the CSR kernels apply.
+/// A residual or an activation is refused rather than dropped.
+const float* bias_of(const kernels::Epilogue& ep) {
+  if (ep.residual != nullptr || ep.has_act) {
+    util::fail("the CSR kernels apply a bias only; run a residual or an "
+               "activation through kernels::apply_epilogue");
+  }
+  return ep.bias;
+}
+
 }  // namespace
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols)
@@ -207,20 +217,18 @@ void CsrMatrix::spmm_into(const tensor::Tensor& x, float* out,
                           const kernels::simd::KernelBackend* backend) const {
   util::check(x.rank() == 2 && x.dim(1) == cols_,
               "spmm expects [batch, cols]");
-  util::check(ep.residual == nullptr || ep.residual_stride > 0,
-              "spmm fused residual requires residual_stride");
+  const float* bias = bias_of(ep);
   const std::size_t batch = x.dim(0);
   const kernels::simd::KernelBackend& be = backend_or_active(backend);
   const kernels::simd::CsrView a = view_of(*this);
 
   // One worker computes output rows [r0, r1) for every batch sample: the
   // chunk's values/col_idx stream stays hot across samples and each
-  // output element has exactly one writer. Backends finish each value
-  // before the store — bias, then residual, then activation, the exact
-  // op order of the unfused node sequence it replaces — and are
-  // bit-identical to each other, so results don't depend on dispatch.
+  // output element has exactly one writer. Backends add the bias before
+  // the store and are bit-identical to each other, so results don't
+  // depend on dispatch.
   runtime::intra_chunks(intra, rows_, [&](std::size_t r0, std::size_t r1) {
-    be.spmm_rows(a, x.raw(), batch, out, r0, r1, ep);
+    be.spmm_rows(a, x.raw(), batch, out, r0, r1, bias);
   });
 }
 
@@ -270,7 +278,8 @@ void CsrMatrix::spconv_into(const float* src,
   a.src = src;
   a.grid = grid;
   a.out = out;
-  backend_or_active(backend).spconv(a, ep);
+  a.bias = bias_of(ep);
+  backend_or_active(backend).spconv(a);
 }
 
 void CsrMatrix::scale_rows(std::span<const float> scale) {

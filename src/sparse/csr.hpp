@@ -6,6 +6,11 @@
 // trained masked weight matrix into CSR form and provides the sparse
 // matrix-vector / matrix-matrix products a deployment runtime would use.
 // The micro_kernels bench measures the dense→CSR crossover empirically.
+//
+// The product entry points take a kernels::Epilogue but apply only its
+// bias: they throw util::CheckError for an epilogue with a residual or an
+// activation, which run as separate elementwise passes
+// (kernels::apply_epilogue).
 #pragma once
 
 #include <cstddef>
@@ -81,9 +86,9 @@ class CsrMatrix {
   /// exactly one thread and the result is bit-identical for any thread
   /// count. `intra` picks the chunk count and the executing
   /// runtime::Pool; the default ({1, nullptr}) runs inline and never
-  /// touches a pool. `ep` is the fused epilogue applied in the output
-  /// loop (Y[n, r] = act(acc + bias[r] + residual[n·stride + r]); the
-  /// default is the identity). `backend` picks the kernel implementation
+  /// touches a pool. `ep.bias`, when set, is added in the output loop
+  /// (Y[n, r] = acc + bias[r]); an `ep` with a residual or an activation
+  /// throws util::CheckError. `backend` picks the kernel implementation
   /// (nullptr = the process active backend, see
   /// kernels::simd::active_backend()); all backends are bit-identical, so
   /// this only affects speed.
@@ -111,9 +116,7 @@ class CsrMatrix {
   tensor::Tensor spmm_cols(const tensor::Tensor& cols) const;
 
   /// spmm_cols writing into caller-owned storage of rows()·cols.dim(1)
-  /// floats. `ep` finishes each output row while it is hot: Y[r, j] =
-  /// act(acc + ep.bias[r] + ep.residual[r·n + j]) — ep.residual (when
-  /// set) is laid out exactly like `out`.
+  /// floats: Y[r, j] = acc + ep.bias[r] (bias-only `ep`, as spmm).
   void spmm_cols_into(const tensor::Tensor& cols, float* out,
                       const kernels::Epilogue& ep = {},
                       const kernels::simd::KernelBackend* backend =
@@ -129,9 +132,9 @@ class CsrMatrix {
 
   /// Direct sparse convolution (kernels/direct_conv.hpp) writing
   /// rows()·grid.height·grid.width floats: out[r, y·width + x] =
-  /// ep(sum_k values[k] · src[offsets[k] + y·pitch + x]), the epilogue
-  /// laid out like spmm_cols_into's. `offsets` holds one entry per
-  /// nonzero; every read must lie inside `src`.
+  /// sum_k values[k] · src[offsets[k] + y·pitch + x] + ep.bias[r]
+  /// (bias-only `ep`, as spmm). `offsets` holds one entry per nonzero;
+  /// every read must lie inside `src`.
   void spconv_into(const float* src, std::span<const std::uint32_t> offsets,
                    const kernels::simd::ConvGrid& grid, float* out,
                    const kernels::Epilogue& ep = {},

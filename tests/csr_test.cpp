@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
 
+#include "kernels/simd/backend.hpp"
 #include "models/mlp.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -424,6 +426,57 @@ TEST(Csr, SpmmColsShapeChecks) {
                util::CheckError);
   EXPECT_THROW(csr.spmm_cols(random_tensor(tensor::Shape({4}), 3)),
                util::CheckError);
+}
+
+TEST(Csr, EpilogueBeyondABiasIsRefused) {
+  // The CSR products apply an epilogue's bias and nothing else: on every
+  // entry point an epilogue with a residual or an activation throws
+  // instead of being applied or dropped.
+  const auto csr =
+      sparse::CsrMatrix::from_dense(random_tensor(tensor::Shape({3, 4}), 61));
+  const auto x = random_tensor(tensor::Shape({2, 4}), 62);
+  const auto cols = random_tensor(tensor::Shape({4, 5}), 63);
+  const auto bias = random_tensor(tensor::Shape({3}), 64);
+  const std::vector<float> residual(3 * 5, 1.0f);
+  std::vector<std::uint32_t> offsets;
+  for (const std::uint32_t c : csr.col_idx()) offsets.push_back(c * 5);
+  std::vector<float> out(3 * 5);
+
+  // How many of the five entry points throw CheckError for `ep`.
+  const auto refusals = [&](const kernels::Epilogue& ep) {
+    std::size_t thrown = 0;
+    const auto run = [&](const auto& call) {
+      try {
+        call();
+      } catch (const util::CheckError&) {
+        ++thrown;
+      }
+    };
+    run([&] { (void)csr.spmm(x, {}, ep); });
+    run([&] { csr.spmm_into(x, out.data(), {}, ep); });
+    run([&] { csr.spmm_cols_into(cols, out.data(), ep); });
+    run([&] { csr.spmm_cols_into(cols.raw(), 5, out.data(), ep); });
+    run([&] {
+      csr.spconv_into(cols.raw(), offsets, {1, 5, 5}, out.data(), ep);
+    });
+    return thrown;
+  };
+  kernels::Epilogue with_residual;
+  with_residual.residual = residual.data();
+  with_residual.residual_stride = 3;
+  EXPECT_EQ(refusals(with_residual), 5u);
+  kernels::Epilogue with_act;
+  with_act.has_act = true;
+  EXPECT_EQ(refusals(with_act), 5u);
+
+  kernels::Epilogue bias_only;
+  bias_only.bias = bias.raw();
+  EXPECT_EQ(refusals(bias_only), 0u);
+  const auto plain = csr.spmm(x);
+  const auto biased = csr.spmm(x, {}, bias_only);
+  for (std::size_t i = 0; i < plain.numel(); ++i) {
+    EXPECT_EQ(biased[i], plain[i] + bias[i % 3]) << i;
+  }
 }
 
 TEST(Csr, Im2colSpmmMatchesDenseConvReference) {

@@ -2,10 +2,9 @@
 // the scalar spmm_cols_into BIT FOR BIT (memcmp, not allclose), over
 // kernel sizes, strides and paddings, odd and non-square extents, output
 // grids shorter than and not a multiple of the 8/16-lane vector widths,
-// empty weight rows, and every activation epilogue with bias and
-// residual. The serve level then pins whole networks —
-// VGG-19 and ResNet-18 through a checkpoint — to each backend against the
-// scalar-pinned net.
+// empty weight rows, with and without a bias. The serve level then pins
+// whole networks — VGG-19 and ResNet-18 through a checkpoint — to each
+// backend against the scalar-pinned net.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,7 +31,6 @@ namespace {
 
 using kernels::Epilogue;
 using kernels::simd::KernelBackend;
-using testing::activation_epilogues;
 using testing::random_tensor;
 
 /// Every backend this host and build can run, scalar first.
@@ -101,33 +99,25 @@ std::vector<float> direct(const sparse::CsrMatrix& m,
   return out;
 }
 
-/// Checks every backend, every activation epilogue with and without
-/// bias + residual, against the reference on one geometry.
+/// Checks every backend, without and with a bias (the only epilogue the
+/// CSR kernels apply), against the reference on one geometry.
 void expect_direct_matches(const tensor::ConvGeometry& g, std::size_t cout,
                            std::uint64_t seed) {
   const auto csr = conv_csr(cout, g.patch_size(), seed);
   const auto image = random_tensor(
       tensor::Shape({g.in_channels, g.in_h, g.in_w}), seed + 1);
   const auto bias = random_tensor(tensor::Shape({cout}), seed + 2);
-  const auto residual = random_tensor(
-      tensor::Shape({cout, g.out_h() * g.out_w()}), seed + 3);
-  for (const bool operands : {false, true}) {
-    for (Epilogue ep : activation_epilogues()) {
-      if (operands) {
-        ep.bias = bias.raw();
-        ep.residual = residual.raw();
-      }
-      const auto ref = im2col_reference(csr, image, g, ep);
-      for (const KernelBackend* be : all_backends()) {
-        const std::string where =
-            std::string(be->name) + " k" + std::to_string(g.kernel_h) +
-            " s" + std::to_string(g.stride) + " p" +
-            std::to_string(g.padding) + " " + std::to_string(g.in_h) + "x" +
-            std::to_string(g.in_w) + " act " +
-            std::to_string(ep.has_act ? static_cast<int>(ep.act) : -1) +
-            (operands ? " +bias+residual" : "");
-        EXPECT_TRUE(bits_equal(direct(csr, image, g, ep, be), ref)) << where;
-      }
+  for (const bool with_bias : {false, true}) {
+    Epilogue ep;
+    if (with_bias) ep.bias = bias.raw();
+    const auto ref = im2col_reference(csr, image, g, ep);
+    for (const KernelBackend* be : all_backends()) {
+      const std::string where =
+          std::string(be->name) + " k" + std::to_string(g.kernel_h) + " s" +
+          std::to_string(g.stride) + " p" + std::to_string(g.padding) + " " +
+          std::to_string(g.in_h) + "x" + std::to_string(g.in_w) +
+          (with_bias ? " +bias" : "");
+      EXPECT_TRUE(bits_equal(direct(csr, image, g, ep, be), ref)) << where;
     }
   }
 }
@@ -210,20 +200,17 @@ std::vector<float> values_of(const tensor::Tensor& t) {
   return std::vector<float>(t.raw(), t.raw() + t.numel());
 }
 
-/// Compiles `model` under `spec` (empty = the default pipeline) on every
-/// backend at intra-op chunks {1, 2}, and checks batch 1 and batch 3
-/// forwards against the scalar-pinned net bit for bit.
+/// Compiles `model` on every backend at intra-op chunks {1, 2}, and
+/// checks batch 1 and batch 3 forwards against the scalar-pinned net bit
+/// for bit.
 void expect_backends_match_scalar(nn::Sequential& model,
                                   const sparse::SparseModel& state,
-                                  const std::string& spec,
                                   std::size_t image) {
   const auto compile = [&](const std::string& backend, std::size_t intra) {
     serve::CompileOptions opts;
     opts.kernel_backend = backend;
     opts.intra_op_threads = intra;
-    serve::Compiler compiler(opts);
-    if (!spec.empty()) compiler.pipeline_from_spec(spec);
-    return compiler.compile(model, &state);
+    return serve::Compiler(opts).compile(model, &state);
   };
   const serve::CompiledNet reference = compile("scalar", 1);
   for (const std::size_t batch : {1u, 3u}) {
@@ -234,17 +221,11 @@ void expect_backends_match_scalar(nn::Sequential& model,
       for (const std::size_t intra : {1u, 2u}) {
         const serve::CompiledNet net = compile(backend, intra);
         EXPECT_TRUE(bits_equal(values_of(net.forward(x)), expected))
-            << backend << " intra " << intra << " batch " << batch
-            << " pipeline '" << spec << "'";
+            << backend << " intra " << intra << " batch " << batch;
       }
     }
   }
 }
-
-const char* const kPipelines[] = {
-    "",  // the default pipeline: separate activation and add nodes
-    "elide-dropout,fold-bn,fuse-epilogue,free-after-last-use",
-};
 
 TEST(DirectConvServe, Vgg19BitIdenticalToScalarThroughCheckpoint) {
   const std::string path = "serve_ckpt/direct_conv_vgg19.bin";
@@ -266,9 +247,7 @@ TEST(DirectConvServe, Vgg19BitIdenticalToScalarThroughCheckpoint) {
                                    sparse::DistributionKind::kErk, rng2);
   train::load_checkpoint(path, loaded, &loaded_state);
   loaded.set_training(false);
-  for (const char* spec : kPipelines) {
-    expect_backends_match_scalar(loaded, loaded_state, spec, 16);
-  }
+  expect_backends_match_scalar(loaded, loaded_state, 16);
 }
 
 TEST(DirectConvServe, ResNet18BitIdenticalToScalarThroughCheckpoint) {
@@ -292,9 +271,7 @@ TEST(DirectConvServe, ResNet18BitIdenticalToScalarThroughCheckpoint) {
                                    sparse::DistributionKind::kErk, rng2);
   train::load_checkpoint(path, loaded, &loaded_state);
   loaded.set_training(false);
-  for (const char* spec : kPipelines) {
-    expect_backends_match_scalar(loaded, loaded_state, spec, 16);
-  }
+  expect_backends_match_scalar(loaded, loaded_state, 16);
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 namespace dstee {
 namespace {
 
-using kernels::ActKind;
 using kernels::Epilogue;
 using kernels::simd::KernelBackend;
 using testing::activation_epilogues;
@@ -154,15 +153,13 @@ TEST(KernelBackend, SpmmEpilogueVariantsBitIdentical) {
   const auto csr = sparse_csr(rows, cols, 611);
   const auto x = random_tensor(tensor::Shape({batch, cols}), 612);
   const auto bias = random_tensor(tensor::Shape({rows}), 613);
-  const auto residual = random_tensor(tensor::Shape({batch, rows}), 614);
-  for (Epilogue ep : activation_epilogues()) {
-    ep.bias = bias.raw();
-    ep.residual = residual.raw();
-    ep.residual_stride = rows;
+  // The identity and the bias: the CSR kernels apply nothing else.
+  for (const bool with_bias : {false, true}) {
+    Epilogue ep;
+    if (with_bias) ep.bias = bias.raw();
     const auto ref = csr.spmm(x, {}, ep, &scalar);
     const auto got = csr.spmm(x, {}, ep, avx2);
-    EXPECT_TRUE(got.equals(ref))
-        << "act " << (ep.has_act ? static_cast<int>(ep.act) : -1);
+    EXPECT_TRUE(got.equals(ref)) << (with_bias ? "bias" : "identity");
   }
 }
 
@@ -170,26 +167,33 @@ TEST(KernelBackend, RowRangeBoundariesBitIdentical) {
   REQUIRE_AVX2(avx2);
   const KernelBackend& scalar = kernels::simd::scalar_backend();
   // Unaligned [r0, r1) of the full view — the range the intra-op chunker
-  // hands each worker. Only that range may be written, and it must tile
-  // the whole-matrix result exactly.
+  // hands each worker. Only that range may be written, it must tile the
+  // whole-matrix result exactly, and the bias is indexed by the full-view
+  // row.
   const std::size_t rows = 37, cols = 19, batch = 17;
   const auto csr = sparse_csr(rows, cols, 621);
   const kernels::simd::CsrView a = view_of(csr);
   const auto x = random_tensor(tensor::Shape({batch, cols}), 622);
-  const auto full = csr.spmm(x, {}, {}, &scalar);
+  const auto bias = random_tensor(tensor::Shape({rows}), 623);
   const std::size_t bounds[][2] = {{0, 1}, {3, 11}, {5, 37}, {8, 16},
                                    {0, 37}, {36, 37}};
-  for (const auto& b : bounds) {
-    std::vector<float> ref(batch * rows, kUnwritten);
-    std::vector<float> got(batch * rows, kUnwritten);
-    scalar.spmm_rows(a, x.raw(), batch, ref.data(), b[0], b[1], {});
-    avx2->spmm_rows(a, x.raw(), batch, got.data(), b[0], b[1], {});
-    EXPECT_EQ(got, ref) << "rows [" << b[0] << ", " << b[1] << ")";
-    for (std::size_t n = 0; n < batch; ++n) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        const bool in_range = r >= b[0] && r < b[1];
-        ASSERT_EQ(got[n * rows + r], in_range ? full[n * rows + r]
-                                              : kUnwritten);
+  for (const bool with_bias : {false, true}) {
+    Epilogue ep;
+    if (with_bias) ep.bias = bias.raw();
+    const auto full = csr.spmm(x, {}, ep, &scalar);
+    for (const auto& b : bounds) {
+      std::vector<float> ref(batch * rows, kUnwritten);
+      std::vector<float> got(batch * rows, kUnwritten);
+      scalar.spmm_rows(a, x.raw(), batch, ref.data(), b[0], b[1], ep.bias);
+      avx2->spmm_rows(a, x.raw(), batch, got.data(), b[0], b[1], ep.bias);
+      EXPECT_EQ(got, ref) << "rows [" << b[0] << ", " << b[1] << ")"
+                          << (with_bias ? " +bias" : "");
+      for (std::size_t n = 0; n < batch; ++n) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const bool in_range = r >= b[0] && r < b[1];
+          ASSERT_EQ(got[n * rows + r], in_range ? full[n * rows + r]
+                                                : kUnwritten);
+        }
       }
     }
   }
@@ -198,24 +202,45 @@ TEST(KernelBackend, RowRangeBoundariesBitIdentical) {
 TEST(KernelBackend, RowRangeStridedResidualBitIdentical) {
   REQUIRE_AVX2(avx2);
   const KernelBackend& scalar = kernels::simd::scalar_backend();
-  // A chunk [r0, r1) of a 37-wide output: bias and residual are indexed
-  // by the full-view row, and the residual strides over the full width.
+  // A chunk [r0, r1) of a 37-wide output: the bias is indexed by the
+  // full-view row, then the residual join (its own plan node) adds a
+  // residual that strides over the full width and applies the ReLU to
+  // the same rows of each image.
   const std::size_t rows = 37, cols = 19, batch = 9, r0 = 5, r1 = 20;
   const auto csr = sparse_csr(rows, cols, 631);
   const auto x = random_tensor(tensor::Shape({batch, cols}), 632);
   const auto bias = random_tensor(tensor::Shape({rows}), 633);
   const auto residual = random_tensor(tensor::Shape({batch, rows}), 634);
-  Epilogue ep;
-  ep.bias = bias.raw();
-  ep.residual = residual.raw();
-  ep.residual_stride = rows;
-  ep.has_act = true;
-  ep.act = ActKind::kRelu;
-  std::vector<float> ref(batch * rows, kUnwritten);
-  std::vector<float> got(batch * rows, kUnwritten);
-  scalar.spmm_rows(view_of(csr), x.raw(), batch, ref.data(), r0, r1, ep);
-  avx2->spmm_rows(view_of(csr), x.raw(), batch, got.data(), r0, r1, ep);
+  Epilogue join;
+  join.residual = residual.raw();
+  join.has_act = true;
+  join.act = kernels::ActKind::kRelu;
+  auto chunk = [&](const KernelBackend& be) {
+    std::vector<float> out(batch * rows, kUnwritten);
+    be.spmm_rows(view_of(csr), x.raw(), batch, out.data(), r0, r1,
+                 bias.raw());
+    for (std::size_t n = 0; n < batch; ++n) {
+      be.epilogue_range(out.data(), out.data(), n * rows + r0,
+                        n * rows + r1, join);
+    }
+    return out;
+  };
+  const std::vector<float> ref = chunk(scalar);
+  const std::vector<float> got = chunk(*avx2);
   EXPECT_EQ(got, ref);
+  // The chunk's rows are exactly the whole-matrix product joined.
+  Epilogue with_bias;
+  with_bias.bias = bias.raw();
+  const auto full = kernels::apply_epilogue(
+      csr.spmm(x, {}, with_bias, &scalar), join, {}, &scalar);
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t i = n * rows + r;
+      const bool in_range = r >= r0 && r < r1;
+      ASSERT_EQ(got[i], in_range ? full[i] : kUnwritten)
+          << "image " << n << ", row " << r;
+    }
+  }
 }
 
 TEST(KernelBackend, SpmmColsBitIdentical) {
@@ -228,17 +253,16 @@ TEST(KernelBackend, SpmmColsBitIdentical) {
   // full 32/64-position tile with a remainder after it (70).
   for (const std::size_t n : {1u, 5u, 8u, 19u, 70u}) {
     const auto b = random_tensor(tensor::Shape({cols, n}), 643 + n);
-    const auto residual = random_tensor(tensor::Shape({rows, n}), 644 + n);
-    for (Epilogue ep : activation_epilogues()) {
-      ep.bias = bias.raw();
-      ep.residual = residual.raw();
+    for (const bool with_bias : {false, true}) {
+      Epilogue ep;
+      if (with_bias) ep.bias = bias.raw();
       std::vector<float> ref(rows * n);
       csr.spmm_cols_into(b, ref.data(), ep, &scalar);
       for (const KernelBackend* be : simd_backends()) {
         std::vector<float> got(rows * n);
         csr.spmm_cols_into(b, got.data(), ep, be);
-        EXPECT_EQ(got, ref) << be->name << ", n " << n << ", act "
-                            << (ep.has_act ? static_cast<int>(ep.act) : -1);
+        EXPECT_EQ(got, ref) << be->name << ", n " << n
+                            << (with_bias ? " +bias" : "");
       }
     }
   }

@@ -26,7 +26,7 @@ inline tensor::Tensor random_tensor(tensor::Shape shape,
   return t;
 }
 
-/// The epilogue shapes the fused serve path produces — identity and each
+/// The epilogue shapes kernels::apply_epilogue serves — identity and each
 /// activation — minus the pointer operands (attached per test from
 /// locally-owned storage).
 inline std::vector<kernels::Epilogue> activation_epilogues() {

@@ -23,8 +23,8 @@ that sit a level above the type system:
   serve-epilogue   src/serve/ never calls the raw activation kernels
                    (kernels::relu / add_relu / leaky_relu / sigmoid /
                    tanh) — those are training-path compat wrappers. Eval
-                   ops compose a kernels::Epilogue and apply_epilogue so
-                   activations stay fusable into the producing CSR op.
+                   ops compose a kernels::Epilogue and apply_epilogue,
+                   serve's one elementwise path.
   hot-swap-rcu     No plain std::shared_ptr<const CompiledNet> MEMBERS
                    (trailing-underscore fields). A hot-swapped version
                    pointer read by workers while a swap publishes tears
@@ -256,8 +256,8 @@ def scan_kernel_intraop(fs: FileScan, findings: list[Finding]) -> None:
 
 
 # Raw activation kernels are training-path compat wrappers; the serve
-# layer expresses activations as a kernels::Epilogue (fusable into the
-# producing CSR op) and applies them with apply_epilogue.
+# layer expresses activations as a kernels::Epilogue and applies them
+# with apply_epilogue, its one elementwise path.
 RAW_ACT_RE = re.compile(r"\bkernels::(relu|add_relu|leaky_relu|sigmoid|tanh)\s*\(")
 
 
@@ -270,8 +270,7 @@ def scan_serve_epilogue(fs: FileScan, findings: list[Finding]) -> None:
             findings.append(Finding(
                 fs.path, ln, "serve-epilogue",
                 f"serve code calls kernels::{m.group(1)}() directly; compose "
-                "a kernels::Epilogue and use apply_epilogue so the "
-                "activation stays fusable into the producing CSR op"))
+                "a kernels::Epilogue and use apply_epilogue"))
 
 
 # A hot-swap version pointer held as a plain member field. Members follow

@@ -1,6 +1,6 @@
 // Known-bad fixture: serve-layer code calling a raw activation kernel.
-// Eval ops must compose a kernels::Epilogue instead (fusable into the
-// producing CSR op); the raw kernels are training-path compat wrappers.
+// Eval ops must compose a kernels::Epilogue for apply_epilogue instead;
+// the raw kernels are training-path compat wrappers.
 #include "kernels/activations.hpp"
 #include "kernels/epilogue.hpp"
 

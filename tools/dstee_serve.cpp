@@ -1,19 +1,18 @@
 // dstee_serve — sparse inference server + load generator.
 //
 // Compiles an MLP, VGG or ResNet through the staged serve compiler
-// (lower → pass pipeline → bind; Linear → CSR SpMM, Conv2d → direct
-// sparse conv over the packed image, residual adds as graph joins),
-// starts an InferenceServer (sharded worker groups over one shared
-// CompiledNet + per-group micro-batching queues; intra-op work runs on
-// the persistent runtime pool), drives it with either closed-loop client
-// threads or an open-loop Poisson arrival process (--arrival-rate), and
-// reports latency percentiles (p50/p99/p99.9 in open-loop mode), queue
-// peaks, backpressure-blocked time, and throughput.
+// (lower → elide dropout, fold BN, free after last use → bind; Linear →
+// CSR SpMM, Conv2d → direct sparse conv over the packed image, residual
+// adds as graph joins), starts an InferenceServer (sharded worker
+// groups over one shared CompiledNet + per-group micro-batching queues;
+// intra-op work runs on the persistent runtime pool), drives it with
+// either closed-loop client threads or an open-loop Poisson arrival
+// process (--arrival-rate), and reports latency percentiles
+// (p50/p99/p99.9 in open-loop mode), queue peaks, backpressure-blocked
+// time, and throughput.
 //
-// --passes SPEC rebuilds the whole pipeline from the named pass registry
-// (e.g. "elide-dropout,fold-bn,fuse-epilogue"). --dump-plan prints the
-// active pipeline and the post-pass plan (op, shape, nnz, FLOPs share,
-// fusion annotations) and exits without serving.
+// --dump-plan prints the compiled plan (op, shape, nnz, FLOPs share)
+// and exits without serving.
 //
 // --registry N serves a fleet of N independently-seeded sparse MLPs from
 // one ModelRegistry under mixed open-loop traffic with admission control
@@ -501,12 +500,6 @@ int run(int argc, const char* const* argv) {
                 "intra-op chunks per kernel on the runtime pool (0 = "
                 "pool-wide)",
                 "1")
-      .add_flag("passes",
-                "replace the pass pipeline with this comma-separated list "
-                "of registry names, e.g. "
-                "\"elide-dropout,fold-bn,fuse-epilogue\" (empty = default "
-                "pipeline)",
-                "")
       .add_flag("kernel-backend",
                 "pin the sparse-kernel backend (\"scalar\", \"avx2\", "
                 "\"avx512\"); empty = CPUID pick (the widest), or the "
@@ -514,8 +507,7 @@ int run(int argc, const char* const* argv) {
                 "names fail loudly.",
                 "")
       .add_flag("dump-plan",
-                "print the active pass pipeline and the post-pass compile "
-                "plan (shapes, nnz, FLOPs shares, fusion annotations) and "
+                "print the compiled plan (shapes, nnz, FLOPs shares) and "
                 "exit without serving",
                 "false")
       .add_flag("clients", "closed-loop client threads", "4")
@@ -617,11 +609,9 @@ int run(int argc, const char* const* argv) {
       train::save_checkpoint(ckpt, *m.module, &*smodel);
     }
   }
-  // The staged compiler: default pipeline (elide dropout, fold BN, free
-  // after last use), or a named-registry spec via --passes.
+  // The staged compiler: lower, elide dropout, fold BN, free after last
+  // use.
   serve::Compiler compiler(copts);
-  const std::string pass_spec = args.get_string("passes");
-  if (!pass_spec.empty()) compiler.pipeline_from_spec(pass_spec);
 
   if (!ckpt.empty()) {
     // dstee_run saves parameter values only; masked weights are stored
@@ -630,9 +620,7 @@ int run(int argc, const char* const* argv) {
   }
   serve::Plan plan = compiler.plan(*m.module, smodel ? &*smodel : nullptr);
   if (args.get_bool("dump-plan")) {
-    // Inspection mode: print the active pipeline and the post-pass plan,
-    // then stop before binding.
-    std::cout << "pipeline: " << compiler.pipeline_spec() << "\n";
+    // Inspection mode: print the compiled plan, then stop before binding.
     std::cout << plan.dump(&m.sample_shape);
     std::cout << "PLAN OK\n";
     return 0;
