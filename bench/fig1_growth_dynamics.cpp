@@ -87,14 +87,9 @@ int run() {
     // Greedy (RigL) would grow the top-|grows| gradient magnitudes among
     // the inactive pool (inactive = current mask == 0).
     const auto& layer = smodel.layer(obs.layer_index);
-    tensor::Tensor eligible(layer.mask().tensor().shape());
-    const auto& mask_t = layer.mask().tensor();
-    for (std::size_t j = 0; j < mask_t.numel(); ++j) {
-      eligible[j] = mask_t[j] == 0.0f ? 1.0f : 0.0f;
-    }
     const tensor::Tensor grad_mag = tensor::abs(obs.dense_grad);
-    const auto greedy = tensor::topk_indices_where(grad_mag, eligible,
-                                                   obs.grows.size());
+    const auto greedy = tensor::topk_indices_among(
+        grad_mag, layer.mask().inactive_indices(), obs.grows.size());
     const std::set<std::size_t> greedy_set(greedy.begin(), greedy.end());
     for (const std::size_t g : obs.grows) {
       GrownRecord rec;

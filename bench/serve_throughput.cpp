@@ -14,12 +14,13 @@
 // shards, the default hold rule against the fixed fill-or-timeout
 // window, hard-gated; (3) tail latency under a mid-run delta hot swap,
 // hard-gated on dropping nothing, on patching the plan without a full
-// recompile or a dense scan and on hashing the state once, with the p99
-// bound a note; (4) observability overhead — tracing disabled vs
-// armed-idle, noted against a 2% throughput budget. All land in bench_results/serve_scaling.csv. The
-// util::check equality gates and the [FAIL] lines of the shard and
-// hot-swap gates fail the run (nonzero exit); the [ok]/[note] shape
-// checks are printed only.
+// recompile or a dense scan, on hashing the state once and on a served
+// model holding one bit per masked weight, with the p99 bound a note;
+// (4) observability overhead — tracing disabled vs armed-idle, noted
+// against a 2% throughput budget. All land in
+// bench_results/serve_scaling.csv. The util::check equality gates and
+// the [FAIL] lines of the shard and hot-swap gates fail the run (nonzero
+// exit); the [ok]/[note] shape checks are printed only.
 //
 // DSTEE_SCALE scales the model width; DSTEE_SERVE_MIN_TIME (seconds, default
 // 0.15) controls per-cell measurement time.
@@ -30,6 +31,7 @@
 #include "kernels/simd/backend.hpp"
 #include "models/mlp.hpp"
 #include "models/vgg.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/compiled_net.hpp"
 #include "serve/delta.hpp"
@@ -313,10 +315,11 @@ void hotswap_step(sparse::SparseModel& state) {
 
 /// Tail latency under a mid-run hot swap: the same open-loop arrival
 /// stream measured once without a swap (baseline) and once with a
-/// sparse-delta swap published halfway through. Four hard gates hold on
+/// sparse-delta swap published halfway through. Five hard gates hold on
 /// every run by construction: every arrival completes, the delta is
 /// patched into the plan, not recompiled, no patched node was rebuilt by
-/// a dense scan, and the swap hashed the full state once. The
+/// a dense scan, the swap hashed the full state once, and the served
+/// model's state-bytes gauge counts one bit per masked weight. The
 /// zero-downtime claim in
 /// latency form — the swap window's p99 stays within 2x of the
 /// steady-state p99, plus a small absolute floor for timer noise on the
@@ -360,6 +363,49 @@ bool sweep_hotswap(const bench::BenchEnv& env, double min_time,
                                    sparse::DistributionKind::kErk, nrng);
     hotswap_step(next_state);
     return serve::make_delta(base, &base_state, next, &next_state);
+  }();
+
+  // What a served model holds, exactly: its values, buffers and plan
+  // weights, and one bit per masked weight (8 bytes per started 64). The
+  // registry's dstee_model_state_bytes gauge must equal that after
+  // add_model and after the delta swap.
+  const bool bits_per_mask = [&] {
+    const auto expected_bytes = [&](bool stepped) {
+      util::Rng rng(kSeed);
+      models::Mlp model(cfg, rng);
+      sparse::SparseModel state(model, 0.9, sparse::DistributionKind::kErk,
+                                rng);
+      if (stepped) hotswap_step(state);
+      model.set_training(false);
+      std::size_t bytes =
+          serve::CompiledNet::compile(model, &state).total_weight_bytes();
+      for (const nn::Parameter* p : model.parameters()) {
+        bytes += sizeof(float) * p->value.numel();
+      }
+      for (const tensor::Tensor* b : model.state_buffers()) {
+        bytes += sizeof(float) * b->numel();
+      }
+      for (const sparse::MaskedParameter& layer : state.layers()) {
+        bytes += sizeof(std::uint64_t) * ((layer.numel() + 63) / 64);
+      }
+      return static_cast<double>(bytes);
+    };
+    obs::MetricsRegistry metrics;
+    serve::ModelRegistry registry(&metrics);
+    make_registry(registry);
+    const obs::Gauge& held = metrics.gauge("dstee_model_state_bytes", "m");
+    const double added = held.value();
+    const double added_want = expected_bytes(false);
+    registry.apply_delta("m", delta);
+    const double swapped = held.value();
+    const double swapped_want = expected_bytes(true);
+    registry.shutdown();
+    std::cout << "served model state bytes: " << util::format_fixed(added, 0)
+              << " at add (expected " << util::format_fixed(added_want, 0)
+              << "), " << util::format_fixed(swapped, 0)
+              << " after the swap (expected "
+              << util::format_fixed(swapped_want, 0) << ")\n";
+    return added == added_want && swapped == swapped_want;
   }();
 
   // Calibrate the arrival rate to half of closed-loop capacity so the
@@ -470,6 +516,8 @@ bool sweep_hotswap(const bench::BenchEnv& env, double min_time,
   // by the hash it last verified and hashes only the result.
   ok &= bench::gate("a delta swap hashed the full model state once",
                     report.state_hashes == 1);
+  ok &= bench::gate("a served model holds one bit per masked weight",
+                    bits_per_mask);
   bench::shape_check("p99 with a mid-run swap stays within 2x of baseline",
                      swap_p99 <= base_p99 * 2.0 + 2.0);
   return ok;

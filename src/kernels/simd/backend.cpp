@@ -91,9 +91,10 @@ const KernelBackend* resolve_initial_backend() {
   const std::string name = util::env_string("DSTEE_KERNEL_BACKEND", "");
   if (!name.empty()) {
     const KernelBackend* be = find_backend(name);
-    util::check(be != nullptr,
-                "DSTEE_KERNEL_BACKEND names an unknown or unsupported "
-                "backend: " + name);
+    if (be == nullptr) {
+      util::fail("DSTEE_KERNEL_BACKEND names an unknown or unsupported "
+                 "backend: " + name);
+    }
     return be;
   }
   if (const KernelBackend* be = avx512_backend()) return be;
@@ -169,8 +170,9 @@ const KernelBackend& active_backend() { return *active_slot().load(); }
 
 void set_active_backend(const std::string& name) {
   const KernelBackend* be = find_backend(name);
-  util::check(be != nullptr,
-              "unknown or unsupported kernel backend: " + name);
+  if (be == nullptr) {
+    util::fail("unknown or unsupported kernel backend: " + name);
+  }
   active_slot().store(be);
 }
 

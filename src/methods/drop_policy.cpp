@@ -12,8 +12,8 @@ namespace dstee::methods {
 std::vector<std::size_t> MagnitudeDrop::select(const DropContext& ctx,
                                                std::size_t k) {
   const tensor::Tensor magnitudes = tensor::abs(ctx.layer.param().value);
-  return tensor::bottomk_indices_where(magnitudes, ctx.layer.mask().tensor(),
-                                       k);
+  return tensor::bottomk_indices_among(magnitudes,
+                                       ctx.layer.mask().active_indices(), k);
 }
 
 std::vector<std::size_t> RandomDrop::select(const DropContext& ctx,
@@ -41,8 +41,8 @@ std::vector<std::size_t> MagnitudeGradientDrop::select(const DropContext& ctx,
     importance[i] =
         std::fabs(w[i]) + static_cast<float>(gamma_) * std::fabs(g[i]);
   }
-  return tensor::bottomk_indices_where(importance, ctx.layer.mask().tensor(),
-                                       k);
+  return tensor::bottomk_indices_among(importance,
+                                       ctx.layer.mask().active_indices(), k);
 }
 
 std::vector<std::size_t> SignFlipDrop::select(const DropContext& ctx,
@@ -58,7 +58,8 @@ std::vector<std::size_t> SignFlipDrop::select(const DropContext& ctx,
     const float same_sign = (w[i] > 0.0f) == (next > 0.0f) ? 1.0f : -1.0f;
     score[i] = same_sign * std::fabs(next);
   }
-  return tensor::bottomk_indices_where(score, ctx.layer.mask().tensor(), k);
+  return tensor::bottomk_indices_among(score,
+                                       ctx.layer.mask().active_indices(), k);
 }
 
 }  // namespace dstee::methods

@@ -131,17 +131,10 @@ void DstEngine::run_update(std::size_t iteration, double learning_rate) {
     const tensor::Tensor scores = config_.grow->scores(grow_ctx);
 
     // Eligible = inactive under the pre-update mask.
-    tensor::Tensor eligible(layer.mask().tensor().shape());
-    const tensor::Tensor& mask_t = layer.mask().tensor();
-    std::size_t inactive = 0;
-    for (std::size_t j = 0; j < mask_t.numel(); ++j) {
-      const float e = (mask_t[j] == 0.0f) ? 1.0f : 0.0f;
-      eligible[j] = e;
-      inactive += static_cast<std::size_t>(e);
-    }
-    const std::size_t k_grow = std::min(grow_counts[i], inactive);
+    std::vector<std::size_t> eligible = layer.mask().inactive_indices();
+    const std::size_t k_grow = std::min(grow_counts[i], eligible.size());
     const std::vector<std::size_t> grows =
-        tensor::topk_indices_where(scores, eligible, k_grow);
+        tensor::topk_indices_among(scores, std::move(eligible), k_grow);
 
     if (observer_) {
       // round_ was already advanced for this update above.

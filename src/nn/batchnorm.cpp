@@ -27,13 +27,15 @@ std::size_t BatchNorm::spatial(const tensor::Shape& s) const {
 
 tensor::Tensor BatchNorm::forward(const tensor::Tensor& x) {
   if (rank4_) {
-    util::check(x.rank() == 4 && x.dim(1) == channels_,
-                "batchnorm2d expects [N, C, H, W] with C=" +
-                    std::to_string(channels_));
+    if (x.rank() != 4 || x.dim(1) != channels_) {
+      util::fail("batchnorm2d expects [N, C, H, W] with C=" +
+                 std::to_string(channels_));
+    }
   } else {
-    util::check(x.rank() == 2 && x.dim(1) == channels_,
-                "batchnorm1d expects [N, C] with C=" +
-                    std::to_string(channels_));
+    if (x.rank() != 2 || x.dim(1) != channels_) {
+      util::fail("batchnorm1d expects [N, C] with C=" +
+                 std::to_string(channels_));
+    }
   }
   const std::size_t batch = x.dim(0);
   const std::size_t sp = spatial(x.shape());

@@ -42,9 +42,10 @@ tensor::ConvGeometry Conv2d::geometry(std::size_t in_h,
 }
 
 tensor::Tensor Conv2d::forward(const tensor::Tensor& x) {
-  util::check(x.rank() == 4 && x.dim(1) == in_channels_,
-              "conv2d forward expects [N, " + std::to_string(in_channels_) +
-                  ", H, W], got " + x.shape().to_string());
+  if (x.rank() != 4 || x.dim(1) != in_channels_) {
+    util::fail("conv2d forward expects [N, " + std::to_string(in_channels_) +
+               ", H, W], got " + x.shape().to_string());
+  }
   cached_input_ = x;
   // Weight viewed as [Cout, Cin·K·K] for the lowered matmul. Training
   // forwards share the process runtime pool; the chunk count comes from

@@ -28,10 +28,11 @@ Parameter& Linear::bias() {
 }
 
 tensor::Tensor Linear::forward(const tensor::Tensor& x) {
-  util::check(x.rank() == 2 && x.dim(1) == in_features_,
-              "linear forward expects [batch, " +
-                  std::to_string(in_features_) + "], got " +
-                  x.shape().to_string());
+  if (x.rank() != 2 || x.dim(1) != in_features_) {
+    util::fail("linear forward expects [batch, " +
+               std::to_string(in_features_) + "], got " +
+               x.shape().to_string());
+  }
   cached_input_ = x;
   tensor::Tensor y = tensor::matmul_nt(x, weight_.value);
   if (bias_) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,6 +56,37 @@ class StateHash {
     for (std::size_t k = 0; at < size; at += kWord, ++k) {
       lanes_[k] = hash_round(lanes_[k],
                              word(bytes + at, std::min(kWord, size - at)));
+    }
+  }
+
+  /// Mixes a mask exactly as mix() would its 0.0f / 1.0f float form: the
+  /// position count, then one word per two positions, each half 0 or the
+  /// bits of 1.0f. One byte of the bitset (8 positions) fills a stripe;
+  /// an odd last position pairs with a tail bit, which is zero, as the
+  /// float form pads it.
+  void mix(const sparse::Mask& m) {
+    static constexpr std::uint64_t kOne = 0x3F800000u;  // 1.0f
+    static constexpr std::uint64_t kPair[4] = {0, kOne, kOne << 32,
+                                               kOne | (kOne << 32)};
+    const std::size_t n = m.numel();
+    lanes_[0] = hash_round(lanes_[0], n);
+    const std::span<const std::uint64_t> words = m.words();
+    const auto byte = [&words](std::size_t s) {
+      return static_cast<unsigned>(words[s / 8] >> (s % 8 * 8)) & 0xFFu;
+    };
+    const std::size_t stripes = n / 8;
+    for (std::size_t s = 0; s < stripes; ++s) {
+      const unsigned b = byte(s);
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        lanes_[k] = hash_round(lanes_[k], kPair[(b >> (2 * k)) & 3u]);
+      }
+    }
+    const std::size_t tail_words = (n % 8 + 1) / 2;
+    if (tail_words > 0) {
+      const unsigned b = byte(stripes);
+      for (std::size_t k = 0; k < tail_words; ++k) {
+        lanes_[k] = hash_round(lanes_[k], kPair[(b >> (2 * k)) & 3u]);
+      }
     }
   }
 
@@ -282,7 +314,7 @@ std::uint64_t model_state_hash(nn::Module& model,
   for (const tensor::Tensor* b : model.state_buffers()) h.mix(*b);
   if (state != nullptr) {
     for (std::size_t i = 0; i < state->num_layers(); ++i) {
-      h.mix(state->layer(i).mask().tensor());
+      h.mix(state->layer(i).mask());
     }
   }
   return h.digest();
@@ -330,18 +362,26 @@ CheckpointDelta make_delta(nn::Module& base,
       const sparse::MaskedParameter& nl = next_state->layer(nit->second);
       SparseLayerDelta section;
       section.layer = bit->second;
-      const std::size_t n = bl.numel();
-      for (std::size_t j = 0; j < n; ++j) {
-        const bool was = bl.mask().is_active(j);
-        const bool is = nl.mask().is_active(j);
-        if (was && !is) {
-          section.removed.push_back(j);
-        } else if (!was && is) {
-          section.added.emplace_back(j, nl.param().value[j]);
-        } else if (was && is &&
-                   bl.param().value[j] != nl.param().value[j]) {
-          section.changed.emplace_back(j, nl.param().value[j]);
+      util::check(bl.mask().shape() == nl.mask().shape(),
+                  "make_delta: mask shapes differ between models");
+      // Each list walks its set bits of the two masks' words, ascending.
+      const std::span<const std::uint64_t> was = bl.mask().words();
+      const std::span<const std::uint64_t> is = nl.mask().words();
+      const float* before = bl.param().value.raw();
+      const float* after = nl.param().value.raw();
+      const auto each = [](std::size_t w, std::uint64_t bits, auto&& visit) {
+        for (; bits != 0; bits &= bits - 1) {
+          visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
         }
+      };
+      for (std::size_t w = 0; w < was.size(); ++w) {
+        each(w, was[w] & ~is[w],
+             [&](std::size_t j) { section.removed.push_back(j); });
+        each(w, is[w] & ~was[w],
+             [&](std::size_t j) { section.added.emplace_back(j, after[j]); });
+        each(w, was[w] & is[w], [&](std::size_t j) {
+          if (before[j] != after[j]) section.changed.emplace_back(j, after[j]);
+        });
       }
       if (!section.removed.empty() || !section.added.empty() ||
           !section.changed.empty()) {

@@ -26,8 +26,8 @@
 // node pointing at the very matrices the outgoing version serves.
 // A touched masked node is rebuilt in O(nnz + edits): the base node's
 // positions are the base mask's, so CsrMatrix::from_masked_edit merges
-// the section's removed and added lists into them instead of scanning
-// every dense slot. That is why the base plan must be the plan of the
+// the section's removed and added lists into them instead of walking
+// the whole mask. That is why the base plan must be the plan of the
 // delta's base state. Binding the patched plan then yields a new version
 // that is bit-identical to a full recompile (pinned by serve_test) at a
 // fraction of the work.
@@ -82,9 +82,11 @@ struct CheckpointDelta {
 };
 
 /// The identity a delta is keyed by: a word-at-a-time hash (four
-/// xxh64-style lanes) over the raw bytes of every parameter value, state
-/// buffer and mask 0/1 tensor, each tensor's element count first. DST
-/// step counters are deliberately excluded: they never influence serving.
+/// xxh64-style lanes) over the raw bytes of every parameter value and
+/// state buffer, and over each mask's 0.0f / 1.0f float form (the words a
+/// float mask would hold, generated from the bits), each tensor's element
+/// count first. DST step counters are deliberately excluded: they never
+/// influence serving.
 std::uint64_t model_state_hash(nn::Module& model,
                                const sparse::SparseModel* state);
 
@@ -135,7 +137,7 @@ std::uint64_t state_hashes_on_this_thread();
 struct PlanPatch {
   Plan plan;                     ///< base plan with touched nodes rebuilt
   std::size_t patched_weight_nodes = 0;  ///< CSR units rebuilt
-  /// Of those, the units rebuilt by a scan of every dense slot
+  /// Of those, the units rebuilt by a scan of the whole layer
   /// (from_masked when the delta's lists do not fit the base node, or
   /// from_dense for a weight without a mask) instead of from the base
   /// node's positions. 0 for a delta from make_delta on a masked model.

@@ -218,9 +218,10 @@ void bn_scale_shift(const nn::BatchNorm& bn, std::vector<float>& scale,
 /// Sets `op`'s fp32 CSR matrix (fresh) and bias from a Linear/Conv2d's
 /// parameters, as lowering does: from_masked(*masked) when the weight has
 /// a mask, else from_dense(weight, dense_eps); `bias` may be null. Both
-/// are scans of every dense slot. Delta patching builds a masked node's
-/// matrix from the base node instead (CsrMatrix::from_masked_edit, the
-/// same entries) and sets its bias through lower_bias.
+/// scan the whole layer (its mask's words or every dense slot). Delta
+/// patching builds a masked node's matrix from the base node instead
+/// (CsrMatrix::from_masked_edit, the same entries) and sets its bias
+/// through lower_bias.
 void lower_weights(PlanOp& op, const nn::Parameter& weight,
                    const nn::Parameter* bias,
                    const sparse::MaskedParameter* masked, float dense_eps);

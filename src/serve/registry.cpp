@@ -35,8 +35,9 @@ void release_training_state(nn::Module& module, sparse::SparseModel* state) {
 constexpr const char* kSwapPhases[4] = {"apply", "patch", "bind", "publish"};
 
 // Bytes of every tensor a slot holds: parameter values, gradients and
-// counters that exist, state buffers, masks, and the served version's
-// plan weights (dstee_model_state_bytes).
+// counters that exist, state buffers, masks (at their packed size, 8
+// bytes per 64 positions), and the served version's plan weights
+// (dstee_model_state_bytes).
 double held_bytes(nn::Module& module, const sparse::SparseModel* state,
                   const CompiledNet& served) {
   std::size_t floats = 0;
@@ -44,12 +45,14 @@ double held_bytes(nn::Module& module, const sparse::SparseModel* state,
     floats += p->value.numel() * (p->has_grad() ? 2 : 1);
   }
   for (const tensor::Tensor* b : module.state_buffers()) floats += b->numel();
+  std::size_t mask_bytes = 0;
   const std::size_t layers = state != nullptr ? state->num_layers() : 0;
   for (std::size_t i = 0; i < layers; ++i) {
     const sparse::MaskedParameter& layer = state->layer(i);
-    floats += layer.numel() * (layer.has_counter() ? 2 : 1);
+    if (layer.has_counter()) floats += layer.numel();
+    mask_bytes += layer.mask().storage_bytes();
   }
-  return static_cast<double>(floats * sizeof(float) +
+  return static_cast<double>(floats * sizeof(float) + mask_bytes +
                              served.total_weight_bytes());
 }
 

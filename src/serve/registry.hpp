@@ -16,12 +16,12 @@
 // swap_model releases the counters load_checkpoint restores, whether the
 // load succeeds or throws. What a slot keeps is exactly what hashing,
 // delta application, plan patching and lowering read: parameter values,
-// state buffers (batch-norm running statistics), masks, and the served
-// plan. The dstee_model_state_bytes{model=...} gauge in the registry's
-// metrics counts those bytes (any gradient or counter too, were one
-// there); add_model, apply_delta and swap_model set it, remove_model
-// zeroes it. Training a registered model, or checkpointing its state,
-// throws CheckError.
+// state buffers (batch-norm running statistics), masks (one bit per
+// weight), and the served plan. The dstee_model_state_bytes{model=...}
+// gauge in the registry's metrics counts those bytes (any gradient or
+// counter too, were one there); add_model, apply_delta and swap_model
+// set it, remove_model zeroes it. Training a registered model, or
+// checkpointing its state, throws CheckError.
 //
 // ZERO-DOWNTIME UPDATES
 //   apply_delta(name, delta)  checks the delta's base hash against the

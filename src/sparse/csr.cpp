@@ -73,32 +73,23 @@ CsrMatrix CsrMatrix::from_masked(const MaskedParameter& param) {
   const tensor::Tensor& dense = param.param().value;
   util::check(dense.rank() >= 2,
               "CSR conversion requires a parameter of rank >= 2");
-  const float* mask = param.mask().tensor().raw();
+  const Mask& mask = param.mask();
   const float* values = dense.raw();
   CsrMatrix m(dense.dim(0), dense.numel() / dense.dim(0));
-  std::size_t nnz = 0;
-  for (std::size_t i = 0; i < dense.numel(); ++i) {
-    nnz += mask[i] != 0.0f ? 1 : 0;
-  }
-  // Every slot is stored at the next free entry, which advances only
-  // past an active one: no branch per slot. The last inactive slots land
-  // in one spare entry, dropped at the end.
-  m.col_idx_.resize(nnz + 1);
-  m.values_.resize(nnz + 1);
+  // Each row walks its set bits: O(nnz + numel / 64), no dense scan.
+  m.col_idx_.resize(mask.num_active());
+  m.values_.resize(m.col_idx_.size());
   std::uint32_t* col_out = m.col_idx_.data();
   float* value_out = m.values_.data();
   std::size_t k = 0;
   for (std::size_t r = 0; r < m.rows_; ++r) {
     const std::size_t row = r * m.cols_;
-    for (std::size_t c = 0; c < m.cols_; ++c) {
-      col_out[k] = static_cast<std::uint32_t>(c);
-      value_out[k] = values[row + c];
-      k += mask[row + c] != 0.0f ? 1 : 0;
-    }
+    mask.for_each_active(row, row + m.cols_, [&](std::size_t i) {
+      col_out[k] = static_cast<std::uint32_t>(i - row);
+      value_out[k++] = values[i];
+    });
     m.row_ptr_[r + 1] = k;
   }
-  m.col_idx_.resize(nnz);
-  m.values_.resize(nnz);
   return m;
 }
 

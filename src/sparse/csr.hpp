@@ -44,11 +44,11 @@ class CsrMatrix {
   /// Builds from a masked parameter (only mask-active entries are stored,
   /// regardless of value — the faithful deployment of a sparse topology).
   /// Accepts rank >= 2 with the same row/column flattening as from_dense.
-  /// One count pass and one branch-free store pass over every dense slot.
+  /// Walks the mask's set bits row by row: O(nnz + numel / 64).
   static CsrMatrix from_masked(const MaskedParameter& param);
 
-  /// from_masked of an edited mask, in O(nnz + edits) instead of a pass
-  /// over every dense slot. `base` holds the positions of the mask before
+  /// from_masked of an edited mask, in O(nnz + edits) instead of a walk
+  /// over the whole mask. `base` holds the positions of the mask before
   /// the edit, as from_masked built them (its values are not read). The
   /// edit lists flat positions: `removed` leave the mask, `added` join it
   /// with their values, and `changed` are surviving positions with new

@@ -7,24 +7,19 @@ namespace dstee::sparse {
 ExplorationTracker::ExplorationTracker(const SparseModel& model) {
   ever_active_.reserve(model.num_layers());
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    const auto& layer = model.layer(i);
-    ever_active_.emplace_back(layer.numel(), false);
-    total_ += layer.numel();
+    ever_active_.push_back(model.layer(i).mask());
+    total_ += model.layer(i).numel();
   }
-  observe(model);
 }
 
 void ExplorationTracker::observe(const SparseModel& model) {
   util::check(model.num_layers() == ever_active_.size(),
               "tracker was built for a different model");
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    const tensor::Tensor& m = model.layer(i).mask().tensor();
-    auto& seen = ever_active_[i];
-    util::check(m.numel() == seen.size(),
+    const Mask& m = model.layer(i).mask();
+    util::check(m.shape() == ever_active_[i].shape(),
                 "layer size changed under the tracker");
-    for (std::size_t j = 0; j < m.numel(); ++j) {
-      if (m[j] != 0.0f) seen[j] = true;
-    }
+    ever_active_[i] |= m;
   }
 }
 
@@ -36,26 +31,15 @@ double ExplorationTracker::exploration_rate() const {
 std::vector<double> ExplorationTracker::per_layer_rates() const {
   std::vector<double> rates;
   rates.reserve(ever_active_.size());
-  for (const auto& seen : ever_active_) {
-    std::size_t n = 0;
-    for (const bool b : seen) {
-      if (b) ++n;
-    }
-    rates.push_back(seen.empty()
-                        ? 0.0
-                        : static_cast<double>(n) /
-                              static_cast<double>(seen.size()));
+  for (const Mask& seen : ever_active_) {
+    rates.push_back(seen.numel() == 0 ? 0.0 : seen.density());
   }
   return rates;
 }
 
 std::size_t ExplorationTracker::explored_count() const {
   std::size_t n = 0;
-  for (const auto& seen : ever_active_) {
-    for (const bool b : seen) {
-      if (b) ++n;
-    }
-  }
+  for (const Mask& seen : ever_active_) n += seen.num_active();
   return n;
 }
 

@@ -34,7 +34,7 @@ class ExplorationTracker {
   std::size_t total_count() const { return total_; }
 
  private:
-  std::vector<std::vector<bool>> ever_active_;  // one bitset per layer
+  std::vector<Mask> ever_active_;  // the union of every mask, per layer
   std::size_t total_ = 0;
 };
 

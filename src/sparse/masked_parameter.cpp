@@ -34,11 +34,7 @@ tensor::Tensor& MaskedParameter::restore_counter() {
 }
 
 void MaskedParameter::accumulate_counter() {
-  tensor::Tensor& counter = this->counter();
-  const tensor::Tensor& m = mask_.tensor();
-  for (std::size_t i = 0; i < counter.numel(); ++i) {
-    counter[i] += m[i];
-  }
+  mask_.add_to(counter());
 }
 
 }  // namespace dstee::sparse

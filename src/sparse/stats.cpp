@@ -31,16 +31,10 @@ std::string validate_invariants(const SparseModel& model) {
   std::ostringstream os;
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
     const auto& layer = model.layer(i);
-    const auto& mask = layer.mask().tensor();
+    const auto& mask = layer.mask();
     const auto& value = layer.param().value;
     for (std::size_t j = 0; j < mask.numel(); ++j) {
-      const float m = mask[j];
-      if (m != 0.0f && m != 1.0f) {
-        os << "layer " << i << " (" << layer.name() << "): mask[" << j
-           << "] = " << m << " is not binary";
-        return os.str();
-      }
-      if (m == 0.0f && value[j] != 0.0f) {
+      if (!mask.is_active(j) && value[j] != 0.0f) {
         os << "layer " << i << " (" << layer.name() << "): masked weight ["
            << j << "] = " << value[j] << " is nonzero";
         return os.str();

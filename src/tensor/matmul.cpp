@@ -25,9 +25,10 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   util::check(a.rank() == 2 && b.rank() == 2, "matmul requires rank-2 inputs");
-  util::check(a.dim(1) == b.dim(0),
-              "matmul inner dimensions must agree: " + a.shape().to_string() +
-                  " x " + b.shape().to_string());
+  if (a.dim(1) != b.dim(0)) {
+    util::fail("matmul inner dimensions must agree: " + a.shape().to_string() +
+               " x " + b.shape().to_string());
+  }
   Tensor c({a.dim(0), b.dim(1)});
   gemm(a.raw(), b.raw(), c.raw(), a.dim(0), a.dim(1), b.dim(1));
   return c;

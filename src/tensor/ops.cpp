@@ -8,9 +8,10 @@ namespace dstee::tensor {
 
 namespace {
 void check_same_shape(const Tensor& a, const Tensor& b) {
-  util::check(a.shape() == b.shape(),
-              "elementwise op requires identical shapes: " +
-                  a.shape().to_string() + " vs " + b.shape().to_string());
+  if (a.shape() != b.shape()) {
+    util::fail("elementwise op requires identical shapes: " +
+               a.shape().to_string() + " vs " + b.shape().to_string());
+  }
 }
 }  // namespace
 

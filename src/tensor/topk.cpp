@@ -30,13 +30,13 @@ std::vector<std::size_t> all_indices(std::size_t n) {
   return idx;
 }
 
-std::vector<std::size_t> where_indices(const Tensor& eligible) {
-  std::vector<std::size_t> idx;
-  idx.reserve(eligible.numel());
-  for (std::size_t i = 0; i < eligible.numel(); ++i) {
-    if (eligible[i] != 0.0f) idx.push_back(i);
+/// `candidates`, each checked to index `values`.
+std::vector<std::size_t> checked(const Tensor& values,
+                                 std::vector<std::size_t> candidates) {
+  for (const std::size_t i : candidates) {
+    if (i >= values.numel()) util::fail("top-k candidate out of range");
   }
-  return idx;
+  return candidates;
 }
 
 }  // namespace
@@ -57,24 +57,19 @@ std::vector<std::size_t> bottomk_indices(const Tensor& values, std::size_t k) {
                   });
 }
 
-std::vector<std::size_t> topk_indices_where(const Tensor& values,
-                                            const Tensor& eligible,
+std::vector<std::size_t> topk_indices_among(const Tensor& values,
+                                            std::vector<std::size_t> candidates,
                                             std::size_t k) {
-  util::check(values.shape() == eligible.shape(),
-              "top-k eligibility mask must match value shape");
-  return select_k(where_indices(eligible), k,
+  return select_k(checked(values, std::move(candidates)), k,
                   [&](std::size_t a, std::size_t b) {
                     if (values[a] != values[b]) return values[a] > values[b];
                     return a < b;
                   });
 }
 
-std::vector<std::size_t> bottomk_indices_where(const Tensor& values,
-                                               const Tensor& eligible,
-                                               std::size_t k) {
-  util::check(values.shape() == eligible.shape(),
-              "bottom-k eligibility mask must match value shape");
-  return select_k(where_indices(eligible), k,
+std::vector<std::size_t> bottomk_indices_among(
+    const Tensor& values, std::vector<std::size_t> candidates, std::size_t k) {
+  return select_k(checked(values, std::move(candidates)), k,
                   [&](std::size_t a, std::size_t b) {
                     if (values[a] != values[b]) return values[a] < values[b];
                     return a < b;

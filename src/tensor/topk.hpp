@@ -16,17 +16,18 @@ std::vector<std::size_t> topk_indices(const Tensor& values, std::size_t k);
 /// Indices of the `k` smallest values (ascending by value, ties by index).
 std::vector<std::size_t> bottomk_indices(const Tensor& values, std::size_t k);
 
-/// topk over a subset: only indices with `eligible[i] != 0` participate.
-/// This is ArgTopK(S · (M == 0), k) from Algorithm 1 — growth considers
-/// inactive positions only. Requires at least k eligible entries.
-std::vector<std::size_t> topk_indices_where(const Tensor& values,
-                                            const Tensor& eligible,
+/// topk over a subset: only the flat indices in `candidates` (each <
+/// numel) participate. Over a mask's inactive positions this is
+/// ArgTopK(S · (M == 0), k) from Algorithm 1 — growth considers inactive
+/// positions only. Requires at least k candidates.
+std::vector<std::size_t> topk_indices_among(const Tensor& values,
+                                            std::vector<std::size_t> candidates,
                                             std::size_t k);
 
-/// bottomk over active positions only (used for magnitude drop, where masked
-/// weights are already zero and must not be "dropped" again).
-std::vector<std::size_t> bottomk_indices_where(const Tensor& values,
-                                               const Tensor& eligible,
-                                               std::size_t k);
+/// bottomk over a subset (a mask's active positions for magnitude drop,
+/// where masked weights are already zero and must not be "dropped"
+/// again).
+std::vector<std::size_t> bottomk_indices_among(
+    const Tensor& values, std::vector<std::size_t> candidates, std::size_t k);
 
 }  // namespace dstee::tensor

@@ -1,5 +1,7 @@
 #include "train/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,23 +31,55 @@ std::uint64_t read_u64(std::ifstream& in) {
   return v;
 }
 
-void write_tensor(std::ofstream& out, const std::string& name,
-                  const tensor::Tensor& t) {
+// A "#mask" record is the mask's 0.0f / 1.0f float form on disk; saving
+// and loading convert it this many positions at a time, so neither ever
+// holds a float per position.
+constexpr std::size_t kMaskChunk = 4096;
+
+void write_header(std::ofstream& out, const std::string& name,
+                  const tensor::Shape& shape) {
   write_u64(out, name.size());
   out.write(name.data(), static_cast<std::streamsize>(name.size()));
-  write_u64(out, t.rank());
-  for (std::size_t d = 0; d < t.rank(); ++d) write_u64(out, t.dim(d));
-  out.write(reinterpret_cast<const char*>(t.raw()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
+  write_u64(out, shape.rank());
+  for (std::size_t d = 0; d < shape.rank(); ++d) write_u64(out, shape.dim(d));
 }
 
-// Reads one record and validates it against the expected name and
-// shape, writing the payload into `dest` (shape.numel() floats). The name
-// length and rank are untrusted file fields, so each is checked against
-// what the model expects before it sizes an allocation: a corrupt length
-// fails with a CheckError, never a multi-GB allocation.
-void read_tensor_into(std::ifstream& in, const std::string& expected_name,
-                      const tensor::Shape& expected, std::span<float> dest) {
+void write_floats(std::ofstream& out, std::span<const float> values) {
+  out.write(reinterpret_cast<const char*>(values.data()),
+            static_cast<std::streamsize>(values.size_bytes()));
+}
+
+void write_tensor(std::ofstream& out, const std::string& name,
+                  const tensor::Tensor& t) {
+  write_header(out, name, t.shape());
+  write_floats(out, t.data());
+}
+
+void write_mask(std::ofstream& out, const std::string& name,
+                const sparse::Mask& mask) {
+  write_header(out, name, mask.shape());
+  std::array<float, kMaskChunk> chunk{};
+  for (std::size_t at = 0; at < mask.numel(); at += kMaskChunk) {
+    const std::span<float> part(chunk.data(),
+                                std::min(kMaskChunk, mask.numel() - at));
+    mask.to_floats(at, part);
+    write_floats(out, part);
+  }
+}
+
+void read_floats(std::ifstream& in, std::span<float> dest) {
+  in.read(reinterpret_cast<char*>(dest.data()),
+          static_cast<std::streamsize>(dest.size_bytes()));
+  util::check(in.good(), "checkpoint truncated in tensor data");
+}
+
+// Reads one record's header and validates it against the expected name
+// and shape; its shape.numel() floats follow. The name length and rank
+// are untrusted file fields, so each is checked against what the model
+// expects before it sizes an allocation: a corrupt length fails with a
+// CheckError, never a multi-GB allocation.
+void read_header(std::ifstream& in, const std::string& expected_name,
+                 const tensor::Shape& expected) {
   const std::uint64_t name_len = read_u64(in);
   util::check(name_len == expected_name.size(),
               "checkpoint tensor order mismatch: expected '" + expected_name +
@@ -68,14 +102,26 @@ void read_tensor_into(std::ifstream& in, const std::string& expected_name,
   util::check(shape == expected,
               "checkpoint shape mismatch for '" + name + "': file has " +
                   shape.to_string() + ", model has " + expected.to_string());
-  in.read(reinterpret_cast<char*>(dest.data()),
-          static_cast<std::streamsize>(dest.size_bytes()));
-  util::check(in.good(), "checkpoint truncated in tensor data");
 }
 
 void read_tensor_into(std::ifstream& in, const std::string& expected_name,
                       tensor::Tensor& dest) {
-  read_tensor_into(in, expected_name, dest.shape(), dest.data());
+  read_header(in, expected_name, dest.shape());
+  read_floats(in, dest.data());
+}
+
+// Reads a "#mask" record straight into `mask`, a chunk at a time; a
+// non-binary value throws CheckError (mask.from_floats).
+void read_mask_into(std::ifstream& in, const std::string& expected_name,
+                    sparse::Mask& mask) {
+  read_header(in, expected_name, mask.shape());
+  std::array<float, kMaskChunk> chunk{};
+  for (std::size_t at = 0; at < mask.numel(); at += kMaskChunk) {
+    const std::span<float> part(chunk.data(),
+                                std::min(kMaskChunk, mask.numel() - at));
+    read_floats(in, part);
+    mask.from_floats(at, part);
+  }
 }
 
 }  // namespace
@@ -116,8 +162,8 @@ void save_checkpoint(const std::string& path, nn::Module& model,
   }
   if (state != nullptr) {
     for (std::size_t i = 0; i < state->num_layers(); ++i) {
-      write_tensor(out, "layer" + std::to_string(i) + "#mask",
-                   state->layer(i).mask().tensor());
+      write_mask(out, "layer" + std::to_string(i) + "#mask",
+                 state->layer(i).mask());
       write_tensor(out, "layer" + std::to_string(i) + "#counter",
                    state->layer(i).counter());
     }
@@ -184,11 +230,7 @@ void load_checkpoint(const std::string& path, nn::Module& model,
     for (std::size_t i = 0; i < state->num_layers(); ++i) {
       auto& layer = state->layer(i);
       const std::string prefix = "layer" + std::to_string(i);
-      // Straight into the layer's mask, checked binary there.
-      sparse::Mask& mask = layer.mask();
-      mask.read_in_place([&](std::span<float> dest) {
-        read_tensor_into(in, prefix + "#mask", mask.shape(), dest);
-      });
+      read_mask_into(in, prefix + "#mask", layer.mask());
       // A released counter is allocated again to take the record.
       read_tensor_into(in, prefix + "#counter", layer.restore_counter());
     }

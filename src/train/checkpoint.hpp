@@ -11,11 +11,14 @@
 // ordering. "#state" records (v2+) persist Module::state_buffers() —
 // batch-norm running statistics — which eval-mode inference depends on.
 //
-// Loading writes each record straight into the model: values, buffers
-// and counters into their tensors, and each "#mask" record into the
-// layer's mask storage (Mask::read_in_place), checked binary there, with
-// no temporary copy. A rejected record therefore leaves the model partly
-// written; a caller that must stay whole copies first (see
+// A "#mask" record holds the mask as 0.0f / 1.0f floats; the mask itself
+// is a bitset, so saving and loading convert a record a bounded chunk at
+// a time and never hold a float per position. Loading writes each record
+// straight into the model: values, buffers and counters into their
+// tensors, and each "#mask" record into the layer's mask bits
+// (Mask::from_floats: 1 sets a position, 0 or -0 clears it, any other
+// value throws CheckError). A rejected record therefore leaves the model
+// partly written; a caller that must stay whole copies first (see
 // ModelRegistry::swap_model).
 #pragma once
 

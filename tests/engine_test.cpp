@@ -138,11 +138,10 @@ TEST(Engine, CountersAccumulateOnlyActivePositions) {
   h.engine->force_update(10, 0.1);
   for (auto& layer : h.smodel.layers()) {
     const auto& counter = layer.counter();
-    const auto& mask = layer.mask().tensor();
     for (std::size_t i = 0; i < counter.numel(); ++i) {
       // After init (N=M) plus one round (N+=M'), a currently-active element
       // must have counter >= 1.
-      if (mask[i] != 0.0f) {
+      if (layer.mask().is_active(i)) {
         EXPECT_GE(counter[i], 1.0f);
       }
     }

@@ -156,6 +156,48 @@ TEST(Checkpoint, RoundTripsValuesMasksAndCounters) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Checkpoint, SaveLoadSaveIsByteIdenticalAndMasksAreZeroOrOne) {
+  // Layers of 12,707 and 917 positions: masks convert in chunks of
+  // 4096, so the first spans three full chunks and a partial one, and
+  // neither is a multiple of 64.
+  const std::string dir = "test_ckpt_save_load_save";
+  const std::string first = dir + "/first.bin";
+  const std::string second = dir + "/second.bin";
+  models::MlpConfig cfg;
+  cfg.in_features = 97;
+  cfg.hidden = {131};
+  cfg.out_features = 7;
+  util::Rng rng_a(21);
+  models::Mlp a(cfg, rng_a);
+  sparse::SparseModel a_state(a, 0.9, sparse::DistributionKind::kErk, rng_a);
+  a_state.accumulate_counters();
+  train::save_checkpoint(first, a, &a_state);
+
+  util::Rng rng_b(22);  // another init and topology
+  models::Mlp b(cfg, rng_b);
+  sparse::SparseModel b_state(b, 0.9, sparse::DistributionKind::kErk, rng_b);
+  train::load_checkpoint(first, b, &b_state);
+  train::save_checkpoint(second, b, &b_state);
+  const std::string bytes = testing::file_bytes(first);
+  EXPECT_EQ(bytes, testing::file_bytes(second));
+
+  std::size_t masks = 0;
+  for (const testing::CheckpointRecord& record :
+       testing::checkpoint_records(bytes)) {
+    if (record.name.find("#mask") == std::string::npos) continue;
+    SCOPED_TRACE(record.name);
+    const sparse::Mask& mask = a_state.layer(masks++).mask();
+    ASSERT_EQ(record.numel, mask.numel());
+    for (std::size_t i = 0; i < record.numel; ++i) {
+      std::uint32_t word = 0;
+      std::memcpy(&word, bytes.data() + record.data_offset + 4 * i, 4);
+      ASSERT_EQ(word, mask.is_active(i) ? 0x3F800000u : 0u) << i;
+    }
+  }
+  EXPECT_EQ(masks, a_state.num_layers());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Checkpoint, ReleasedCounters) {
   // An inference-only state (counters released) has no training state to
   // save, and a load into one restores the file's counters.

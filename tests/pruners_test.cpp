@@ -139,7 +139,7 @@ TEST(StaticPruners, CountersResetToNewMask) {
   for (std::size_t i = 0; i < h.smodel.num_layers(); ++i) {
     const auto& layer = h.smodel.layer(i);
     for (std::size_t j = 0; j < layer.counter().numel(); ++j) {
-      EXPECT_EQ(layer.counter()[j], layer.mask().tensor()[j]);
+      EXPECT_EQ(layer.counter()[j], layer.mask().is_active(j) ? 1.0f : 0.0f);
     }
   }
 }

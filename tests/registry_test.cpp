@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -840,9 +841,10 @@ struct Twin {
   std::unique_ptr<sparse::SparseModel> state;
 };
 
-/// What a slot serving `t` should hold: 4 bytes per parameter value,
-/// buffer and mask element, no gradient, no counter, plus the weights of
-/// an independently compiled plan of the same state.
+/// What a slot serving `t` should hold: 4 bytes per parameter value and
+/// buffer element, one bit per mask position (8 bytes per started 64),
+/// no gradient, no counter, plus the weights of an independently compiled
+/// plan of the same state.
 double inference_bytes(Twin& t) {
   std::size_t floats = 0;
   for (const nn::Parameter* p : t.model->parameters()) {
@@ -851,9 +853,12 @@ double inference_bytes(Twin& t) {
   for (const tensor::Tensor* b : t.model->state_buffers()) {
     floats += b->numel();
   }
-  for (const auto& layer : t.state->layers()) floats += layer.mask().numel();
+  std::size_t mask_words = 0;
+  for (const auto& layer : t.state->layers()) {
+    mask_words += (layer.mask().numel() + 63) / 64;
+  }
   return static_cast<double>(
-      4 * floats +
+      4 * floats + 8 * mask_words +
       serve::CompiledNet::compile(*t.model, t.state.get()).total_weight_bytes());
 }
 
@@ -933,6 +938,69 @@ TEST(Registry, ModelStateBytesHoldNoTrainingState) {
     registry.shutdown();
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(Registry, NonBinaryMaskRecordIsRejectedAndSwapModelRestores) {
+  constexpr std::uint64_t kSeedA = 91;
+  constexpr std::uint64_t kSeedB = 92;
+  const std::string dir = "serve_ckpt/non_binary_mask";
+  const std::string bad = dir + "/bad.bin";
+  const std::string minus_zero = dir + "/minus_zero.bin";
+  std::size_t last_layer = 0;
+  std::size_t last_position = 0;
+  {
+    // Copies of a checkpoint whose last "#mask" record ends in 2.0f or
+    // in -0.0f.
+    SeededModel b(kSeedB);
+    train::save_checkpoint(dir + "/b.bin", b.model, &b.state);
+    const std::string bytes = testing::file_bytes(dir + "/b.bin");
+    std::size_t offset = 0;
+    for (const testing::CheckpointRecord& record :
+         testing::checkpoint_records(bytes)) {
+      if (record.name.find("#mask") == std::string::npos) continue;
+      last_position = record.numel - 1;
+      offset = record.data_offset + sizeof(float) * last_position;
+    }
+    ASSERT_GT(offset, 0u);
+    last_layer = b.state.num_layers() - 1;
+    const auto write_with = [&](const std::string& path, float last) {
+      std::string copy = bytes;
+      std::memcpy(copy.data() + offset, &last, sizeof(last));
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(copy.data(), static_cast<std::streamsize>(copy.size()));
+    };
+    write_with(bad, 2.0f);
+    write_with(minus_zero, -0.0f);
+  }
+  {
+    Twin t(false, kSeedA);
+    EXPECT_THROW(train::load_checkpoint(bad, *t.model, t.state.get()),
+                 util::CheckError);
+  }
+
+  serve::ModelRegistry registry;
+  SeededModel::add_to(registry, "m", kSeedA);
+  const std::uint64_t hash = registry.state_hash("m");
+  const auto x = random_tensor(tensor::Shape({12}), 93);
+  const tensor::Tensor row = registry.submit("m", x).get();
+  EXPECT_THROW(registry.swap_model("m", bad), util::CheckError);
+  EXPECT_EQ(registry.state_hash("m"), hash);
+  EXPECT_TRUE(registry.submit("m", x).get().equals(row));
+  // The model itself is whole: a delta's result hash is computed from
+  // the patched model, so it holds only on the restored masks.
+  registry.apply_delta("m", step_delta(kSeedA));
+  EXPECT_TRUE(
+      registry.submit("m", x).get().equals(expected_row(kSeedA, x, true)));
+
+  // A -0 loads as an inactive position.
+  Twin z(false, kSeedA);
+  train::load_checkpoint(minus_zero, *z.model, z.state.get());
+  EXPECT_FALSE(z.state->layer(last_layer).mask().is_active(last_position));
+  registry.swap_model("m", minus_zero);
+  EXPECT_EQ(registry.state_hash("m"),
+            serve::model_state_hash(*z.model, z.state.get()));
+  registry.shutdown();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Registry, SwapModelKeepsCountersReleased) {

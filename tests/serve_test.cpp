@@ -1809,7 +1809,7 @@ TEST(Delta, WrongVerifiedHashIsABaseMismatchAndWritesNothing) {
   const serve::CheckpointDelta delta =
       serve::make_delta(a.model, &a.smodel, b.model, &b.smodel);
   const tensor::Tensor weights = a.smodel.layer(0).param().value;
-  const tensor::Tensor mask = a.smodel.layer(0).mask().tensor();
+  const sparse::Mask mask = a.smodel.layer(0).mask();
 
   // The model is the delta's base, but the caller vouches for another
   // hash: the overload trusts it, so the base check fails with the
@@ -1822,7 +1822,38 @@ TEST(Delta, WrongVerifiedHashIsABaseMismatchAndWritesNothing) {
   EXPECT_TRUE(mentions(message, "the model hashes to " + std::to_string(wrong)));
   EXPECT_EQ(serve::model_state_hash(a.model, &a.smodel), delta.base_hash);
   EXPECT_TRUE(a.smodel.layer(0).param().value.equals(weights));
-  EXPECT_TRUE(a.smodel.layer(0).mask().tensor().equals(mask));
+  EXPECT_TRUE(a.smodel.layer(0).mask() == mask);
+}
+
+TEST(Delta, StateHashOfSeededModelsIsPinned) {
+  // model_state_hash mixes each mask as its 0.0f / 1.0f float form, so
+  // every base_hash and result_hash keeps the value it had when masks
+  // were stored as floats. The literals were computed that way. Every
+  // MLP layer has an odd position count, so its last position pairs
+  // with the zero padding.
+  {
+    util::Rng rng(2027);
+    models::MlpConfig cfg;
+    cfg.in_features = 13;
+    cfg.hidden = {31, 17};
+    cfg.out_features = 5;
+    models::Mlp model(cfg, rng);
+    sparse::SparseModel state(model, 0.9, sparse::DistributionKind::kErk,
+                              rng);
+    EXPECT_EQ(serve::model_state_hash(model, &state), 0x6ce2b2d0432cf9ebull);
+  }
+  {
+    util::Rng rng(2029);
+    models::ResNetConfig cfg;
+    cfg.depth = 18;
+    cfg.image_size = 32;
+    cfg.num_classes = 10;
+    cfg.width_multiplier = 0.25;
+    models::ResNet model(cfg, rng);
+    sparse::SparseModel state(model, 0.9, sparse::DistributionKind::kErk,
+                              rng);
+    EXPECT_EQ(serve::model_state_hash(model, &state), 0x65fd6730fdc34424ull);
+  }
 }
 
 TEST(Delta, VerifiedHashOverloadEqualsTheThreeArgumentFormAlongAChain) {
@@ -1861,8 +1892,7 @@ TEST(Delta, VerifiedHashOverloadEqualsTheThreeArgumentFormAlongAChain) {
       EXPECT_TRUE(fp[i]->value.equals(cp[i]->value)) << "parameter " << i;
     }
     for (std::size_t l = 0; l < full.smodel.num_layers(); ++l) {
-      EXPECT_TRUE(full.smodel.layer(l).mask().tensor().equals(
-          cached.smodel.layer(l).mask().tensor()))
+      EXPECT_TRUE(full.smodel.layer(l).mask() == cached.smodel.layer(l).mask())
           << "mask " << l;
     }
     EXPECT_EQ(serve::model_state_hash(cached.model, &cached.smodel),

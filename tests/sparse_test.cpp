@@ -1,7 +1,11 @@
 // Sparse substrate tests: masks, distributions, SparseModel, exploration.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "models/mlp.hpp"
 #include "sparse/distribution.hpp"
@@ -83,6 +87,90 @@ TEST(Mask, HammingDistance) {
   const auto b = sparse::Mask::from_indices(tensor::Shape({5}), {1, 2});
   EXPECT_EQ(a.hamming_distance(b), 2u);
   EXPECT_EQ(a.hamming_distance(a), 0u);
+}
+
+TEST(Mask, PackedBitsHoldAtWordEdges) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                              std::size_t{65}, std::size_t{512 * 512}}) {
+    SCOPED_TRACE(n);
+    const tensor::Shape shape = n == 512 * 512 ? tensor::Shape({512, 512})
+                                               : tensor::Shape({n});
+    const std::size_t words = (n + 63) / 64;
+
+    // The all-ones mask sets exactly n bits: no tail bit.
+    const sparse::Mask dense(shape);
+    EXPECT_EQ(dense.numel(), n);
+    EXPECT_EQ(dense.num_active(), n);
+    ASSERT_EQ(dense.words().size(), words);
+    EXPECT_EQ(dense.storage_bytes(), 8 * words);
+    const std::size_t used = n - 64 * (words - 1);
+    EXPECT_EQ(dense.words().back(),
+              used == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << used) - 1);
+
+    // The last index edits like any other; one past it is refused.
+    sparse::Mask m(shape);
+    m.deactivate(n - 1);
+    EXPECT_FALSE(m.is_active(n - 1));
+    EXPECT_EQ(m.num_active(), n - 1);
+    EXPECT_EQ(m.inactive_indices(), std::vector<std::size_t>{n - 1});
+    EXPECT_EQ(m.hamming_distance(dense), 1u);
+    m.activate(n - 1);
+    EXPECT_TRUE(m == dense);
+    EXPECT_THROW(m.activate(n), util::CheckError);
+    EXPECT_THROW(m.deactivate(n), util::CheckError);
+    EXPECT_THROW((void)m.is_active(n), util::CheckError);
+
+    // Distances count positions only, never the tail.
+    const sparse::Mask empty = sparse::Mask::from_indices(shape, {});
+    EXPECT_EQ(empty.num_active(), 0u);
+    EXPECT_EQ(empty.inactive_indices().size(), n);
+    EXPECT_EQ(dense.hamming_distance(empty), n);
+    std::vector<std::size_t> ends{0};
+    if (n > 1) ends.push_back(n - 1);
+    const sparse::Mask edges = sparse::Mask::from_indices(shape, ends);
+    EXPECT_EQ(edges.active_indices(), ends);
+    EXPECT_EQ(edges.hamming_distance(dense), n - ends.size());
+
+    // Copies are deep; a move keeps the bits.
+    sparse::Mask copy = edges;
+    EXPECT_TRUE(copy == edges);
+    copy.deactivate(0);
+    EXPECT_TRUE(edges.is_active(0));
+    const sparse::Mask moved = std::move(copy);
+    EXPECT_FALSE(moved.is_active(0));
+    EXPECT_EQ(moved.num_active(), ends.size() - 1);
+    sparse::Mask assigned;
+    assigned = moved;
+    EXPECT_TRUE(assigned == moved);
+
+    // The float form round-trips through chunks that straddle words.
+    std::vector<float> floats(n);
+    for (std::size_t at = 0; at < n; at += 37) {
+      edges.to_floats(at, std::span<float>(floats).subspan(
+                              at, std::min<std::size_t>(37, n - at)));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(floats[i], edges.is_active(i) ? 1.0f : 0.0f) << i;
+    }
+    sparse::Mask back(shape);
+    back.from_floats(0, floats);
+    EXPECT_TRUE(back == edges);
+  }
+}
+
+TEST(Mask, FromFloatsTakesOnlyZeroOrOne) {
+  sparse::Mask m(tensor::Shape({3}));
+  m.from_floats(0, std::vector<float>{1.0f, -0.0f, 0.0f});
+  EXPECT_EQ(m.active_indices(), std::vector<std::size_t>{0});
+  for (const float bad : {2.0f, 0.5f, -1.0f, std::nanf("")}) {
+    sparse::Mask x(tensor::Shape({3}));
+    EXPECT_THROW(x.from_floats(2, std::vector<float>{bad}), util::CheckError)
+        << bad;
+  }
+  EXPECT_THROW(m.from_floats(2, std::vector<float>{1.0f, 1.0f}),
+               util::CheckError);
+  std::vector<float> out(2);
+  EXPECT_THROW(m.to_floats(2, out), util::CheckError);
 }
 
 TEST(Distribution, ParseRoundTrip) {
@@ -190,9 +278,9 @@ TEST(SparseModel, ApplyMasksToGrads) {
   }
   sm.apply_masks_to_grads();
   for (auto& layer : sm.layers()) {
-    const auto& mask = layer.mask().tensor();
-    for (std::size_t i = 0; i < mask.numel(); ++i) {
-      EXPECT_EQ(layer.param().grad()[i], mask[i]);
+    for (std::size_t i = 0; i < layer.numel(); ++i) {
+      EXPECT_EQ(layer.param().grad()[i],
+                layer.mask().is_active(i) ? 1.0f : 0.0f);
     }
   }
 }
@@ -204,9 +292,8 @@ TEST(SparseModel, CountersInitializedToMask) {
   sparse::SparseModel sm(model, 0.7, sparse::DistributionKind::kUniform, rng);
   // Constructor runs N ← M once.
   for (const auto& layer : sm.layers()) {
-    const auto& mask = layer.mask().tensor();
-    for (std::size_t i = 0; i < mask.numel(); ++i) {
-      EXPECT_EQ(layer.counter()[i], mask[i]);
+    for (std::size_t i = 0; i < layer.numel(); ++i) {
+      EXPECT_EQ(layer.counter()[i], layer.mask().is_active(i) ? 1.0f : 0.0f);
     }
   }
 }
@@ -218,16 +305,14 @@ TEST(SparseModel, AccumulateAndResetCounters) {
   sparse::SparseModel sm(model, 0.5, sparse::DistributionKind::kUniform, rng);
   sm.accumulate_counters();
   for (const auto& layer : sm.layers()) {
-    const auto& mask = layer.mask().tensor();
-    for (std::size_t i = 0; i < mask.numel(); ++i) {
-      EXPECT_EQ(layer.counter()[i], 2.0f * mask[i]);
+    for (std::size_t i = 0; i < layer.numel(); ++i) {
+      EXPECT_EQ(layer.counter()[i], layer.mask().is_active(i) ? 2.0f : 0.0f);
     }
   }
   sm.reset_counters_to_masks();
   for (const auto& layer : sm.layers()) {
-    const auto& mask = layer.mask().tensor();
-    for (std::size_t i = 0; i < mask.numel(); ++i) {
-      EXPECT_EQ(layer.counter()[i], mask[i]);
+    for (std::size_t i = 0; i < layer.numel(); ++i) {
+      EXPECT_EQ(layer.counter()[i], layer.mask().is_active(i) ? 1.0f : 0.0f);
     }
   }
 }

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "kernels/epilogue.hpp"
@@ -190,6 +195,44 @@ inline void check_module_gradients_tolerant(nn::Module& module,
       << outliers << " of " << checked << " probed gradients disagree";
   module.zero_grad();
   module.forward(input);
+}
+
+/// The bytes of the file at `path`.
+inline std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// One record of a full checkpoint (train/checkpoint.hpp): its name and
+/// where its `numel` floats start in the file.
+struct CheckpointRecord {
+  std::string name;
+  std::size_t data_offset = 0;
+  std::size_t numel = 0;
+};
+
+/// The records of a well-formed checkpoint's `bytes`, in file order.
+inline std::vector<CheckpointRecord> checkpoint_records(
+    const std::string& bytes) {
+  std::size_t at = 8;  // magic, u32 version
+  const auto u64 = [&] {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    at += sizeof(v);
+    return static_cast<std::size_t>(v);
+  };
+  std::vector<CheckpointRecord> records(u64());
+  for (CheckpointRecord& record : records) {
+    const std::size_t name_len = u64();
+    record.name = bytes.substr(at, name_len);
+    at += name_len;
+    record.numel = 1;
+    for (std::size_t rank = u64(); rank > 0; --rank) record.numel *= u64();
+    record.data_offset = at;
+    at += record.numel * sizeof(float);
+  }
+  return records;
 }
 
 }  // namespace dstee::testing

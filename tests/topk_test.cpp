@@ -68,8 +68,7 @@ TEST(TopK, MatchesFullSortOnRandomData) {
 
 TEST(TopK, WhereRestrictsToEligible) {
   const auto t = vec({10, 9, 8, 7});
-  const auto mask = vec({0, 1, 0, 1});
-  const auto idx = tensor::topk_indices_where(t, mask, 2);
+  const auto idx = tensor::topk_indices_among(t, {1, 3}, 2);
   ASSERT_EQ(idx.size(), 2u);
   EXPECT_EQ(idx[0], 1u);
   EXPECT_EQ(idx[1], 3u);
@@ -77,20 +76,20 @@ TEST(TopK, WhereRestrictsToEligible) {
 
 TEST(TopK, BottomWhereRestrictsToEligible) {
   const auto t = vec({1, 2, 3, 4});
-  const auto mask = vec({0, 1, 1, 0});
-  const auto idx = tensor::bottomk_indices_where(t, mask, 1);
+  const auto idx = tensor::bottomk_indices_among(t, {1, 2}, 1);
   ASSERT_EQ(idx.size(), 1u);
   EXPECT_EQ(idx[0], 1u);
 }
 
 TEST(TopK, WhereThrowsWhenNotEnoughEligible) {
   const auto t = vec({1, 2, 3});
-  const auto mask = vec({1, 0, 0});
-  EXPECT_THROW(tensor::topk_indices_where(t, mask, 2), util::CheckError);
+  EXPECT_THROW(tensor::topk_indices_among(t, {0}, 2), util::CheckError);
 }
 
 TEST(TopK, WhereShapeMismatchThrows) {
-  EXPECT_THROW(tensor::topk_indices_where(vec({1, 2}), vec({1}), 1),
+  EXPECT_THROW(tensor::topk_indices_among(vec({1, 2}), {2}, 1),
+               util::CheckError);
+  EXPECT_THROW(tensor::bottomk_indices_among(vec({1, 2}), {0, 5}, 1),
                util::CheckError);
 }
 

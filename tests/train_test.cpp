@@ -336,7 +336,9 @@ std::vector<tensor::Tensor> train_dst_ee(bool resnet, bool adam,
   for (nn::Parameter* p : model->parameters()) out.push_back(p->value);
   for (tensor::Tensor* b : model->state_buffers()) out.push_back(*b);
   for (const auto& layer : session.sparse_model().layers()) {
-    out.push_back(layer.mask().tensor());
+    tensor::Tensor mask(layer.mask().shape());
+    layer.mask().to_floats(0, mask.data());
+    out.push_back(std::move(mask));
     out.push_back(layer.counter());
   }
   return out;

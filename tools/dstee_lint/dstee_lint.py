@@ -42,6 +42,14 @@ that sit a level above the type system:
                    header — the concurrency surface must state its
                    dependencies, not inherit them — and duplicate
                    includes are flagged.
+  eager-check-message
+                   In src/tensor/, src/nn/ and src/kernels/, a util::check
+                   message is never built at the call (a `+`
+                   concatenation, std::to_string, .to_string()):
+                   util::check takes a string_view, so such a message is
+                   built on every call, pass or fail, which costs as much
+                   as a small tensor op. Test the condition and build the
+                   message inside util::fail instead.
   serve-timing     src/serve/ never touches std::chrono::steady_clock
                    directly; the serve hot path takes timestamps through
                    the obs clock surface (obs::Clock / obs::now /
@@ -80,6 +88,7 @@ RULES = {
     "simd-confinement": "SIMD intrinsics outside src/kernels/simd/",
     "include-hygiene": "concurrency symbol without its direct #include",
     "serve-timing": "serve code reads steady_clock instead of the obs clock",
+    "eager-check-message": "util::check message built on every call",
     "unbuilt-source": "src/ .cpp missing from compile_commands.json",
 }
 
@@ -342,6 +351,53 @@ def scan_serve_timing(fs: FileScan, findings: list[Finding]) -> None:
                 "time base"))
 
 
+# util::check(cond, msg) takes msg as a string_view, so a message built
+# at the call is concatenated before cond is tested. The layers below
+# serve run per op or per forward, where that costs as much as the op.
+EAGER_CHECK_DIRS = ("src/tensor/", "src/nn/", "src/kernels/")
+CHECK_CALL_RE = re.compile(r"\butil::check\s*\(")
+BUILT_MESSAGE_RE = re.compile(r"\+|\bstd::to_string\b|\.to_string\s*\(")
+
+
+def call_arguments(text: str, open_paren: int) -> list[str] | None:
+    """The top-level comma-separated arguments of the call whose '(' is
+    at `open_paren` (None when the call is unterminated). Nesting counts
+    (), [] and {}; string literals are already blanked."""
+    depth, start, args = 0, open_paren + 1, []
+    for i in range(open_paren, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                return args
+        elif c == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return None
+
+
+def scan_eager_check_message(fs: FileScan, findings: list[Finding]) -> None:
+    if not fs.rel.startswith(EAGER_CHECK_DIRS):
+        return
+    for m in CHECK_CALL_RE.finditer(fs.stripped):
+        args = call_arguments(fs.stripped, m.end() - 1)
+        if args is None or len(args) < 2:
+            continue
+        if not BUILT_MESSAGE_RE.search(args[1]):
+            continue
+        ln = fs.stripped[:m.start()].count("\n") + 1
+        if fs.is_waived(ln, "eager-check-message"):
+            continue
+        findings.append(Finding(
+            fs.path, ln, "eager-check-message",
+            "util::check message is built on every call, before the "
+            "condition is tested; write `if (!cond) util::fail(...)` so it "
+            "is built only on failure"))
+
+
 def scan_include_hygiene(fs: FileScan, findings: list[Finding]) -> None:
     includes = {}
     for ln, line in enumerate(fs.raw_lines, start=1):
@@ -420,7 +476,7 @@ def main(argv: list[str]) -> int:
 
     if args.list_rules:
         for rule, desc in RULES.items():
-            print(f"{rule:18} {desc}")
+            print(f"{rule:20} {desc}")
         return 0
 
     root = args.root.resolve()
@@ -438,6 +494,7 @@ def main(argv: list[str]) -> int:
         scan_hot_swap_rcu(fs, findings)
         scan_simd_confinement(fs, findings)
         scan_serve_timing(fs, findings)
+        scan_eager_check_message(fs, findings)
         scan_include_hygiene(fs, findings)
     if args.compile_commands is not None:
         scan_unbuilt_sources(root, args.compile_commands, findings)

@@ -35,6 +35,9 @@ EXPECTED = sorted([
     ("src/serve/bad_simd.cpp", "simd-confinement"),       # __m256/_mm256 load
     ("src/serve/bad_simd.cpp", "simd-confinement"),       # _mm256 store
     ("src/serve/bad_timing.cpp", "serve-timing"),         # raw steady_clock
+    ("src/tensor/bad_check_message.cpp", "eager-check-message"),  # + concat
+    ("src/tensor/bad_check_message.cpp", "eager-check-message"),  # to_string
+    ("src/tensor/bad_check_message.cpp", "eager-check-message"),  # .to_string()
 ])
 
 FINDING_RE = re.compile(r"^(?P<path>.+?):(?P<line>\d+): \[(?P<rule>[a-z\-]+)\]")
